@@ -78,7 +78,15 @@ class RunConfig:
                 raise ConfigError(f"unknown sector {name!r} in key 'sectors'")
         if not names:
             raise ConfigError("key 'sectors' names no sector")
+        if ODD in names and self.ny == 1:
+            raise ConfigError("the odd sector of a one-row strip is empty")
         return names
+
+    def hopping(self) -> HoppingParams:
+        try:
+            return HoppingParams(self.tx, self.ty)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def solver_config(self) -> SolverConfig:
         try:
@@ -167,7 +175,7 @@ def cmd_spectrum(config: RunConfig, stdout) -> int:
         raise ConfigError("spectrum needs a single sector (or 'full' among them)")
     try:
         lat = build_lattice(config.nx, config.ny, config.topology)
-        h = assemble(lat, uniform_flux_field(lat, config.f), HoppingParams(config.tx, config.ty))
+        h = assemble(lat, uniform_flux_field(lat, config.f), config.hopping())
         if sector in (EVEN, ODD):
             h = restrict(h, sector_isometry(lat, sector))
     except _INPUT_ERRORS as exc:

@@ -1,26 +1,24 @@
 """Lowest eigenpairs of sparse Hermitian operators, with certification.
 
-Two routes: a dense direct solve (LAPACK Hermitian eigendecomposition)
-for reference accuracy at small dimension, and Lanczos with full
-reorthogonalization of the Krylov basis for larger problems.  Full
-rather than selective reorthogonalization is deliberate: problem sizes
-here are desk scale and ghost eigenvalues would poison the
-quantization-minima detection downstream.
-
-Residuals ||H v - lambda v|| are always recomputed from the returned
-pairs, never trusted from solver bookkeeping.  Degenerate eigenvalues
-(routine at half-integer flux) are handled by judging convergence on
-values and residuals only; eigenvectors are degeneracy ambiguous and no
-claim is made about them beyond orthonormality.
+Two routes: a dense direct solve (LAPACK) for reference accuracy at small
+dimension, and implicitly restarted Lanczos (ARPACK) for larger problems.
+A Krylov method can skip copies of a degenerate eigenvalue (routine at
+half-integer flux) while every residual it reports is tiny, so an
+iterative answer counts only once a Sylvester inertia count shows that no
+eigenvalue below its top value was missed.  Residuals ||H v - lambda v||
+are always recomputed from the returned pairs; eigenvectors of degenerate
+eigenvalues are ambiguous beyond orthonormality.
 """
 
 from __future__ import annotations
 
+import collections
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+import scipy.sparse as sp
 
 from .hamiltonian import SparseHermitian
 
@@ -31,7 +29,7 @@ METHODS = ("dense", "lanczos", "auto")
 
 
 class NoConvergenceError(RuntimeError):
-    """Iteration budget exhausted; carries the best pairs found so far."""
+    """Iterative solve not certified in budget; carries the best pairs found."""
 
     def __init__(self, message: str, best: Optional["EigenResult"] = None):
         super().__init__(message)
@@ -42,7 +40,7 @@ class NoConvergenceError(RuntimeError):
 class SolverConfig:
     k: int = 6
     tol: float = 1e-10
-    max_iter: Optional[int] = None  # None -> 10 * n
+    max_iter: Optional[int] = None  # matvec budget; None -> 10 * n
     seed: int = 2024
     method: str = "auto"
 
@@ -71,10 +69,12 @@ class EigenResult:
     def k(self) -> int:
         return len(self.values)
 
+    def lowest(self, k: int) -> "EigenResult":
+        return EigenResult(self.values[:k], self.vectors[:, :k], self.residuals[:k])
+
 
 def _finalize(h: SparseHermitian, values: np.ndarray, vectors: np.ndarray) -> EigenResult:
-    norms = np.linalg.norm(vectors, axis=0)
-    vectors = vectors / norms
+    vectors = vectors / np.linalg.norm(vectors, axis=0)
     residuals = np.linalg.norm(h.csr @ vectors - vectors * values, axis=0)
     for arr in (values, vectors, residuals):
         arr.setflags(write=False)
@@ -96,94 +96,84 @@ def residual_report(h: SparseHermitian, res: EigenResult) -> np.ndarray:
     return np.linalg.norm(h.csr @ res.vectors - res.vectors * res.values, axis=0)
 
 
-def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return v / np.linalg.norm(v)
+def inertia_count(h: SparseHermitian, sigma: float) -> int:
+    """Number of eigenvalues of h below sigma, by Sylvester's law of inertia.
+
+    Symmetric-mode sparse LU with diagonal pivots is the congruence
+    P (H - sigma I) P^T = L D L^H, so D's negative entries are the count.
+    A zero pivot forces an off-diagonal one; the dense spectrum counts then.
+    """
+    from scipy.sparse.linalg import splu
+
+    shifted = (h.csr - sigma * sp.identity(h.n, format="csr")).tocsc()
+    lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+              options={"SymmetricMode": True})
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return int(np.count_nonzero(np.linalg.eigvalsh(shifted.toarray()) < 0))
+    return int(np.count_nonzero(lu.U.diagonal().real < 0))
 
 
-def _reorthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    # two classical Gram-Schmidt passes against the whole Krylov basis
-    for _ in range(2):
-        w = w - basis @ (basis.conj().T @ w)
-    return w
+def _rayleigh_ritz(h: SparseHermitian, basis: np.ndarray, k: int) -> EigenResult:
+    """k lowest Ritz pairs of h on the span of the columns of basis."""
+    q, _ = np.linalg.qr(basis)
+    theta, s = np.linalg.eigh(q.conj().T @ (h.csr @ q))
+    return _finalize(h, theta[:k].copy(), q @ s[:, :k])
 
 
 def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
-    """k lowest eigenpairs by Lanczos with full reorthogonalization.
+    """k lowest eigenpairs by implicitly restarted Lanczos, certified complete.
 
-    The Krylov basis is reorthogonalized at every step; on breakdown
-    (invariant subspace found) a fresh random direction restarts the
-    recurrence with a zero coupling, so degenerate multiplets are still
-    captured.  Iteration stops once the k lowest Ritz residual bounds and
-    then the recomputed true residuals meet tol * max(1, |lambda|_max).
-    Deterministic for a fixed seed.
+    ARPACK (scipy's eigsh) runs from a seeded start vector and Rayleigh-Ritz
+    makes its vectors orthonormal.  Residuals must meet
+    tol * max(1, |lambda|_max), and the inertia count just above the top
+    value must equal the number of values; a larger count means skipped
+    degenerate copies, so the solve is redone for that many.  cfg.max_iter
+    caps the matvecs; on exhaustion the error carries the Ritz pairs of the
+    latest Krylov vectors.  k >= n - 1, beyond ARPACK, goes to the dense solver.
     """
-    n = h.n
-    k = cfg.k
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    n, k = h.n, cfg.k
     if k > n:
         raise ValueError(f"k={k} exceeds dimension n={n}")
     rng = np.random.default_rng(cfg.seed)
-    max_iter = cfg.max_iter if cfg.max_iter is not None else 10 * n
+    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    budget = cfg.max_iter if cfg.max_iter is not None else 10 * n
+    calls = itertools.count()
+    latest = collections.deque(maxlen=max(k, 20))  # ARPACK's newest Krylov vectors
 
-    basis = np.zeros((n, min(n, max_iter) + 1), dtype=complex)
-    basis[:, 0] = _random_unit(rng, n)
-    alphas: list[float] = []
-    betas: list[float] = []
-    best: Optional[EigenResult] = None
+    def matvec(v):
+        if next(calls) >= budget:
+            raise NoConvergenceError("matvec budget exhausted")
+        latest.append(v.copy())  # v is a view of ARPACK's workspace
+        return h.matvec(v)
 
-    def extract(m: int):
-        vals, s = eigh_tridiagonal(np.array(alphas[:m]), np.array(betas[: m - 1]))
-        return vals, s
-
-    m = 0
-    for _ in range(max_iter):
-        if m == n:
-            break
-        v = basis[:, m]
-        w = h.matvec(v)
-        alpha = float(np.real(np.vdot(v, w)))
-        alphas.append(alpha)
-        m += 1
-        w = w - alpha * v
-        if m > 1 and betas[m - 2] != 0.0:
-            w = w - betas[m - 2] * basis[:, m - 2]
-        w = _reorthogonalize(w, basis[:, :m])
-        beta = float(np.linalg.norm(w))
-
-        if m >= k:
-            vals, s = extract(m)
-            scale = max(1.0, float(np.max(np.abs(vals))))
-            bounds = abs(beta) * np.abs(s[m - 1, :k])
-            if np.all(bounds <= cfg.tol * scale) or m == n:
-                vectors = basis[:, :m] @ s[:, :k]
-                candidate = _finalize(h, vals[:k].copy(), vectors)
-                best = candidate
-                if np.all(candidate.residuals <= cfg.tol * scale):
-                    return candidate
-
-        if m == n:
-            break
-        breakdown = beta <= 1e-13 * max(1.0, abs(alpha))
-        if breakdown:
-            fresh = _reorthogonalize(_random_unit(rng, n), basis[:, :m])
-            norm = np.linalg.norm(fresh)
-            if norm < 1e-8:  # space exhausted numerically
-                break
-            basis[:, m] = fresh / norm
-            betas.append(0.0)
-        else:
-            basis[:, m] = w / beta
-            betas.append(beta)
-
-    if m >= k:
-        vals, s = extract(m)
-        best = _finalize(h, vals[:k].copy(), basis[:, :m] @ s[:, :k])
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        if np.all(best.residuals <= cfg.tol * scale):
-            return best
-    raise NoConvergenceError(
-        f"Lanczos did not reach tol={cfg.tol} within {max_iter} iterations", best=best
-    )
+    op = LinearOperator((n, n), matvec=matvec, dtype=complex)
+    want = k
+    while True:
+        try:
+            if want >= n - 1:
+                res = dense_eigh(h).lowest(want)
+            else:
+                _, vectors = eigsh(op, want, which="SA", v0=v0, tol=cfg.tol, maxiter=budget)
+                res = _rayleigh_ritz(h, vectors, want)
+        except (NoConvergenceError, ArpackNoConvergence):
+            raise NoConvergenceError(
+                f"Lanczos did not reach tol={cfg.tol} within {budget} matvecs",
+                best=_rayleigh_ritz(h, np.column_stack(latest), k),
+            ) from None
+        scale = max(1.0, float(np.max(np.abs(res.values))))
+        if not np.all(res.residuals <= cfg.tol * scale):
+            raise NoConvergenceError(f"Lanczos residuals exceed tol={cfg.tol}", best=res.lowest(k))
+        # Ritz value i is >= lambda_i and within ||R|| of a distinct eigenvalue,
+        # so exactly `want` eigenvalues below sigma means none was skipped
+        sigma = res.values[-1] + np.linalg.norm(res.residuals) + cfg.tol * scale
+        count = inertia_count(h, sigma)
+        if count == want:
+            return res.lowest(k)
+        if count < want:
+            raise NoConvergenceError(f"inertia count {count} < {want} values", best=res.lowest(k))
+        want = count
 
 
 def solve(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
@@ -194,9 +184,5 @@ def solve(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
     if method == "auto":
         method = "dense" if h.n <= _AUTO_DENSE_N else "lanczos"
     if method == "dense":
-        full = dense_eigh(h)
-        k = cfg.k
-        return EigenResult(
-            values=full.values[:k], vectors=full.vectors[:, :k], residuals=full.residuals[:k]
-        )
+        return dense_eigh(h).lowest(cfg.k)
     return lanczos_lowest(h, cfg)

@@ -62,6 +62,7 @@ class SweepConfig:
             raise ValueError("at least one sector must be requested")
         if (EVEN in self.sectors or ODD in self.sectors) and self.ny % 2 == 0:
             raise ValueError("even/odd sectors need odd ny (a center row must exist)")
+        HoppingParams(tx=self.tx, ty=self.ty)  # raises on invalid hopping
 
     def f_values(self) -> np.ndarray:
         return np.linspace(self.f_min, self.f_max, self.f_steps)
@@ -164,26 +165,29 @@ _MIN_COLUMNS = ("e0_full", "e0_even", "e0_odd", "gap")
 
 
 def _parabolic_refine(f0, f1, f2, y0, y1, y2) -> float:
-    denom = y0 - 2.0 * y1 + y2
-    if denom <= 0:
+    # vertex of the parabola through three points, spaced evenly or not
+    slope01 = (y1 - y0) / (f1 - f0)
+    curvature = ((y2 - y1) / (f2 - f1) - slope01) / (f2 - f0)
+    if curvature <= 0:
         return f1
-    return f1 + 0.5 * (f2 - f1) * (y0 - y2) / denom
+    return 0.5 * (f0 + f1) - 0.5 * slope01 / curvature
 
 
 def detect_minima(records: Sequence[SweepRecord], column: str,
                   mode: str = "integer") -> QuantizationReport:
     """Strict interior local minima of an energy column, refined.
 
-    A run of values equal within 1e-12 counts as a single minimum at its
-    midpoint (grids can straddle symmetric points exactly); isolated
-    minima are refined by a 3-point parabola.  Each minimum is reported
-    with the nearest multiple of 1 (integer mode) or 1/2 (half-integer
-    mode) and the distance to it.
+    Failed records are skipped.  A run of values equal within 1e-12
+    counts as a single minimum at its midpoint (grids can straddle
+    symmetric points exactly); isolated minima are refined by a 3-point
+    parabola.  Each minimum is reported with the nearest multiple of 1
+    (integer mode) or 1/2 (half-integer mode) and the distance to it.
     """
     if mode not in ("integer", "half-integer"):
         raise ValueError(f"mode must be 'integer' or 'half-integer', got {mode!r}")
     if column not in _MIN_COLUMNS:
         raise ValueError(f"column must be one of {_MIN_COLUMNS}, got {column!r}")
+    records = [rec for rec in records if rec.status != "failed"]
     if len(records) < 3:
         raise ValueError("need at least 3 records to detect interior minima")
     f = [rec.f for rec in records]

@@ -131,6 +131,20 @@ def test_sweep_invalid_range_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--tx", "-1"),
+    ("sweep", "--ty", "-1"),
+    # the odd sector of a one-row strip is empty
+    ("spectrum", "--sectors", "odd", "--ny", "1"),
+    ("sweep", "--sectors", "full,odd", "--ny", "1"),
+])
+def test_invalid_config_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--nx", "4", "--f-steps", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:")
+
+
 def test_holonomy_center_half_flux(capsys):
     code, out, _ = run_cli(
         capsys, "holonomy", "--nx", "8", "--ny", "5", "--f", "0.5", "--loop", "center"

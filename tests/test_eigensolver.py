@@ -10,6 +10,7 @@ from mobiusflux.eigensolver import (
     NoConvergenceError,
     SolverConfig,
     dense_eigh,
+    inertia_count,
     lanczos_lowest,
     residual_report,
     solve,
@@ -84,8 +85,8 @@ def test_dense_orthonormality():
 
 
 def test_lanczos_full_space_matches_dense_with_degeneracies():
-    # ring at f=0 has the doubly degenerate pairs {2, 2}; k = n forces the
-    # breakdown-restart path to find every copy
+    # ring at f=0 has the doubly degenerate pair {2, 2}; k = n lies beyond
+    # ARPACK and must still return every copy
     lat = build_lattice(4, 1, ANNULUS)
     h = assemble(lat, uniform_flux_field(lat, 0.0), HoppingParams(ty=0.0))
     res = lanczos_lowest(h, SolverConfig(k=4, tol=1e-12, seed=5, method="lanczos"))
@@ -97,6 +98,36 @@ def test_lanczos_matches_dense_on_desk_scale_operator():
     assert h.n == 432
     res = lanczos_lowest(h, SolverConfig(k=6, tol=1e-11, seed=42, method="lanczos"))
     assert_allclose(res.values, dense_eigh(h).values[:6], atol=1e-8)
+
+
+@pytest.mark.parametrize("nx, ny, f, ty, seed", [
+    # half-flux multiplets: the single-vector Lanczos dropped copies here
+    *[(48, 9, 0.5, 0.01, seed) for seed in (1, 2, 3, 2024)],
+    # ARPACK alone skips the second copy of 0.0180891469 with residuals
+    # <= 3e-13; only the inertia count and the re-solve catch it
+    (48, 9, 0.0, 0.01, 12345),
+    # lambda_6 = lambda_7: the count above lambda_6 exceeds k on a right answer
+    (48, 25, 0.0, 1.0, 2024),
+])
+def test_lanczos_returns_complete_degenerate_spectrum(nx, ny, f, ty, seed):
+    h = moebius_operator(nx, ny, f, ty=ty)
+    res = lanczos_lowest(h, SolverConfig(k=6, seed=seed, method="lanczos"))
+    assert_allclose(res.values, dense_eigh(h).values[:6], rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("h", [
+    moebius_operator(8, 5, 0.5),
+    moebius_operator(12, 3, 0.0, ty=0.01),
+    assemble(build_lattice(6, 3, ANNULUS), uniform_flux_field(build_lattice(6, 3, ANNULUS), 0.3),
+             HoppingParams()),
+    random_hermitian(30, seed=4),
+])
+def test_inertia_count_matches_dense_count(h):
+    values = dense_eigh(h).values
+    gaps = np.flatnonzero(np.diff(values) > 1e-9)
+    sigmas = [values[0] - 1.0, values[-1] + 1.0, *(0.5 * (values[gaps] + values[gaps + 1]))]
+    for sigma in sigmas:
+        assert inertia_count(h, sigma) == np.count_nonzero(values < sigma)
 
 
 def test_lanczos_determinism():

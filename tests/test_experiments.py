@@ -236,6 +236,25 @@ def test_sweep_marks_failed_records_and_continues():
     assert all(rec.e0_full is None for rec in records)
 
 
+def test_detect_minima_skips_failed_records():
+    failing = SolverConfig(method="lanczos", tol=1e-15, max_iter=3)
+    good = flux_sweep(small_sweep(sectors=(FULL,)))
+    failed = flux_sweep(small_sweep(solver=failing, sectors=(FULL,)))
+    # every fourth point fails, f = 0 and f = 1 among them
+    mixed = [bad if i % 4 == 1 else ok for i, (ok, bad) in enumerate(zip(good, failed))]
+    assert {rec.status for rec in mixed} == {"ok", "failed"}
+    report = detect_minima(mixed, "e0_full", mode="integer")
+    assert report.nearest_allowed == (0.0, 1.0)
+    assert max(report.distances) <= 0.005
+
+
+def test_detect_minima_refines_across_a_skipped_point():
+    records = [SweepRecord(f=f, e0_even=(f - 0.33) ** 2) for f in np.linspace(0.0, 1.0, 11)]
+    records[4] = SweepRecord(f=0.4, status="failed")
+    # the parabola through f = 0.2, 0.3, 0.5 has its vertex at 0.33
+    assert detect_minima(records, "e0_even").minima_f == pytest.approx((0.33,), abs=1e-12)
+
+
 def test_sweep_without_full_sector_has_no_current():
     records = flux_sweep(small_sweep(f_steps=7, sectors=(EVEN, ODD)))
     assert all(rec.e0_full is None for rec in records)
