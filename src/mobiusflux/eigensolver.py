@@ -2,6 +2,8 @@
 
 Two routes: a dense direct solve (LAPACK) for reference accuracy at small
 dimension, and implicitly restarted Lanczos (ARPACK) for larger problems.
+The dense route computes only the k lowest pairs asked for, by LAPACK's
+index-range driver (MRRR): full accuracy at a fraction of the cost of all n.
 A Krylov method can skip copies of a degenerate eigenvalue (routine at
 half-integer flux) while every residual it reports is tiny, so an
 iterative answer counts only once a Sylvester inertia count shows that no
@@ -81,11 +83,19 @@ def _finalize(h: SparseHermitian, values: np.ndarray, vectors: np.ndarray) -> Ei
     return EigenResult(values=values, vectors=vectors, residuals=residuals)
 
 
-def dense_eigh(h: SparseHermitian) -> EigenResult:
-    """Full spectral decomposition; reference path, n <= 4096."""
+def dense_eigh(h: SparseHermitian, k: Optional[int] = None) -> EigenResult:
+    """k lowest eigenpairs (None: all n) by a dense direct solve; n <= 4096.
+
+    The reference path; only the requested pairs and their residuals are computed.
+    """
+    from scipy.linalg import eigh
+
     if h.n > _DENSE_MAX_N:
         raise ValueError(f"dense path limited to n <= {_DENSE_MAX_N}, got {h.n}")
-    values, vectors = np.linalg.eigh(h.toarray())
+    k = h.n if k is None else k
+    if not 1 <= k <= h.n:
+        raise ValueError(f"k must lie in [1, n={h.n}], got {k}")
+    values, vectors = eigh(h.toarray(), subset_by_index=[0, k - 1])
     return _finalize(h, values, vectors)
 
 
@@ -153,7 +163,7 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
     while True:
         try:
             if want >= n - 1:
-                res = dense_eigh(h).lowest(want)
+                res = dense_eigh(h, want)
             else:
                 _, vectors = eigsh(op, want, which="SA", v0=v0, tol=cfg.tol, maxiter=budget)
                 res = _rayleigh_ritz(h, vectors, want)
@@ -178,11 +188,9 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
 
 def solve(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
     """Dispatch on cfg.method; auto picks dense for n <= 1024."""
-    if cfg.k > h.n:
-        raise ValueError(f"k={cfg.k} exceeds dimension n={h.n}")
     method = cfg.method
     if method == "auto":
         method = "dense" if h.n <= _AUTO_DENSE_N else "lanczos"
     if method == "dense":
-        return dense_eigh(h).lowest(cfg.k)
+        return dense_eigh(h, cfg.k)
     return lanczos_lowest(h, cfg)

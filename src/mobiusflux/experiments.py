@@ -62,6 +62,8 @@ class SweepConfig:
             raise ValueError("at least one sector must be requested")
         if (EVEN in self.sectors or ODD in self.sectors) and self.ny % 2 == 0:
             raise ValueError("even/odd sectors need odd ny (a center row must exist)")
+        if ODD in self.sectors and self.ny == 1:
+            raise ValueError("the odd sector of a one-row strip is empty")
         HoppingParams(tx=self.tx, ty=self.ty)  # raises on invalid hopping
 
     def f_values(self) -> np.ndarray:

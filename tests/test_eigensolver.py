@@ -15,6 +15,7 @@ from mobiusflux.eigensolver import (
     residual_report,
     solve,
 )
+from mobiusflux.experiments import nodal_amplitude
 from mobiusflux.gauge import uniform_flux_field
 from mobiusflux.hamiltonian import (
     EVEN,
@@ -82,6 +83,48 @@ def test_dense_orthonormality():
     res = dense_eigh(random_hermitian(40, seed=3))
     gram = res.vectors.conj().T @ res.vectors
     assert np.max(np.abs(gram - np.eye(40))) < 1e-10
+
+
+def strip_operator(topology, f, ty):
+    lat = build_lattice(12, 5, topology)
+    return assemble(lat, uniform_flux_field(lat, f), HoppingParams(tx=1.0, ty=ty))
+
+
+@pytest.mark.parametrize("topology", [MOEBIUS, ANNULUS])
+@pytest.mark.parametrize("f", [0.0, 0.5])
+@pytest.mark.parametrize("ty", [1.0, 0.01])
+def test_dense_k_lowest_matches_full_decomposition(topology, f, ty):
+    h = strip_operator(topology, f, ty)
+    full = dense_eigh(h).values
+    for k in (1, 2, 6, h.n - 1, h.n):
+        res = dense_eigh(h, k)
+        assert res.k == k
+        assert_allclose(res.values, full[:k], rtol=0, atol=1e-12)
+        gram = res.vectors.conj().T @ res.vectors
+        assert np.max(np.abs(gram - np.eye(k))) < 1e-12
+        assert np.all(res.residuals <= 1e-10)
+
+
+@pytest.mark.parametrize("k", [0, -1, 61])
+def test_dense_k_out_of_range(k):
+    h = strip_operator(MOEBIUS, 0.3, 1.0)
+    assert h.n == 60
+    with pytest.raises(ValueError):
+        dense_eigh(h, k)
+
+
+def test_dense_solve_on_acceptance_band():
+    # the acceptance sweep's operator: 48 x 9 Moebius, ty = 0.01
+    lat = build_lattice(48, 9, MOEBIUS)
+    cfg = SolverConfig(k=6, method="dense")
+    half = solve(moebius_operator(48, 9, 0.5, ty=0.01), cfg)
+    assert nodal_amplitude(half.vectors[:, 0], lat) <= 1e-8
+    for f in (0.13, 0.37, 0.81):
+        h = moebius_operator(48, 9, f, ty=0.01)
+        values, vectors = np.linalg.eigh(h.toarray())
+        res = solve(h, cfg)
+        assert_allclose(res.values, values[:6], rtol=0, atol=1e-12)
+        assert abs(np.vdot(vectors[:, 0], res.vectors[:, 0])) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_lanczos_full_space_matches_dense_with_degeneracies():

@@ -46,6 +46,14 @@ def test_sweep_config_validation():
         small_sweep(sectors=())
 
 
+def test_sweep_config_rejects_empty_odd_sector():
+    # a one-row strip's odd sector has no states
+    with pytest.raises(ValueError, match="odd sector"):
+        small_sweep(ny=1, sectors=(FULL, ODD))
+    records = flux_sweep(small_sweep(ny=1, sectors=(FULL, EVEN), f_steps=3))
+    assert all(rec.status == "ok" for rec in records)
+
+
 def test_annulus_sweep_minima_at_integer_flux():
     cfg = SweepConfig(
         nx=24, ny=5, topology=ANNULUS, f_min=0.0, f_max=1.0, f_steps=51,
