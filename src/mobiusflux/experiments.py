@@ -49,6 +49,7 @@ class SweepConfig:
     sectors: tuple = (FULL, EVEN, ODD)
 
     def __post_init__(self):
+        build_lattice(self.nx, self.ny, self.topology)  # raises on invalid dimensions
         if not self.f_min < self.f_max:
             raise ValueError(f"need f_min < f_max, got [{self.f_min}, {self.f_max}]")
         if self.f_steps < 2:
@@ -89,9 +90,7 @@ def nodal_amplitude(state: np.ndarray, lat: StripLattice) -> float:
     state = np.asarray(state).reshape(-1)
     if state.shape != (lat.n_sites,):
         raise ValueError(f"state has {state.size} entries, lattice has {lat.n_sites} sites")
-    c = lat.center_row
-    ids = [lat.site_id((i, c)) for i in range(lat.nx)]
-    return float(np.max(np.abs(state[ids])))
+    return float(np.max(np.abs(state.reshape(lat.nx, lat.ny)[:, lat.center_row])))
 
 
 def flux_sweep(cfg: SweepConfig) -> list:
@@ -233,7 +232,7 @@ class LadderPeriodicity:
     period: float  # 0.5 or 1.0, the smallest period matched to tolerance
 
 
-def ladder_periodicity_test(nx: int, f_values: Sequence[float], ty: float = 0.0,
+def ladder_periodicity_test(lat: StripLattice, f_values: Sequence[float], ty: float = 0.0,
                             tx: float = 1.0, match_tol: float = 1e-10) -> LadderPeriodicity:
     """Period of the ny=2 moebius ladder spectrum as a function of flux.
 
@@ -241,8 +240,9 @@ def ladder_periodicity_test(nx: int, f_values: Sequence[float], ty: float = 0.0,
     the spectrum has period 1/2 in f; any rung coupling breaks the half
     period and leaves period 1.
     """
-    lat = build_lattice(nx, 2, MOEBIUS)
-    hop = HoppingParams(tx=tx, ty=ty) if ty > 0 else HoppingParams(tx=tx, ty=0.0)
+    if not lat.is_moebius or lat.ny != 2:
+        raise ValueError(f"need a two-row moebius ladder, got ny={lat.ny} {lat.topology}")
+    hop = HoppingParams(tx=tx, ty=ty)
 
     def spectrum(f: float) -> np.ndarray:
         return dense_eigh(assemble(lat, uniform_flux_field(lat, f), hop)).values
@@ -259,7 +259,7 @@ def ladder_periodicity_test(nx: int, f_values: Sequence[float], ty: float = 0.0,
     )
 
 
-def annulus_equivalence_check(nx: int, ny: int, f_values: Sequence[float],
+def annulus_equivalence_check(band: StripLattice, f_values: Sequence[float],
                               tx: float = 1.0, ty: float = 1.0) -> float:
     """Max deviation of E_odd(moebius) from E(half-width annulus at f+1/2).
 
@@ -267,10 +267,11 @@ def annulus_equivalence_check(nx: int, ny: int, f_values: Sequence[float],
     generator, which shifts the effective flux seen by the nodal sector
     by half a quantum; entrywise the two dense spectra must agree.
     """
-    if ny % 2 == 0 or ny < 3:
-        raise ValueError(f"need odd ny >= 3, got {ny}")
-    band = build_lattice(nx, ny, MOEBIUS)
-    ring = build_lattice(nx, (ny - 1) // 2, ANNULUS)
+    if not band.is_moebius:
+        raise ValueError(f"need a moebius band, got {band.topology}")
+    if band.ny % 2 == 0 or band.ny < 3:
+        raise ValueError(f"need odd ny >= 3, got {band.ny}")
+    ring = build_lattice(band.nx, (band.ny - 1) // 2, ANNULUS)
     hop = HoppingParams(tx=tx, ty=ty)
     iso = sector_isometry(band, ODD)
     worst = 0.0

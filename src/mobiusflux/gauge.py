@@ -221,15 +221,9 @@ def apply_gauge_transform(field: GaugeField, g: GaugeTransform) -> GaugeField:
     if g.lattice != field.lattice:
         raise GaugeError("transform and field live on different lattices")
     lat = field.lattice
-    chi = g.chi
-    theta_x = np.array(field.theta_x)
-    theta_y = np.array(field.theta_y)
-    for i in range(lat.nx):
-        for j in range(lat.ny):
-            v = neighbor(lat, Site(i, j), DIR_PX)
-            theta_x[i, j] += chi[v.i, v.j] - chi[i, j]
-            if j < lat.ny - 1:
-                theta_y[i, j] += chi[i, j + 1] - chi[i, j]
+    flat = g.chi.reshape(-1)
+    theta_x = field.theta_x + (flat[lat.x_next] - flat).reshape(lat.nx, lat.ny)
+    theta_y = field.theta_y + np.diff(g.chi, axis=1)
     return GaugeField(lattice=lat, theta_x=theta_x, theta_y=theta_y)
 
 
@@ -242,63 +236,45 @@ def lift_field(corr: CenterCut, field: GaugeField) -> GaugeField:
     """
     if field.lattice != corr.band:
         raise GaugeError("field lives on a different lattice than the cut")
-    band, cut = corr.band, corr.cut
-    c = band.center_row
-    theta_x = np.empty((cut.nx, cut.ny))
-    theta_y = np.empty((cut.nx, cut.ny - 1))
-    for ic in range(cut.nx):
-        for jc in range(cut.ny):
-            bi, bj = corr.to_band[Site(ic, jc)]
-            theta_x[ic, jc] = field.theta_x[bi, bj]
-            if jc < cut.ny - 1:
-                if bj > c:
-                    theta_y[ic, jc] = field.theta_y[bi, bj]
-                else:
-                    theta_y[ic, jc] = -field.theta_y[bi, bj - 1]
-    return GaugeField(lattice=cut, theta_x=theta_x, theta_y=theta_y)
+    c = corr.band.center_row
+    # cut_complement_of_center's layout: columns [0, nx) image the rows above
+    # center, columns [nx, 2*nx) the rows below it in mirrored order
+    theta_x = np.concatenate([field.theta_x[:, c + 1:], field.theta_x[:, :c][:, ::-1]])
+    theta_y = np.concatenate([field.theta_y[:, c + 1:], -field.theta_y[:, :c - 1][:, ::-1]])
+    return GaugeField(lattice=corr.cut, theta_x=theta_x, theta_y=theta_y)
 
 
-def _loop_edge_chain(lat: StripLattice, loop: LoopPath, weight: int, cx, cy) -> None:
-    """Accumulate a loop's links into canonical +x / +y chain coefficients."""
-    for site, d in loop.steps:
-        if d == DIR_PX:
-            cx[site] = cx.get(site, 0) + weight
-        elif d == DIR_MX:
-            u = neighbor(lat, site, DIR_MX)
-            cx[u] = cx.get(u, 0) - weight
-        elif d == DIR_PY:
-            cy[site] = cy.get(site, 0) + weight
-        else:
-            u = Site(site.i, site.j - 1)
-            cy[u] = cy.get(u, 0) - weight
+def _loop_edge_chain(lat: StripLattice, loop: LoopPath) -> tuple:
+    """A loop's links as canonical +x / +y chain coefficients, shaped like theta_x / theta_y."""
+    n = lat.n_sites
+    sid = np.array([lat.site_id(site) for site in loop.sites()])
+    d = np.array([step.direction for step in loop.steps])
+    backward = (d == DIR_MX) | (d == DIR_MY)
+    # a reversed step walks back along the canonical link out of the next site
+    source = np.where(backward, np.concatenate((sid[1:], sid[:1])), sid)
+    along_y = (d == DIR_PY) | (d == DIR_MY)
+    chain = np.zeros(2 * n, dtype=int)
+    np.add.at(chain, source + n * along_y, 1 - 2 * backward)
+    return chain[:n].reshape(lat.nx, lat.ny), chain[n:].reshape(lat.nx, lat.ny)[:, :-1]
 
 
-def _bounding_face_weights(lat: StripLattice, loop1: LoopPath, loop2: LoopPath) -> dict:
+def _bounding_face_weights(lat: StripLattice, loop1: LoopPath, loop2: LoopPath) -> np.ndarray:
     """Integer face weights m with boundary(m) = loop1 - loop2 on an annulus.
 
-    Column prefix sums of the x-link chain give the unique solution; the
-    full boundary condition is then verified link by link, which catches
+    m has theta_y's shape, one weight per face.  Column prefix sums of
+    the x-link chain give the unique solution; the full boundary
+    condition is then verified link by link, which catches
     non-homologous input (and deliberately broken seam rules).
     """
-    cx: dict = {}
-    cy: dict = {}
-    _loop_edge_chain(lat, loop1, +1, cx, cy)
-    _loop_edge_chain(lat, loop2, -1, cx, cy)
-    m: dict = {}
-    for i in range(lat.nx):
-        running = 0
-        for r in range(lat.ny):
-            running += cx.get(Site(i, r), 0)
-            if r < lat.ny - 1:
-                m[Site(i, r)] = running
-        if running != 0:
-            raise GaugeError("loops are not homologous on the working lattice")
-    for i in range(lat.nx):
-        i_prev = i - 1 if i > 0 else lat.nx - 1
-        for r in range(lat.ny - 1):
-            lhs = m.get(Site(i_prev, r), 0) - m.get(Site(i, r), 0)
-            if lhs != cy.get(Site(i, r), 0):
-                raise GaugeError("loop pair does not bound a face region (inconsistent chain)")
+    cx1, cy1 = _loop_edge_chain(lat, loop1)
+    cx2, cy2 = _loop_edge_chain(lat, loop2)
+    running = np.cumsum(cx1 - cx2, axis=1)
+    if np.any(running[:, -1] != 0):
+        raise GaugeError("loops are not homologous on the working lattice")
+    m = running[:, :-1]
+    # the +y link out of (i, r) is the east edge of face (i-1, r) and the west edge of face (i, r)
+    if np.any(m[np.arange(lat.nx) - 1] - m != cy1 - cy2):
+        raise GaugeError("loop pair does not bound a face region (inconsistent chain)")
     return m
 
 
@@ -332,6 +308,6 @@ def stokes_defect(field: GaugeField, loop1: LoopPath, loop2: LoopPath,
     a1 = wilson_loop(work_field, w1).angle
     a2 = wilson_loop(work_field, w2).angle
     enclosed = math.fsum(
-        weight * _face_curvature_raw(work_field, face) for face, weight in m.items() if weight != 0
+        m[i, j] * _face_curvature_raw(work_field, (i, j)) for i, j in np.argwhere(m).tolist()
     )
     return reduce_angle(a1 - a2 - enclosed)

@@ -22,14 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .gauge import GaugeField
-from .lattice import (
-    DIR_PX,
-    DIR_PY,
-    LatticeError,
-    Site,
-    StripLattice,
-    neighbor,
-)
+from .lattice import LatticeError, StripLattice
 
 EVEN = "even"
 ODD = "odd"
@@ -118,27 +111,22 @@ def assemble(lat: StripLattice, field: GaugeField, hop: HoppingParams,
             raise LatticeError(f"potential has {v.size} entries, lattice has {n} sites")
         if not np.all(np.isfinite(v)):
             raise LatticeError("potential must be finite")
-    rows, cols, vals = [], [], []
-
-    def put(r, c, z):
-        rows.append(r)
-        cols.append(c)
-        vals.append(z)
-
-    diag = 2.0 * hop.tx + 2.0 * hop.ty
-    for site in lat.sites():
-        sid = lat.site_id(site)
-        put(sid, sid, diag + v[sid])
-        tx_hop = -hop.tx * np.exp(1j * field.theta_x[site.i, site.j])
-        nbx = neighbor(lat, site, DIR_PX)
-        put(lat.site_id(nbx), sid, tx_hop)
-        put(sid, lat.site_id(nbx), np.conj(tx_hop))
-        if site.j < lat.ny - 1 and hop.ty != 0.0:
-            ty_hop = -hop.ty * np.exp(1j * field.theta_y[site.i, site.j])
-            nby = neighbor(lat, site, DIR_PY)
-            put(lat.site_id(nby), sid, ty_hop)
-            put(sid, lat.site_id(nby), np.conj(ty_hop))
-    return SparseHermitian(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
+    ids = np.arange(n)
+    x_hop = -hop.tx * np.exp(1j * field.theta_x.reshape(-1))
+    # each link (u -> v) enters as H[v, u] = -t exp(i theta) and its conjugate at H[u, v]
+    rows = [ids, lat.x_next, ids]
+    cols = [ids, ids, lat.x_next]
+    vals = [2.0 * hop.tx + 2.0 * hop.ty + v, x_hop, np.conj(x_hop)]
+    if hop.ty != 0.0:
+        below = ids.reshape(lat.nx, lat.ny)[:, :-1].reshape(-1)
+        y_hop = -hop.ty * np.exp(1j * field.theta_y.reshape(-1))
+        rows += [below + 1, below]
+        cols += [below, below + 1]
+        vals += [y_hop, np.conj(y_hop)]
+    coo = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+    return SparseHermitian(coo)
 
 
 def ring_spectrum_oracle(nx: int, f: float) -> np.ndarray:
@@ -155,10 +143,7 @@ def ring_spectrum_oracle(nx: int, f: float) -> np.ndarray:
 def reflection_permutation(lat: StripLattice) -> np.ndarray:
     """Site-id permutation of the reflection (i, j) -> (i, ny-1-j)."""
     lat.center_row  # requires odd ny
-    perm = np.empty(lat.n_sites, dtype=int)
-    for site in lat.sites():
-        perm[lat.site_id(site)] = lat.site_id(Site(site.i, lat.ny - 1 - site.j))
-    return perm
+    return np.arange(lat.n_sites).reshape(lat.nx, lat.ny)[:, ::-1].reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -190,24 +175,21 @@ def sector_isometry(lat: StripLattice, parity: str) -> SectorIsometry:
     c = lat.center_row
     sign = 1.0 if parity == EVEN else -1.0
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    rows, cols, vals = [], [], []
-    col = 0
-    for i in range(lat.nx):
-        for j in range(c):
-            rows.append(lat.site_id(Site(i, j)))
-            cols.append(col)
-            vals.append(inv_sqrt2)
-            rows.append(lat.site_id(Site(i, lat.ny - 1 - j)))
-            cols.append(col)
-            vals.append(sign * inv_sqrt2)
-            col += 1
+    grid = np.arange(lat.n_sites).reshape(lat.nx, lat.ny)
+    below = grid[:, :c].reshape(-1)
+    pairs = np.arange(below.size)
+    rows = [below, reflection_permutation(lat)[below]]
+    cols = [pairs, pairs]
+    vals = [np.full(below.size, inv_sqrt2), np.full(below.size, sign * inv_sqrt2)]
     if parity == EVEN:
-        for i in range(lat.nx):
-            rows.append(lat.site_id(Site(i, c)))
-            cols.append(col)
-            vals.append(1.0)
-            col += 1
-    matrix = sp.csc_matrix((vals, (rows, cols)), shape=(lat.n_sites, col))
+        rows.append(grid[:, c])
+        cols.append(below.size + np.arange(lat.nx))
+        vals.append(np.ones(lat.nx))
+    dim = below.size + (lat.nx if parity == EVEN else 0)
+    matrix = sp.csc_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(lat.n_sites, dim),
+    )
     return SectorIsometry(lattice=lat, parity=parity, matrix=matrix)
 
 

@@ -12,7 +12,10 @@ H_1 of either surface.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple, Optional
+
+import numpy as np
 
 ANNULUS = "annulus"
 MOEBIUS = "moebius"
@@ -102,6 +105,17 @@ class StripLattice:
 
     def site_at(self, sid: int) -> Site:
         return Site(sid // self.ny, sid % self.ny)
+
+    @cached_property
+    def x_next(self) -> np.ndarray:
+        """Site id of each site's +x neighbour, indexed by site id.
+
+        Read off ``neighbor`` once per lattice, so the seam rule has one
+        implementation; vectorized code indexes this array instead.
+        """
+        out = np.array([self.site_id(neighbor(self, site, DIR_PX)) for site in self.sites()])
+        out.setflags(write=False)
+        return out
 
 
 def build_lattice(nx: int, ny: int, topology: str) -> StripLattice:

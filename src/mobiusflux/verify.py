@@ -215,35 +215,14 @@ def check_sector_completeness(rng, broken_seam=False) -> tuple:
 
 
 def check_annulus_equivalence(rng, broken_seam=False) -> tuple:
-    if broken_seam:
-        band = _moebius(6, 5, broken_seam)
-        ring = build_lattice(6, 2, ANNULUS)
-        hop = HoppingParams()
-        iso = sector_isometry(band, ODD)
-        worst = 0.0
-        for f in (0.0, 0.3, 0.5):
-            e_odd = dense_eigh(restrict(assemble(band, uniform_flux_field(band, f), hop), iso)).values
-            e_ring = dense_eigh(assemble(ring, uniform_flux_field(ring, f + 0.5), hop)).values
-            worst = max(worst, float(np.max(np.abs(e_odd - e_ring))))
-    else:
-        worst = annulus_equivalence_check(6, 5, (0.0, 0.3, 0.5))
+    worst = annulus_equivalence_check(_moebius(6, 5, broken_seam), (0.0, 0.3, 0.5))
     return worst <= SPECTRUM_TOL, f"max odd-vs-annulus deviation = {worst:.2e} (tol {SPECTRUM_TOL:g})"
 
 
 def check_ladder_periodicity(rng, broken_seam=False) -> tuple:
-    if broken_seam:
-        # reproduce the experiment on the hooked lattice
-        lat = _moebius(12, 2, broken_seam)
-        hop = HoppingParams(tx=1.0, ty=0.0)
-        dev = 0.0
-        for f in np.linspace(0.0, 1.0, 5):
-            a = dense_eigh(assemble(lat, uniform_flux_field(lat, float(f)), hop)).values
-            b = dense_eigh(assemble(lat, uniform_flux_field(lat, float(f) + 0.5), hop)).values
-            dev = max(dev, float(np.max(np.abs(a - b))))
-        ok_half = dev <= SPECTRUM_TOL
-        return ok_half, f"decoupled-ladder half-period deviation = {dev:.2e}"
-    decoupled = ladder_periodicity_test(12, np.linspace(0.0, 1.0, 5), ty=0.0)
-    coupled = ladder_periodicity_test(12, (0.0,), ty=1.0)
+    lat = _moebius(12, 2, broken_seam)
+    decoupled = ladder_periodicity_test(lat, np.linspace(0.0, 1.0, 5), ty=0.0)
+    coupled = ladder_periodicity_test(lat, (0.0,), ty=1.0)
     ok = decoupled.max_dev_half_period <= SPECTRUM_TOL and coupled.max_dev_half_period > 0.01
     return ok, (
         f"ty=0 half-period dev = {decoupled.max_dev_half_period:.2e}, "

@@ -164,14 +164,16 @@ def test_criterion_4_offset_loop_doubling():
 
 
 def test_criterion_5_complement_equivalence():
-    dev = annulus_equivalence_check(6, 5, np.round(np.arange(0.0, 1.01, 0.1), 10))
+    band = build_lattice(6, 5, MOEBIUS)
+    dev = annulus_equivalence_check(band, np.round(np.arange(0.0, 1.01, 0.1), 10))
     _verdict(5, "odd moebius spectrum = half-width annulus at f+1/2",
              dev <= 1e-10, f"(max deviation {dev:.2e})")
 
 
 def test_criterion_6_ladder_limit():
-    decoupled = ladder_periodicity_test(12, np.linspace(0.0, 1.0, 5), ty=0.0)
-    coupled = ladder_periodicity_test(12, (0.0,), ty=1.0)
+    ladder = build_lattice(12, 2, MOEBIUS)
+    decoupled = ladder_periodicity_test(ladder, np.linspace(0.0, 1.0, 5), ty=0.0)
+    coupled = ladder_periodicity_test(ladder, (0.0,), ty=1.0)
     ok = decoupled.max_dev_half_period <= 1e-10 and coupled.max_dev_half_period > 0.01
     _verdict(
         6, "decoupled ladder has period 1/2, coupled ladder does not", ok,

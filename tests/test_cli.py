@@ -137,9 +137,13 @@ def test_sweep_invalid_range_exits_2(capsys):
     # the odd sector of a one-row strip is empty
     ("spectrum", "--sectors", "odd", "--ny", "1"),
     ("sweep", "--sectors", "full,odd", "--ny", "1"),
+    # lattice dimensions are checked before the sweep starts
+    ("sweep", "--nx", "2", "--sectors", "full"),
+    ("sweep", "--ny", "0", "--sectors", "full"),
 ])
 def test_invalid_config_exits_2(capsys, argv):
-    code, out, err = run_cli(capsys, *argv, "--nx", "4", "--f-steps", "3")
+    # the case's own flags come last, so they override the small defaults
+    code, out, err = run_cli(capsys, argv[0], "--nx", "4", "--f-steps", "3", *argv[1:])
     assert code == 2
     assert out == ""
     assert err.startswith("config error:")

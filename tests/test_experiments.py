@@ -20,7 +20,11 @@ from mobiusflux.experiments import (
 )
 from mobiusflux.gauge import uniform_flux_field
 from mobiusflux.hamiltonian import HoppingParams, assemble, restrict, sector_isometry
-from mobiusflux.lattice import ANNULUS, MOEBIUS, build_lattice
+from mobiusflux.lattice import ANNULUS, MOEBIUS, LatticeError, build_lattice
+
+
+LADDER = build_lattice(12, 2, MOEBIUS)
+BAND_6X5 = build_lattice(6, 5, MOEBIUS)
 
 
 def small_sweep(**overrides):
@@ -44,6 +48,15 @@ def test_sweep_config_validation():
         small_sweep(ny=4, sectors=(FULL, ODD))
     with pytest.raises(ValueError):
         small_sweep(sectors=())
+
+
+def test_sweep_config_rejects_invalid_dimensions():
+    with pytest.raises(LatticeError, match="nx"):
+        small_sweep(nx=2, sectors=(FULL,))
+    with pytest.raises(LatticeError, match="ny"):
+        small_sweep(ny=0, sectors=(FULL,))
+    with pytest.raises(LatticeError, match="topology"):
+        small_sweep(topology="torus")
 
 
 def test_sweep_config_rejects_empty_odd_sector():
@@ -206,30 +219,52 @@ def test_persistent_current_rejects_nonuniform_grid():
 
 
 def test_ladder_periodicity_decoupled_half_period():
-    result = ladder_periodicity_test(12, np.linspace(0.0, 1.0, 7), ty=0.0)
+    result = ladder_periodicity_test(LADDER, np.linspace(0.0, 1.0, 7), ty=0.0)
     assert result.max_dev_half_period <= 1e-10
     assert result.period == 0.5
 
 
 def test_ladder_periodicity_coupled_breaks_half_period():
-    result = ladder_periodicity_test(12, (0.0,), ty=1.0)
+    result = ladder_periodicity_test(LADDER, (0.0,), ty=1.0)
     assert result.max_dev_half_period > 0.01
     assert result.max_dev_full_period <= 1e-10
     assert result.period == 1.0
 
 
 def test_annulus_equivalence_check_small_grids():
-    assert annulus_equivalence_check(6, 5, (0.0, 0.3, 0.5)) <= 1e-10
-    assert annulus_equivalence_check(6, 3, (0.0, 0.25, 0.8)) <= 1e-10
+    assert annulus_equivalence_check(BAND_6X5, (0.0, 0.3, 0.5)) <= 1e-10
+    assert annulus_equivalence_check(build_lattice(6, 3, MOEBIUS), (0.0, 0.25, 0.8)) <= 1e-10
     # shifting the grid by a full quantum changes nothing
-    d0 = annulus_equivalence_check(6, 5, (0.2,))
-    d1 = annulus_equivalence_check(6, 5, (1.2,))
+    d0 = annulus_equivalence_check(BAND_6X5, (0.2,))
+    d1 = annulus_equivalence_check(BAND_6X5, (1.2,))
     assert abs(d0 - d1) <= 1e-10
 
 
 def test_annulus_equivalence_check_rejects_even_width():
     with pytest.raises(ValueError):
-        annulus_equivalence_check(6, 4, (0.0,))
+        annulus_equivalence_check(build_lattice(6, 4, MOEBIUS), (0.0,))
+
+
+def test_annulus_equivalence_check_rejects_an_annulus():
+    with pytest.raises(ValueError, match="moebius"):
+        annulus_equivalence_check(build_lattice(6, 5, ANNULUS), (0.0,))
+
+
+@pytest.mark.parametrize("ty", [-1.0, float("nan")])
+def test_ladder_periodicity_rejects_invalid_rung_hopping(ty):
+    # these once ran silently as ty = 0 and reported period 0.5
+    with pytest.raises(ValueError, match="ty"):
+        ladder_periodicity_test(LADDER, (0.0,), ty=ty)
+
+
+@pytest.mark.parametrize("lat", [
+    build_lattice(12, 1, MOEBIUS),
+    build_lattice(12, 3, MOEBIUS),
+    build_lattice(12, 2, ANNULUS),
+])
+def test_ladder_periodicity_needs_a_two_row_moebius_ladder(lat):
+    with pytest.raises(ValueError, match="ladder"):
+        ladder_periodicity_test(lat, (0.0,))
 
 
 def test_sweep_marks_failed_records_and_continues():
