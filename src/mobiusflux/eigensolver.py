@@ -1,15 +1,20 @@
 """Lowest eigenpairs of sparse Hermitian operators, with certification.
 
 Two routes: a dense direct solve (LAPACK) for reference accuracy at small
-dimension, and implicitly restarted Lanczos (ARPACK) for larger problems.
+dimension, and shift-invert Lanczos (ARPACK) for larger problems.
 The dense route computes only the k lowest pairs asked for, by LAPACK's
 index-range driver (MRRR): full accuracy at a fraction of the cost of all n.
+The iterative route shifts just below the spectrum's Gershgorin bound, where
+H - sigma I is positive definite, and iterates with solves on its sparse
+factor: the lowest eigenvalues of H are the best separated ones of the
+inverse, so a few dozen solves do the work of hundreds of matvecs.
 A Krylov method can skip copies of a degenerate eigenvalue (routine at
 half-integer flux) while every residual it reports is tiny, so an
 iterative answer counts only once a Sylvester inertia count shows that no
-eigenvalue below its top value was missed.  Residuals ||H v - lambda v||
-are always recomputed from the returned pairs; eigenvectors of degenerate
-eigenvalues are ambiguous beyond orthonormality.
+eigenvalue below its top value was missed.  The shift-invert solves and the
+count use one symmetric-mode sparse factorization routine.  Residuals
+||H v - lambda v|| are always recomputed from the returned pairs;
+eigenvectors of degenerate eigenvalues are ambiguous beyond orthonormality.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ from .hamiltonian import SparseHermitian
 
 _DENSE_MAX_N = 4096
 _AUTO_DENSE_N = 1024
+# half the digits of a double: the relative margin of the shift below the
+# spectrum, and the pivot imaginary part and growth an inertia count tolerates
+_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
 METHODS = ("dense", "lanczos", "auto")
 
@@ -42,7 +50,7 @@ class NoConvergenceError(RuntimeError):
 class SolverConfig:
     k: int = 6
     tol: float = 1e-10
-    max_iter: Optional[int] = None  # matvec budget; None -> 10 * n
+    max_iter: Optional[int] = None  # Lanczos factor-solve budget; None -> 10 * n
     seed: int = 2024
     method: str = "auto"
 
@@ -106,21 +114,46 @@ def residual_report(h: SparseHermitian, res: EigenResult) -> np.ndarray:
     return np.linalg.norm(h.csr @ res.vectors - res.vectors * res.values, axis=0)
 
 
-def inertia_count(h: SparseHermitian, sigma: float) -> int:
-    """Number of eigenvalues of h below sigma, by Sylvester's law of inertia.
+def _gershgorin(h: SparseHermitian) -> tuple:
+    """Interval (lo, hi) holding every eigenvalue of h: the union of its Gershgorin discs."""
+    diag = h.csr.diagonal().real
+    radius = np.asarray(abs(h.csr).sum(axis=1)).ravel() - np.abs(diag)
+    return float(np.min(diag - radius)), float(np.max(diag + radius))
 
-    Symmetric-mode sparse LU with diagonal pivots is the congruence
-    P (H - sigma I) P^T = L D L^H, so D's negative entries are the count.
-    A zero pivot forces an off-diagonal one; the dense spectrum counts then.
+
+def _symmetric_lu(h: SparseHermitian, sigma: float):
+    """Sparse LU of H - sigma I by SuperLU in symmetric mode with diagonal pivots.
+
+    When the pivots stay diagonal (perm_r == perm_c) it is the congruence
+    P (H - sigma I) P^T = L D L^H with D the diagonal of U.
     """
     from scipy.sparse.linalg import splu
 
     shifted = (h.csr - sigma * sp.identity(h.n, format="csr")).tocsc()
-    lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-              options={"SymmetricMode": True})
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        return int(np.count_nonzero(np.linalg.eigvalsh(shifted.toarray()) < 0))
-    return int(np.count_nonzero(lu.U.diagonal().real < 0))
+    return splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                options={"SymmetricMode": True})
+
+
+def inertia_count(h: SparseHermitian, sigma: float) -> int:
+    """Number of eigenvalues of h below sigma, by Sylvester's law of inertia.
+
+    D's negative entries in the factor L D L^H of H - sigma I are the count.
+    Diagonal pivots are not stable on an indefinite matrix: a pivot near zero
+    makes later entries grow until rounding swamps the signs of later pivots.
+    So the count is trusted only if the pivots stayed on the diagonal, are
+    real to within sqrt(eps) ||H - sigma I|| (exactly real in exact
+    arithmetic) and no entry of U exceeds ||H - sigma I|| / sqrt(eps);
+    otherwise the dense spectrum counts.
+    """
+    lu = _symmetric_lu(h, sigma)
+    lo, hi = _gershgorin(h)
+    norm = max(hi - sigma, sigma - lo)  # bounds ||H - sigma I||
+    pivots = lu.U.diagonal()
+    if (np.array_equal(lu.perm_r, lu.perm_c)
+            and np.max(np.abs(pivots.imag)) <= _SQRT_EPS * norm
+            and abs(lu.U).max() <= norm / _SQRT_EPS):
+        return int(np.count_nonzero(pivots.real < 0))
+    return int(np.count_nonzero(np.linalg.eigvalsh(h.toarray()) < sigma))
 
 
 def _rayleigh_ritz(h: SparseHermitian, basis: np.ndarray, k: int) -> EigenResult:
@@ -131,15 +164,21 @@ def _rayleigh_ritz(h: SparseHermitian, basis: np.ndarray, k: int) -> EigenResult
 
 
 def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
-    """k lowest eigenpairs by implicitly restarted Lanczos, certified complete.
+    """k lowest eigenpairs by shift-invert Lanczos, certified complete.
 
-    ARPACK (scipy's eigsh) runs from a seeded start vector and Rayleigh-Ritz
-    makes its vectors orthonormal.  Residuals must meet
+    sigma sits a sqrt(eps) * (hi - lo) step below h's Gershgorin interval
+    [lo, hi], so H - sigma I is positive definite and is factored once.
+    ARPACK (scipy's eigsh) runs on its inverse, whose largest, best separated
+    eigenvalues are the lowest of H, from a seeded start vector.  ARPACK's
+    stop test bounds the residual of the inverse; times ||H - sigma I|| <=
+    hi - sigma it bounds the residual on H, so ARPACK gets cfg.tol / (hi - sigma).
+    Rayleigh-Ritz makes the vectors orthonormal.  Residuals must meet
     tol * max(1, |lambda|_max), and the inertia count just above the top
     value must equal the number of values; a larger count means skipped
     degenerate copies, so the solve is redone for that many.  cfg.max_iter
-    caps the matvecs; on exhaustion the error carries the Ritz pairs of the
-    latest Krylov vectors.  k >= n - 1, beyond ARPACK, goes to the dense solver.
+    caps the factor solves; on exhaustion the error carries the Ritz pairs of
+    the latest Krylov vectors.  k >= n - 1, beyond ARPACK, goes to the dense
+    solver.
     """
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
@@ -149,27 +188,33 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
     rng = np.random.default_rng(cfg.seed)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     budget = cfg.max_iter if cfg.max_iter is not None else 10 * n
+    lo, hi = _gershgorin(h)
+    # the floor keeps a multiple of the identity (lo == hi) off its eigenvalue
+    sigma = lo - _SQRT_EPS * max(hi - lo, 1.0)
+    # positive definite, so diagonal pivots are stable: no growth check as in inertia_count
+    factor = _symmetric_lu(h, sigma)
     calls = itertools.count()
     latest = collections.deque(maxlen=max(k, 20))  # ARPACK's newest Krylov vectors
 
-    def matvec(v):
+    def inverse(v):
         if next(calls) >= budget:
-            raise NoConvergenceError("matvec budget exhausted")
+            raise NoConvergenceError("factor-solve budget exhausted")
         latest.append(v.copy())  # v is a view of ARPACK's workspace
-        return h.matvec(v)
+        return factor.solve(v)
 
-    op = LinearOperator((n, n), matvec=matvec, dtype=complex)
+    op = LinearOperator((n, n), matvec=inverse, dtype=complex)
     want = k
     while True:
         try:
             if want >= n - 1:
                 res = dense_eigh(h, want)
             else:
-                _, vectors = eigsh(op, want, which="SA", v0=v0, tol=cfg.tol, maxiter=budget)
+                _, vectors = eigsh(h.csr, want, sigma=sigma, which="LM", v0=v0,
+                                   tol=cfg.tol / (hi - sigma), maxiter=budget, OPinv=op)
                 res = _rayleigh_ritz(h, vectors, want)
         except (NoConvergenceError, ArpackNoConvergence):
             raise NoConvergenceError(
-                f"Lanczos did not reach tol={cfg.tol} within {budget} matvecs",
+                f"Lanczos did not reach tol={cfg.tol} within {budget} factor solves",
                 best=_rayleigh_ritz(h, np.column_stack(latest), k),
             ) from None
         scale = max(1.0, float(np.max(np.abs(res.values))))
@@ -177,8 +222,8 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
             raise NoConvergenceError(f"Lanczos residuals exceed tol={cfg.tol}", best=res.lowest(k))
         # Ritz value i is >= lambda_i and within ||R|| of a distinct eigenvalue,
         # so exactly `want` eigenvalues below sigma means none was skipped
-        sigma = res.values[-1] + np.linalg.norm(res.residuals) + cfg.tol * scale
-        count = inertia_count(h, sigma)
+        cut = res.values[-1] + np.linalg.norm(res.residuals) + cfg.tol * scale
+        count = inertia_count(h, cut)
         if count == want:
             return res.lowest(k)
         if count < want:

@@ -181,9 +181,8 @@ def face_boundary(lat: StripLattice, face) -> LoopPath:
         if flipped and d in (DIR_PY, DIR_MY):
             d = opposite(d)
         steps.append(LinkStep(pos, d))
-        if lat.is_moebius and lat.seam_flip:
-            if (d == DIR_PX and pos.i == lat.nx - 1) or (d == DIR_MX and pos.i == 0):
-                flipped = not flipped
+        if d in (DIR_PX, DIR_MX) and neighbor(lat, Site(pos.i, 0), d).j != 0:
+            flipped = not flipped  # this step's column boundary reverses the rows
         pos = neighbor(lat, pos, d)
     return LoopPath(lat, tuple(steps))
 

@@ -110,10 +110,13 @@ class StripLattice:
     def x_next(self) -> np.ndarray:
         """Site id of each site's +x neighbour, indexed by site id.
 
-        Read off ``neighbor`` once per lattice, so the seam rule has one
-        implementation; vectorized code indexes this array instead.
+        Off the seam column that is the id one column on; the seam column's
+        entries are read off ``neighbor``, so the seam rule has one
+        implementation.  Vectorized code indexes this array instead.
         """
-        out = np.array([self.site_id(neighbor(self, site, DIR_PX)) for site in self.sites()])
+        out = np.arange(self.ny, self.n_sites + self.ny)
+        out[-self.ny:] = [self.site_id(neighbor(self, Site(self.nx - 1, j), DIR_PX))
+                          for j in range(self.ny)]
         out.setflags(write=False)
         return out
 

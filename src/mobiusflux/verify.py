@@ -44,11 +44,13 @@ from .lattice import (
     DIR_PX,
     DIR_PY,
     MOEBIUS,
+    LoopError,
     Site,
     StripLattice,
     build_lattice,
     center_loop,
     homology_class,
+    neighbor,
     offset_loop,
     walk_loop,
 )
@@ -79,7 +81,8 @@ def random_class2_loop(lat: StripLattice, rng: np.random.Generator):
 
     Wanders through the lower half, crosses the seam, wanders through the
     upper half, crosses back and closes; the two halves swap at each seam
-    crossing, so the walk never needs the center row.
+    crossing, so the walk never needs the center row.  A seam that does not
+    swap them (a broken seam rule) raises LoopError.
     """
     c = lat.center_row
     if c < 1:
@@ -88,12 +91,15 @@ def random_class2_loop(lat: StripLattice, rng: np.random.Generator):
     r = r0
     dirs = []
     for half_lo, half_hi in ((0, c), (c + 1, lat.ny)):
+        if not half_lo <= r < half_hi:
+            raise LoopError(f"the seam keeps row {r} in its half; "
+                            "the walk would cross the center row")
         for _ in range(lat.nx):
             target = int(rng.integers(half_lo, half_hi))
             dirs += _y_moves(r, target)
             dirs.append(DIR_PX)
             r = target
-        r = lat.ny - 1 - r  # seam crossing flipped the row
+        r = neighbor(lat, Site(lat.nx - 1, r), DIR_PX).j
     dirs += _y_moves(r, r0)
     return walk_loop(lat, Site(0, r0), dirs)
 

@@ -173,6 +173,50 @@ def test_inertia_count_matches_dense_count(h):
         assert inertia_count(h, sigma) == np.count_nonzero(values < sigma)
 
 
+def test_inertia_count_survives_a_near_zero_pivot():
+    # six-site ring with sigma 1e-15 below a diagonal entry: the third pivot
+    # is ~1e-15, and the 1e15 growth behind it flips the last pivot's sign
+    # (bare count 2), though the nearest eigenvalue is 0.057 away from sigma
+    diag = [-0.84, -0.47, 0.27, 0.99, 1.86, -0.86]
+    m = np.diag(diag) - np.roll(np.eye(6), 1, axis=1) - np.roll(np.eye(6), -1, axis=1)
+    h = SparseHermitian(sp.csr_matrix(m))
+    sigma = diag[1] - 1e-15
+    values = np.linalg.eigvalsh(m)
+    assert np.min(np.abs(values - sigma)) > 0.05
+    assert inertia_count(h, sigma) == np.count_nonzero(values < sigma) == 3
+
+
+@pytest.mark.parametrize("topology, f, seed", [
+    *((topology, f, 2024) for topology in (MOEBIUS, ANNULUS) for f in (0.0, 0.13, 0.5, 0.81)),
+    # from these seeds the first shift-invert solve skips a degenerate copy
+    # that only the certificate's re-solve finds
+    (ANNULUS, 0.0, 2),
+    (ANNULUS, 0.0, 7),
+])
+def test_lanczos_matches_dense_at_the_auto_lanczos_size(topology, f, seed):
+    # 48 x 25 (n = 1200) is where solve(auto) goes to Lanczos; at the default
+    # tol the residuals must meet the gate with no error, which pins ARPACK's
+    # tol to the shift-invert operator's norm
+    lat = build_lattice(48, 25, topology)
+    h = assemble(lat, uniform_flux_field(lat, f), HoppingParams())
+    cfg = SolverConfig(k=6, seed=seed, method="lanczos")
+    res = lanczos_lowest(h, cfg)
+    assert_allclose(res.values, dense_eigh(h, 6).values, rtol=0, atol=1e-10)
+    assert np.all(res.residuals <= cfg.tol * max(1.0, float(np.max(np.abs(res.values)))))
+
+
+def test_lanczos_budget_counts_factor_solves():
+    h = moebius_operator(48, 25, 0.5)
+    # ~90 shift-invert solves suffice, re-solve included; ARPACK on H took ~800 matvecs
+    res = lanczos_lowest(h, SolverConfig(k=6, max_iter=200, seed=3, method="lanczos"))
+    assert_allclose(res.values, dense_eigh(h, 6).values, rtol=0, atol=1e-10)
+    with pytest.raises(NoConvergenceError) as err:
+        lanczos_lowest(h, SolverConfig(k=6, max_iter=10, seed=3, method="lanczos"))
+    best = err.value.best
+    assert best is not None and best.k == 6
+    assert np.all(np.isfinite(best.values)) and np.all(np.isfinite(best.residuals))
+
+
 def test_lanczos_determinism():
     h = moebius_operator(12, 5, 0.3)
     cfg = SolverConfig(k=5, tol=1e-11, seed=99, method="lanczos")
