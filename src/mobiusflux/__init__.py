@@ -37,9 +37,7 @@ from .gauge import (
     WilsonResult,
     add_face_flux,
     apply_gauge_transform,
-    face_boundary,
     face_curvature,
-    faces,
     lift_field,
     reduce_angle,
     stokes_defect,

@@ -143,16 +143,25 @@ def inertia_count(h: SparseHermitian, sigma: float) -> int:
     So the count is trusted only if the pivots stayed on the diagonal, are
     real to within sqrt(eps) ||H - sigma I|| (exactly real in exact
     arithmetic) and no entry of U exceeds ||H - sigma I|| / sqrt(eps);
-    otherwise the dense spectrum counts.
+    otherwise, and when sigma is an eigenvalue so the factor is exactly
+    singular, the dense spectrum counts.  Above the dense path's size limit
+    that fallback raises LinAlgError.
     """
-    lu = _symmetric_lu(h, sigma)
-    lo, hi = _gershgorin(h)
-    norm = max(hi - sigma, sigma - lo)  # bounds ||H - sigma I||
-    pivots = lu.U.diagonal()
-    if (np.array_equal(lu.perm_r, lu.perm_c)
-            and np.max(np.abs(pivots.imag)) <= _SQRT_EPS * norm
-            and abs(lu.U).max() <= norm / _SQRT_EPS):
-        return int(np.count_nonzero(pivots.real < 0))
+    try:
+        lu = _symmetric_lu(h, sigma)
+        lo, hi = _gershgorin(h)
+        norm = max(hi - sigma, sigma - lo)  # bounds ||H - sigma I||
+        pivots = lu.U.diagonal()
+        if (np.array_equal(lu.perm_r, lu.perm_c)
+                and np.max(np.abs(pivots.imag)) <= _SQRT_EPS * norm
+                and abs(lu.U).max() <= norm / _SQRT_EPS):
+            return int(np.count_nonzero(pivots.real < 0))
+    except RuntimeError:  # SuperLU's "Factor is exactly singular": sigma is an eigenvalue
+        pass
+    if h.n > _DENSE_MAX_N:
+        raise np.linalg.LinAlgError(
+            f"no trustworthy sparse factor of H - {sigma!r} I, and n={h.n} exceeds "
+            f"the dense count's limit {_DENSE_MAX_N}")
     return int(np.count_nonzero(np.linalg.eigvalsh(h.toarray()) < sigma))
 
 
@@ -223,7 +232,11 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
         # Ritz value i is >= lambda_i and within ||R|| of a distinct eigenvalue,
         # so exactly `want` eigenvalues below sigma means none was skipped
         cut = res.values[-1] + np.linalg.norm(res.residuals) + cfg.tol * scale
-        count = inertia_count(h, cut)
+        try:
+            count = inertia_count(h, cut)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError(f"completeness not certified: {exc}",
+                                     best=res.lowest(k)) from None
         if count == want:
             return res.lowest(k)
         if count < want:

@@ -2,9 +2,11 @@
 
 The vector potential is represented by one real angle per directed link
 (Peierls convention); the reverse link carries the negated angle and is
-never stored.  Angles stay raw (unreduced radians) throughout, and
-comparisons reduce mod 2*pi into (-pi, pi] only at the end, so no branch
-cut artifacts accumulate.
+never stored.  Angles stay raw (unreduced radians) throughout: Wilson
+angles, and the curvature array that holds every face's boundary angle
+(the lattice curvature of Wilson's formulation), are reduced mod 2*pi into
+(-pi, pi] only where they are compared, so no branch cut artifacts
+accumulate.
 
 Sign convention: the holonomy of a uniform field of dimensionless flux f
 around the center loop is exp(+2j*pi*f).  The opposite sign corresponds
@@ -21,24 +23,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .lattice import (
     DIR_MX,
     DIR_MY,
-    DIR_PX,
     DIR_PY,
     CenterCut,
-    LinkStep,
+    LoopError,
     LoopPath,
     Site,
     StripLattice,
     cut_complement_of_center,
     homology_class,
-    neighbor,
-    opposite,
 )
 
 TAU = 2.0 * math.pi
@@ -122,84 +121,50 @@ def uniform_flux_field(lat: StripLattice, f: float) -> GaugeField:
     )
 
 
-def link_angle(field: GaugeField, step: LinkStep) -> float:
-    """Signed angle of one directed link; reverse links negate."""
-    (i, j), d = Site(*step.site), step.direction
-    if d == DIR_PX:
-        return float(field.theta_x[i, j])
-    if d == DIR_MX:
-        u = neighbor(field.lattice, Site(i, j), DIR_MX)
-        return -float(field.theta_x[u.i, u.j])
-    if d == DIR_PY:
-        return float(field.theta_y[i, j])
-    if d == DIR_MY:
-        return -float(field.theta_y[i, j - 1])
-    raise GaugeError(f"unknown direction {d!r}")
-
-
 class WilsonResult(NamedTuple):
     angle: float
     holonomy: complex
 
 
 def wilson_loop(field: GaugeField, loop: LoopPath) -> WilsonResult:
-    """Total link angle along a closed loop and its unit-modulus holonomy."""
+    """Raw total link angle along a closed loop and its unit-modulus holonomy."""
     if loop.lattice != field.lattice:
         raise GaugeError("loop and field live on different lattices")
-    angle = math.fsum(link_angle(field, step) for step in loop.steps)
+    angle = _steps_angle(field, _loop_links(field.lattice, loop))
     return WilsonResult(angle=angle, holonomy=complex(math.cos(angle), math.sin(angle)))
 
 
-def faces(lat: StripLattice) -> Iterator[Site]:
-    """Corner sites of all faces: every (i, j) with j < ny-1."""
-    for i in range(lat.nx):
-        for j in range(lat.ny - 1):
-            yield Site(i, j)
+def _y_link_angles(field: GaugeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Angles of the y links from site ids a to b, one row apart in one column.
 
-
-def _check_face(lat: StripLattice, face) -> Site:
-    corner = Site(*face)
-    if not lat.contains(corner) or corner.j >= lat.ny - 1:
-        raise GaugeError(f"{corner} is not a face corner of {lat.nx}x{lat.ny}")
-    return corner
-
-
-def face_boundary(lat: StripLattice, face) -> LoopPath:
-    """Counterclockwise 4-step boundary of a face in its own chart.
-
-    Seam faces are traversed via the gluing rule: after crossing the
-    moebius seam the chart's y axis points opposite to the lattice's, so
-    the in-chart +y step becomes a lattice -y step until the loop crosses
-    back.
+    The stored +y link out of the lower site, negated where the link runs down.
     """
-    corner = _check_face(lat, face)
-    steps = []
-    pos = corner
-    flipped = False
-    for chart_dir in (DIR_PX, DIR_PY, DIR_MX, DIR_MY):
-        d = chart_dir
-        if flipped and d in (DIR_PY, DIR_MY):
-            d = opposite(d)
-        steps.append(LinkStep(pos, d))
-        if d in (DIR_PX, DIR_MX) and neighbor(lat, Site(pos.i, 0), d).j != 0:
-            flipped = not flipped  # this step's column boundary reverses the rows
-        pos = neighbor(lat, pos, d)
-    return LoopPath(lat, tuple(steps))
+    lo = np.minimum(a, b)
+    return np.sign(b - a) * field.theta_y.ravel()[lo - lo // field.lattice.ny]
 
 
-def _face_curvature_raw(field: GaugeField, face) -> float:
-    boundary = face_boundary(field.lattice, face)
-    return math.fsum(link_angle(field, step) for step in boundary.steps)
+def _face_terms(field: GaugeField) -> tuple:
+    """The four link angles around every face, each shaped like theta_y.
+
+    Face (i, j) is walked counterclockwise in its own chart: +x out of
+    (i, j), the y link between the x_next images of (i, j) and (i, j+1),
+    -x back into (i, j+1), -y down to (i, j).  Across a moebius seam the
+    images run downward, so the chart flips there and nowhere else.
+    """
+    lat = field.lattice
+    lower = np.arange(lat.n_sites).reshape(lat.nx, lat.ny)[:, :-1]
+    east = _y_link_angles(field, lat.x_next[lower], lat.x_next[lower + 1])
+    return field.theta_x[:, :-1], east, -field.theta_x[:, 1:], -field.theta_y
 
 
-def face_curvature(field: GaugeField, face) -> float:
-    """Signed boundary angle sum of the face, reduced into (-pi, pi].
+def face_curvature(field: GaugeField) -> np.ndarray:
+    """Raw boundary angle of every face, shaped like theta_y.
 
     Each face uses its own traversal chart, so the value is defined on
     both topologies even though a moebius strip has no global
-    orientation; flatness (zero curvature) is chart-independent.
+    orientation; flatness, zero mod 2*pi, is chart-independent.
     """
-    return reduce_angle(_face_curvature_raw(field, face))
+    return sum(_face_terms(field))
 
 
 def add_face_flux(field: GaugeField, face, beta: float) -> GaugeField:
@@ -209,10 +174,12 @@ def add_face_flux(field: GaugeField, face, beta: float) -> GaugeField:
     the face; the changes telescope so every face curvature except the
     target's is untouched.
     """
-    corner = _check_face(field.lattice, face)
+    lat, corner = field.lattice, Site(*face)
+    if not lat.contains(corner) or corner.j >= lat.ny - 1:
+        raise GaugeError(f"{corner} is not a face corner of {lat.nx}x{lat.ny}")
     theta_x = np.array(field.theta_x)
     theta_x[corner.i, : corner.j + 1] += beta
-    return GaugeField(lattice=field.lattice, theta_x=theta_x, theta_y=field.theta_y)
+    return GaugeField(lattice=lat, theta_x=theta_x, theta_y=field.theta_y)
 
 
 def apply_gauge_transform(field: GaugeField, g: GaugeTransform) -> GaugeField:
@@ -235,29 +202,35 @@ def lift_field(corr: CenterCut, field: GaugeField) -> GaugeField:
     """
     if field.lattice != corr.band:
         raise GaugeError("field lives on a different lattice than the cut")
-    c = corr.band.center_row
-    # cut_complement_of_center's layout: columns [0, nx) image the rows above
-    # center, columns [nx, 2*nx) the rows below it in mirrored order
-    theta_x = np.concatenate([field.theta_x[:, c + 1:], field.theta_x[:, :c][:, ::-1]])
-    theta_y = np.concatenate([field.theta_y[:, c + 1:], -field.theta_y[:, :c - 1][:, ::-1]])
-    return GaugeField(lattice=corr.cut, theta_x=theta_x, theta_y=theta_y)
+    cut = corr.cut
+    to_band = corr.to_band.reshape(cut.nx, cut.ny)
+    theta_x = field.theta_x.ravel()[to_band]
+    theta_y = _y_link_angles(field, to_band[:, :-1], to_band[:, 1:])
+    return GaugeField(lattice=cut, theta_x=theta_x, theta_y=theta_y)
 
 
-def _loop_edge_chain(lat: StripLattice, loop: LoopPath) -> tuple:
-    """A loop's links as canonical +x / +y chain coefficients, shaped like theta_x / theta_y."""
-    n = lat.n_sites
+def _loop_links(lat: StripLattice, loop: LoopPath) -> tuple:
+    """Each step's canonical link and the sign it is walked with.
+
+    A link is an index into theta_x then theta_y, each flattened.  A
+    reversed step walks back along the canonical link out of the next site.
+    """
     sid = np.array([lat.site_id(site) for site in loop.sites()])
     d = np.array([step.direction for step in loop.steps])
     backward = (d == DIR_MX) | (d == DIR_MY)
-    # a reversed step walks back along the canonical link out of the next site
     source = np.where(backward, np.concatenate((sid[1:], sid[:1])), sid)
     along_y = (d == DIR_PY) | (d == DIR_MY)
-    chain = np.zeros(2 * n, dtype=int)
-    np.add.at(chain, source + n * along_y, 1 - 2 * backward)
-    return chain[:n].reshape(lat.nx, lat.ny), chain[n:].reshape(lat.nx, lat.ny)[:, :-1]
+    return np.where(along_y, lat.n_sites + source - source // lat.ny, source), 1 - 2 * backward
 
 
-def _bounding_face_weights(lat: StripLattice, loop1: LoopPath, loop2: LoopPath) -> np.ndarray:
+def _steps_angle(field: GaugeField, links: tuple) -> float:
+    """fsum of the signed link angle of every step."""
+    link, sign = links
+    angles = np.concatenate((field.theta_x.ravel(), field.theta_y.ravel()))
+    return math.fsum((sign * angles[link]).tolist())
+
+
+def _bounding_face_weights(lat: StripLattice, links1: tuple, links2: tuple) -> np.ndarray:
     """Integer face weights m with boundary(m) = loop1 - loop2 on an annulus.
 
     m has theta_y's shape, one weight per face.  Column prefix sums of
@@ -265,20 +238,21 @@ def _bounding_face_weights(lat: StripLattice, loop1: LoopPath, loop2: LoopPath) 
     condition is then verified link by link, which catches
     non-homologous input (and deliberately broken seam rules).
     """
-    cx1, cy1 = _loop_edge_chain(lat, loop1)
-    cx2, cy2 = _loop_edge_chain(lat, loop2)
-    running = np.cumsum(cx1 - cx2, axis=1)
+    (link1, sign1), (link2, sign2) = links1, links2
+    n = lat.n_sites
+    chain = np.zeros(n + lat.nx * (lat.ny - 1), dtype=int)
+    np.add.at(chain, np.concatenate((link1, link2)), np.concatenate((sign1, -sign2)))
+    running = np.cumsum(chain[:n].reshape(lat.nx, lat.ny), axis=1)
     if np.any(running[:, -1] != 0):
         raise GaugeError("loops are not homologous on the working lattice")
     m = running[:, :-1]
     # the +y link out of (i, r) is the east edge of face (i-1, r) and the west edge of face (i, r)
-    if np.any(m[np.arange(lat.nx) - 1] - m != cy1 - cy2):
+    if np.any(m[np.arange(lat.nx) - 1] - m != chain[n:].reshape(lat.nx, lat.ny - 1)):
         raise GaugeError("loop pair does not bound a face region (inconsistent chain)")
     return m
 
 
-def stokes_defect(field: GaugeField, loop1: LoopPath, loop2: LoopPath,
-                  lat: Optional[StripLattice] = None) -> float:
+def stokes_defect(field: GaugeField, loop1: LoopPath, loop2: LoopPath) -> float:
     """Wilson-angle difference minus the enclosed curvature, mod 2*pi.
 
     The two loops must be homologous, and on a moebius lattice must avoid
@@ -286,27 +260,24 @@ def stokes_defect(field: GaugeField, loop1: LoopPath, loop2: LoopPath,
     the surface integral is well defined.  The returned defect vanishes
     for every gauge field; it is the discrete Stokes identity.
     """
-    if lat is not None and lat != field.lattice:
-        raise GaugeError("explicit lattice disagrees with the field's lattice")
     lat = field.lattice
     if loop1.lattice != lat or loop2.lattice != lat:
         raise GaugeError("loops and field live on different lattices")
     if homology_class(lat, loop1) != homology_class(lat, loop2):
         raise GaugeError("loops are not homologous")
     if lat.is_moebius:
-        c = lat.center_row  # raises for even ny, where no admissible cut exists
-        if loop1.touches_row(c) or loop2.touches_row(c):
-            raise GaugeError("loop touches the center row; it does not lift to the cut")
-        corr = cut_complement_of_center(lat)
+        corr = cut_complement_of_center(lat)  # raises where no admissible cut exists
+        try:
+            w1, w2 = corr.lift_loop(loop1), corr.lift_loop(loop2)
+        except LoopError as exc:
+            raise GaugeError(f"{exc}; stokes_defect needs loops that lift to the cut") from None
         work_field = lift_field(corr, field)
-        w1, w2 = corr.lift_loop(loop1), corr.lift_loop(loop2)
     else:
         work_field, w1, w2 = field, loop1, loop2
     work = work_field.lattice
-    m = _bounding_face_weights(work, w1, w2)
-    a1 = wilson_loop(work_field, w1).angle
-    a2 = wilson_loop(work_field, w2).angle
-    enclosed = math.fsum(
-        m[i, j] * _face_curvature_raw(work_field, (i, j)) for i, j in np.argwhere(m).tolist()
-    )
-    return reduce_angle(a1 - a2 - enclosed)
+    links1, links2 = _loop_links(work, w1), _loop_links(work, w2)
+    m = _bounding_face_weights(work, links1, links2)
+    # term by term: summing each face's four links first would round once more per face
+    enclosed = math.fsum(np.concatenate([(m * term).ravel() for term in _face_terms(work_field)]))
+    wilson_gap = _steps_angle(work_field, links1) - _steps_angle(work_field, links2)
+    return reduce_angle(wilson_gap - enclosed)

@@ -76,10 +76,6 @@ class SparseHermitian:
         return self._csr.shape[0]
 
     @property
-    def nnz(self) -> int:
-        return self._csr.nnz
-
-    @property
     def csr(self):
         return self._csr
 
@@ -88,10 +84,6 @@ class SparseHermitian:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self._csr @ v
-
-    def hermiticity_defect(self) -> float:
-        d = self._csr - self._csr.conj().T
-        return 0.0 if d.nnz == 0 else float(np.max(np.abs(d.data)))
 
 
 def assemble(lat: StripLattice, field: GaugeField, hop: HoppingParams,

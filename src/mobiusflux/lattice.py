@@ -103,9 +103,6 @@ class StripLattice:
         i, j = site
         return i * self.ny + j
 
-    def site_at(self, sid: int) -> Site:
-        return Site(sid // self.ny, sid % self.ny)
-
     @cached_property
     def x_next(self) -> np.ndarray:
         """Site id of each site's +x neighbour, indexed by site id.
@@ -180,9 +177,6 @@ class LoopPath:
     def sites(self) -> tuple:
         return tuple(step.site for step in self.steps)
 
-    def touches_row(self, j: int) -> bool:
-        return any(site.j == j for site in self.sites())
-
 
 def walk_loop(lat: StripLattice, start, directions) -> LoopPath:
     """Build a LoopPath from a start site and a direction sequence."""
@@ -238,32 +232,31 @@ class CenterCut:
 
     ``cut`` has nx' = 2*nx columns and ny' = (ny-1)/2 rows.  Columns
     [0, nx) image the rows above center, columns [nx, 2*nx) the rows
-    below center in flipped order; the maps are mutually inverse and
-    preserve adjacency.  Cut rows in the lower block run opposite to
-    band rows, so lifting flips the y direction there.
+    below center in flipped order; the maps preserve adjacency.  Cut rows
+    in the lower block run opposite to band rows, so lifting flips the y
+    direction there.  ``to_band`` holds the band site id of each cut site
+    id; ``from_band``, its inverse, holds the cut site id of each band site
+    id, and -1 on the center row.
     """
 
     band: StripLattice
     cut: StripLattice
-    to_band: dict
-    from_band: dict
-
-    def lift_site(self, band_site) -> Site:
-        return self.from_band[Site(*band_site)]
+    to_band: np.ndarray
+    from_band: np.ndarray
 
     def lift_loop(self, loop: LoopPath) -> LoopPath:
         """Image of a center-avoiding band loop on the cut annulus."""
         if loop.lattice != self.band:
             raise LoopError("loop belongs to a different lattice")
         c = self.band.center_row
-        if loop.touches_row(c):
-            raise LoopError("loop touches the center row and does not lift")
         steps = []
         for site, direction in loop.steps:
-            d = direction
+            lifted = int(self.from_band[self.band.site_id(site)])
+            if lifted < 0:
+                raise LoopError("loop touches the center row and does not lift")
             if site.j < c and direction in (DIR_PY, DIR_MY):
-                d = opposite(direction)
-            steps.append(LinkStep(self.from_band[site], d))
+                direction = opposite(direction)
+            steps.append(LinkStep(Site(*divmod(lifted, self.cut.ny)), direction))
         return LoopPath(self.cut, tuple(steps))
 
 
@@ -279,14 +272,11 @@ def cut_complement_of_center(lat: StripLattice) -> CenterCut:
     c = lat.center_row
     if lat.ny < 3:
         raise LatticeError("need ny >= 3 so the complement of the center row is nonempty")
-    half = (lat.ny - 1) // 2
-    cut = StripLattice(nx=2 * lat.nx, ny=half, topology=ANNULUS)
-    to_band = {}
-    for ic in range(2 * lat.nx):
-        for jc in range(half):
-            if ic < lat.nx:
-                to_band[Site(ic, jc)] = Site(ic, c + 1 + jc)
-            else:
-                to_band[Site(ic, jc)] = Site(ic - lat.nx, c - 1 - jc)
-    from_band = {v: k for k, v in to_band.items()}
+    cut = StripLattice(nx=2 * lat.nx, ny=(lat.ny - 1) // 2, topology=ANNULUS)
+    band = np.arange(lat.n_sites).reshape(lat.nx, lat.ny)
+    to_band = np.concatenate([band[:, c + 1:], band[:, c - 1::-1]]).ravel()
+    from_band = np.full(lat.n_sites, -1)
+    from_band[to_band] = np.arange(cut.n_sites)
+    for arr in (to_band, from_band):
+        arr.setflags(write=False)
     return CenterCut(band=lat, cut=cut, to_band=to_band, from_band=from_band)

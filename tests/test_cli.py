@@ -206,11 +206,14 @@ def test_verify_passes_on_clean_build(capsys):
 def test_verify_broken_seam_fails(capsys):
     code, out, _ = run_cli(capsys, "verify", "--seed", "3", "--broken-seam")
     assert code == 1
-    failing = {line.split()[1].rstrip(":") for line in out.strip().split("\n")
-               if line.startswith("FAIL")}
-    # the topology-sensitive family must notice the broken seam rule
-    assert {"annulus_equivalence", "ladder_periodicity", "stokes_defect"} <= failing
-    assert "homology_invariance" in failing or "gauge_invariance" in failing
+    *lines, summary = out.strip().split("\n")
+    assert len(lines) == 11 and summary == "SUITE FAILED"
+    failing = {line.split()[1].rstrip(":") for line in lines if line.startswith("FAIL")}
+    # exactly the seam-sensitive checks notice the broken seam rule; a field
+    # gauge-equivalent to a uniform one is flat under any gluing
+    assert failing == {"gauge_invariance", "homology_invariance", "annulus_equivalence",
+                       "ladder_periodicity", "stokes_defect"}
+    assert lines[0].startswith("PASS flatness")
 
 
 def test_default_config_matches_documented_defaults():

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
+from mobiusflux import eigensolver
 from mobiusflux.eigensolver import (
     EigenResult,
     NoConvergenceError,
@@ -15,7 +16,7 @@ from mobiusflux.eigensolver import (
     residual_report,
     solve,
 )
-from mobiusflux.experiments import nodal_amplitude
+from mobiusflux.experiments import SweepConfig, flux_sweep, nodal_amplitude
 from mobiusflux.gauge import uniform_flux_field
 from mobiusflux.hamiltonian import (
     EVEN,
@@ -173,17 +174,49 @@ def test_inertia_count_matches_dense_count(h):
         assert inertia_count(h, sigma) == np.count_nonzero(values < sigma)
 
 
-def test_inertia_count_survives_a_near_zero_pivot():
+def near_zero_pivot_ring():
     # six-site ring with sigma 1e-15 below a diagonal entry: the third pivot
     # is ~1e-15, and the 1e15 growth behind it flips the last pivot's sign
     # (bare count 2), though the nearest eigenvalue is 0.057 away from sigma
     diag = [-0.84, -0.47, 0.27, 0.99, 1.86, -0.86]
     m = np.diag(diag) - np.roll(np.eye(6), 1, axis=1) - np.roll(np.eye(6), -1, axis=1)
-    h = SparseHermitian(sp.csr_matrix(m))
-    sigma = diag[1] - 1e-15
-    values = np.linalg.eigvalsh(m)
+    return SparseHermitian(sp.csr_matrix(m)), diag[1] - 1e-15
+
+
+def test_inertia_count_survives_a_near_zero_pivot():
+    h, sigma = near_zero_pivot_ring()
+    values = np.linalg.eigvalsh(h.toarray())
     assert np.min(np.abs(values - sigma)) > 0.05
     assert inertia_count(h, sigma) == np.count_nonzero(values < sigma) == 3
+
+
+def test_inertia_count_at_an_eigenvalue():
+    # sigma = 3 makes the factor of 3 I - sigma I exactly singular
+    h = SparseHermitian(3 * sp.identity(5))
+    assert inertia_count(h, 3.0) == 0
+    assert inertia_count(h, 3.0 + 1e-9) == 5
+
+
+def test_inertia_count_dense_fallback_is_size_guarded(monkeypatch):
+    monkeypatch.setattr(eigensolver, "_DENSE_MAX_N", 4)
+    with pytest.raises(np.linalg.LinAlgError, match="exceeds"):
+        inertia_count(SparseHermitian(3 * sp.identity(5)), 3.0)  # singular factor
+    with pytest.raises(np.linalg.LinAlgError, match="exceeds"):
+        inertia_count(*near_zero_pivot_ring())  # grown pivots
+    assert inertia_count(SparseHermitian(3 * sp.identity(5)), 2.0) == 0  # a sound factor counts
+
+
+def test_lanczos_reports_an_uncertifiable_count_as_no_convergence(monkeypatch):
+    def uncertifiable(h, sigma):
+        raise np.linalg.LinAlgError("no trustworthy factor")
+
+    monkeypatch.setattr(eigensolver, "inertia_count", uncertifiable)
+    with pytest.raises(NoConvergenceError) as err:
+        lanczos_lowest(moebius_operator(12, 5, 0.3), SolverConfig(k=4, seed=1, method="lanczos"))
+    assert err.value.best is not None and err.value.best.k == 4
+    records = flux_sweep(SweepConfig(nx=12, ny=5, f_steps=3, k=4, sectors=("full",),
+                                     solver=SolverConfig(method="lanczos")))
+    assert [rec.status for rec in records] == ["failed"] * 3
 
 
 @pytest.mark.parametrize("topology, f, seed", [

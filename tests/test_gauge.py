@@ -12,9 +12,7 @@ from mobiusflux.gauge import (
     GaugeTransform,
     add_face_flux,
     apply_gauge_transform,
-    face_boundary,
     face_curvature,
-    faces,
     lift_field,
     reduce_angle,
     stokes_defect,
@@ -94,25 +92,18 @@ def test_holonomy_modulus_is_one():
 def test_uniform_field_is_flat_everywhere(topo):
     lat = build_lattice(8, 5, topo)
     for f in (0.0, 0.5, 1.7, -2.3):
-        field = uniform_flux_field(lat, f)
-        for face in faces(lat):
-            assert face_curvature(field, face) == 0.0  # exact cancellation
-
-
-def test_face_boundary_is_contractible():
-    lat = build_lattice(6, 5, MOEBIUS)
-    for face in faces(lat):
-        assert homology_class(lat, face_boundary(lat, face)) == 0
+        curvature = face_curvature(uniform_flux_field(lat, f))
+        assert curvature.shape == (8, 4)
+        assert np.all(curvature == 0.0)  # exact cancellation
 
 
 def test_add_face_flux_localizes_curvature():
     lat = build_lattice(6, 5, MOEBIUS)
     base = uniform_flux_field(lat, 0.37)
     for target in (Site(2, 1), Site(5, 3), Site(0, 0)):  # interior, seam, wall
-        field = add_face_flux(base, target, 0.3)
-        for face in faces(lat):
-            expected = 0.3 if face == target else 0.0
-            assert face_curvature(field, face) == pytest.approx(expected, abs=1e-12)
+        expected = np.zeros((6, 4))
+        expected[target] = 0.3
+        assert_allclose(face_curvature(add_face_flux(base, target, 0.3)), expected, atol=1e-12)
 
 
 def test_add_face_flux_inverse_and_zero():
@@ -128,7 +119,7 @@ def test_add_face_flux_shifts_boundary_wilson_angle():
     lat = build_lattice(6, 5, MOEBIUS)
     base = uniform_flux_field(lat, 0.11)
     face = Site(4, 2)
-    loop = face_boundary(lat, face)
+    loop = walk_loop(lat, face, ["+x", "+y", "-x", "-y"])
     before = wilson_loop(base, loop).angle
     after = wilson_loop(add_face_flux(base, face, 0.3), loop).angle
     assert after - before == pytest.approx(0.3, abs=1e-12)
@@ -159,8 +150,7 @@ def test_gauge_transform_preserves_wilson_and_curvature():
         for loop in (center_loop(lat), offset_loop(lat, 0), random_class2_loop(lat, rng)):
             d = reduce_angle(wilson_loop(out, loop).angle - wilson_loop(field, loop).angle)
             assert abs(d) < 1e-12
-        for face in faces(lat):
-            assert abs(face_curvature(out, face)) < 1e-12
+        assert np.all(np.abs(face_curvature(out)) < 1e-12)
 
 
 def test_large_gauge_transform_shifts_flux_by_one():
@@ -196,8 +186,8 @@ def test_lift_field_preserves_loop_angles_and_flatness():
     lifted = lift_field(corr, field)
     for loop in (offset_loop(lat, 0), random_class2_loop(lat, rng)):
         assert wilson_loop(lifted, corr.lift_loop(loop)).angle == wilson_loop(field, loop).angle
-    for face in faces(corr.cut):
-        assert abs(face_curvature(lifted, face)) < 1e-12
+    assert face_curvature(lifted).shape == (12, 1)
+    assert np.all(np.abs(face_curvature(lifted)) < 1e-12)
 
 
 def test_stokes_defect_trivial_pair():

@@ -3,15 +3,24 @@
 Each reference below walks the lattice site by site through ``neighbor``,
 the one implementation of the seam rule, and must agree exactly with the
 index-array code on random small lattices of both topologies, with the
-seam flip on or off.
+seam flip on or off.  The curvature, a sum of four rounded terms, agrees
+to round-off.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mobiusflux.gauge import GaugeField, GaugeTransform, apply_gauge_transform
+from mobiusflux.gauge import (
+    GaugeField,
+    GaugeTransform,
+    apply_gauge_transform,
+    face_curvature,
+    wilson_loop,
+)
 from mobiusflux.hamiltonian import (
     EVEN,
     PARITIES,
@@ -20,7 +29,20 @@ from mobiusflux.hamiltonian import (
     reflection_permutation,
     sector_isometry,
 )
-from mobiusflux.lattice import DIR_PX, DIR_PY, TOPOLOGIES, StripLattice, neighbor
+from mobiusflux.lattice import (
+    DIR_MX,
+    DIR_MY,
+    DIR_PX,
+    DIR_PY,
+    DIRECTIONS,
+    TOPOLOGIES,
+    LinkStep,
+    LoopPath,
+    Site,
+    StripLattice,
+    neighbor,
+    opposite,
+)
 
 SMALL = settings(max_examples=60, deadline=None)
 
@@ -94,3 +116,78 @@ def test_sector_isometry_is_an_orthonormal_reflection_eigenbasis(lat, parity):
     assert np.allclose(b.T @ b, np.eye(b.shape[1]), rtol=0.0, atol=1e-15)
     sign = 1.0 if parity == EVEN else -1.0
     assert np.array_equal(b[reflection_permutation(lat)], sign * b)
+
+
+def _link_angle(field, site, d):
+    """Signed angle of one directed link; a reverse link negates the canonical one."""
+    i, j = site
+    if d == DIR_PX:
+        return float(field.theta_x[i, j])
+    if d == DIR_MX:
+        u = neighbor(field.lattice, site, DIR_MX)
+        return -float(field.theta_x[u])
+    if d == DIR_PY:
+        return float(field.theta_y[i, j])
+    return -float(field.theta_y[i, j - 1])
+
+
+def _face_boundary_angle(field, corner):
+    """Angle around one face, walked counterclockwise in the face's own chart.
+
+    After a column step that reverses the rows (the moebius seam) the
+    chart's y axis points against the lattice's, so in-chart y steps are
+    lattice steps the other way until the walk crosses back.
+    """
+    lat, pos, flipped, angles = field.lattice, Site(*corner), False, []
+    for chart_dir in (DIR_PX, DIR_PY, DIR_MX, DIR_MY):
+        d = opposite(chart_dir) if flipped and chart_dir in (DIR_PY, DIR_MY) else chart_dir
+        angles.append(_link_angle(field, pos, d))
+        if d in (DIR_PX, DIR_MX) and neighbor(lat, Site(pos.i, 0), d).j != 0:
+            flipped = not flipped
+        pos = neighbor(lat, pos, d)
+    assert pos == Site(*corner)
+    return math.fsum(angles)
+
+
+@SMALL
+@given(fields())
+def test_face_curvature_is_each_face_boundary_angle(field):
+    lat = field.lattice
+    got = face_curvature(field)
+    assert got.shape == field.theta_y.shape
+    for i in range(lat.nx):
+        for j in range(lat.ny - 1):
+            assert abs(got[i, j] - _face_boundary_angle(field, (i, j))) <= 1e-12
+
+
+@st.composite
+def loops(draw, lat):
+    """A closed walk: a random path with backtracks, 1-2 circuits of +x, the path reversed."""
+    pos = Site(draw(st.integers(0, lat.nx - 1)), draw(st.integers(0, lat.ny - 1)))
+    path = []
+    for d in draw(st.lists(st.sampled_from(DIRECTIONS), max_size=30)):
+        nxt = neighbor(lat, pos, d)
+        if nxt is not None:
+            path.append(LinkStep(pos, d))
+            pos = nxt
+    circuit = []
+    for _ in range(draw(st.integers(1, 2))):
+        here = pos
+        while True:
+            circuit.append(LinkStep(here, DIR_PX))
+            here = neighbor(lat, here, DIR_PX)
+            if here == pos:
+                break
+    back = [LinkStep(neighbor(lat, step.site, step.direction), opposite(step.direction))
+            for step in reversed(path)]
+    steps = path + circuit + back
+    k = draw(st.integers(0, len(steps) - 1))  # start the loop anywhere along it
+    return LoopPath(lat, tuple(steps[k:] + steps[:k]))
+
+
+@SMALL
+@given(fields(), st.data())
+def test_wilson_loop_is_the_per_step_sum_bit_for_bit(field, data):
+    loop = data.draw(loops(field.lattice))
+    want = math.fsum(_link_angle(field, step.site, step.direction) for step in loop.steps)
+    assert wilson_loop(field, loop).angle == want
