@@ -18,7 +18,6 @@ from .eigensolver import (
     solve,
 )
 from .experiments import (
-    FULL,
     LadderPeriodicity,
     QuantizationReport,
     SweepConfig,
@@ -46,12 +45,14 @@ from .gauge import (
 )
 from .hamiltonian import (
     EVEN,
+    FULL,
     ODD,
     HoppingParams,
     SectorIsometry,
     SparseHermitian,
     SymmetryViolationError,
     assemble,
+    real_isometry,
     reflection_permutation,
     restrict,
     ring_spectrum_oracle,

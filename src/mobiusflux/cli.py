@@ -18,11 +18,13 @@ from pathlib import Path
 from typing import Optional
 
 from .eigensolver import NoConvergenceError, SolverConfig, solve
-from .experiments import FULL, SweepConfig, flux_sweep
+from .experiments import SweepConfig, flux_sweep
 from .gauge import GaugeError, uniform_flux_field, wilson_loop
 from .hamiltonian import (
     EVEN,
+    FULL,
     ODD,
+    SECTORS,
     HoppingParams,
     assemble,
     restrict,
@@ -74,12 +76,10 @@ class RunConfig:
     def sector_list(self) -> tuple:
         names = tuple(s.strip() for s in self.sectors.split(",") if s.strip())
         for name in names:
-            if name not in (FULL, EVEN, ODD):
+            if name not in SECTORS:
                 raise ConfigError(f"unknown sector {name!r} in key 'sectors'")
         if not names:
             raise ConfigError("key 'sectors' names no sector")
-        if ODD in names and self.ny == 1:
-            raise ConfigError("the odd sector of a one-row strip is empty")
         return names
 
     def hopping(self) -> HoppingParams:

@@ -15,6 +15,9 @@ eigenvalue below its top value was missed.  The shift-invert solves and the
 count use one symmetric-mode sparse factorization routine.  Residuals
 ||H v - lambda v|| are always recomputed from the returned pairs;
 eigenvectors of degenerate eigenvalues are ambiguous beyond orthonormality.
+Both routes work in the operator's own dtype, so a real symmetric operator
+(see ``hamiltonian.real_isometry``) is solved in real arithmetic: dsyevr
+in place of zheevr, and real ARPACK on a real factor.
 """
 
 from __future__ import annotations
@@ -178,7 +181,8 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
     sigma sits a sqrt(eps) * (hi - lo) step below h's Gershgorin interval
     [lo, hi], so H - sigma I is positive definite and is factored once.
     ARPACK (scipy's eigsh) runs on its inverse, whose largest, best separated
-    eigenvalues are the lowest of H, from a seeded start vector.  ARPACK's
+    eigenvalues are the lowest of H, from a seeded start vector (its real
+    part on a real operator, which keeps the whole solve real).  ARPACK's
     stop test bounds the residual of the inverse; times ||H - sigma I|| <=
     hi - sigma it bounds the residual on H, so ARPACK gets cfg.tol / (hi - sigma).
     Rayleigh-Ritz makes the vectors orthonormal.  Residuals must meet
@@ -195,7 +199,8 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
     if k > n:
         raise ValueError(f"k={k} exceeds dimension n={n}")
     rng = np.random.default_rng(cfg.seed)
-    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    re, im = rng.standard_normal(n), rng.standard_normal(n)
+    v0 = re + 1j * im if np.iscomplexobj(h.csr) else re
     budget = cfg.max_iter if cfg.max_iter is not None else 10 * n
     lo, hi = _gershgorin(h)
     # the floor keeps a multiple of the identity (lo == hi) off its eigenvalue
@@ -211,7 +216,7 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
         latest.append(v.copy())  # v is a view of ARPACK's workspace
         return factor.solve(v)
 
-    op = LinearOperator((n, n), matvec=inverse, dtype=complex)
+    op = LinearOperator((n, n), matvec=inverse, dtype=h.csr.dtype)
     want = k
     while True:
         try:

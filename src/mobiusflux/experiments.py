@@ -1,7 +1,8 @@
 """Flux-sweep experiments: quantization minima, nodal states, currents.
 
 A sweep assembles the operator at evenly spaced flux values, solves the
-requested reflection sectors, and records ground energies, the spectral
+requested sectors in the real basis of ``hamiltonian.real_isometry`` (the
+full space is one of them), and records ground energies, the spectral
 gap, the ground state's amplitude on the center row, and the persistent
 current -dE0/df.  Minima of the sector energies against flux locate the
 quantization values: the even sector dips at integers, the odd (nodal)
@@ -22,16 +23,16 @@ from .eigensolver import NoConvergenceError, SolverConfig, dense_eigh, solve
 from .gauge import uniform_flux_field
 from .hamiltonian import (
     EVEN,
+    FULL,
     ODD,
+    SECTORS,
     HoppingParams,
     assemble,
+    real_isometry,
     restrict,
     sector_isometry,
 )
 from .lattice import ANNULUS, MOEBIUS, StripLattice, build_lattice
-
-FULL = "full"
-SECTORS = (FULL, EVEN, ODD)
 
 
 @dataclass(frozen=True)
@@ -49,22 +50,17 @@ class SweepConfig:
     sectors: tuple = (FULL, EVEN, ODD)
 
     def __post_init__(self):
-        build_lattice(self.nx, self.ny, self.topology)  # raises on invalid dimensions
+        lat = build_lattice(self.nx, self.ny, self.topology)  # raises on invalid dimensions
         if not self.f_min < self.f_max:
             raise ValueError(f"need f_min < f_max, got [{self.f_min}, {self.f_max}]")
         if self.f_steps < 2:
             raise ValueError(f"need f_steps >= 2, got {self.f_steps}")
         if self.k < 1:
             raise ValueError(f"need k >= 1, got {self.k}")
-        bad = [s for s in self.sectors if s not in SECTORS]
-        if bad:
-            raise ValueError(f"unknown sectors {bad}; choose from {SECTORS}")
         if not self.sectors:
             raise ValueError("at least one sector must be requested")
-        if (EVEN in self.sectors or ODD in self.sectors) and self.ny % 2 == 0:
-            raise ValueError("even/odd sectors need odd ny (a center row must exist)")
-        if ODD in self.sectors and self.ny == 1:
-            raise ValueError("the odd sector of a one-row strip is empty")
+        for sector in self.sectors:
+            real_isometry(lat, sector)  # raises on unknown or nonexistent sectors
         HoppingParams(tx=self.tx, ty=self.ty)  # raises on invalid hopping
 
     def f_values(self) -> np.ndarray:
@@ -97,27 +93,23 @@ def flux_sweep(cfg: SweepConfig) -> list:
     """Run the sweep; solver failures mark the record failed and continue."""
     lat = build_lattice(cfg.nx, cfg.ny, cfg.topology)
     hop = HoppingParams(tx=cfg.tx, ty=cfg.ty)
-    isometries = {}
-    for sector in (EVEN, ODD):
-        if sector in cfg.sectors:
-            isometries[sector] = sector_isometry(lat, sector)
+    isometries = {sector: real_isometry(lat, sector) for sector in SECTORS
+                  if sector in cfg.sectors}
     records = []
     for f in cfg.f_values():
         f = float(f)
         try:
             h = assemble(lat, uniform_flux_field(lat, f), hop)
             fields = {}
-            if FULL in cfg.sectors:
-                res = solve(h, dataclasses.replace(cfg.solver, k=min(cfg.k, h.n)))
-                fields["e0_full"] = float(res.values[0])
-                if res.k >= 2:
-                    fields["gap"] = float(res.values[1] - res.values[0])
-                if lat.ny % 2 == 1:
-                    fields["node_amp"] = nodal_amplitude(res.vectors[:, 0], lat)
             for sector, iso in isometries.items():
                 hs = restrict(h, iso)
                 res = solve(hs, dataclasses.replace(cfg.solver, k=min(cfg.k, hs.n)))
                 fields[f"e0_{sector}"] = float(res.values[0])
+                if sector == FULL:
+                    if res.k >= 2:
+                        fields["gap"] = float(res.values[1] - res.values[0])
+                    if lat.ny % 2 == 1:
+                        fields["node_amp"] = nodal_amplitude(iso.embed(res.vectors[:, 0]), lat)
             records.append(SweepRecord(f=f, **fields))
         except NoConvergenceError:
             records.append(SweepRecord(f=f, status="failed"))
@@ -152,13 +144,17 @@ def persistent_current(records: Sequence[SweepRecord]) -> list:
 
 @dataclass(frozen=True)
 class QuantizationReport:
-    """Refined minima locations and their distance to the allowed lattice."""
+    """Refined minima locations and their distance to the allowed lattice.
+
+    ``skipped`` holds the f values of the failed records left out.
+    """
 
     column: str
     mode: str
     minima_f: tuple
     nearest_allowed: tuple
     distances: tuple
+    skipped: tuple
 
 
 _PLATEAU_TOL = 1e-12
@@ -178,16 +174,17 @@ def detect_minima(records: Sequence[SweepRecord], column: str,
                   mode: str = "integer") -> QuantizationReport:
     """Strict interior local minima of an energy column, refined.
 
-    Failed records are skipped.  A run of values equal within 1e-12
-    counts as a single minimum at its midpoint (grids can straddle
-    symmetric points exactly); isolated minima are refined by a 3-point
-    parabola.  Each minimum is reported with the nearest multiple of 1
+    Failed records are skipped, and their f values reported.  A run of
+    values equal within 1e-12 counts as a single minimum at its midpoint
+    (grids can straddle symmetric points exactly); isolated minima are
+    refined by a 3-point parabola.  Each minimum is reported with the nearest multiple of 1
     (integer mode) or 1/2 (half-integer mode) and the distance to it.
     """
     if mode not in ("integer", "half-integer"):
         raise ValueError(f"mode must be 'integer' or 'half-integer', got {mode!r}")
     if column not in _MIN_COLUMNS:
         raise ValueError(f"column must be one of {_MIN_COLUMNS}, got {column!r}")
+    skipped = tuple(rec.f for rec in records if rec.status == "failed")
     records = [rec for rec in records if rec.status != "failed"]
     if len(records) < 3:
         raise ValueError("need at least 3 records to detect interior minima")
@@ -219,6 +216,7 @@ def detect_minima(records: Sequence[SweepRecord], column: str,
         minima_f=tuple(minima),
         nearest_allowed=tuple(nearest),
         distances=tuple(dists),
+        skipped=skipped,
     )
 
 

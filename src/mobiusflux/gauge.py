@@ -28,9 +28,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import (
-    DIR_MX,
-    DIR_MY,
-    DIR_PY,
     CenterCut,
     LoopError,
     LoopPath,
@@ -130,7 +127,7 @@ def wilson_loop(field: GaugeField, loop: LoopPath) -> WilsonResult:
     """Raw total link angle along a closed loop and its unit-modulus holonomy."""
     if loop.lattice != field.lattice:
         raise GaugeError("loop and field live on different lattices")
-    angle = _steps_angle(field, _loop_links(field.lattice, loop))
+    angle = _steps_angle(field, loop.links)
     return WilsonResult(angle=angle, holonomy=complex(math.cos(angle), math.sin(angle)))
 
 
@@ -209,20 +206,6 @@ def lift_field(corr: CenterCut, field: GaugeField) -> GaugeField:
     return GaugeField(lattice=cut, theta_x=theta_x, theta_y=theta_y)
 
 
-def _loop_links(lat: StripLattice, loop: LoopPath) -> tuple:
-    """Each step's canonical link and the sign it is walked with.
-
-    A link is an index into theta_x then theta_y, each flattened.  A
-    reversed step walks back along the canonical link out of the next site.
-    """
-    sid = np.array([lat.site_id(site) for site in loop.sites()])
-    d = np.array([step.direction for step in loop.steps])
-    backward = (d == DIR_MX) | (d == DIR_MY)
-    source = np.where(backward, np.concatenate((sid[1:], sid[:1])), sid)
-    along_y = (d == DIR_PY) | (d == DIR_MY)
-    return np.where(along_y, lat.n_sites + source - source // lat.ny, source), 1 - 2 * backward
-
-
 def _steps_angle(field: GaugeField, links: tuple) -> float:
     """fsum of the signed link angle of every step."""
     link, sign = links
@@ -275,7 +258,7 @@ def stokes_defect(field: GaugeField, loop1: LoopPath, loop2: LoopPath) -> float:
     else:
         work_field, w1, w2 = field, loop1, loop2
     work = work_field.lattice
-    links1, links2 = _loop_links(work, w1), _loop_links(work, w2)
+    links1, links2 = w1.links, w2.links
     m = _bounding_face_weights(work, links1, links2)
     # term by term: summing each face's four links first would round once more per face
     enclosed = math.fsum(np.concatenate([(m * term).ravel() for term in _face_terms(work_field)]))

@@ -11,6 +11,18 @@ The reflection y -> -y commutes with any assembled operator whose angles
 and potential share that symmetry; its even and odd eigenspaces are the
 sectors.  Odd-sector states vanish identically on the center row, which
 is what realizes nodal states on the middle circle.
+
+A uniform flux is odd under complex conjugation K and odd under the
+mirror along the ring, M: (i, j) -> (nx-1-i, j), which reverses every x
+link (the seam's included).  Their product Theta = M K is antiunitary,
+commutes with H and squares to 1, so H is real symmetric in any basis
+that Theta fixes (Wigner's antiunitary symmetry, Dyson's orthogonal
+class).  ``real_isometry`` gives such a basis of each sector:
+(e_s + e_Ms)/sqrt(2) and i (e_s - e_Ms)/sqrt(2) over mirror pairs of the
+sector's coordinates, e_s on a fixed column.  It is a unitary similarity
+for any operator, so an input without the mirror symmetry (a
+gauge-transformed field, say) keeps its exact spectrum and merely stays
+complex.
 """
 
 from __future__ import annotations
@@ -24,9 +36,11 @@ import scipy.sparse as sp
 from .gauge import GaugeField
 from .lattice import LatticeError, StripLattice
 
+FULL = "full"
 EVEN = "even"
 ODD = "odd"
 PARITIES = (EVEN, ODD)
+SECTORS = (FULL, EVEN, ODD)
 
 _HERM_BUILD_TOL = 1e-12
 _SECTOR_LEAK_TOL = 1e-12
@@ -51,11 +65,13 @@ class HoppingParams:
 
 
 class SparseHermitian:
-    """Sparse complex matrix with exact Hermitian symmetry.
+    """Sparse matrix with exact Hermitian symmetry.
 
     Construction verifies max |H - H^dagger| <= 1e-12 and then stores the
     exactly symmetrized (H + H^dagger)/2, whose Hermiticity holds
-    entrywise in floating point, with a real diagonal.
+    entrywise in floating point, with a real diagonal.  It is stored as
+    float64 when every imaginary part is exactly 0.0, so solvers run in
+    real arithmetic; nothing is rounded to get there.
     """
 
     def __init__(self, matrix):
@@ -69,7 +85,7 @@ class SparseHermitian:
             )
         m = ((m + m.conj().T) * 0.5).tocsr()
         m.sum_duplicates()
-        self._csr = m
+        self._csr = m if np.any(m.data.imag) else m.real
 
     @property
     def n(self) -> int:
@@ -140,11 +156,13 @@ def reflection_permutation(lat: StripLattice) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SectorIsometry:
-    """Orthonormal embedding of one reflection-parity subspace.
+    """Orthonormal embedding of the full space or one reflection-parity subspace.
 
-    Columns are (e(i,j) -/+ e(i,ny-1-j))/sqrt(2) over rows below center,
-    plus, for the even sector, the bare center-row sites.  Each column
-    touches at most two sites, so orthonormality is exact.
+    ``parity`` is "full", "even" or "odd".  ``sector_isometry``'s columns are
+    (e(i,j) -/+ e(i,ny-1-j))/sqrt(2) over rows below center, plus, for the
+    even sector, the bare center-row sites; ``real_isometry`` recombines
+    them in mirror pairs.  Each column touches at most four sites, so
+    orthonormality holds to round-off.
     """
 
     lattice: StripLattice
@@ -161,10 +179,16 @@ class SectorIsometry:
 
 
 def sector_isometry(lat: StripLattice, parity: str) -> SectorIsometry:
-    """Build the isometry onto the even or odd reflection sector."""
+    """Build the isometry onto the even or odd reflection sector.
+
+    Raises LatticeError where the sector does not exist: ny even (no
+    center row), or the odd sector of a one-row strip, which is empty.
+    """
     if parity not in PARITIES:
         raise ValueError(f"parity must be one of {PARITIES}, got {parity!r}")
     c = lat.center_row
+    if parity == ODD and c == 0:
+        raise LatticeError("the odd sector of a one-row strip is empty")
     sign = 1.0 if parity == EVEN else -1.0
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     grid = np.arange(lat.n_sites).reshape(lat.nx, lat.ny)
@@ -185,8 +209,38 @@ def sector_isometry(lat: StripLattice, parity: str) -> SectorIsometry:
     return SectorIsometry(lattice=lat, parity=parity, matrix=matrix)
 
 
+def real_isometry(lat: StripLattice, sector: str) -> SectorIsometry:
+    """Isometry onto a sector ("full", "even" or "odd") whose columns Theta = M K fixes.
+
+    It is the sector's isometry B (the identity for "full") times Theta's
+    real basis on B's coordinates: M permutes B's columns, M b_p = b_q, and
+    a pair p < q becomes (b_p + b_q)/sqrt(2) in column p and
+    i (b_p - b_q)/sqrt(2) in column q; a column M fixes stays.  An operator
+    commuting with Theta restricts to a real symmetric one.
+    """
+    if sector not in SECTORS:
+        raise ValueError(f"sector must be one of {SECTORS}, got {sector!r}")
+    if sector == FULL:
+        b = sp.identity(lat.n_sites, format="csc")
+    else:
+        b = sector_isometry(lat, sector).matrix
+    mirror = np.arange(lat.n_sites).reshape(lat.nx, lat.ny)[::-1].reshape(-1)
+    # column p of B^T (M B) is e_q where M b_p = b_q: one entry per column
+    partner = (b.T @ b[mirror]).tocsc().indices
+    p = np.arange(b.shape[1])
+    lo, fixed = p < partner, p == partner
+    a, q = p[lo], partner[lo]
+    s = np.full(a.size, 1.0 / np.sqrt(2.0))
+    w = sp.csc_matrix(
+        (np.concatenate([s, s, 1j * s, -1j * s, np.ones(np.count_nonzero(fixed))]),
+         (np.concatenate([a, q, a, q, p[fixed]]), np.concatenate([a, a, q, q, p[fixed]]))),
+        shape=(p.size, p.size),
+    )
+    return SectorIsometry(lattice=lat, parity=sector, matrix=b @ w)
+
+
 def restrict(h: SparseHermitian, iso: SectorIsometry) -> SparseHermitian:
-    """Project the operator into one parity sector, B^dagger H B.
+    """Project the operator into one sector, B^dagger H B.
 
     Refuses operators that couple the sectors: the leak H B - B (B^dagger H B),
     which is H B's component outside the sector, must vanish to 1e-12 in
@@ -196,7 +250,7 @@ def restrict(h: SparseHermitian, iso: SectorIsometry) -> SparseHermitian:
     if h.n != iso.lattice.n_sites:
         raise ValueError(f"operator dimension {h.n} != lattice size {iso.lattice.n_sites}")
     hb = h.csr @ iso.matrix
-    block = iso.matrix.T @ hb
+    block = iso.matrix.conj().T @ hb
     leak = float(abs(hb - iso.matrix @ block).max())
     if leak > _SECTOR_LEAK_TOL:
         raise SymmetryViolationError(f"operator couples even and odd sectors (leak {leak:.3e})")

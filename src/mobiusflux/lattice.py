@@ -174,6 +174,26 @@ class LoopPath:
     def __len__(self) -> int:
         return len(self.steps)
 
+    @cached_property
+    def links(self) -> tuple:
+        """Each step's canonical link and the sign it is walked with, as arrays.
+
+        A link is an index into theta_x then theta_y, each flattened.  A
+        reversed step walks back along the canonical link out of the next
+        site.  Built once per loop, as ``x_next`` is once per lattice.
+        """
+        lat = self.lattice
+        sid = np.array([lat.site_id(site) for site in self.sites()])
+        d = np.array([step.direction for step in self.steps])
+        backward = (d == DIR_MX) | (d == DIR_MY)
+        source = np.where(backward, np.concatenate((sid[1:], sid[:1])), sid)
+        along_y = (d == DIR_PY) | (d == DIR_MY)
+        link = np.where(along_y, lat.n_sites + source - source // lat.ny, source)
+        sign = 1 - 2 * backward
+        for arr in (link, sign):
+            arr.setflags(write=False)
+        return link, sign
+
     def sites(self) -> tuple:
         return tuple(step.site for step in self.steps)
 

@@ -289,6 +289,9 @@ def test_detect_minima_skips_failed_records():
     report = detect_minima(mixed, "e0_full", mode="integer")
     assert report.nearest_allowed == (0.0, 1.0)
     assert max(report.distances) <= 0.005
+    assert report.skipped == tuple(rec.f for rec in mixed if rec.status == "failed")
+    assert len(report.skipped) == 8
+    assert detect_minima(good, "e0_full").skipped == ()
 
 
 def test_detect_minima_refines_across_a_skipped_point():

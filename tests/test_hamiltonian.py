@@ -8,13 +8,16 @@ from numpy.testing import assert_allclose
 
 from mobiusflux.eigensolver import dense_eigh
 from mobiusflux.gauge import apply_gauge_transform, uniform_flux_field
+from mobiusflux.experiments import nodal_amplitude
 from mobiusflux.hamiltonian import (
     EVEN,
+    FULL,
     ODD,
     HoppingParams,
     SparseHermitian,
     SymmetryViolationError,
     assemble,
+    real_isometry,
     reflection_permutation,
     restrict,
     ring_spectrum_oracle,
@@ -214,3 +217,38 @@ def test_flux_periodicity_and_reflection(f):
 def test_sector_isometry_needs_center_row():
     with pytest.raises(LatticeError):
         sector_isometry(build_lattice(6, 4, MOEBIUS), ODD)
+    with pytest.raises(LatticeError, match="odd sector"):
+        sector_isometry(build_lattice(6, 1, MOEBIUS), ODD)
+    assert sector_isometry(build_lattice(6, 1, MOEBIUS), EVEN).dim == 6
+    with pytest.raises(ValueError):
+        real_isometry(build_lattice(6, 5, MOEBIUS), "left")
+
+
+def test_sparse_hermitian_is_real_only_when_every_imaginary_part_is_zero():
+    assert SparseHermitian(np.array([[1.0, 2.0 + 0j], [2.0, 3.0]])).csr.dtype == np.float64
+    tiny = SparseHermitian(np.array([[1.0, 2.0 + 1e-300j], [2.0 - 1e-300j, 3.0]]))
+    assert tiny.csr.dtype == np.complex128
+
+
+@pytest.mark.parametrize("topology", [MOEBIUS, ANNULUS])
+@pytest.mark.parametrize("nx", [7, 8])
+def test_real_basis_of_a_y_asymmetric_mirror_symmetric_operator(topology, nx):
+    # a potential even under (i, j) -> (nx-1-i, j) but not under y -> -y:
+    # no parity sector exists, yet the full operator is real in the mirror basis
+    lat = build_lattice(nx, 5, topology)
+    rng = np.random.default_rng(11)
+    rows = rng.uniform(-1.0, 1.0, lat.ny)
+    along = rng.uniform(0.0, 1.0, lat.nx)
+    pot = np.outer(along + along[::-1], rows)
+    h = assemble(lat, uniform_flux_field(lat, 0.37), HoppingParams(ty=0.3), pot=pot)
+    iso = real_isometry(lat, FULL)
+    hr = restrict(h, iso)
+    assert hr.csr.dtype == np.float64
+    with pytest.raises(SymmetryViolationError):
+        restrict(h, sector_isometry(lat, EVEN))
+    want = dense_eigh(h, 2)
+    got = dense_eigh(hr, 2)
+    assert want.values[1] - want.values[0] > 1e-3  # a unique ground state
+    assert_allclose(got.values, want.values, rtol=0, atol=1e-12)
+    assert abs(nodal_amplitude(iso.embed(got.vectors[:, 0]), lat)
+               - nodal_amplitude(want.vectors[:, 0], lat)) <= 1e-10

@@ -4,29 +4,37 @@ Each reference below walks the lattice site by site through ``neighbor``,
 the one implementation of the seam rule, and must agree exactly with the
 index-array code on random small lattices of both topologies, with the
 seam flip on or off.  The curvature, a sum of four rounded terms, agrees
-to round-off.
+to round-off.  The real sector bases are checked against their defining
+symmetries and against the spectra of the plain parity sectors.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from mobiusflux.eigensolver import dense_eigh
 from mobiusflux.gauge import (
     GaugeField,
     GaugeTransform,
     apply_gauge_transform,
     face_curvature,
+    uniform_flux_field,
     wilson_loop,
 )
 from mobiusflux.hamiltonian import (
     EVEN,
+    FULL,
+    ODD,
     PARITIES,
     HoppingParams,
     assemble,
+    real_isometry,
     reflection_permutation,
+    restrict,
     sector_isometry,
 )
 from mobiusflux.lattice import (
@@ -36,6 +44,7 @@ from mobiusflux.lattice import (
     DIR_PY,
     DIRECTIONS,
     TOPOLOGIES,
+    LatticeError,
     LinkStep,
     LoopPath,
     Site,
@@ -112,10 +121,48 @@ def test_gauge_transform_shifts_each_link_by_the_chi_difference(field, data):
 @SMALL
 @given(lattices(ny=st.sampled_from((1, 3, 5, 7))), st.sampled_from(PARITIES))
 def test_sector_isometry_is_an_orthonormal_reflection_eigenbasis(lat, parity):
+    if parity == ODD and lat.ny == 1:  # the odd sector of one row is empty
+        with pytest.raises(LatticeError):
+            sector_isometry(lat, parity)
+        return
     b = sector_isometry(lat, parity).matrix.toarray()
     assert np.allclose(b.T @ b, np.eye(b.shape[1]), rtol=0.0, atol=1e-15)
     sign = 1.0 if parity == EVEN else -1.0
     assert np.array_equal(b[reflection_permutation(lat)], sign * b)
+
+
+def _sectors(lat):
+    """The sectors lat has: parity needs a center row, and one row has no odd states."""
+    if lat.ny % 2 == 0:
+        return (FULL,)
+    return (FULL, EVEN) if lat.ny == 1 else (FULL, EVEN, ODD)
+
+
+@SMALL
+@given(lattices(), st.floats(-2.0, 2.0), st.data())
+def test_real_isometry_makes_uniform_flux_real_with_the_same_spectrum(lat, f, data):
+    hop = HoppingParams(ty=data.draw(st.sampled_from((0.01, 1.0))))
+    h = assemble(lat, uniform_flux_field(lat, f), hop)
+    # a y-symmetric gauge transform keeps the parity sectors but breaks the mirror
+    chi = data.draw(hnp.arrays(float, (lat.nx, lat.ny), elements=ANGLES))
+    g = GaugeTransform(lattice=lat, chi=chi + chi[:, ::-1])
+    moved = assemble(lat, apply_gauge_transform(uniform_flux_field(lat, f), g), hop)
+    mirror = np.arange(lat.n_sites).reshape(lat.nx, lat.ny)[::-1].reshape(-1)
+    for sector in _sectors(lat):
+        iso = real_isometry(lat, sector)
+        assert iso.parity == sector
+        u = iso.matrix.toarray()
+        assert np.allclose(u.conj().T @ u, np.eye(u.shape[1]), rtol=0.0, atol=1e-15)
+        assert np.array_equal(u.conj()[mirror], u)  # every column is fixed by M K
+        if sector != FULL:
+            sign = 1.0 if sector == EVEN else -1.0
+            assert np.array_equal(u[reflection_permutation(lat)], sign * u)
+        hr = restrict(h, iso)
+        assert hr.csr.dtype == np.float64
+        for op, in_basis in ((h, hr), (moved, restrict(moved, iso))):
+            plain = op if sector == FULL else restrict(op, sector_isometry(lat, sector))
+            want = dense_eigh(plain).values
+            assert np.max(np.abs(dense_eigh(in_basis).values - want)) <= 1e-12
 
 
 def _link_angle(field, site, d):
