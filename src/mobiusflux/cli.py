@@ -4,8 +4,12 @@ Configuration is a flat key=value file (# comments) mirrored one-to-one
 by command-line flags; flags override file values and unknown keys are
 rejected.  All floating-point output uses 17 significant digits so the
 CSV round-trips the underlying doubles exactly, and every random choice
-funnels through the single ``seed`` key.  Exit codes: 0 success, 1
-computational failure or invariant violation, 2 configuration error.
+funnels through the single ``seed`` key.  ``build_config`` builds the
+lattice, hopping and solver config once at load, and those library types
+check their own inputs.  ``main`` maps errors to exit codes in one place:
+0 success; 1 ``NoConvergenceError`` or ``LinAlgError``, a failed
+``verify`` check, or failed sweep points under ``--strict``; 2 any other
+``ValueError`` (an invalid key, flag or output path), as ``config error:``.
 """
 
 from __future__ import annotations
@@ -15,11 +19,13 @@ import dataclasses
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .eigensolver import NoConvergenceError, SolverConfig, solve
+import numpy as np
+
+from .eigensolver import METHODS, NoConvergenceError, SolverConfig, solve
 from .experiments import SweepConfig, flux_sweep
-from .gauge import GaugeError, uniform_flux_field, wilson_loop
+from .gauge import uniform_flux_field, wilson_loop
 from .hamiltonian import (
     EVEN,
     FULL,
@@ -32,8 +38,7 @@ from .hamiltonian import (
 )
 from .lattice import (
     TOPOLOGIES,
-    LatticeError,
-    LoopError,
+    StripLattice,
     build_lattice,
     center_loop,
     homology_class,
@@ -45,8 +50,6 @@ from .verify import run_verification
 EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_CONFIG = 2
-
-_INPUT_ERRORS = (LatticeError, LoopError, GaugeError)
 
 
 class ConfigError(ValueError):
@@ -82,17 +85,14 @@ class RunConfig:
             raise ConfigError("key 'sectors' names no sector")
         return names
 
-    def hopping(self) -> HoppingParams:
-        try:
-            return HoppingParams(self.tx, self.ty)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
-    def solver_config(self) -> SolverConfig:
-        try:
-            return SolverConfig(k=self.k, tol=self.tol, seed=self.seed, method=self.solver)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+class Run(NamedTuple):
+    """A loaded config and the library objects its shared keys build."""
+
+    config: RunConfig
+    lattice: StripLattice
+    hop: HoppingParams
+    solver: SolverConfig
 
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
@@ -139,7 +139,8 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
+def build_config(args: argparse.Namespace) -> Run:
+    """Merge file and flags, then build (and so validate) the shared objects once."""
     values = {}
     if args.config:
         values.update(load_config_file(args.config))
@@ -148,9 +149,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if flag is not None:
             values[key] = flag
     config = RunConfig(**values)
-    if config.topology not in TOPOLOGIES:
-        raise ConfigError(f"topology must be one of {TOPOLOGIES}, got {config.topology!r}")
-    return config
+    return Run(
+        config=config,
+        lattice=build_lattice(config.nx, config.ny, config.topology),
+        hop=HoppingParams(config.tx, config.ty),
+        solver=SolverConfig(k=config.k, tol=config.tol, seed=config.seed, method=config.solver),
+    )
 
 
 def _fmt(value) -> str:
@@ -165,23 +169,18 @@ def _fmt(value) -> str:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_spectrum(config: RunConfig, stdout) -> int:
-    sectors = config.sector_list()
+def cmd_spectrum(run: Run, stdout) -> int:
+    sectors = run.config.sector_list()
     if len(sectors) == 1:
         sector = sectors[0]
     elif FULL in sectors:
         sector = FULL
     else:
         raise ConfigError("spectrum needs a single sector (or 'full' among them)")
-    try:
-        lat = build_lattice(config.nx, config.ny, config.topology)
-        h = assemble(lat, uniform_flux_field(lat, config.f), config.hopping())
-        if sector in (EVEN, ODD):
-            h = restrict(h, sector_isometry(lat, sector))
-    except _INPUT_ERRORS as exc:
-        raise ConfigError(str(exc)) from exc
-    cfg = dataclasses.replace(config.solver_config(), k=min(config.k, h.n))
-    result = solve(h, cfg)
+    h = assemble(run.lattice, uniform_flux_field(run.lattice, run.config.f), run.hop)
+    if sector in (EVEN, ODD):
+        h = restrict(h, sector_isometry(run.lattice, sector))
+    result = solve(h, dataclasses.replace(run.solver, k=min(run.solver.k, h.n)))
     stdout.write("index,eigenvalue,residual\n")
     for idx, (val, res) in enumerate(zip(result.values, result.residuals)):
         stdout.write(f"{idx},{_fmt(float(val))},{_fmt(float(res))}\n")
@@ -205,8 +204,10 @@ def parse_sweep_csv(text: str) -> list:
     if header != list(_CSV_COLUMNS):
         raise ConfigError(f"unexpected CSV header {header}")
     rows = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
+        if len(cells) != len(header):
+            raise ConfigError(f"CSV line {lineno}: {len(cells)} cells, header has {len(header)}")
         row = {}
         for col, cell in zip(header, cells):
             if col == "status":
@@ -217,23 +218,26 @@ def parse_sweep_csv(text: str) -> list:
     return rows
 
 
-def cmd_sweep(config: RunConfig, stdout) -> int:
-    try:
-        sweep_cfg = SweepConfig(
-            nx=config.nx,
-            ny=config.ny,
-            topology=config.topology,
-            tx=config.tx,
-            ty=config.ty,
-            f_min=config.f_min,
-            f_max=config.f_max,
-            f_steps=config.f_steps,
-            k=config.k,
-            solver=config.solver_config(),
-            sectors=config.sector_list(),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def cmd_sweep(run: Run, stdout) -> int:
+    config = run.config
+    sweep_cfg = SweepConfig(
+        nx=run.lattice.nx,
+        ny=run.lattice.ny,
+        topology=run.lattice.topology,
+        tx=run.hop.tx,
+        ty=run.hop.ty,
+        f_min=config.f_min,
+        f_max=config.f_max,
+        f_steps=config.f_steps,
+        solver=run.solver,
+        sectors=config.sector_list(),
+    )
+    for path in (config.out, config.plot):
+        if path:  # an unwritable path fails here, not after the sweep; "a" keeps the file
+            try:
+                open(path, "a", encoding="utf-8").close()
+            except OSError as exc:
+                raise ConfigError(f"cannot write {path}: {exc}") from exc
     records = flux_sweep(sweep_cfg)
     csv_text = render_sweep_csv(records)
     if config.out:
@@ -249,24 +253,20 @@ def cmd_sweep(config: RunConfig, stdout) -> int:
     return EXIT_OK
 
 
-def cmd_holonomy(config: RunConfig, loop_spec: str, stdout) -> int:
-    try:
-        lat = build_lattice(config.nx, config.ny, config.topology)
-        if loop_spec == "center":
-            loop = center_loop(lat)
-        elif loop_spec.startswith("offset="):
-            try:
-                row = int(loop_spec.split("=", 1)[1])
-            except ValueError as exc:
-                raise ConfigError(f"bad loop selector {loop_spec!r}") from exc
-            loop = offset_loop(lat, row)
-        else:
-            raise ConfigError(f"loop selector must be 'center' or 'offset=<j>', got {loop_spec!r}")
-        field = uniform_flux_field(lat, config.f)
-        result = wilson_loop(field, loop)
-        cls = homology_class(lat, loop)
-    except _INPUT_ERRORS as exc:
-        raise ConfigError(str(exc)) from exc
+def cmd_holonomy(run: Run, loop_spec: str, stdout) -> int:
+    lat = run.lattice
+    if loop_spec == "center":
+        loop = center_loop(lat)
+    elif loop_spec.startswith("offset="):
+        try:
+            row = int(loop_spec.split("=", 1)[1])
+        except ValueError as exc:
+            raise ConfigError(f"bad loop selector {loop_spec!r}") from exc
+        loop = offset_loop(lat, row)
+    else:
+        raise ConfigError(f"loop selector must be 'center' or 'offset=<j>', got {loop_spec!r}")
+    result = wilson_loop(uniform_flux_field(lat, run.config.f), loop)
+    cls = homology_class(lat, loop)
     stdout.write(f"homology_class {cls}\n")
     stdout.write(f"wilson_angle {_fmt(result.angle)}\n")
     stdout.write(f"holonomy_re {_fmt(result.holonomy.real)}\n")
@@ -274,8 +274,8 @@ def cmd_holonomy(config: RunConfig, loop_spec: str, stdout) -> int:
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig, broken_seam: bool, stdout) -> int:
-    results = run_verification(seed=config.seed, broken_seam=broken_seam)
+def cmd_verify(run: Run, broken_seam: bool, stdout) -> int:
+    results = run_verification(seed=run.config.seed, broken_seam=broken_seam)
     all_passed = True
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -291,12 +291,12 @@ def cmd_verify(config: RunConfig, broken_seam: bool, stdout) -> int:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="key = value config file")
-    parser.add_argument("--topology", choices=TOPOLOGIES)
+    parser.add_argument("--topology", metavar="|".join(TOPOLOGIES))
     for key in _INT_KEYS:
         parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
     for key in _FLOAT_KEYS:
         parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float)
-    parser.add_argument("--solver", choices=("dense", "lanczos", "auto"))
+    parser.add_argument("--solver", metavar="|".join(METHODS))
     parser.add_argument("--sectors", help="comma list from full,even,odd")
     parser.add_argument("--out", help="CSV output path (default: stdout)")
     parser.add_argument("--plot", help="SVG output path")
@@ -333,22 +333,22 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     stdout = sys.stdout
     try:
-        config = build_config(args)
+        run = build_config(args)
         if args.command == "spectrum":
-            return cmd_spectrum(config, stdout)
+            return cmd_spectrum(run, stdout)
         if args.command == "sweep":
-            return cmd_sweep(config, stdout)
+            return cmd_sweep(run, stdout)
         if args.command == "holonomy":
-            return cmd_holonomy(config, args.loop, stdout)
+            return cmd_holonomy(run, args.loop, stdout)
         if args.command == "verify":
-            return cmd_verify(config, args.broken_seam, stdout)
+            return cmd_verify(run, args.broken_seam, stdout)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (NoConvergenceError, ValueError) as exc:
+    except (NoConvergenceError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ width, f + 1/2).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -45,18 +46,16 @@ class SweepConfig:
     f_min: float = -0.25
     f_max: float = 1.25
     f_steps: int = 151
-    k: int = 6
     solver: SolverConfig = dataclasses.field(default_factory=SolverConfig)
     sectors: tuple = (FULL, EVEN, ODD)
 
     def __post_init__(self):
         lat = build_lattice(self.nx, self.ny, self.topology)  # raises on invalid dimensions
-        if not self.f_min < self.f_max:
-            raise ValueError(f"need f_min < f_max, got [{self.f_min}, {self.f_max}]")
+        # a non-finite end or span would put nan and inf in f_values
+        if not (self.f_min < self.f_max and math.isfinite(float(self.f_max) - float(self.f_min))):
+            raise ValueError(f"need finite f_min < f_max, got [{self.f_min}, {self.f_max}]")
         if self.f_steps < 2:
             raise ValueError(f"need f_steps >= 2, got {self.f_steps}")
-        if self.k < 1:
-            raise ValueError(f"need k >= 1, got {self.k}")
         if not self.sectors:
             raise ValueError("at least one sector must be requested")
         for sector in self.sectors:
@@ -103,7 +102,7 @@ def flux_sweep(cfg: SweepConfig) -> list:
             fields = {}
             for sector, iso in isometries.items():
                 hs = restrict(h, iso)
-                res = solve(hs, dataclasses.replace(cfg.solver, k=min(cfg.k, hs.n)))
+                res = solve(hs, dataclasses.replace(cfg.solver, k=min(cfg.solver.k, hs.n)))
                 fields[f"e0_{sector}"] = float(res.values[0])
                 if sector == FULL:
                     if res.k >= 2:

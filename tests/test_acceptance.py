@@ -66,8 +66,8 @@ def nodal_sweep():
     """48 x 9 moebius sweep in the weak-rung regime, with wall-clock time."""
     cfg = SweepConfig(
         nx=48, ny=9, topology=MOEBIUS, tx=1.0, ty=0.01,
-        f_min=-0.25, f_max=1.25, f_steps=151, k=6,
-        solver=SolverConfig(method="dense"),
+        f_min=-0.25, f_max=1.25, f_steps=151,
+        solver=SolverConfig(k=6, method="dense"),
     )
     start = time.perf_counter()
     records = flux_sweep(cfg)

@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mobiusflux.cli import main, parse_sweep_csv, render_sweep_csv
+from mobiusflux import cli, experiments
+from mobiusflux.cli import ConfigError, main, parse_sweep_csv, render_sweep_csv
 from mobiusflux.hamiltonian import ring_spectrum_oracle
 
 
@@ -94,6 +96,13 @@ def test_sweep_csv_schema_and_round_trip(capsys, tmp_path):
     assert rebuilt == text
 
 
+@pytest.mark.parametrize("row", ["0.5,1,2", "0.5,1,2,3,4,5,6,ok,extra"])
+def test_parse_sweep_csv_rejects_rows_not_matching_the_header(row):
+    header = "f,e0_full,e0_even,e0_odd,gap,node_amp,current,status"
+    with pytest.raises(ConfigError, match="line 3"):
+        parse_sweep_csv(f"{header}\n0,1,2,3,4,5,6,ok\n{row}\n")
+
+
 class _RowShim:
     def __init__(self, row):
         self._row = dict(row)
@@ -140,13 +149,40 @@ def test_sweep_invalid_range_exits_2(capsys):
     # lattice dimensions are checked before the sweep starts
     ("sweep", "--nx", "2", "--sectors", "full"),
     ("sweep", "--ny", "0", "--sectors", "full"),
+    # a flux grid with a non-finite end or span
+    ("sweep", "--f-max", "inf"),
+    ("sweep", "--f-min=-1e308", "--f-max=1e308"),
+    # output paths are checked before the sweep runs
+    ("sweep", "--out", "{missing}/sweep.csv"),
+    ("sweep", "--plot", "{missing}/sweep.svg"),
+    # the dense solver refuses n = 5000 before it allocates anything
+    ("spectrum", "--solver", "dense", "--nx", "1000", "--ny", "5", "--sectors", "full"),
+    # every command validates the shared keys, also those it does not read
+    ("verify", "--tx", "-1"),
+    ("verify", "--topology", "torus"),
+    ("spectrum", "--solver", "bogus"),
 ])
-def test_invalid_config_exits_2(capsys, argv):
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_invalid_config_exits_2(capsys, tmp_path, argv):
+    argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
     # the case's own flags come last, so they override the small defaults
     code, out, err = run_cli(capsys, argv[0], "--nx", "4", "--f-steps", "3", *argv[1:])
     assert code == 2
     assert out == ""
     assert err.startswith("config error:")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "sweep"])
+def test_linear_algebra_failure_exits_1(capsys, monkeypatch, command):
+    def failing_solve(h, cfg):
+        raise np.linalg.LinAlgError("factorization failed")
+
+    monkeypatch.setattr(cli, "solve", failing_solve)
+    monkeypatch.setattr(experiments, "solve", failing_solve)
+    code, out, err = run_cli(capsys, command, "--nx", "4", "--f-steps", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_holonomy_center_half_flux(capsys):

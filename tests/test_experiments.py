@@ -1,5 +1,7 @@
 """Sweeps, minima detection, nodal amplitude, currents, ladder, equivalence."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -30,8 +32,8 @@ BAND_6X5 = build_lattice(6, 5, MOEBIUS)
 def small_sweep(**overrides):
     base = dict(
         nx=12, ny=5, topology=MOEBIUS, tx=1.0, ty=1.0,
-        f_min=-0.25, f_max=1.25, f_steps=31, k=4,
-        solver=SolverConfig(method="dense"),
+        f_min=-0.25, f_max=1.25, f_steps=31,
+        solver=SolverConfig(k=4, method="dense"),
     )
     base.update(overrides)
     return SweepConfig(**base)
@@ -48,6 +50,11 @@ def test_sweep_config_validation():
         small_sweep(ny=4, sectors=(FULL, ODD))
     with pytest.raises(ValueError):
         small_sweep(sectors=())
+    # a non-finite end or span is refused before the grid holds nan or inf
+    with pytest.raises(ValueError, match="finite"):
+        small_sweep(f_max=math.inf)
+    with pytest.raises(ValueError, match="finite"):
+        small_sweep(f_min=-1e308, f_max=1e308)
 
 
 def test_sweep_config_rejects_invalid_dimensions():
@@ -70,7 +77,7 @@ def test_sweep_config_rejects_empty_odd_sector():
 def test_annulus_sweep_minima_at_integer_flux():
     cfg = SweepConfig(
         nx=24, ny=5, topology=ANNULUS, f_min=0.0, f_max=1.0, f_steps=51,
-        k=2, solver=SolverConfig(method="dense"), sectors=(FULL,),
+        solver=SolverConfig(k=2, method="dense"), sectors=(FULL,),
     )
     records = flux_sweep(cfg)
     assert len(records) == 51
@@ -83,7 +90,7 @@ def test_annulus_sweep_minima_at_integer_flux():
 def test_moebius_sweep_odd_sector_dips_at_half_flux():
     cfg = SweepConfig(
         nx=24, ny=5, topology=MOEBIUS, f_min=0.0, f_max=1.0, f_steps=51,
-        k=2, solver=SolverConfig(method="dense"), sectors=(ODD,),
+        solver=SolverConfig(k=2, method="dense"), sectors=(ODD,),
     )
     records = flux_sweep(cfg)
     e_odd = np.array([rec.e0_odd for rec in records])
