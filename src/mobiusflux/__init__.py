@@ -52,7 +52,6 @@ from .hamiltonian import (
     SparseHermitian,
     SymmetryViolationError,
     assemble,
-    real_isometry,
     reflection_permutation,
     restrict,
     ring_spectrum_oracle,

@@ -16,7 +16,7 @@ count use one symmetric-mode sparse factorization routine.  Residuals
 ||H v - lambda v|| are always recomputed from the returned pairs;
 eigenvectors of degenerate eigenvalues are ambiguous beyond orthonormality.
 Both routes work in the operator's own dtype, so a real symmetric operator
-(see ``hamiltonian.real_isometry``) is solved in real arithmetic: dsyevr
+(see ``hamiltonian.sector_isometry``) is solved in real arithmetic: dsyevr
 in place of zheevr, and real ARPACK on a real factor.
 """
 

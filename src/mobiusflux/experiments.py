@@ -1,8 +1,8 @@
 """Flux-sweep experiments: quantization minima, nodal states, currents.
 
 A sweep assembles the operator at evenly spaced flux values, solves the
-requested sectors in the real basis of ``hamiltonian.real_isometry`` (the
-full space is one of them), and records ground energies, the spectral
+requested sectors in the real basis of ``hamiltonian.sector_isometry``
+(the full space is one of them), and records ground energies, the spectral
 gap, the ground state's amplitude on the center row, and the persistent
 current -dE0/df.  Minima of the sector energies against flux locate the
 quantization values: the even sector dips at integers, the odd (nodal)
@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,10 +27,8 @@ from .hamiltonian import (
     EVEN,
     FULL,
     ODD,
-    SECTORS,
     HoppingParams,
     assemble,
-    real_isometry,
     restrict,
     sector_isometry,
 )
@@ -50,7 +49,7 @@ class SweepConfig:
     sectors: tuple = (FULL, EVEN, ODD)
 
     def __post_init__(self):
-        lat = build_lattice(self.nx, self.ny, self.topology)  # raises on invalid dimensions
+        build_lattice(self.nx, self.ny, self.topology)  # raises on invalid dimensions
         # a non-finite end or span would put nan and inf in f_values
         if not (self.f_min < self.f_max and math.isfinite(float(self.f_max) - float(self.f_min))):
             raise ValueError(f"need finite f_min < f_max, got [{self.f_min}, {self.f_max}]")
@@ -58,9 +57,14 @@ class SweepConfig:
             raise ValueError(f"need f_steps >= 2, got {self.f_steps}")
         if not self.sectors:
             raise ValueError("at least one sector must be requested")
-        for sector in self.sectors:
-            real_isometry(lat, sector)  # raises on unknown or nonexistent sectors
+        self._isometries  # raises on unknown or nonexistent sectors
         HoppingParams(tx=self.tx, ty=self.ty)  # raises on invalid hopping
+
+    @cached_property
+    def _isometries(self) -> dict:
+        """Each requested sector's basis: validation builds it once, and the sweep reuses it."""
+        lat = build_lattice(self.nx, self.ny, self.topology)
+        return {sector: sector_isometry(lat, sector) for sector in dict.fromkeys(self.sectors)}
 
     def f_values(self) -> np.ndarray:
         return np.linspace(self.f_min, self.f_max, self.f_steps)
@@ -92,15 +96,13 @@ def flux_sweep(cfg: SweepConfig) -> list:
     """Run the sweep; solver failures mark the record failed and continue."""
     lat = build_lattice(cfg.nx, cfg.ny, cfg.topology)
     hop = HoppingParams(tx=cfg.tx, ty=cfg.ty)
-    isometries = {sector: real_isometry(lat, sector) for sector in SECTORS
-                  if sector in cfg.sectors}
     records = []
     for f in cfg.f_values():
         f = float(f)
         try:
             h = assemble(lat, uniform_flux_field(lat, f), hop)
             fields = {}
-            for sector, iso in isometries.items():
+            for sector, iso in cfg._isometries.items():
                 hs = restrict(h, iso)
                 res = solve(hs, dataclasses.replace(cfg.solver, k=min(cfg.solver.k, hs.n)))
                 fields[f"e0_{sector}"] = float(res.values[0])

@@ -17,7 +17,7 @@ mirror along the ring, M: (i, j) -> (nx-1-i, j), which reverses every x
 link (the seam's included).  Their product Theta = M K is antiunitary,
 commutes with H and squares to 1, so H is real symmetric in any basis
 that Theta fixes (Wigner's antiunitary symmetry, Dyson's orthogonal
-class).  ``real_isometry`` gives such a basis of each sector:
+class).  ``sector_isometry`` gives such a basis of each sector:
 (e_s + e_Ms)/sqrt(2) and i (e_s - e_Ms)/sqrt(2) over mirror pairs of the
 sector's coordinates, e_s on a fixed column.  It is a unitary similarity
 for any operator, so an input without the mirror symmetry (a
@@ -39,7 +39,6 @@ from .lattice import LatticeError, StripLattice
 FULL = "full"
 EVEN = "even"
 ODD = "odd"
-PARITIES = (EVEN, ODD)
 SECTORS = (FULL, EVEN, ODD)
 
 _HERM_BUILD_TOL = 1e-12
@@ -158,11 +157,12 @@ def reflection_permutation(lat: StripLattice) -> np.ndarray:
 class SectorIsometry:
     """Orthonormal embedding of the full space or one reflection-parity subspace.
 
-    ``parity`` is "full", "even" or "odd".  ``sector_isometry``'s columns are
-    (e(i,j) -/+ e(i,ny-1-j))/sqrt(2) over rows below center, plus, for the
-    even sector, the bare center-row sites; ``real_isometry`` recombines
-    them in mirror pairs.  Each column touches at most four sites, so
-    orthonormality holds to round-off.
+    ``parity`` is "full", "even" or "odd".  The columns are those of the
+    parity basis B, the identity for "full" and otherwise
+    (e(i,j) -/+ e(i,ny-1-j))/sqrt(2) over rows below center plus, for the
+    even sector, the bare center-row sites, recombined in mirror pairs so
+    that Theta = M K fixes each one.  Each column touches at most four
+    sites, so orthonormality holds to round-off.
     """
 
     lattice: StripLattice
@@ -178,52 +178,42 @@ class SectorIsometry:
         return self.matrix @ vec
 
 
-def sector_isometry(lat: StripLattice, parity: str) -> SectorIsometry:
-    """Build the isometry onto the even or odd reflection sector.
-
-    Raises LatticeError where the sector does not exist: ny even (no
-    center row), or the odd sector of a one-row strip, which is empty.
-    """
-    if parity not in PARITIES:
-        raise ValueError(f"parity must be one of {PARITIES}, got {parity!r}")
-    c = lat.center_row
-    if parity == ODD and c == 0:
-        raise LatticeError("the odd sector of a one-row strip is empty")
-    sign = 1.0 if parity == EVEN else -1.0
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    grid = np.arange(lat.n_sites).reshape(lat.nx, lat.ny)
-    below = grid[:, :c].reshape(-1)
-    pairs = np.arange(below.size)
-    rows = [below, reflection_permutation(lat)[below]]
-    cols = [pairs, pairs]
-    vals = [np.full(below.size, inv_sqrt2), np.full(below.size, sign * inv_sqrt2)]
-    if parity == EVEN:
-        rows.append(grid[:, c])
-        cols.append(below.size + np.arange(lat.nx))
-        vals.append(np.ones(lat.nx))
-    dim = below.size + (lat.nx if parity == EVEN else 0)
-    matrix = sp.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(lat.n_sites, dim),
-    )
-    return SectorIsometry(lattice=lat, parity=parity, matrix=matrix)
-
-
-def real_isometry(lat: StripLattice, sector: str) -> SectorIsometry:
+def sector_isometry(lat: StripLattice, sector: str) -> SectorIsometry:
     """Isometry onto a sector ("full", "even" or "odd") whose columns Theta = M K fixes.
 
-    It is the sector's isometry B (the identity for "full") times Theta's
-    real basis on B's coordinates: M permutes B's columns, M b_p = b_q, and
-    a pair p < q becomes (b_p + b_q)/sqrt(2) in column p and
-    i (b_p - b_q)/sqrt(2) in column q; a column M fixes stays.  An operator
-    commuting with Theta restricts to a real symmetric one.
+    It is the parity basis B times Theta's real basis on B's coordinates:
+    M permutes B's columns, M b_p = b_q, and a pair p < q becomes
+    (b_p + b_q)/sqrt(2) in column p and i (b_p - b_q)/sqrt(2) in column q;
+    a column M fixes stays.  An operator commuting with Theta restricts to
+    a real symmetric one.
+
+    Raises LatticeError where a parity sector does not exist: ny even (no
+    center row), or the odd sector of a one-row strip, which is empty.
     """
     if sector not in SECTORS:
         raise ValueError(f"sector must be one of {SECTORS}, got {sector!r}")
     if sector == FULL:
         b = sp.identity(lat.n_sites, format="csc")
     else:
-        b = sector_isometry(lat, sector).matrix
+        c = lat.center_row
+        if sector == ODD and c == 0:
+            raise LatticeError("the odd sector of a one-row strip is empty")
+        sign = 1.0 if sector == EVEN else -1.0
+        inv_sqrt2 = 1.0 / np.sqrt(2.0)
+        grid = np.arange(lat.n_sites).reshape(lat.nx, lat.ny)
+        below = grid[:, :c].reshape(-1)
+        pairs = np.arange(below.size)
+        rows = [below, reflection_permutation(lat)[below]]
+        cols = [pairs, pairs]
+        vals = [np.full(below.size, inv_sqrt2), np.full(below.size, sign * inv_sqrt2)]
+        if sector == EVEN:
+            rows.append(grid[:, c])
+            cols.append(below.size + np.arange(lat.nx))
+            vals.append(np.ones(lat.nx))
+        b = sp.csc_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(lat.n_sites, pairs.size + (lat.nx if sector == EVEN else 0)),
+        )
     mirror = np.arange(lat.n_sites).reshape(lat.nx, lat.ny)[::-1].reshape(-1)
     # column p of B^T (M B) is e_q where M b_p = b_q: one entry per column
     partner = (b.T @ b[mirror]).tocsc().indices

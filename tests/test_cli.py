@@ -35,6 +35,18 @@ def test_spectrum_matches_ring_oracle(capsys):
     assert max(residuals) < 1e-9
 
 
+def test_sector_spectrum_is_the_sweep_bit_for_bit(capsys):
+    # the spectrum command and the sweep solve a sector in one and the same basis
+    size = ["--nx", "48", "--ny", "9", "--ty", "0.01", "--solver", "dense"]
+    code, out, _ = run_cli(capsys, "sweep", *size, "--f-min", "0.3", "--f-max", "0.5",
+                           "--f-steps", "3")
+    assert code == 0
+    for sector in ("even", "odd"):
+        code, spectrum, _ = run_cli(capsys, "spectrum", *size, "--f", "0.3", "--sectors", sector)
+        assert code == 0
+        assert read_csv_column(spectrum, "eigenvalue")[0] == read_csv_column(out, f"e0_{sector}")[0]
+
+
 def test_spectrum_flux_periodicity(capsys):
     argv = ["spectrum", "--nx", "8", "--ny", "3", "--k", "6", "--sectors", "full"]
     _, out0, _ = run_cli(capsys, *argv, "--f", "0")

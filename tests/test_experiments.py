@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mobiusflux import experiments
 from mobiusflux.eigensolver import SolverConfig, dense_eigh
 from mobiusflux.experiments import (
     EVEN,
@@ -55,6 +56,20 @@ def test_sweep_config_validation():
         small_sweep(f_max=math.inf)
     with pytest.raises(ValueError, match="finite"):
         small_sweep(f_min=-1e308, f_max=1e308)
+
+
+@pytest.mark.parametrize("sectors", [(FULL, EVEN, ODD), (ODD, EVEN, ODD), (EVEN,)])
+def test_sweep_builds_each_sector_basis_once(monkeypatch, sectors):
+    calls = []
+
+    def counting(lat, sector):
+        calls.append(sector)
+        return sector_isometry(lat, sector)
+
+    monkeypatch.setattr(experiments, "sector_isometry", counting)
+    records = flux_sweep(small_sweep(f_steps=5, sectors=sectors))
+    assert len(records) == 5
+    assert sorted(calls) == sorted(set(sectors))
 
 
 def test_sweep_config_rejects_invalid_dimensions():

@@ -17,7 +17,6 @@ from mobiusflux.hamiltonian import (
     SparseHermitian,
     SymmetryViolationError,
     assemble,
-    real_isometry,
     reflection_permutation,
     restrict,
     ring_spectrum_oracle,
@@ -119,12 +118,13 @@ def test_reflection_commutes_with_assembled_operator():
 
 def test_sector_isometry_dimensions_and_orthonormality():
     lat = build_lattice(4, 3, MOEBIUS)
+    full = sector_isometry(lat, FULL)
     odd = sector_isometry(lat, ODD)
     even = sector_isometry(lat, EVEN)
-    assert odd.dim == 4 and even.dim == 8
+    assert full.dim == 12 and odd.dim == 4 and even.dim == 8
     assert odd.dim + even.dim == lat.n_sites
-    for iso in (odd, even):
-        gram = (iso.matrix.T @ iso.matrix).toarray()
+    for iso in (full, odd, even):
+        gram = (iso.matrix.conj().T @ iso.matrix).toarray()
         assert_allclose(gram, np.eye(iso.dim), atol=1e-15)
 
 
@@ -221,7 +221,7 @@ def test_sector_isometry_needs_center_row():
         sector_isometry(build_lattice(6, 1, MOEBIUS), ODD)
     assert sector_isometry(build_lattice(6, 1, MOEBIUS), EVEN).dim == 6
     with pytest.raises(ValueError):
-        real_isometry(build_lattice(6, 5, MOEBIUS), "left")
+        sector_isometry(build_lattice(6, 5, MOEBIUS), "left")
 
 
 def test_sparse_hermitian_is_real_only_when_every_imaginary_part_is_zero():
@@ -241,7 +241,7 @@ def test_real_basis_of_a_y_asymmetric_mirror_symmetric_operator(topology, nx):
     along = rng.uniform(0.0, 1.0, lat.nx)
     pot = np.outer(along + along[::-1], rows)
     h = assemble(lat, uniform_flux_field(lat, 0.37), HoppingParams(ty=0.3), pot=pot)
-    iso = real_isometry(lat, FULL)
+    iso = sector_isometry(lat, FULL)
     hr = restrict(h, iso)
     assert hr.csr.dtype == np.float64
     with pytest.raises(SymmetryViolationError):
