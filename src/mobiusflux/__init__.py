@@ -47,6 +47,7 @@ from .hamiltonian import (
     EVEN,
     FULL,
     ODD,
+    FluxPencil,
     HoppingParams,
     SectorIsometry,
     SparseHermitian,

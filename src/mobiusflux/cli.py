@@ -29,9 +29,9 @@ from .gauge import uniform_flux_field, wilson_loop
 from .hamiltonian import (
     FULL,
     SECTORS,
+    FluxPencil,
     HoppingParams,
     assemble,
-    restrict,
     sector_isometry,
 )
 from .lattice import (
@@ -175,11 +175,12 @@ def cmd_spectrum(run: Run, stdout) -> int:
         sector = FULL
     else:
         raise ConfigError("spectrum needs a single sector (or 'full' among them)")
-    h = assemble(run.lattice, uniform_flux_field(run.lattice, run.config.f), run.hop)
     # the full sector stays in the site basis: at n = 1200, Lanczos on the mirror-basis
     # block (8,252 nonzeros against 5,904, plus the restrict) ran 2-12% slower a solve
-    if sector != FULL:
-        h = restrict(h, sector_isometry(run.lattice, sector))
+    if sector == FULL:
+        h = assemble(run.lattice, uniform_flux_field(run.lattice, run.config.f), run.hop)
+    else:  # the sweep's operator, so both print the same e0
+        h = FluxPencil(sector_isometry(run.lattice, sector), run.hop).at(run.config.f)
     result = solve(h, dataclasses.replace(run.solver, k=min(run.solver.k, h.n)))
     stdout.write("index,eigenvalue,residual\n")
     for idx, (val, res) in enumerate(zip(result.values, result.residuals)):
@@ -218,6 +219,19 @@ def parse_sweep_csv(text: str) -> list:
     return rows
 
 
+def _claim_output(path: str) -> bool:
+    """Check that path is writable, leaving an existing file as it is; True if this created it."""
+    try:
+        try:
+            open(path, "x", encoding="utf-8").close()
+            return True
+        except FileExistsError:
+            open(path, "a", encoding="utf-8").close()
+            return False
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_sweep(run: Run, stdout) -> int:
     config = run.config
     sweep_cfg = SweepConfig(
@@ -232,13 +246,16 @@ def cmd_sweep(run: Run, stdout) -> int:
         solver=run.solver,
         sectors=config.sector_list(),
     )
-    for path in (config.out, config.plot):
-        if path:  # an unwritable path fails here, not after the sweep; "a" keeps the file
-            try:
-                open(path, "a", encoding="utf-8").close()
-            except OSError as exc:
-                raise ConfigError(f"cannot write {path}: {exc}") from exc
-    records = flux_sweep(sweep_cfg)
+    created = []
+    try:
+        for path in (config.out, config.plot):
+            if path and _claim_output(path):  # an unwritable path fails here, not after the sweep
+                created.append(path)
+        records = flux_sweep(sweep_cfg)
+    except BaseException:
+        for path in created:
+            Path(path).unlink(missing_ok=True)
+        raise
     csv_text = render_sweep_csv(records)
     if config.out:
         Path(config.out).write_text(csv_text, encoding="utf-8", newline="\n")

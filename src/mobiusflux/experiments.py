@@ -1,14 +1,22 @@
 """Flux-sweep experiments: quantization minima, nodal states, currents.
 
-A sweep assembles the operator at evenly spaced flux values, solves the
-requested sectors in the real basis of ``hamiltonian.sector_isometry``
-(the full space is one of them), and records ground energies, the spectral
-gap, the ground state's amplitude on the center row, and the persistent
-current -dE0/df.  Minima of the sector energies against flux locate the
-quantization values: the even sector dips at integers, the odd (nodal)
-sector at half-odd integers, and both loci are checked against the
-independent annulus identity E_odd(moebius, f) = E(annulus of half
-width, f + 1/2).
+A sweep solves the requested sectors at evenly spaced flux values in the
+real basis of ``hamiltonian.sector_isometry`` (the full space is one of
+them), and records ground energies, the spectral gap, the ground state's
+amplitude on the center row, and the persistent current -dE0/df.  The
+uniform flux makes the operator H(f) = R + cos(phi) X + sin(phi) Y,
+phi = 2*pi*f/nx, so each sector's three pieces are restricted once a
+sweep (``hamiltonian.FluxPencil``) and a point is one combination of
+their data.  Each point still meets the checks of restricting its
+assembled operator: the pieces' leaks summed bound its leak by the same
+1e-12, and its block is checked Hermitian to 1e-12.  The full sector is
+still the whole operator, so ``node_amp`` is computed, not zero by
+construction.
+
+Minima of the sector energies against flux locate the quantization
+values: the even sector dips at integers, the odd (nodal) sector at
+half-odd integers, and both loci are checked against the independent
+annulus identity E_odd(moebius, f) = E(annulus of half width, f + 1/2).
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from .hamiltonian import (
     EVEN,
     FULL,
     ODD,
+    FluxPencil,
     HoppingParams,
     assemble,
     restrict,
@@ -96,21 +105,22 @@ def flux_sweep(cfg: SweepConfig) -> list:
     """Run the sweep; solver failures mark the record failed and continue."""
     lat = build_lattice(cfg.nx, cfg.ny, cfg.topology)
     hop = HoppingParams(tx=cfg.tx, ty=cfg.ty)
+    pencils = {sector: FluxPencil(iso, hop) for sector, iso in cfg._isometries.items()}
     records = []
     for f in cfg.f_values():
         f = float(f)
         try:
-            h = assemble(lat, uniform_flux_field(lat, f), hop)
             fields = {}
-            for sector, iso in cfg._isometries.items():
-                hs = restrict(h, iso)
+            for sector, pencil in pencils.items():
+                hs = pencil.at(f)
                 res = solve(hs, dataclasses.replace(cfg.solver, k=min(cfg.solver.k, hs.n)))
                 fields[f"e0_{sector}"] = float(res.values[0])
                 if sector == FULL:
                     if res.k >= 2:
                         fields["gap"] = float(res.values[1] - res.values[0])
                     if lat.ny % 2 == 1:
-                        fields["node_amp"] = nodal_amplitude(iso.embed(res.vectors[:, 0]), lat)
+                        fields["node_amp"] = nodal_amplitude(
+                            pencil.iso.embed(res.vectors[:, 0]), lat)
             records.append(SweepRecord(f=f, **fields))
         except NoConvergenceError:
             records.append(SweepRecord(f=f, status="failed"))

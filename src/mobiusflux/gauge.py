@@ -101,6 +101,13 @@ class GaugeTransform:
         object.__setattr__(self, "chi", chi)
 
 
+def uniform_flux_angle(lat: StripLattice, f: float) -> float:
+    """The angle 2*pi*f/nx that a uniform flux f puts on every +x link."""
+    if not math.isfinite(f):
+        raise GaugeError("flux must be finite")
+    return TAU * f / lat.nx
+
+
 def uniform_flux_field(lat: StripLattice, f: float) -> GaugeField:
     """Flat field of dimensionless flux f, spread evenly over all x links.
 
@@ -108,12 +115,9 @@ def uniform_flux_field(lat: StripLattice, f: float) -> GaugeField:
     keeps the y -> -y reflection symmetry manifest and the Wilson angle
     around the center loop is 2*pi*f.
     """
-    if not math.isfinite(f):
-        raise GaugeError("flux must be finite")
-    theta = TAU * f / lat.nx
     return GaugeField(
         lattice=lat,
-        theta_x=np.full((lat.nx, lat.ny), theta),
+        theta_x=np.full((lat.nx, lat.ny), uniform_flux_angle(lat, f)),
         theta_y=np.zeros((lat.nx, lat.ny - 1)),
     )
 

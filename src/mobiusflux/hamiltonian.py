@@ -23,17 +23,29 @@ sector's coordinates, e_s on a fixed column.  It is a unitary similarity
 for any operator, so an input without the mirror symmetry (a
 gauge-transformed field, say) keeps its exact spectrum and merely stays
 complex.
+
+A uniform flux f puts one angle phi = 2*pi*f/nx on every x link and
+none on the y links, so H(f) = R + cos(phi) X + sin(phi) Y, with R the
+diagonal plus the rungs, X = -tx (S + S^T) and Y = -i tx (S - S^T), S
+the +x link incidence.  ``FluxPencil`` restricts the three pieces to a
+sector once and evaluates each flux point from their data arrays, with
+the guarantees of ``restrict(assemble(...))``: the leak is linear in H,
+so no point leaks more than the pieces' leaks summed, which must meet
+the same 1e-12; and each point's block is checked Hermitian to 1e-12
+and symmetrized entry by entry, as ``SparseHermitian`` does.
+``restrict(assemble(...))`` stays the path for any other field.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .gauge import GaugeField
+from .gauge import GaugeField, uniform_flux_angle
 from .lattice import LatticeError, StripLattice
 
 FULL = "full"
@@ -86,6 +98,13 @@ class SparseHermitian:
         m.sum_duplicates()
         self._csr = m if np.any(m.data.imag) else m.real
 
+    @classmethod
+    def _wrap_checked(cls, csr) -> "SparseHermitian":
+        """Wrap a CSR matrix already checked and symmetrized as ``__init__`` does."""
+        h = cls.__new__(cls)
+        h._csr = csr
+        return h
+
     @property
     def n(self) -> int:
         return self._csr.shape[0]
@@ -118,22 +137,32 @@ def assemble(lat: StripLattice, field: GaugeField, hop: HoppingParams,
             raise LatticeError(f"potential has {v.size} entries, lattice has {n} sites")
         if not np.all(np.isfinite(v)):
             raise LatticeError("potential must be finite")
-    ids = np.arange(n)
     x_hop = -hop.tx * np.exp(1j * field.theta_x.reshape(-1))
-    # each link (u -> v) enters as H[v, u] = -t exp(i theta) and its conjugate at H[u, v]
-    rows = [ids, lat.x_next, ids]
-    cols = [ids, ids, lat.x_next]
-    vals = [2.0 * hop.tx + 2.0 * hop.ty + v, x_hop, np.conj(x_hop)]
-    if hop.ty != 0.0:
+    y_hop = -hop.ty * np.exp(1j * field.theta_y.reshape(-1)) if hop.ty != 0.0 else None
+    return SparseHermitian(_link_operator(lat, 2.0 * hop.tx + 2.0 * hop.ty + v, x_hop, y_hop))
+
+
+def _link_operator(lat: StripLattice, diag, x_hop, y_hop) -> sp.coo_matrix:
+    """``diag`` on the diagonal plus a value on every +x and +y link; None leaves links out.
+
+    Each link (u -> v) enters as H[v, u] = hop[u] and its conjugate at
+    H[u, v], the +x links read off ``lat.x_next``.
+    """
+    ids = np.arange(lat.n_sites)
+    rows, cols, vals = [ids], [ids], [np.broadcast_to(diag, ids.shape)]
+    if x_hop is not None:
+        rows += [lat.x_next, ids]
+        cols += [ids, lat.x_next]
+        vals += [x_hop, np.conj(x_hop)]
+    if y_hop is not None:
         below = ids.reshape(lat.nx, lat.ny)[:, :-1].reshape(-1)
-        y_hop = -hop.ty * np.exp(1j * field.theta_y.reshape(-1))
         rows += [below + 1, below]
         cols += [below, below + 1]
         vals += [y_hop, np.conj(y_hop)]
-    coo = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(lat.n_sites, lat.n_sites),
     )
-    return SparseHermitian(coo)
 
 
 def ring_spectrum_oracle(nx: int, f: float) -> np.ndarray:
@@ -237,11 +266,67 @@ def restrict(h: SparseHermitian, iso: SectorIsometry) -> SparseHermitian:
     max magnitude.  That is the numerical form of requiring
     reflection-symmetric angles and potential.
     """
-    if h.n != iso.lattice.n_sites:
-        raise ValueError(f"operator dimension {h.n} != lattice size {iso.lattice.n_sites}")
-    hb = h.csr @ iso.matrix
-    block = iso.matrix.conj().T @ hb
-    leak = float(abs(hb - iso.matrix @ block).max())
+    block, leak = _project(h.csr, iso)
     if leak > _SECTOR_LEAK_TOL:
         raise SymmetryViolationError(f"operator couples even and odd sectors (leak {leak:.3e})")
     return SparseHermitian(block)
+
+
+def _project(m, iso: SectorIsometry) -> tuple:
+    """The sparse block B^dagger M B and its leak max |M B - B (B^dagger M B)|, unchecked."""
+    if m.shape[0] != iso.lattice.n_sites:
+        raise ValueError(f"operator dimension {m.shape[0]} != lattice size {iso.lattice.n_sites}")
+    mb = m @ iso.matrix
+    block = iso.matrix.conj().T @ mb
+    return block, float(abs(mb - iso.matrix @ block).max())
+
+
+class FluxPencil:
+    """One sector's uniform-flux operator as a function of f (see the module docstring).
+
+    R, X and Y are projected once, their leaks summed and checked, and
+    laid on one shared pattern, closed under transposition; ``at(f)``
+    combines their data and checks it through the pattern's transpose
+    index.
+    """
+
+    def __init__(self, iso: SectorIsometry, hop: HoppingParams):
+        lat = iso.lattice
+        tx = np.full(lat.n_sites, hop.tx)
+        rungs = np.full(lat.nx * (lat.ny - 1), -hop.ty) if hop.ty != 0.0 else None
+        pieces = (_link_operator(lat, 2.0 * hop.tx + 2.0 * hop.ty, None, rungs),
+                  _link_operator(lat, 0.0, -tx, None),
+                  _link_operator(lat, 0.0, -1j * tx, None))
+        blocks, leaks = zip(*(_project(piece.tocsr(), iso) for piece in pieces))
+        if sum(leaks) > _SECTOR_LEAK_TOL:
+            raise SymmetryViolationError(
+                f"operator couples even and odd sectors (leak {sum(leaks):.3e})")
+        n = iso.dim
+        coos = [block.tocoo() for block in blocks]
+        own = [c.row.astype(np.int64) * n + c.col for c in coos]
+        # the pattern: every piece's entries and their transposes, row-major
+        keys = np.unique(np.concatenate(own + [c.col.astype(np.int64) * n + c.row for c in coos]))
+        rows, cols = np.divmod(keys, n)
+        self.iso = iso
+        self._data = np.zeros((3, keys.size), dtype=complex)
+        for data, c, k in zip(self._data, coos, own):
+            data[np.searchsorted(keys, k)] = c.data
+        self._transpose = np.searchsorted(keys, cols * n + rows)
+        self._indices = cols.astype(np.int32)
+        self._indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+
+    def at(self, f: float) -> SparseHermitian:
+        """The sector operator at flux f: ``restrict(assemble(...))`` to round-off."""
+        phi = uniform_flux_angle(self.iso.lattice, f)
+        r, x, y = self._data
+        data = r + math.cos(phi) * x + math.sin(phi) * y
+        adjoint = data[self._transpose].conj()
+        defect = float(np.max(np.abs(data - adjoint)))
+        if defect > _HERM_BUILD_TOL:
+            raise ValueError(f"matrix is not Hermitian: max defect {defect:.3e}")
+        data = (data + adjoint) * 0.5
+        if not np.any(data.imag):
+            data = data.real
+        n = self.iso.dim
+        csr = sp.csr_matrix((data, self._indices, self._indptr), shape=(n, n))
+        return SparseHermitian._wrap_checked(csr)

@@ -185,7 +185,7 @@ def test_invalid_config_exits_2(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize("command", ["spectrum", "sweep"])
-def test_linear_algebra_failure_exits_1(capsys, monkeypatch, command):
+def test_linear_algebra_failure_exits_1(capsys, monkeypatch, tmp_path, command):
     def failing_solve(h, cfg):
         raise np.linalg.LinAlgError("factorization failed")
 
@@ -195,6 +195,25 @@ def test_linear_algebra_failure_exits_1(capsys, monkeypatch, command):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+    if command == "sweep":
+        # a failed sweep removes the output files it created and keeps the others
+        old, new = tmp_path / "old", tmp_path / "new"
+        old.write_bytes(b"earlier run\n")
+        for out_path, plot_path in ((new, old), (old, new)):
+            code, _, _ = run_cli(capsys, command, "--nx", "4", "--f-steps", "3",
+                                 "--out", str(out_path), "--plot", str(plot_path))
+            assert code == 1
+            assert not new.exists()
+            assert old.read_bytes() == b"earlier run\n"
+
+
+def test_unwritable_plot_leaves_no_new_csv(capsys, tmp_path):
+    out = tmp_path / "sweep.csv"
+    code, _, err = run_cli(capsys, "sweep", "--nx", "4", "--f-steps", "3", "--out", str(out),
+                           "--plot", str(tmp_path / "missing" / "sweep.svg"))
+    assert code == 2
+    assert err.startswith("config error:")
+    assert not out.exists()
 
 
 def test_holonomy_center_half_flux(capsys):

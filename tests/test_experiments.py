@@ -103,21 +103,23 @@ def test_annulus_sweep_minima_at_integer_flux():
 
 
 def test_moebius_sweep_odd_sector_dips_at_half_flux():
-    cfg = SweepConfig(
-        nx=24, ny=5, topology=MOEBIUS, f_min=0.0, f_max=1.0, f_steps=51,
-        solver=SolverConfig(k=2, method="dense"), sectors=(ODD,),
-    )
-    records = flux_sweep(cfg)
-    e_odd = np.array([rec.e0_odd for rec in records])
-    assert np.argmin(e_odd) == 25  # f = 0.5
-    # the odd column reproduces the half-width annulus shifted by 1/2
     ring = build_lattice(24, 2, ANNULUS)
     hop = HoppingParams()
-    for rec in records[::10]:
-        expected = dense_eigh(
-            assemble(ring, uniform_flux_field(ring, rec.f + 0.5), hop)
-        ).values[0]
-        assert rec.e0_odd == pytest.approx(expected, abs=1e-10)
+    # both solvers take the sweep's sector operators; Lanczos certifies its own
+    for method in ("dense", "lanczos"):
+        cfg = SweepConfig(
+            nx=24, ny=5, topology=MOEBIUS, f_min=0.0, f_max=1.0, f_steps=51,
+            solver=SolverConfig(k=2, method=method), sectors=(ODD,),
+        )
+        records = flux_sweep(cfg)
+        e_odd = np.array([rec.e0_odd for rec in records])
+        assert np.argmin(e_odd) == 25  # f = 0.5
+        # the odd column reproduces the half-width annulus shifted by 1/2
+        for rec in records[::10]:
+            expected = dense_eigh(
+                assemble(ring, uniform_flux_field(ring, rec.f + 0.5), hop)
+            ).values[0]
+            assert rec.e0_odd == pytest.approx(expected, abs=1e-10)
 
 
 def test_sweep_records_periodic_in_flux():

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
+from mobiusflux import hamiltonian
 from mobiusflux.eigensolver import dense_eigh
 from mobiusflux.gauge import apply_gauge_transform, uniform_flux_field
 from mobiusflux.experiments import nodal_amplitude
@@ -13,7 +15,9 @@ from mobiusflux.hamiltonian import (
     EVEN,
     FULL,
     ODD,
+    FluxPencil,
     HoppingParams,
+    SectorIsometry,
     SparseHermitian,
     SymmetryViolationError,
     assemble,
@@ -181,6 +185,27 @@ def test_restrict_rejects_asymmetric_y_angles():
     h = assemble(lat, field, HoppingParams())
     with pytest.raises(SymmetryViolationError):
         restrict(h, sector_isometry(lat, EVEN))
+
+
+def test_flux_pencil_keeps_the_leak_and_hermiticity_checks(monkeypatch):
+    lat = build_lattice(6, 5, MOEBIUS)
+    hop = HoppingParams()
+    # the first sites span no sector: the x links leave it
+    corner = SectorIsometry(lat, EVEN, sp.identity(lat.n_sites, format="csc")[:, :7])
+    with pytest.raises(SymmetryViolationError):
+        FluxPencil(corner, hop)
+    # the pieces' leaks are summed: three of 0.4e-12 each meet the bound alone, not together
+    project = hamiltonian._project
+    monkeypatch.setattr(hamiltonian, "_project", lambda m, iso: (project(m, iso)[0], 0.4e-12))
+    with pytest.raises(SymmetryViolationError):
+        FluxPencil(sector_isometry(lat, ODD), hop)
+    monkeypatch.undo()
+    # every point is checked Hermitian: a defect in the cos(phi) piece shows at f = 0
+    pencil = FluxPencil(sector_isometry(lat, ODD), hop)
+    off_diagonal = np.flatnonzero(pencil._transpose != np.arange(pencil._transpose.size))[0]
+    pencil._data[1, off_diagonal] += 1e-9
+    with pytest.raises(ValueError, match="not Hermitian"):
+        pencil.at(0.0)
 
 
 def test_restrict_dimension_mismatch():

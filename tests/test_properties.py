@@ -5,7 +5,8 @@ the one implementation of the seam rule, and must agree exactly with the
 index-array code on random small lattices of both topologies, with the
 seam flip on or off.  The curvature, a sum of four rounded terms, agrees
 to round-off.  The sector bases are checked against their defining
-symmetries and against the plain operator's spectrum.
+symmetries and against the plain operator's spectrum, and the sweep's
+flux pencil against ``restrict`` of the assembled operator.
 """
 
 import math
@@ -30,6 +31,7 @@ from mobiusflux.hamiltonian import (
     FULL,
     ODD,
     SECTORS,
+    FluxPencil,
     HoppingParams,
     assemble,
     reflection_permutation,
@@ -138,8 +140,13 @@ def _sectors(lat):
     return (FULL, EVEN) if lat.ny == 1 else (FULL, EVEN, ODD)
 
 
+# the flux values that matter most (0 and the half quanta) and large phases
+FLUXES = st.one_of(st.sampled_from((0.0, 0.5, -0.5)), st.floats(-2.0, 2.0),
+                   st.floats(-1e3, 1e3))
+
+
 @SMALL
-@given(lattices(), st.floats(-2.0, 2.0), st.data())
+@given(lattices(), FLUXES, st.data())
 def test_sector_isometry_makes_uniform_flux_real_with_the_same_spectrum(lat, f, data):
     hop = HoppingParams(ty=data.draw(st.sampled_from((0.01, 1.0))))
     h = assemble(lat, uniform_flux_field(lat, f), hop)
@@ -163,6 +170,11 @@ def test_sector_isometry_makes_uniform_flux_real_with_the_same_spectrum(lat, f, 
             assert np.array_equal(u[reflection_permutation(lat)], sign * u)
         hr = restrict(h, iso)
         assert hr.csr.dtype == np.float64
+        # the sweep's pencil: the same real operator, exactly symmetric
+        at_f = FluxPencil(iso, hop).at(f)
+        assert at_f.csr.dtype == np.float64
+        assert np.array_equal(at_f.toarray(), at_f.toarray().T)
+        assert np.max(np.abs(dense_eigh(at_f).values - dense_eigh(hr).values)) <= 1e-12
         for in_basis, want, parts in zip((hr, restrict(moved, iso)), plain, parity_parts):
             got = dense_eigh(in_basis).values
             if sector == FULL:
