@@ -63,7 +63,6 @@ from .lattice import (
     MOEBIUS,
     CenterCut,
     LatticeError,
-    LinkStep,
     LoopError,
     LoopPath,
     Site,

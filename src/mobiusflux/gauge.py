@@ -9,7 +9,7 @@ angles, and the curvature array that holds every face's boundary angle
 accumulate.
 
 Sign convention: the holonomy of a uniform field of dimensionless flux f
-around the center loop is exp(+2j*pi*f).  The opposite sign corresponds
+around the center loop is exp(+2j*pi*f).  The other sign corresponds
 to f -> -f, i.e. complex conjugation of all states; spectra and the
 quantization loci are even in f, so nothing downstream depends on the
 choice.
@@ -199,7 +199,7 @@ def lift_field(corr: CenterCut, field: GaugeField) -> GaugeField:
 
     Cut +x links image band +x links directly.  Cut +y links image band
     +y links above center and reversed band y links below it, where the
-    cut's rows run opposite to the band's.
+    cut's rows run against the band's.
     """
     if field.lattice != corr.band:
         raise GaugeError("field lives on a different lattice than the cut")
@@ -261,10 +261,10 @@ def stokes_defect(field: GaugeField, loop1: LoopPath, loop2: LoopPath) -> float:
         work_field = lift_field(corr, field)
     else:
         work_field, w1, w2 = field, loop1, loop2
-    work = work_field.lattice
-    links1, links2 = w1.links, w2.links
-    m = _bounding_face_weights(work, links1, links2)
-    # term by term: summing each face's four links first would round once more per face
-    enclosed = math.fsum(np.concatenate([(m * term).ravel() for term in _face_terms(work_field)]))
-    wilson_gap = _steps_angle(work_field, links1) - _steps_angle(work_field, links2)
+    m = _bounding_face_weights(work_field.lattice, w1.links, w2.links)
+    # term by term over the faces of nonzero weight: summing each face's four links
+    # first would round once more per face
+    inside = m != 0
+    enclosed = math.fsum(np.concatenate([m[inside] * t[inside] for t in _face_terms(work_field)]))
+    wilson_gap = _steps_angle(work_field, w1.links) - _steps_angle(work_field, w2.links)
     return reduce_angle(wilson_gap - enclosed)

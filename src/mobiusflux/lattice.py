@@ -4,9 +4,9 @@ Sites sit on a rectangular grid: ``nx`` columns wrap around the ring and
 ``ny`` rows span the width, with hard (Dirichlet) walls at the top and
 bottom rows.  The Moebius variant glues column ``nx-1`` to column ``0``
 with the row order reversed, the lattice version of identifying (0, y)
-with (L, -y).  Loops are directed closed walks on the grid; their
-homology class is the signed number of seam crossings, which generates
-H_1 of either surface.
+with (L, -y).  Loops are closed walks held as site-id arrays, checked
+against one step table per lattice; their homology class is the signed
+number of seam crossings, which generates H_1 of either surface.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ DIR_MX = "-x"
 DIR_PY = "+y"
 DIR_MY = "-y"
 DIRECTIONS = (DIR_PX, DIR_MX, DIR_PY, DIR_MY)
-
-_OPPOSITE = {DIR_PX: DIR_MX, DIR_MX: DIR_PX, DIR_PY: DIR_MY, DIR_MY: DIR_PY}
+# a direction's code is its index here and its row of the step table: code ^ 1
+# is the reverse direction, odd codes step backward and codes >= 2 along y
+CODE = {name: code for code, name in enumerate(DIRECTIONS)}
 
 
 class LatticeError(ValueError):
@@ -41,15 +42,6 @@ class LoopError(ValueError):
 class Site(NamedTuple):
     i: int
     j: int
-
-
-class LinkStep(NamedTuple):
-    site: Site
-    direction: str
-
-
-def opposite(direction: str) -> str:
-    return _OPPOSITE[direction]
 
 
 @dataclass(frozen=True)
@@ -104,18 +96,27 @@ class StripLattice:
         return i * self.ny + j
 
     @cached_property
-    def x_next(self) -> np.ndarray:
-        """Site id of each site's +x neighbour, indexed by site id.
+    def step_table(self) -> np.ndarray:
+        """Site id one step on from each site, one row per direction code; -1 at a wall.
 
-        Off the seam column that is the id one column on; the seam column's
+        Off the seam column +x is the id one column on; the seam column's
         entries are read off ``neighbor``, so the seam rule has one
-        implementation.  Vectorized code indexes this array instead.
+        implementation.  The -x row is the +x row's inverse.
         """
-        out = np.arange(self.ny, self.n_sites + self.ny)
-        out[-self.ny:] = [self.site_id(neighbor(self, Site(self.nx - 1, j), DIR_PX))
-                          for j in range(self.ny)]
-        out.setflags(write=False)
-        return out
+        ids = np.arange(self.n_sites)
+        east, west, row = ids + self.ny, np.empty_like(ids), ids % self.ny
+        east[-self.ny:] = [self.site_id(neighbor(self, Site(self.nx - 1, j), DIR_PX))
+                           for j in range(self.ny)]
+        west[east] = ids
+        table = np.stack((east, west, np.where(row < self.ny - 1, ids + 1, -1),
+                          np.where(row > 0, ids - 1, -1)))
+        table.setflags(write=False)
+        return table
+
+    @property
+    def x_next(self) -> np.ndarray:
+        """Site id of each site's +x neighbour, indexed by site id: the table's +x row."""
+        return self.step_table[CODE[DIR_PX]]
 
 
 def build_lattice(nx: int, ny: int, topology: str) -> StripLattice:
@@ -148,28 +149,39 @@ def neighbor(lat: StripLattice, site, direction: str) -> Optional[Site]:
     raise LatticeError(f"unknown direction {direction!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoopPath:
-    """Closed directed walk; validated link by link at construction."""
+    """Closed directed walk as arrays, checked against the step table once.
+
+    ``steps`` holds one direction code per step; ``sites`` the site id the
+    walk stands on before each step, then the start again.
+    """
 
     lattice: StripLattice
-    steps: tuple
+    steps: np.ndarray
+    sites: np.ndarray
 
     def __post_init__(self):
-        steps = tuple(LinkStep(Site(*s.site), s.direction) for s in self.steps)
-        object.__setattr__(self, "steps", steps)
-        if not steps:
-            raise LoopError("empty walk is not a loop")
-        pos = steps[0].site
-        for k, step in enumerate(steps):
-            if step.site != pos:
-                raise LoopError(f"step {k} starts at {step.site}, expected {pos}")
-            nxt = neighbor(self.lattice, step.site, step.direction)
-            if nxt is None:
-                raise LoopError(f"step {k} walks through the wall at {step.site} {step.direction}")
-            pos = nxt
-        if pos != steps[0].site:
-            raise LoopError(f"walk ends at {pos}, does not close to {steps[0].site}")
+        lat = self.lattice
+        steps, sites = np.array(self.steps), np.array(self.sites)
+        if steps.size == 0 or steps.shape != (steps.size,) or sites.shape != (steps.size + 1,):
+            raise LoopError(f"a loop is one or more steps and one site more, not "
+                            f"{steps.shape} steps and {sites.shape} sites")
+        for arr, name, end in ((steps, "direction codes", len(DIRECTIONS)),
+                               (sites, "site ids", lat.n_sites)):
+            # checked before the table is indexed, which would wrap a negative id
+            if arr.dtype.kind not in "iu" or np.any((arr < 0) | (arr >= end)):
+                raise LatticeError(f"{name} must be integers in [0, {end})")
+        landed = lat.step_table[steps, sites[:-1]]  # -1 where a step meets a wall
+        if np.any(landed != sites[1:]):
+            k = int(np.argmax(landed != sites[1:]))
+            reached = f"site {landed[k]}" if landed[k] >= 0 else "a wall"
+            raise LoopError(f"step {k} from site {sites[k]} reaches {reached}, not {sites[k + 1]}")
+        if sites[-1] != sites[0]:
+            raise LoopError(f"walk ends at site {sites[-1]}, does not close to {sites[0]}")
+        for name, arr in (("steps", steps.astype(np.int8)), ("sites", sites)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -179,42 +191,36 @@ class LoopPath:
         """Each step's canonical link and the sign it is walked with, as arrays.
 
         A link is an index into theta_x then theta_y, each flattened.  A
-        reversed step walks back along the canonical link out of the next
-        site.  Built once per loop, as ``x_next`` is once per lattice.
+        backward step walks the canonical link out of the next site.
         """
-        lat = self.lattice
-        sid = np.array([lat.site_id(site) for site in self.sites()])
-        d = np.array([step.direction for step in self.steps])
-        backward = (d == DIR_MX) | (d == DIR_MY)
-        source = np.where(backward, np.concatenate((sid[1:], sid[:1])), sid)
-        along_y = (d == DIR_PY) | (d == DIR_MY)
-        link = np.where(along_y, lat.n_sites + source - source // lat.ny, source)
+        lat, steps = self.lattice, self.steps
+        backward = steps % 2 == 1
+        source = np.where(backward, self.sites[1:], self.sites[:-1])
+        link = np.where(steps >= CODE[DIR_PY], lat.n_sites + source - source // lat.ny, source)
         sign = 1 - 2 * backward
         for arr in (link, sign):
             arr.setflags(write=False)
         return link, sign
 
-    def sites(self) -> tuple:
-        return tuple(step.site for step in self.steps)
-
 
 def walk_loop(lat: StripLattice, start, directions) -> LoopPath:
-    """Build a LoopPath from a start site and a direction sequence."""
-    pos = Site(*start)
-    steps = []
+    """Build a LoopPath from a start site and a sequence of direction names."""
+    if not lat.contains(start):
+        raise LatticeError(f"site {start} outside lattice {lat.nx}x{lat.ny}")
+    steps, sites = [], [lat.site_id(start)]
     for d in directions:
-        steps.append(LinkStep(pos, d))
-        nxt = neighbor(lat, pos, d)
-        if nxt is None:
-            raise LoopError(f"walk blocked at {pos} going {d}")
-        pos = nxt
-    return LoopPath(lat, tuple(steps))
+        if d not in CODE:
+            raise LatticeError(f"unknown direction {d!r}")
+        steps.append(CODE[d])
+        sites.append(int(lat.step_table[CODE[d], sites[-1]]))
+        if sites[-1] < 0:  # stop here: the table would read -1 as the last site id
+            raise LoopError(f"walk blocked at site {sites[-2]} going {d}")
+    return LoopPath(lat, np.array(steps, dtype=np.int8), np.array(sites))
 
 
 def center_loop(lat: StripLattice) -> LoopPath:
     """The nx-step loop along the middle row, closed on both topologies."""
-    c = lat.center_row
-    return walk_loop(lat, Site(0, c), [DIR_PX] * lat.nx)
+    return walk_loop(lat, Site(0, lat.center_row), [DIR_PX] * lat.nx)
 
 
 def offset_loop(lat: StripLattice, j: int) -> LoopPath:
@@ -226,24 +232,18 @@ def offset_loop(lat: StripLattice, j: int) -> LoopPath:
     """
     if not 0 <= j < lat.ny:
         raise LatticeError(f"row {j} outside [0, {lat.ny})")
-    if lat.is_moebius:
-        if lat.ny % 2 == 1 and j == lat.center_row:
-            raise LatticeError("row j is the center row; use center_loop for it")
-        return walk_loop(lat, Site(0, j), [DIR_PX] * (2 * lat.nx))
-    return walk_loop(lat, Site(0, j), [DIR_PX] * lat.nx)
+    if lat.is_moebius and lat.ny % 2 == 1 and j == lat.center_row:
+        raise LatticeError("row j is the center row; use center_loop for it")
+    return walk_loop(lat, Site(0, j), [DIR_PX] * (2 if lat.is_moebius else 1) * lat.nx)
 
 
 def homology_class(lat: StripLattice, loop: LoopPath) -> int:
     """Signed count of seam crossings; the class in H_1 = Z with [center] = 1."""
     if loop.lattice != lat:
         raise LoopError("loop belongs to a different lattice")
-    n = 0
-    for site, direction in loop.steps:
-        if direction == DIR_PX and site.i == lat.nx - 1:
-            n += 1
-        elif direction == DIR_MX and site.i == 0:
-            n -= 1
-    return n
+    column = loop.sites[:-1] // lat.ny
+    return int(np.count_nonzero((loop.steps == CODE[DIR_PX]) & (column == lat.nx - 1))
+               - np.count_nonzero((loop.steps == CODE[DIR_MX]) & (column == 0)))
 
 
 @dataclass(frozen=True)
@@ -253,7 +253,7 @@ class CenterCut:
     ``cut`` has nx' = 2*nx columns and ny' = (ny-1)/2 rows.  Columns
     [0, nx) image the rows above center, columns [nx, 2*nx) the rows
     below center in flipped order; the maps preserve adjacency.  Cut rows
-    in the lower block run opposite to band rows, so lifting flips the y
+    in the lower block run against the band rows, so lifting flips the y
     direction there.  ``to_band`` holds the band site id of each cut site
     id; ``from_band``, its inverse, holds the cut site id of each band site
     id, and -1 on the center row.
@@ -268,16 +268,12 @@ class CenterCut:
         """Image of a center-avoiding band loop on the cut annulus."""
         if loop.lattice != self.band:
             raise LoopError("loop belongs to a different lattice")
-        c = self.band.center_row
-        steps = []
-        for site, direction in loop.steps:
-            lifted = int(self.from_band[self.band.site_id(site)])
-            if lifted < 0:
-                raise LoopError("loop touches the center row and does not lift")
-            if site.j < c and direction in (DIR_PY, DIR_MY):
-                direction = opposite(direction)
-            steps.append(LinkStep(Site(*divmod(lifted, self.cut.ny)), direction))
-        return LoopPath(self.cut, tuple(steps))
+        sites = self.from_band[loop.sites]
+        if np.any(sites < 0):
+            raise LoopError("loop touches the center row and does not lift")
+        below = loop.sites[:-1] % self.band.ny < self.band.center_row
+        steps = np.where(below & (loop.steps >= CODE[DIR_PY]), loop.steps ^ 1, loop.steps)
+        return LoopPath(self.cut, steps, sites)
 
 
 def cut_complement_of_center(lat: StripLattice) -> CenterCut:

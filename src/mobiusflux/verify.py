@@ -39,19 +39,19 @@ from .hamiltonian import (
 )
 from .lattice import (
     ANNULUS,
+    CODE,
     DIR_MY,
     DIR_PX,
     DIR_PY,
     MOEBIUS,
     LoopError,
+    LoopPath,
     Site,
     StripLattice,
     build_lattice,
     center_loop,
     homology_class,
-    neighbor,
     offset_loop,
-    walk_loop,
 )
 
 ANGLE_TOL = 1e-12
@@ -71,8 +71,18 @@ def _moebius(nx: int, ny: int, broken_seam: bool) -> StripLattice:
     return StripLattice(nx=nx, ny=ny, topology=MOEBIUS, seam_flip=not broken_seam)
 
 
-def _y_moves(a: int, b: int) -> list:
-    return [DIR_PY] * (b - a) if b >= a else [DIR_MY] * (a - b)
+def _column_walk(lat: StripLattice, rows: list) -> LoopPath:
+    """The walk through column k % nx from row a to row b for the k-th (a, b) of
+    ``rows``, stepping +x between columns; each step's code is read off its two sites."""
+    sites = []
+    for k, (a, b) in enumerate(rows):
+        step, base = (1 if b >= a else -1), k % lat.nx * lat.ny
+        sites += range(base + a, base + b + step, step)
+    sites = np.array(sites)
+    column = sites // lat.ny
+    codes = np.where(column[1:] != column[:-1], CODE[DIR_PX],
+                     np.where(sites[1:] > sites[:-1], CODE[DIR_PY], CODE[DIR_MY]))
+    return LoopPath(lat, codes.astype(np.int8), sites)
 
 
 def random_class2_loop(lat: StripLattice, rng: np.random.Generator):
@@ -87,34 +97,28 @@ def random_class2_loop(lat: StripLattice, rng: np.random.Generator):
     if c < 1:
         raise ValueError("need ny >= 3 for center-avoiding loops")
     r0 = int(rng.integers(0, c))
-    r = r0
-    dirs = []
+    r, rows = r0, []
     for half_lo, half_hi in ((0, c), (c + 1, lat.ny)):
         if not half_lo <= r < half_hi:
             raise LoopError(f"the seam keeps row {r} in its half; "
                             "the walk would cross the center row")
         for _ in range(lat.nx):
             target = int(rng.integers(half_lo, half_hi))
-            dirs += _y_moves(r, target)
-            dirs.append(DIR_PX)
+            rows.append((r, target))
             r = target
-        r = neighbor(lat, Site(lat.nx - 1, r), DIR_PX).j
-    dirs += _y_moves(r, r0)
-    return walk_loop(lat, Site(0, r0), dirs)
+        r = int(lat.x_next[lat.site_id((lat.nx - 1, r))]) % lat.ny
+    return _column_walk(lat, rows + [(r, r0)])
 
 
 def random_annulus_loop(lat: StripLattice, rng: np.random.Generator, wraps: int = 1):
     """Random class-``wraps`` walk on an annulus, wandering over all rows."""
     r0 = int(rng.integers(0, lat.ny))
-    r = r0
-    dirs = []
+    r, rows = r0, []
     for _ in range(wraps * lat.nx):
         target = int(rng.integers(0, lat.ny))
-        dirs += _y_moves(r, target)
-        dirs.append(DIR_PX)
+        rows.append((r, target))
         r = target
-    dirs += _y_moves(r, r0)
-    return walk_loop(lat, Site(0, r0), dirs)
+    return _column_walk(lat, rows + [(r, r0)])
 
 
 def random_gauge_transform(lat: StripLattice, rng: np.random.Generator) -> GaugeTransform:

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, CSV schema and round trip, SVG, verify."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -268,6 +269,33 @@ def test_verify_passes_on_clean_build(capsys):
     lines = [line for line in out.strip().split("\n") if line.startswith(("PASS", "FAIL"))]
     assert len(lines) == 11
     assert all(line.startswith("PASS") for line in lines)
+
+
+# the holonomy checks' detail lines at seed 12345, timings stripped; the
+# seam-broken failures are LoopErrors from random_class2_loop
+_SEAM = "LoopError: the seam keeps row 1 in its half; the walk would cross the center row"
+HOLONOMY_LINES = {
+    False: ["PASS flatness: max |curvature| = 1.78e-15 (tol 1e-12)",
+            "PASS gauge_invariance: max angle shift mod 2pi = 1.78e-15 (tol 1e-12)",
+            "PASS homology_invariance: max homologous angle gap = 3.55e-15 (tol 1e-12)",
+            "PASS loop_doubling: bit-exact doubling in 20/20 random fluxes",
+            "PASS stokes_defect: max |defect| = 2.61e-15 (tol 1e-12)"],
+    True: ["PASS flatness: max |curvature| = 1.78e-15 (tol 1e-12)",
+           f"FAIL gauge_invariance: {_SEAM}",
+           f"FAIL homology_invariance: {_SEAM}",
+           "PASS loop_doubling: bit-exact doubling in 20/20 random fluxes",
+           f"FAIL stokes_defect: {_SEAM}"],
+}
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_verify_holonomy_lines_are_pinned(capsys, broken):
+    _, out, _ = run_cli(capsys, "verify", "--seed", "12345", *(["--broken-seam"] * broken))
+    names = ("flatness", "gauge_invariance", "homology_invariance", "loop_doubling",
+             "stokes_defect")
+    lines = [re.sub(r" \[\d+\.\d\ds\]$", "", line) for line in out.strip().split("\n")
+             if line.split(" ", 2)[1].rstrip(":") in names]
+    assert lines == HOLONOMY_LINES[broken]
 
 
 def test_verify_broken_seam_fails(capsys):

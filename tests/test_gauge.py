@@ -23,7 +23,9 @@ from mobiusflux.hamiltonian import HoppingParams, assemble
 from mobiusflux.lattice import (
     ANNULUS,
     MOEBIUS,
+    LoopError,
     Site,
+    StripLattice,
     build_lattice,
     center_loop,
     cut_complement_of_center,
@@ -229,6 +231,15 @@ def test_stokes_defect_random_fields_and_loops():
         )
         l1, l2 = random_class2_loop(lat, rng), random_class2_loop(lat, rng)
         assert abs(stokes_defect(field, l1, l2)) < 1e-12
+
+
+def test_random_class2_loop_refuses_a_broken_seam():
+    # without the flip the seam keeps the walk in the lower half, where the
+    # second circuit would have to cross the center row
+    lat = StripLattice(6, 5, MOEBIUS, seam_flip=False)
+    rng = np.random.default_rng(12345)
+    with pytest.raises(LoopError, match="the seam keeps row"):
+        random_class2_loop(lat, rng)
 
 
 def test_stokes_defect_rejects_non_homologous():

@@ -5,10 +5,10 @@ import pytest
 
 from mobiusflux.lattice import (
     ANNULUS,
+    CODE,
     DIRECTIONS,
     MOEBIUS,
     LatticeError,
-    LinkStep,
     LoopError,
     LoopPath,
     Site,
@@ -18,7 +18,6 @@ from mobiusflux.lattice import (
     homology_class,
     neighbor,
     offset_loop,
-    opposite,
     walk_loop,
 )
 
@@ -63,8 +62,8 @@ def test_neighbor_involutive(topo, nx, ny):
     for site in lat.sites():
         for d in DIRECTIONS:
             there = neighbor(lat, site, d)
-            if there is not None:
-                assert neighbor(lat, there, opposite(d)) == site
+            if there is not None:  # code ^ 1 is the reverse direction
+                assert neighbor(lat, there, DIRECTIONS[CODE[d] ^ 1]) == site
 
 
 def test_fundamental_group_doubling_at_lattice_level():
@@ -82,7 +81,7 @@ def test_fundamental_group_doubling_at_lattice_level():
 def test_center_loop():
     loop = center_loop(build_lattice(8, 5, MOEBIUS))
     assert len(loop) == 8
-    assert all(site.j == 2 for site in loop.sites())
+    assert np.array_equal(loop.sites, np.arange(9) % 8 * 5 + 2)
     assert len(center_loop(build_lattice(3, 1, ANNULUS))) == 3
     with pytest.raises(LatticeError):
         center_loop(build_lattice(8, 4, MOEBIUS))
@@ -92,7 +91,7 @@ def test_offset_loop():
     moe = build_lattice(8, 5, MOEBIUS)
     loop = offset_loop(moe, 0)
     assert len(loop) == 16
-    rows = {site.j for site in loop.sites()}
+    rows = set((loop.sites % moe.ny).tolist())
     assert rows == {0, 4}  # one circuit each on the row and its mirror
     assert len(offset_loop(build_lattice(8, 5, ANNULUS), 0)) == 8
     with pytest.raises(LatticeError):
@@ -127,14 +126,38 @@ def test_homology_rejects_foreign_loop():
 
 def test_loop_validation():
     lat = build_lattice(6, 3, ANNULUS)
+    px, py, my = CODE["+x"], CODE["+y"], CODE["-y"]
     with pytest.raises(LoopError):
-        LoopPath(lat, ())  # empty
-    with pytest.raises(LoopError):  # does not chain
-        LoopPath(lat, (LinkStep(Site(0, 0), "+x"), LinkStep(Site(3, 0), "+x")))
+        LoopPath(lat, [], [0])  # empty
+    with pytest.raises(LoopError):  # does not chain: +x from (0, 0) is (1, 0), not (3, 0)
+        LoopPath(lat, [px, px], [lat.site_id((0, 0)), lat.site_id((3, 0)), lat.site_id((4, 0))])
     with pytest.raises(LoopError):  # does not close
-        LoopPath(lat, (LinkStep(Site(0, 0), "+x"),))
+        LoopPath(lat, [px], [lat.site_id((0, 0)), lat.site_id((1, 0))])
     with pytest.raises(LoopError):  # through the wall
         walk_loop(lat, Site(0, 0), ["-y", "+y"])
+    with pytest.raises(LoopError):  # through the wall, as arrays
+        LoopPath(lat, [my, py], [0, 1, 0])
+    for code in (4, -1):  # no such direction
+        with pytest.raises(LatticeError):
+            LoopPath(lat, [code, my], [0, 1, 0])
+    # a start outside the lattice; numpy would read id -18 as 0, which closes row 0
+    for start in (-18, -1, 18, 19):
+        with pytest.raises(LatticeError):
+            LoopPath(lat, [px] * 6, [start, 3, 6, 9, 12, 15, start])
+        with pytest.raises(LatticeError):
+            walk_loop(lat, divmod(start, 3), ["+x"] * 6)
+    for name in ("up", px):  # walk_loop takes names, not codes
+        with pytest.raises(LatticeError):
+            walk_loop(lat, Site(0, 0), ["+x", name])
+
+
+def test_loops_are_read_only_arrays():
+    loop = walk_loop(build_lattice(6, 3, ANNULUS), Site(2, 1), ["+x", "+y", "-x", "-y"])
+    assert loop.steps.dtype == np.int8
+    assert loop.steps.tolist() == [CODE[d] for d in ("+x", "+y", "-x", "-y")]
+    assert loop.sites.tolist() == [7, 10, 11, 8, 7]
+    for arr in (loop.steps, loop.sites, *loop.links):
+        assert not arr.flags.writeable
 
 
 def test_cut_complement_shape_and_bijection():

@@ -4,9 +4,11 @@ Each reference below walks the lattice site by site through ``neighbor``,
 the one implementation of the seam rule, and must agree exactly with the
 index-array code on random small lattices of both topologies, with the
 seam flip on or off.  The curvature, a sum of four rounded terms, agrees
-to round-off.  The sector bases are checked against their defining
-symmetries and against the plain operator's spectrum, and the sweep's
-flux pencil against ``restrict`` of the assembled operator.
+to round-off.  Loops are walked again through ``neighbor`` for their
+Wilson angle and seam crossings, and lifted to the cut-open band.  The
+sector bases are checked against their defining symmetries and against
+the plain operator's spectrum, and the sweep's flux pencil against
+``restrict`` of the assembled operator.
 """
 
 import math
@@ -23,6 +25,7 @@ from mobiusflux.gauge import (
     GaugeTransform,
     apply_gauge_transform,
     face_curvature,
+    lift_field,
     uniform_flux_field,
     wilson_loop,
 )
@@ -44,14 +47,16 @@ from mobiusflux.lattice import (
     DIR_PX,
     DIR_PY,
     DIRECTIONS,
+    MOEBIUS,
     TOPOLOGIES,
     LatticeError,
-    LinkStep,
-    LoopPath,
+    LoopError,
     Site,
     StripLattice,
+    cut_complement_of_center,
+    homology_class,
     neighbor,
-    opposite,
+    walk_loop,
 )
 
 SMALL = settings(max_examples=60, deadline=None)
@@ -59,19 +64,23 @@ SMALL = settings(max_examples=60, deadline=None)
 ANGLES = st.floats(-10.0, 10.0)
 
 
+_REVERSE = {DIR_PX: DIR_MX, DIR_MX: DIR_PX, DIR_PY: DIR_MY, DIR_MY: DIR_PY}
+
+
 @st.composite
-def lattices(draw, ny=st.integers(1, 7)):
+def lattices(draw, ny=st.integers(1, 7), topology=st.sampled_from(TOPOLOGIES),
+             seam_flip=st.booleans()):
     return StripLattice(
         nx=draw(st.integers(3, 9)),
         ny=draw(ny),
-        topology=draw(st.sampled_from(TOPOLOGIES)),
-        seam_flip=draw(st.booleans()),
+        topology=draw(topology),
+        seam_flip=draw(seam_flip),
     )
 
 
 @st.composite
-def fields(draw):
-    lat = draw(lattices())
+def fields(draw, lats=lattices()):
+    lat = draw(lats)
     return GaugeField(
         lattice=lat,
         theta_x=draw(hnp.arrays(float, (lat.nx, lat.ny), elements=ANGLES)),
@@ -82,8 +91,15 @@ def fields(draw):
 @SMALL
 @given(lattices())
 def test_x_next_is_the_plus_x_neighbor(lat):
+    # and the step table's row for each direction is that neighbour, -1 at a wall
+    assert lat.step_table.shape == (len(DIRECTIONS), lat.n_sites)
+    assert not lat.step_table.flags.writeable
     for site in lat.sites():
         assert lat.x_next[lat.site_id(site)] == lat.site_id(neighbor(lat, site, DIR_PX))
+        for code, direction in enumerate(DIRECTIONS):
+            there = neighbor(lat, site, direction)
+            want = -1 if there is None else lat.site_id(there)
+            assert lat.step_table[code, lat.site_id(site)] == want
 
 
 @SMALL
@@ -208,7 +224,7 @@ def _face_boundary_angle(field, corner):
     """
     lat, pos, flipped, angles = field.lattice, Site(*corner), False, []
     for chart_dir in (DIR_PX, DIR_PY, DIR_MX, DIR_MY):
-        d = opposite(chart_dir) if flipped and chart_dir in (DIR_PY, DIR_MY) else chart_dir
+        d = _REVERSE[chart_dir] if flipped and chart_dir in (DIR_PY, DIR_MY) else chart_dir
         angles.append(_link_angle(field, pos, d))
         if d in (DIR_PX, DIR_MX) and neighbor(lat, Site(pos.i, 0), d).j != 0:
             flipped = not flipped
@@ -236,26 +252,67 @@ def loops(draw, lat):
     for d in draw(st.lists(st.sampled_from(DIRECTIONS), max_size=30)):
         nxt = neighbor(lat, pos, d)
         if nxt is not None:
-            path.append(LinkStep(pos, d))
+            path.append((pos, d))
             pos = nxt
     circuit = []
     for _ in range(draw(st.integers(1, 2))):
         here = pos
         while True:
-            circuit.append(LinkStep(here, DIR_PX))
+            circuit.append((here, DIR_PX))
             here = neighbor(lat, here, DIR_PX)
             if here == pos:
                 break
-    back = [LinkStep(neighbor(lat, step.site, step.direction), opposite(step.direction))
-            for step in reversed(path)]
+    back = [(neighbor(lat, site, d), _REVERSE[d]) for site, d in reversed(path)]
     steps = path + circuit + back
     k = draw(st.integers(0, len(steps) - 1))  # start the loop anywhere along it
-    return LoopPath(lat, tuple(steps[k:] + steps[:k]))
+    steps = steps[k:] + steps[:k]
+    return walk_loop(lat, steps[0][0], [d for _, d in steps])
+
+
+def _walked(loop):
+    """The loop's (site, direction) steps, walked from its start through ``neighbor``."""
+    lat = loop.lattice
+    pos, out = Site(*divmod(int(loop.sites[0]), lat.ny)), []
+    for code, site_id in zip(loop.steps.tolist(), loop.sites[1:].tolist()):
+        out.append((pos, DIRECTIONS[code]))
+        pos = neighbor(lat, pos, DIRECTIONS[code])
+        assert lat.site_id(pos) == site_id
+    return out
 
 
 @SMALL
 @given(fields(), st.data())
 def test_wilson_loop_is_the_per_step_sum_bit_for_bit(field, data):
     loop = data.draw(loops(field.lattice))
-    want = math.fsum(_link_angle(field, step.site, step.direction) for step in loop.steps)
+    want = math.fsum(_link_angle(field, site, d) for site, d in _walked(loop))
     assert wilson_loop(field, loop).angle == want
+
+
+@SMALL
+@given(lattices(), st.data())
+def test_homology_class_is_the_signed_count_of_seam_crossings(lat, data):
+    loop = data.draw(loops(lat))
+    crossings = 0
+    for site, d in _walked(loop):
+        if d in (DIR_PX, DIR_MX) and abs(neighbor(lat, site, d).i - site.i) > 1:
+            crossings += 1 if d == DIR_PX else -1
+    assert homology_class(lat, loop) == crossings
+
+
+CUT_BANDS = lattices(ny=st.sampled_from((3, 5, 7)), topology=st.just(MOEBIUS),
+                     seam_flip=st.just(True))
+
+
+@SMALL
+@given(fields(CUT_BANDS), st.data())
+def test_lift_halves_the_class_and_keeps_the_wilson_angle(field, data):
+    band = field.lattice
+    loop = data.draw(loops(band))
+    corr = cut_complement_of_center(band)
+    if any(site.j == band.center_row for site, _ in _walked(loop)):
+        with pytest.raises(LoopError):
+            corr.lift_loop(loop)
+        return
+    lifted = corr.lift_loop(loop)
+    assert 2 * homology_class(corr.cut, lifted) == homology_class(band, loop)
+    assert wilson_loop(lift_field(corr, field), lifted).angle == wilson_loop(field, loop).angle
