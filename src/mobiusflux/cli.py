@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -321,6 +322,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="exit 1 if any sweep point fails to converge")
 
 
+@functools.cache  # built on first use, then shared by every main() call of the process
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mobiusflux",

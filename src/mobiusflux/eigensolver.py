@@ -12,7 +12,8 @@ A Krylov method can skip copies of a degenerate eigenvalue (routine at
 half-integer flux) while every residual it reports is tiny, so an
 iterative answer counts only once a Sylvester inertia count shows that no
 eigenvalue below its top value was missed.  The shift-invert solves and the
-count use one symmetric-mode sparse factorization routine.  Residuals
+counts use one symmetric-mode sparse factorization, set up once per solve:
+each shift is a data update on the diagonal of one CSC copy of H.  Residuals
 ||H v - lambda v|| are always recomputed from the returned pairs;
 eigenvectors of degenerate eigenvalues are ambiguous beyond orthonormality.
 Both routes work in the operator's own dtype, so a real symmetric operator
@@ -124,17 +125,62 @@ def _gershgorin(h: SparseHermitian) -> tuple:
     return float(np.min(diag - radius)), float(np.max(diag + radius))
 
 
-def _symmetric_lu(h: SparseHermitian, sigma: float):
-    """Sparse LU of H - sigma I by SuperLU in symmetric mode with diagonal pivots.
+class _Shifts:
+    """H's Gershgorin interval and a CSC copy of H with a slot for every diagonal entry.
 
-    When the pivots stay diagonal (perm_r == perm_c) it is the congruence
-    P (H - sigma I) P^T = L D L^H with D the diagonal of U.
+    Built once per solve: each factor of H - sigma I is then a data update
+    on the diagonal slots, and it holds the same entries as the sparse
+    difference H - sigma I, apart from a diagonal entry that is exactly zero,
+    which stays a slot here.
     """
-    from scipy.sparse.linalg import splu
 
-    shifted = (h.csr - sigma * sp.identity(h.n, format="csr")).tocsc()
-    return splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                options={"SymmetricMode": True})
+    def __init__(self, h: SparseHermitian):
+        self.lo, self.hi = _gershgorin(h)
+        n, coo = h.n, h.csr.tocoo()
+        off = (coo.row != coo.col) & (coo.data != 0)  # as H - sigma I drops H's explicit zeros
+        ids = np.arange(n)
+        self._diag = h.csr.diagonal()
+        self._csc = sp.csc_matrix(
+            (np.concatenate([coo.data[off], self._diag]),
+             (np.concatenate([coo.row[off], ids]), np.concatenate([coo.col[off], ids]))),
+            shape=(n, n))
+        self._slots = np.flatnonzero(self._csc.indices == np.repeat(ids, np.diff(self._csc.indptr)))
+
+    def factor(self, sigma: float):
+        """Sparse LU of H - sigma I by SuperLU in symmetric mode with diagonal pivots.
+
+        When the pivots stay diagonal (perm_r == perm_c) it is the congruence
+        P (H - sigma I) P^T = L D L^H with D the diagonal of U.
+        """
+        from scipy.sparse.linalg import splu
+
+        self._csc.data[self._slots] = self._diag - sigma  # the factor keeps no reference to it
+        return splu(self._csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                    options={"SymmetricMode": True})
+
+    def count_below(self, sigma: float) -> Optional[int]:
+        """The inertia count of ``inertia_count`` from the sparse factor; None where it is not trusted."""
+        try:
+            lu = self.factor(sigma)
+        except RuntimeError:  # SuperLU's "Factor is exactly singular": sigma is an eigenvalue
+            return None
+        norm = max(self.hi - sigma, sigma - self.lo)  # bounds ||H - sigma I||
+        u = lu.U
+        pivots = u.diagonal()
+        if (np.array_equal(lu.perm_r, lu.perm_c)
+                and np.max(np.abs(pivots.imag)) <= _SQRT_EPS * norm
+                and np.max(np.abs(u.data)) <= norm / _SQRT_EPS):
+            return int(np.count_nonzero(pivots.real < 0))
+        return None
+
+
+def _dense_count(h: SparseHermitian, sigma: float) -> int:
+    """Number of eigenvalues of h below sigma from the dense spectrum; n <= 4096."""
+    if h.n > _DENSE_MAX_N:
+        raise np.linalg.LinAlgError(
+            f"no trustworthy sparse factor of H - {sigma!r} I, and n={h.n} exceeds "
+            f"the dense count's limit {_DENSE_MAX_N}")
+    return int(np.count_nonzero(np.linalg.eigvalsh(h.toarray()) < sigma))
 
 
 def inertia_count(h: SparseHermitian, sigma: float) -> int:
@@ -150,22 +196,8 @@ def inertia_count(h: SparseHermitian, sigma: float) -> int:
     singular, the dense spectrum counts.  Above the dense path's size limit
     that fallback raises LinAlgError.
     """
-    try:
-        lu = _symmetric_lu(h, sigma)
-        lo, hi = _gershgorin(h)
-        norm = max(hi - sigma, sigma - lo)  # bounds ||H - sigma I||
-        pivots = lu.U.diagonal()
-        if (np.array_equal(lu.perm_r, lu.perm_c)
-                and np.max(np.abs(pivots.imag)) <= _SQRT_EPS * norm
-                and abs(lu.U).max() <= norm / _SQRT_EPS):
-            return int(np.count_nonzero(pivots.real < 0))
-    except RuntimeError:  # SuperLU's "Factor is exactly singular": sigma is an eigenvalue
-        pass
-    if h.n > _DENSE_MAX_N:
-        raise np.linalg.LinAlgError(
-            f"no trustworthy sparse factor of H - {sigma!r} I, and n={h.n} exceeds "
-            f"the dense count's limit {_DENSE_MAX_N}")
-    return int(np.count_nonzero(np.linalg.eigvalsh(h.toarray()) < sigma))
+    count = _Shifts(h).count_below(sigma)
+    return _dense_count(h, sigma) if count is None else count
 
 
 def _rayleigh_ritz(h: SparseHermitian, basis: np.ndarray, k: int) -> EigenResult:
@@ -188,7 +220,9 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
     Rayleigh-Ritz makes the vectors orthonormal.  Residuals must meet
     tol * max(1, |lambda|_max), and the inertia count just above the top
     value must equal the number of values; a larger count means skipped
-    degenerate copies, so the solve is redone for that many.  cfg.max_iter
+    degenerate copies, so the solve is redone for that many.  Where the
+    sparse count there is not trusted, it is taken at one or two higher
+    cuts before the dense count.  cfg.max_iter
     caps the factor solves; on exhaustion the error carries the Ritz pairs of
     the latest Krylov vectors.  k >= n - 1, beyond ARPACK, goes to the dense
     solver.
@@ -202,11 +236,15 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
     re, im = rng.standard_normal(n), rng.standard_normal(n)
     v0 = re + 1j * im if np.iscomplexobj(h.csr) else re
     budget = cfg.max_iter if cfg.max_iter is not None else 10 * n
-    lo, hi = _gershgorin(h)
+    shifts = _Shifts(h)
+    lo, hi = shifts.lo, shifts.hi
     # the floor keeps a multiple of the identity (lo == hi) off its eigenvalue
     sigma = lo - _SQRT_EPS * max(hi - lo, 1.0)
     # positive definite, so diagonal pivots are stable: no growth check as in inertia_count
-    factor = _symmetric_lu(h, sigma)
+    factor = shifts.factor(sigma)
+    # a pivot's rounding grows as eps ||H||^2 / d at a distance d from an eigenvalue, and the
+    # first cut sits within ~||R|| of one: 100 sqrt(eps) ||H|| higher it is ~1% of the bound
+    retry = 100.0 * _SQRT_EPS * (hi - sigma)
     calls = itertools.count()
     latest = collections.deque(maxlen=max(k, 20))  # ARPACK's newest Krylov vectors
 
@@ -236,12 +274,17 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
             raise NoConvergenceError(f"Lanczos residuals exceed tol={cfg.tol}", best=res.lowest(k))
         # Ritz value i is >= lambda_i and within ||R|| of a distinct eigenvalue,
         # so exactly `want` eigenvalues below sigma means none was skipped
+        # and so does any higher cut: where the count at this one is not trusted, one or
+        # two higher ones are tried before the dense count
         cut = res.values[-1] + np.linalg.norm(res.residuals) + cfg.tol * scale
-        try:
-            count = inertia_count(h, cut)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(f"completeness not certified: {exc}",
-                                     best=res.lowest(k)) from None
+        counts = (shifts.count_below(c) for c in (cut, cut + retry, cut + 100.0 * retry))
+        count = next((c for c in counts if c is not None), None)
+        if count is None:
+            try:
+                count = _dense_count(h, cut)
+            except np.linalg.LinAlgError as exc:
+                raise NoConvergenceError(f"completeness not certified: {exc}",
+                                         best=res.lowest(k)) from None
         if count == want:
             return res.lowest(k)
         if count < want:

@@ -11,7 +11,8 @@ their data.  Each point still meets the checks of restricting its
 assembled operator: the pieces' leaks summed bound its leak by the same
 1e-12, and its block is checked Hermitian to 1e-12.  The full sector is
 still the whole operator, so ``node_amp`` is computed, not zero by
-construction.
+construction; it is reported only where the gap (k >= 2) exceeds 1e-8,
+so that the ground state, and with it the amplitude, is unique.
 
 Minima of the sector energies against flux locate the quantization
 values: the even sector dips at integers, the odd (nodal) sector at
@@ -101,8 +102,17 @@ def nodal_amplitude(state: np.ndarray, lat: StripLattice) -> float:
     return float(np.max(np.abs(state.reshape(lat.nx, lat.ny)[:, lat.center_row])))
 
 
+# a full-sector gap at most this small counts as a degenerate ground state
+_UNIQUE_GAP = 1e-8
+
+
 def flux_sweep(cfg: SweepConfig) -> list:
-    """Run the sweep; solver failures mark the record failed and continue."""
+    """Run the sweep; solver failures mark the record failed and continue.
+
+    ``node_amp`` is left empty unless the full-sector gap shows a unique
+    ground state: a degenerate one has no basis-free center-row amplitude,
+    only whatever vector LAPACK returns, and with k = 1 the gap is unknown.
+    """
     lat = build_lattice(cfg.nx, cfg.ny, cfg.topology)
     hop = HoppingParams(tx=cfg.tx, ty=cfg.ty)
     pencils = {sector: FluxPencil(iso, hop) for sector, iso in cfg._isometries.items()}
@@ -115,10 +125,9 @@ def flux_sweep(cfg: SweepConfig) -> list:
                 hs = pencil.at(f)
                 res = solve(hs, dataclasses.replace(cfg.solver, k=min(cfg.solver.k, hs.n)))
                 fields[f"e0_{sector}"] = float(res.values[0])
-                if sector == FULL:
-                    if res.k >= 2:
-                        fields["gap"] = float(res.values[1] - res.values[0])
-                    if lat.ny % 2 == 1:
+                if sector == FULL and res.k >= 2:
+                    fields["gap"] = float(res.values[1] - res.values[0])
+                    if lat.ny % 2 == 1 and fields["gap"] > _UNIQUE_GAP:
                         fields["node_amp"] = nodal_amplitude(
                             pencil.iso.embed(res.vectors[:, 0]), lat)
             records.append(SweepRecord(f=f, **fields))

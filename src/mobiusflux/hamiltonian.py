@@ -5,7 +5,10 @@ absorbs the particle mass, so energies are reported in units of the x
 hopping.  The discrete kinetic term puts 2*tx + 2*ty on every diagonal
 (also at Dirichlet walls, where the missing neighbor simply contributes
 no hop) and -t * exp(i*theta) on every existing link, theta being the
-gauge field's Peierls angle for the hop direction.
+gauge field's Peierls angle for the hop direction.  ``assemble`` writes
+these entries straight onto a CSR pattern built once per lattice, and
+checks and symmetrizes them through the pattern's transpose index, the
+one check it shares with ``FluxPencil.at``.
 
 The reflection y -> -y commutes with any assembled operator whose angles
 and potential share that symmetry; its even and odd eigenspaces are the
@@ -38,9 +41,10 @@ and symmetrized entry by entry, as ``SparseHermitian`` does.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -98,13 +102,6 @@ class SparseHermitian:
         m.sum_duplicates()
         self._csr = m if np.any(m.data.imag) else m.real
 
-    @classmethod
-    def _wrap_checked(cls, csr) -> "SparseHermitian":
-        """Wrap a CSR matrix already checked and symmetrized as ``__init__`` does."""
-        h = cls.__new__(cls)
-        h._csr = csr
-        return h
-
     @property
     def n(self) -> int:
         return self._csr.shape[0]
@@ -118,6 +115,43 @@ class SparseHermitian:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self._csr @ v
+
+
+class _Pattern(NamedTuple):
+    """A square CSR pattern closed under transposition.
+
+    ``transpose`` holds the slot of each entry's transpose, so data laid
+    on the pattern is checked and symmetrized entry by entry, with no
+    sparse round trip.
+    """
+
+    indices: np.ndarray
+    indptr: np.ndarray
+    transpose: np.ndarray
+
+    @classmethod
+    def of(cls, keys: np.ndarray, n: int) -> "_Pattern":
+        """The pattern of sorted, distinct row-major keys row * n + col, closed under transposition."""
+        rows, cols = np.divmod(keys, n)
+        pattern = cls(cols.astype(np.int32), np.searchsorted(rows, np.arange(n + 1)).astype(np.int32),
+                      np.searchsorted(keys, cols * n + rows))
+        for arr in pattern:  # every operator on the pattern shares them
+            arr.setflags(write=False)
+        return pattern
+
+    def hermitian(self, data: np.ndarray) -> SparseHermitian:
+        """The operator with these entries, checked and stored as ``SparseHermitian`` does."""
+        adjoint = data[self.transpose].conj()
+        defect = float(np.max(np.abs(data - adjoint)))
+        if defect > _HERM_BUILD_TOL:
+            raise ValueError(f"matrix is not Hermitian: max defect {defect:.3e}")
+        data = (data + adjoint) * 0.5
+        if not np.any(data.imag):
+            data = data.real.copy()
+        n = self.indptr.size - 1
+        h = SparseHermitian.__new__(SparseHermitian)
+        h._csr = sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+        return h
 
 
 def assemble(lat: StripLattice, field: GaugeField, hop: HoppingParams,
@@ -139,30 +173,61 @@ def assemble(lat: StripLattice, field: GaugeField, hop: HoppingParams,
             raise LatticeError("potential must be finite")
     x_hop = -hop.tx * np.exp(1j * field.theta_x.reshape(-1))
     y_hop = -hop.ty * np.exp(1j * field.theta_y.reshape(-1)) if hop.ty != 0.0 else None
-    return SparseHermitian(_link_operator(lat, 2.0 * hop.tx + 2.0 * hop.ty + v, x_hop, y_hop))
+    pattern, order = _link_layout(lat, y_hop is not None)
+    values = _link_values(lat, 2.0 * hop.tx + 2.0 * hop.ty + v, x_hop, y_hop)
+    h = pattern.hermitian(values[order])
+    # a potential can zero a diagonal entry, which the generic constructor drops (and
+    # the cached pattern, shared by every operator built on it, must not lose)
+    return h if np.all(h.csr.data) else SparseHermitian(h.csr)
 
 
-def _link_operator(lat: StripLattice, diag, x_hop, y_hop) -> sp.coo_matrix:
-    """``diag`` on the diagonal plus a value on every +x and +y link; None leaves links out.
+def _link_coords(lat: StripLattice, x_links: bool, y_links: bool) -> tuple:
+    """Rows and columns of the diagonal, then of every +x and +y link and its conjugate.
 
-    Each link (u -> v) enters as H[v, u] = hop[u] and its conjugate at
-    H[u, v], the +x links read off ``lat.x_next``.
+    Each link (u -> v) enters as H[v, u] and its conjugate at H[u, v],
+    the +x links read off ``lat.x_next``.
     """
     ids = np.arange(lat.n_sites)
-    rows, cols, vals = [ids], [ids], [np.broadcast_to(diag, ids.shape)]
-    if x_hop is not None:
+    rows, cols = [ids], [ids]
+    if x_links:
         rows += [lat.x_next, ids]
         cols += [ids, lat.x_next]
-        vals += [x_hop, np.conj(x_hop)]
-    if y_hop is not None:
+    if y_links:
         below = ids.reshape(lat.nx, lat.ny)[:, :-1].reshape(-1)
         rows += [below + 1, below]
         cols += [below, below + 1]
-        vals += [y_hop, np.conj(y_hop)]
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def _link_values(lat: StripLattice, diag, x_hop, y_hop) -> np.ndarray:
+    """The entries at ``_link_coords``: H[v, u] = hop[u] on each link, its conjugate at H[u, v]."""
+    vals = [np.broadcast_to(diag, (lat.n_sites,))]
+    for hop in (x_hop, y_hop):
+        if hop is not None:
+            vals += [hop, np.conj(hop)]
+    return np.concatenate(vals)
+
+
+def _link_operator(lat: StripLattice, diag, x_hop, y_hop) -> sp.coo_matrix:
+    """``diag`` on the diagonal plus a value on every +x and +y link; None leaves links out."""
     return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (_link_values(lat, diag, x_hop, y_hop),
+         _link_coords(lat, x_hop is not None, y_hop is not None)),
         shape=(lat.n_sites, lat.n_sites),
     )
+
+
+@functools.lru_cache(maxsize=16)
+def _link_layout(lat: StripLattice, y_links: bool) -> tuple:
+    """``assemble``'s pattern on lat, once per lattice, and the order that sorts its entries into it.
+
+    nx >= 3 keeps every link distinct, so the entries fill the pattern one to one.
+    """
+    n = lat.n_sites
+    rows, cols = _link_coords(lat, True, y_links)
+    keys = rows.astype(np.int64) * n + cols
+    order = np.argsort(keys)
+    return _Pattern.of(keys[order], n), order
 
 
 def ring_spectrum_oracle(nx: int, f: float) -> np.ndarray:
@@ -306,27 +371,14 @@ class FluxPencil:
         own = [c.row.astype(np.int64) * n + c.col for c in coos]
         # the pattern: every piece's entries and their transposes, row-major
         keys = np.unique(np.concatenate(own + [c.col.astype(np.int64) * n + c.row for c in coos]))
-        rows, cols = np.divmod(keys, n)
         self.iso = iso
+        self._pattern = _Pattern.of(keys, n)
         self._data = np.zeros((3, keys.size), dtype=complex)
         for data, c, k in zip(self._data, coos, own):
             data[np.searchsorted(keys, k)] = c.data
-        self._transpose = np.searchsorted(keys, cols * n + rows)
-        self._indices = cols.astype(np.int32)
-        self._indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
 
     def at(self, f: float) -> SparseHermitian:
         """The sector operator at flux f: ``restrict(assemble(...))`` to round-off."""
         phi = uniform_flux_angle(self.iso.lattice, f)
         r, x, y = self._data
-        data = r + math.cos(phi) * x + math.sin(phi) * y
-        adjoint = data[self._transpose].conj()
-        defect = float(np.max(np.abs(data - adjoint)))
-        if defect > _HERM_BUILD_TOL:
-            raise ValueError(f"matrix is not Hermitian: max defect {defect:.3e}")
-        data = (data + adjoint) * 0.5
-        if not np.any(data.imag):
-            data = data.real
-        n = self.iso.dim
-        csr = sp.csr_matrix((data, self._indices, self._indptr), shape=(n, n))
-        return SparseHermitian._wrap_checked(csr)
+        return self._pattern.hermitian(r + math.cos(phi) * x + math.sin(phi) * y)

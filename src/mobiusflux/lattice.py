@@ -113,6 +113,11 @@ class StripLattice:
         table.setflags(write=False)
         return table
 
+    @cached_property
+    def center_cut(self) -> "CenterCut":
+        """``cut_complement_of_center`` of this lattice, built once per lattice."""
+        return _cut_center(self)
+
     @property
     def x_next(self) -> np.ndarray:
         """Site id of each site's +x neighbour, indexed by site id: the table's +x row."""
@@ -281,8 +286,13 @@ def cut_complement_of_center(lat: StripLattice) -> CenterCut:
 
     The complement of the center row is orientable; it reassembles into
     an annulus going around twice.  Requires moebius topology, odd ny and
-    ny >= 3.
+    ny >= 3.  The cut is cached on the lattice, so every call on one
+    lattice returns the same object.
     """
+    return lat.center_cut
+
+
+def _cut_center(lat: StripLattice) -> CenterCut:
     if not lat.is_moebius:
         raise LatticeError("cut_complement_of_center needs a moebius lattice")
     c = lat.center_row

@@ -311,6 +311,26 @@ def test_verify_broken_seam_fails(capsys):
     assert lines[0].startswith("PASS flatness")
 
 
+def test_repeated_main_calls_share_no_state(capsys):
+    # one parser serves every call of the process; no option may carry over to the next
+    assert cli.make_parser() is cli.make_parser()
+    spectrum = ["spectrum", "--nx", "8", "--ny", "3", "--f", "0.3"]
+    first = run_cli(capsys, *spectrum)
+    assert first[0] == 0 and run_cli(capsys, *spectrum) == first
+    sweep = ["sweep", "--topology", "annulus", "--nx", "4", "--ny", "1", "--ty", "0",
+             "--f-min", "0", "--f-max", "0.2", "--f-steps", "3", "--k", "2",
+             "--solver", "lanczos", "--tol", "1e-30", "--sectors", "full"]
+    assert run_cli(capsys, *sweep, "--strict")[0] == 1
+    assert run_cli(capsys, *sweep)[0] == 0
+    center = run_cli(capsys, "holonomy", "--f", "0.37")
+    offset = run_cli(capsys, "holonomy", "--f", "0.37", "--loop", "offset=1")
+    assert offset[0] == 0 and offset != center
+    assert run_cli(capsys, "holonomy", "--f", "0.37") == center
+    assert run_cli(capsys, "verify", "--seed", "3", "--broken-seam")[0] == 1
+    code, out, _ = run_cli(capsys, "verify", "--seed", "3")
+    assert code == 0 and out.endswith("all checks passed\n")
+
+
 def test_default_config_matches_documented_defaults():
     from mobiusflux.cli import RunConfig
 

@@ -21,6 +21,7 @@ from mobiusflux.gauge import uniform_flux_field
 from mobiusflux.hamiltonian import (
     EVEN,
     ODD,
+    FluxPencil,
     HoppingParams,
     SparseHermitian,
     assemble,
@@ -207,16 +208,80 @@ def test_inertia_count_dense_fallback_is_size_guarded(monkeypatch):
 
 
 def test_lanczos_reports_an_uncertifiable_count_as_no_convergence(monkeypatch):
-    def uncertifiable(h, sigma):
-        raise np.linalg.LinAlgError("no trustworthy factor")
-
-    monkeypatch.setattr(eigensolver, "inertia_count", uncertifiable)
+    # no sparse count is trusted at any cut, and the dense count is out of reach
+    monkeypatch.setattr(eigensolver._Shifts, "count_below", lambda shifts, sigma: None)
+    monkeypatch.setattr(eigensolver, "_DENSE_MAX_N", 4)
     with pytest.raises(NoConvergenceError) as err:
         lanczos_lowest(moebius_operator(12, 5, 0.3), SolverConfig(k=4, seed=1, method="lanczos"))
     assert err.value.best is not None and err.value.best.k == 4
     records = flux_sweep(SweepConfig(nx=12, ny=5, f_steps=3, sectors=("full",),
                                      solver=SolverConfig(k=4, method="lanczos")))
     assert [rec.status for rec in records] == ["failed"] * 3
+
+
+@pytest.mark.parametrize("h", [
+    moebius_operator(12, 5, 0.3),
+    # at f = 0 the sin(phi) piece leaves explicit zeros in the pencil's pattern
+    FluxPencil(sector_isometry(build_lattice(12, 5, MOEBIUS), EVEN), HoppingParams()).at(0.0),
+    # no stored diagonal entry in row 1, so its slot comes from the set-up
+    SparseHermitian(sp.csr_matrix(np.diag([1.0, 0.0, 2.0]) + np.eye(3, k=1) + np.eye(3, k=-1))),
+])
+def test_each_shift_factors_the_sparse_difference(h):
+    # a data update on the diagonal slots gives the entries of H - sigma I, explicit zeros dropped
+    shifts = eigensolver._Shifts(h)
+    for sigma in (shifts.lo - 1.0, 0.5, shifts.hi + 1.0):
+        shifts.factor(sigma)
+        want = (h.csr - sigma * sp.identity(h.n, format="csr")).tocsc()
+        for name in ("indptr", "indices", "data"):
+            assert getattr(shifts._csc, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_an_untrusted_count_is_retried_at_a_higher_cut(monkeypatch):
+    # annulus 48 x 25 at f = 0.3627: the pivots at the first cut are imaginary to 1.6e-7,
+    # over their 1.2e-7 bound, which sent the count to a dense eigvalsh at n = 1200
+    def no_dense_count(h, sigma):
+        raise AssertionError("dense count")
+
+    count_below = eigensolver._Shifts.count_below
+    counts = []
+
+    def recorded(shifts, sigma):
+        counts.append(count_below(shifts, sigma))
+        return counts[-1]
+
+    monkeypatch.setattr(eigensolver, "_dense_count", no_dense_count)
+    monkeypatch.setattr(eigensolver._Shifts, "count_below", recorded)
+    lat = build_lattice(48, 25, ANNULUS)
+    h = assemble(lat, uniform_flux_field(lat, 0.3627), HoppingParams())
+    res = lanczos_lowest(h, SolverConfig(k=6, seed=12345, method="lanczos"))
+    assert counts == [None, 6]
+    k, m = np.arange(48)[:, None], np.arange(1, 26)[None, :]
+    exact = np.sort((4.0 - 2.0 * np.cos(2.0 * np.pi * (k + 0.3627) / 48)
+                     - 2.0 * np.cos(np.pi * m / 26)).ravel())
+    assert_allclose(res.values, exact[:6], rtol=0, atol=1e-10)
+
+
+def test_an_untrusted_factor_above_the_dense_limit_certifies_at_the_retried_cut(monkeypatch):
+    # the first count's factor leaves the diagonal: untrusted, and no dense count may stand in
+    factor = eigensolver._Shifts.factor
+    calls = []
+
+    class OffDiagonal:
+        def __init__(self, lu):
+            self.U, self.perm_c, self.perm_r = lu.U, lu.perm_c, lu.perm_c[::-1]
+
+    def first_count_off_diagonal(shifts, sigma):
+        calls.append(sigma)
+        lu = factor(shifts, sigma)
+        return OffDiagonal(lu) if len(calls) == 2 else lu  # call 1 is the Lanczos factor
+
+    h = moebius_operator(12, 5, 0.3)
+    exact = dense_eigh(h, 4).values
+    monkeypatch.setattr(eigensolver._Shifts, "factor", first_count_off_diagonal)
+    monkeypatch.setattr(eigensolver, "_DENSE_MAX_N", 4)
+    res = lanczos_lowest(h, SolverConfig(k=4, seed=1, method="lanczos"))
+    assert_allclose(res.values, exact, rtol=0, atol=1e-10)
+    assert len(calls) == 3 and calls[2] > calls[1] > res.values[-1]
 
 
 @pytest.mark.parametrize("topology, f, seed", [

@@ -1,5 +1,6 @@
 """Sweeps, minima detection, nodal amplitude, currents, ladder, equivalence."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -203,6 +204,19 @@ def test_nodal_ground_state_in_weak_coupling_at_half_flux():
     assert e_odd < e_even - 1e-6
     ground = dense_eigh(h).vectors[:, 0]
     assert nodal_amplitude(ground, lat) <= 1e-8
+
+
+def test_node_amp_is_empty_where_the_ground_state_is_degenerate():
+    # 48 x 9 annulus at f = 1/2, ty = 0.01: the full-sector gap is 0, so the center-row
+    # amplitude would be that of whichever ground vector LAPACK returns
+    cfg = small_sweep(nx=48, ny=9, topology=ANNULUS, ty=0.01, f_min=0.4, f_max=0.5, f_steps=2,
+                      sectors=(FULL,))
+    generic, half = flux_sweep(cfg)
+    assert generic.gap > 1e-8 and generic.node_amp is not None
+    assert half.gap <= 1e-8 and half.node_amp is None
+    # with k = 1 the gap is unknown, so no amplitude is reported either
+    lone = flux_sweep(dataclasses.replace(cfg, solver=SolverConfig(k=1, method="dense")))
+    assert [(rec.gap, rec.node_amp) for rec in lone] == [(None, None)] * 2
 
 
 def test_nodal_amplitude_dimension_mismatch():

@@ -23,6 +23,7 @@ from mobiusflux.hamiltonian import HoppingParams, assemble
 from mobiusflux.lattice import (
     ANNULUS,
     MOEBIUS,
+    LatticeError,
     LoopError,
     Site,
     StripLattice,
@@ -231,6 +232,21 @@ def test_stokes_defect_random_fields_and_loops():
         )
         l1, l2 = random_class2_loop(lat, rng), random_class2_loop(lat, rng)
         assert abs(stokes_defect(field, l1, l2)) < 1e-12
+
+
+def test_the_center_cut_is_built_once_per_lattice():
+    # stokes_defect reuses the lattice's cut, and its value does not change with that
+    lat = build_lattice(6, 5, MOEBIUS)
+    cut = cut_complement_of_center(lat)
+    assert cut_complement_of_center(lat) is cut is lat.center_cut
+    rng = np.random.default_rng(5)
+    field = add_face_flux(uniform_flux_field(lat, 0.37), Site(1, 0), 0.2)
+    l1, l2 = random_class2_loop(lat, rng), random_class2_loop(lat, rng)
+    first = stokes_defect(field, l1, l2)
+    assert stokes_defect(field, l1, l2) == first and abs(first) < 1e-12
+    assert cut_complement_of_center(lat) is cut
+    with pytest.raises(LatticeError):  # a failed build is not cached: it raises every time
+        build_lattice(6, 5, ANNULUS).center_cut
 
 
 def test_random_class2_loop_refuses_a_broken_seam():

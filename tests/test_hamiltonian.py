@@ -202,10 +202,29 @@ def test_flux_pencil_keeps_the_leak_and_hermiticity_checks(monkeypatch):
     monkeypatch.undo()
     # every point is checked Hermitian: a defect in the cos(phi) piece shows at f = 0
     pencil = FluxPencil(sector_isometry(lat, ODD), hop)
-    off_diagonal = np.flatnonzero(pencil._transpose != np.arange(pencil._transpose.size))[0]
+    transpose = pencil._pattern.transpose
+    off_diagonal = np.flatnonzero(transpose != np.arange(transpose.size))[0]
     pencil._data[1, off_diagonal] += 1e-9
     with pytest.raises(ValueError, match="not Hermitian"):
         pencil.at(0.0)
+
+
+def test_assemble_keeps_its_hermiticity_check(monkeypatch):
+    # the operator is Hermitian by construction; a hop off by 1e-9 must still be caught
+    lat = build_lattice(6, 3, MOEBIUS)
+    values = hamiltonian._link_values
+
+    def skewed(*args):
+        vals = values(*args)
+        vals[lat.n_sites] += 1e-9  # the first +x link, not its conjugate
+        return vals
+
+    monkeypatch.setattr(hamiltonian, "_link_values", skewed)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        assemble(lat, uniform_flux_field(lat, 0.3), HoppingParams())
+    with pytest.raises(ValueError, match="not Hermitian"):
+        SparseHermitian(hamiltonian._link_operator(lat, 4.0, -np.ones(lat.n_sites), None)
+                        + sp.coo_matrix(([1e-9], ([1], [0])), shape=(lat.n_sites,) * 2))
 
 
 def test_restrict_dimension_mismatch():

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from mobiusflux import hamiltonian
 from mobiusflux.eigensolver import dense_eigh
 from mobiusflux.gauge import (
     GaugeField,
@@ -36,6 +37,7 @@ from mobiusflux.hamiltonian import (
     SECTORS,
     FluxPencil,
     HoppingParams,
+    SparseHermitian,
     assemble,
     reflection_permutation,
     restrict,
@@ -119,6 +121,26 @@ def test_assemble_entries_are_the_peierls_link_values(field, tx, ty, data):
                 want[v, u] = -t * np.exp(1j * theta[site])
                 want[u, v] = np.conj(want[v, u])
     assert np.array_equal(got, want)
+
+
+@SMALL
+@given(fields(), st.floats(0.1, 3.0), st.sampled_from((0.0, 0.01, 1.0, 2.5)), st.data())
+def test_assemble_is_the_generic_hermitian_round_trip_bit_for_bit(field, tx, ty, data):
+    # the CSR written straight from the link arrays against SparseHermitian of the same
+    # entries; a potential of -(2 tx + 2 ty) zeroes a diagonal entry, which the round trip drops
+    lat = field.lattice
+    diag = 2.0 * tx + 2.0 * ty
+    pot = data.draw(st.none() | hnp.arrays(float, lat.n_sites,
+                                           elements=st.floats(-5.0, 5.0) | st.just(-diag)))
+    got = assemble(lat, field, HoppingParams(tx=tx, ty=ty), pot).csr
+    x_hop = -tx * np.exp(1j * field.theta_x.reshape(-1))
+    y_hop = -ty * np.exp(1j * field.theta_y.reshape(-1)) if ty != 0.0 else None
+    v = np.zeros(lat.n_sites) if pot is None else pot
+    want = SparseHermitian(hamiltonian._link_operator(lat, diag + v, x_hop, y_hop)).csr
+    assert got.dtype == want.dtype
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @SMALL
