@@ -9,7 +9,8 @@ lattice, hopping and solver config once at load, and those library types
 check their own inputs.  ``main`` maps errors to exit codes in one place:
 0 success; 1 ``NoConvergenceError`` or ``LinAlgError``, a failed
 ``verify`` check, or failed sweep points under ``--strict``; 2 any other
-``ValueError`` (an invalid key, flag or output path), as ``config error:``.
+``ValueError`` (an invalid key, flag or output path, or an operator the
+keys make non-finite), as ``config error:``.
 """
 
 from __future__ import annotations

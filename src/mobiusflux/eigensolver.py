@@ -4,6 +4,8 @@ Two routes: a dense direct solve (LAPACK) for reference accuracy at small
 dimension, and shift-invert Lanczos (ARPACK) for larger problems.
 The dense route computes only the k lowest pairs asked for, by LAPACK's
 index-range driver (MRRR): full accuracy at a fraction of the cost of all n.
+It hands LAPACK one column-major dense copy to overwrite in place, with no
+finiteness scan: ``SparseHermitian`` refuses non-finite entries when built.
 The iterative route shifts just below the spectrum's Gershgorin bound, where
 H - sigma I is positive definite, and iterates with solves on its sparse
 factor: the lowest eigenvalues of H are the best separated ones of the
@@ -13,7 +15,9 @@ half-integer flux) while every residual it reports is tiny, so an
 iterative answer counts only once a Sylvester inertia count shows that no
 eigenvalue below its top value was missed.  The shift-invert solves and the
 counts use one symmetric-mode sparse factorization, set up once per solve:
-each shift is a data update on the diagonal of one CSC copy of H.  Residuals
+each shift is a data update on the diagonal of one CSC copy of H, read off
+its CSR arrays (H is Hermitian entry by entry, so a row conjugated is the
+column).  Residuals
 ||H v - lambda v|| are always recomputed from the returned pairs;
 eigenvectors of degenerate eigenvalues are ambiguous beyond orthonormality.
 Both routes work in the operator's own dtype, so a real symmetric operator
@@ -99,6 +103,8 @@ def dense_eigh(h: SparseHermitian, k: Optional[int] = None) -> EigenResult:
     """k lowest eigenpairs (None: all n) by a dense direct solve; n <= 4096.
 
     The reference path; only the requested pairs and their residuals are computed.
+    LAPACK overwrites the one column-major copy it is handed, unscanned:
+    every ``SparseHermitian`` is checked finite when it is built.
     """
     from scipy.linalg import eigh
 
@@ -107,7 +113,8 @@ def dense_eigh(h: SparseHermitian, k: Optional[int] = None) -> EigenResult:
     k = h.n if k is None else k
     if not 1 <= k <= h.n:
         raise ValueError(f"k must lie in [1, n={h.n}], got {k}")
-    values, vectors = eigh(h.toarray(), subset_by_index=[0, k - 1])
+    values, vectors = eigh(h.csr.toarray(order="F"), subset_by_index=[0, k - 1],
+                           check_finite=False, overwrite_a=True)
     return _finalize(h, values, vectors)
 
 
@@ -128,23 +135,31 @@ def _gershgorin(h: SparseHermitian) -> tuple:
 class _Shifts:
     """H's Gershgorin interval and a CSC copy of H with a slot for every diagonal entry.
 
-    Built once per solve: each factor of H - sigma I is then a data update
-    on the diagonal slots, and it holds the same entries as the sparse
-    difference H - sigma I, apart from a diagonal entry that is exactly zero,
-    which stays a slot here.
+    Built once per solve from H's CSR arrays, with no sort: each factor of
+    H - sigma I is then a data update on the diagonal slots, and it holds
+    the same entries as the sparse difference H - sigma I, apart from a
+    diagonal entry that is exactly zero, which stays a slot here.
     """
 
     def __init__(self, h: SparseHermitian):
         self.lo, self.hi = _gershgorin(h)
-        n, coo = h.n, h.csr.tocoo()
-        off = (coo.row != coo.col) & (coo.data != 0)  # as H - sigma I drops H's explicit zeros
+        n, csr = h.n, h.csr
         ids = np.arange(n)
-        self._diag = h.csr.diagonal()
-        self._csc = sp.csc_matrix(
-            (np.concatenate([coo.data[off], self._diag]),
-             (np.concatenate([coo.row[off], ids]), np.concatenate([coo.col[off], ids]))),
-            shape=(n, n))
-        self._slots = np.flatnonzero(self._csc.indices == np.repeat(ids, np.diff(self._csc.indptr)))
+        rows = np.repeat(ids, np.diff(csr.indptr))
+        on_diag = csr.indices == rows
+        missing = np.ones(n, dtype=bool)
+        missing[rows[on_diag]] = False
+        keep = on_diag | (csr.data != 0)  # as H - sigma I drops H's explicit zeros
+        rows, cols, data = rows[keep], csr.indices[keep], csr.data[keep]
+        if missing.any():  # a slot after the row's entries left of the diagonal
+            at = np.searchsorted(rows.astype(np.int64) * n + cols, ids[missing] * (n + 1))
+            rows, cols = np.insert(rows, at, ids[missing]), np.insert(cols, at, ids[missing])
+            data = np.insert(data, at, 0)
+        # H is Hermitian entry by entry, so row j of its CSR, conjugated, is column j of its CSC
+        self._diag = csr.diagonal()
+        self._csc = sp.csc_matrix((data.conj(), cols, np.searchsorted(rows, np.arange(n + 1))),
+                                  shape=(n, n))
+        self._slots = np.flatnonzero(cols == rows)
 
     def factor(self, sigma: float):
         """Sparse LU of H - sigma I by SuperLU in symmetric mode with diagonal pivots.

@@ -9,9 +9,9 @@ phi = 2*pi*f/nx, so each sector's three pieces are restricted once a
 sweep (``hamiltonian.FluxPencil``) and a point is one combination of
 their data.  Each point still meets the checks of restricting its
 assembled operator: the pieces' leaks summed bound its leak by the same
-1e-12, and its block is checked Hermitian to 1e-12.  The full sector is
-still the whole operator, so ``node_amp`` is computed, not zero by
-construction; it is reported only where the gap (k >= 2) exceeds 1e-8,
+1e-12, and its block is checked Hermitian to 1e-12 and finite.  The full
+sector is still the whole operator, so ``node_amp`` is computed, not zero
+by construction; it is reported only where the gap (k >= 2) exceeds 1e-8,
 so that the ground state, and with it the amplitude, is unique.
 
 Minima of the sector energies against flux locate the quantization
@@ -109,6 +109,10 @@ _UNIQUE_GAP = 1e-8
 def flux_sweep(cfg: SweepConfig) -> list:
     """Run the sweep; solver failures mark the record failed and continue.
 
+    The full sector asks the solver for min(k, 2) pairs, all that its
+    columns read (e0, the gap and the ground vector); a parity sector asks
+    for k, so that its e0 is bit for bit the one ``spectrum`` prints (the
+    MRRR driver's lowest value depends on how many pairs it computes).
     ``node_amp`` is left empty unless the full-sector gap shows a unique
     ground state: a degenerate one has no basis-free center-row amplitude,
     only whatever vector LAPACK returns, and with k = 1 the gap is unknown.
@@ -123,7 +127,8 @@ def flux_sweep(cfg: SweepConfig) -> list:
             fields = {}
             for sector, pencil in pencils.items():
                 hs = pencil.at(f)
-                res = solve(hs, dataclasses.replace(cfg.solver, k=min(cfg.solver.k, hs.n)))
+                k = min(cfg.solver.k, 2) if sector == FULL else cfg.solver.k
+                res = solve(hs, dataclasses.replace(cfg.solver, k=min(k, hs.n)))
                 fields[f"e0_{sector}"] = float(res.values[0])
                 if sector == FULL and res.k >= 2:
                     fields["gap"] = float(res.values[1] - res.values[0])

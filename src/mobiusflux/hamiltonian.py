@@ -8,7 +8,8 @@ no hop) and -t * exp(i*theta) on every existing link, theta being the
 gauge field's Peierls angle for the hop direction.  ``assemble`` writes
 these entries straight onto a CSR pattern built once per lattice, and
 checks and symmetrizes them through the pattern's transpose index, the
-one check it shares with ``FluxPencil.at``.
+one check it shares with ``FluxPencil.at``.  Every operator is checked
+finite where it is built, so no solver scans it again.
 
 The reflection y -> -y commutes with any assembled operator whose angles
 and potential share that symmetry; its even and odd eigenspaces are the
@@ -58,6 +59,7 @@ ODD = "odd"
 SECTORS = (FULL, EVEN, ODD)
 
 _HERM_BUILD_TOL = 1e-12
+_MAX_ENTRY = float(np.finfo(float).max) / 2
 _SECTOR_LEAK_TOL = 1e-12
 
 
@@ -79,11 +81,26 @@ class HoppingParams:
             raise ValueError(f"ty must be finite and >= 0, got {self.ty}")
 
 
+def _check_hermitian(entries: np.ndarray, defect) -> None:
+    """Refuse a non-finite entry, then a Hermiticity defect above 1e-12.
+
+    ``defect()`` gives the entries of H - H^dagger.  A NaN compares false
+    with any bound, so the entries are checked first: finite, and at most
+    half the largest double, so that H + H^dagger is finite too.
+    """
+    if not np.all(np.abs(entries) <= _MAX_ENTRY):
+        raise ValueError(f"matrix has a non-finite entry, or one above {_MAX_ENTRY:.3g}")
+    worst = float(np.max(np.abs(defect()), initial=0.0))
+    if worst > _HERM_BUILD_TOL:
+        raise ValueError(f"matrix is not Hermitian: max defect {worst:.3e}")
+
+
 class SparseHermitian:
     """Sparse matrix with exact Hermitian symmetry.
 
-    Construction verifies max |H - H^dagger| <= 1e-12 and then stores the
-    exactly symmetrized (H + H^dagger)/2, whose Hermiticity holds
+    Construction refuses a non-finite entry (or one above half the largest
+    double), verifies max |H - H^dagger| <= 1e-12 and then stores the
+    exactly symmetrized (H + H^dagger)/2, finite, whose Hermiticity holds
     entrywise in floating point, with a real diagonal.  It is stored as
     float64 when every imaginary part is exactly 0.0, so solvers run in
     real arithmetic; nothing is rounded to get there.
@@ -93,11 +110,7 @@ class SparseHermitian:
         m = sp.csr_matrix(matrix, dtype=complex)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix is {m.shape}, not square")
-        defect = m - m.conj().T
-        if defect.nnz and np.max(np.abs(defect.data)) > _HERM_BUILD_TOL:
-            raise ValueError(
-                f"matrix is not Hermitian: max defect {np.max(np.abs(defect.data)):.3e}"
-            )
+        _check_hermitian(m.data, lambda: (m - m.conj().T).data)
         m = ((m + m.conj().T) * 0.5).tocsr()
         m.sum_duplicates()
         self._csr = m if np.any(m.data.imag) else m.real
@@ -142,9 +155,7 @@ class _Pattern(NamedTuple):
     def hermitian(self, data: np.ndarray) -> SparseHermitian:
         """The operator with these entries, checked and stored as ``SparseHermitian`` does."""
         adjoint = data[self.transpose].conj()
-        defect = float(np.max(np.abs(data - adjoint)))
-        if defect > _HERM_BUILD_TOL:
-            raise ValueError(f"matrix is not Hermitian: max defect {defect:.3e}")
+        _check_hermitian(data, lambda: data - adjoint)
         data = (data + adjoint) * 0.5
         if not np.any(data.imag):
             data = data.real.copy()

@@ -1,7 +1,11 @@
 """CLI contract: exit codes, CSV schema and round trip, SVG, verify."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +210,41 @@ def test_linear_algebra_failure_exits_1(capsys, monkeypatch, tmp_path, command):
             assert code == 1
             assert not new.exists()
             assert old.read_bytes() == b"earlier run\n"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "sweep"])
+@pytest.mark.parametrize("solver", ["dense", "lanczos", "auto"])
+@pytest.mark.parametrize("key", ["--tx", "--ty"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_operator_exits_2(capsys, tmp_path, command, solver, key):
+    # 2 tx + 2 ty overflows to inf on the diagonal; a NaN defect once passed the Hermiticity
+    # check, and the Krylov path then died on a singular factor with a traceback
+    argv = [command, "--nx", "8", "--ny", "3", "--k", "2", "--f-steps", "3",
+            "--solver", solver, key, "1e308"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:") and "non-finite" in err
+    if command == "sweep":
+        new = tmp_path / "new.csv"
+        code, out, _ = run_cli(capsys, *argv, "--out", str(new))
+        assert code == 2 and out == ""
+        assert not new.exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    ok = subprocess.run([sys.executable, "-m", "mobiusflux", "spectrum", "--topology", "annulus",
+                         "--nx", "4", "--ny", "1", "--ty", "0", "--k", "2"],
+                        capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert ok.returncode == 0
+    assert ok.stdout.startswith("index,eigenvalue,residual\n0,")
+    bad = subprocess.run([sys.executable, "-m", "mobiusflux", "spectrum", "--tx", "-1"],
+                         capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert bad.returncode == 2
+    assert bad.stdout == ""
+    assert bad.stderr.startswith("config error:")
 
 
 def test_unwritable_plot_leaves_no_new_csv(capsys, tmp_path):

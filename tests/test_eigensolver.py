@@ -107,6 +107,32 @@ def test_dense_k_lowest_matches_full_decomposition(topology, f, ty):
         assert np.all(res.residuals <= 1e-10)
 
 
+def dense_cases():
+    lat = build_lattice(12, 5, MOEBIUS)
+    hop = HoppingParams(ty=0.01)
+    yield assemble(lat, uniform_flux_field(lat, 0.3), hop)  # complex
+    for sector in ("full", EVEN, ODD):  # real, in the mirror basis
+        yield FluxPencil(sector_isometry(lat, sector), hop).at(0.3)
+    yield random_hermitian(30, seed=5)
+
+
+@pytest.mark.parametrize("h", list(dense_cases()))
+@pytest.mark.parametrize("k", [1, 2, 6])
+def test_dense_eigh_is_scipys_eigh_on_a_copy_it_may_overwrite(h, k):
+    # LAPACK overwrites the one dense copy it is handed: never the operator, and no bit moves
+    from scipy.linalg import eigh
+
+    stored = [arr.copy() for arr in (h.csr.data, h.csr.indices, h.csr.indptr)]
+    first, again = dense_eigh(h, k), dense_eigh(h, k)
+    for arr, before in zip((h.csr.data, h.csr.indices, h.csr.indptr), stored):
+        assert arr.tobytes() == before.tobytes()
+    values, vectors = eigh(h.toarray(), subset_by_index=[0, k - 1])
+    for res in (first, again):
+        assert res.values.tobytes() == values.tobytes()
+        assert res.vectors.tobytes() == (vectors / np.linalg.norm(vectors, axis=0)).tobytes()
+    assert first.residuals.tobytes() == again.residuals.tobytes()
+
+
 @pytest.mark.parametrize("k", [0, -1, 61])
 def test_dense_k_out_of_range(k):
     h = strip_operator(MOEBIUS, 0.3, 1.0)
@@ -219,12 +245,26 @@ def test_lanczos_reports_an_uncertifiable_count_as_no_convergence(monkeypatch):
     assert [rec.status for rec in records] == ["failed"] * 3
 
 
+def pencil_at_cos_phi_zero():
+    # cos(pi / 2) rounds to 6e-17, so the piece is zeroed by hand: 40 slots only it fills
+    # then hold explicit zeros
+    pencil = FluxPencil(sector_isometry(build_lattice(12, 5, MOEBIUS), ODD), HoppingParams())
+    pencil._data[1] = 0.0
+    return pencil.at(3.0)
+
+
 @pytest.mark.parametrize("h", [
     moebius_operator(12, 5, 0.3),
     # at f = 0 the sin(phi) piece leaves explicit zeros in the pencil's pattern
     FluxPencil(sector_isometry(build_lattice(12, 5, MOEBIUS), EVEN), HoppingParams()).at(0.0),
     # no stored diagonal entry in row 1, so its slot comes from the set-up
     SparseHermitian(sp.csr_matrix(np.diag([1.0, 0.0, 2.0]) + np.eye(3, k=1) + np.eye(3, k=-1))),
+    # a complex operator whose potential cancels two diagonal entries, one of them the last
+    assemble(build_lattice(6, 3, MOEBIUS), uniform_flux_field(build_lattice(6, 3, MOEBIUS), 0.3),
+             HoppingParams(), pot=np.where(np.isin(np.arange(18), [4, 17]), -4.0, 0.0)),
+    # at f = nx / 4, phi = pi / 2: the cos(phi) piece's slots hold 6e-17 or, zeroed, 0
+    FluxPencil(sector_isometry(build_lattice(12, 5, MOEBIUS), ODD), HoppingParams()).at(3.0),
+    pencil_at_cos_phi_zero(),
 ])
 def test_each_shift_factors_the_sparse_difference(h):
     # a data update on the diagonal slots gives the entries of H - sigma I, explicit zeros dropped

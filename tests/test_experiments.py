@@ -23,7 +23,13 @@ from mobiusflux.experiments import (
     persistent_current,
 )
 from mobiusflux.gauge import uniform_flux_field
-from mobiusflux.hamiltonian import HoppingParams, assemble, restrict, sector_isometry
+from mobiusflux.hamiltonian import (
+    FluxPencil,
+    HoppingParams,
+    assemble,
+    restrict,
+    sector_isometry,
+)
 from mobiusflux.lattice import ANNULUS, MOEBIUS, LatticeError, build_lattice
 
 
@@ -217,6 +223,30 @@ def test_node_amp_is_empty_where_the_ground_state_is_degenerate():
     # with k = 1 the gap is unknown, so no amplitude is reported either
     lone = flux_sweep(dataclasses.replace(cfg, solver=SolverConfig(k=1, method="dense")))
     assert [(rec.gap, rec.node_amp) for rec in lone] == [(None, None)] * 2
+
+
+@pytest.mark.parametrize("topology", [MOEBIUS, ANNULUS])
+def test_full_sector_asks_for_two_pairs_whatever_k(topology):
+    # the full sector's columns read only e0, the gap and the ground vector: a k = 6 sweep
+    # solves it for two pairs, and agrees with the six-pair solve it once made
+    cfg = small_sweep(nx=48, ny=9, topology=topology, ty=0.01, f_min=0.3, f_max=0.6, f_steps=7)
+    six, two, one = (flux_sweep(dataclasses.replace(cfg, solver=SolverConfig(k=k, method="dense")))
+                     for k in (6, 2, 1))
+    iso = cfg._isometries[FULL]
+    pencil = FluxPencil(iso, HoppingParams(tx=cfg.tx, ty=cfg.ty))
+    both = 0
+    for a, b, c in zip(six, two, one):
+        assert (a.e0_full, a.gap, a.node_amp) == (b.e0_full, b.gap, b.node_amp)
+        ref = dense_eigh(pencil.at(a.f), 6)
+        assert abs(a.e0_full - ref.values[0]) <= 1e-12
+        assert abs(a.gap - (ref.values[1] - ref.values[0])) <= 1e-12
+        if a.node_amp is not None:
+            amp = nodal_amplitude(iso.embed(ref.vectors[:, 0]), iso.lattice)
+            assert abs(a.node_amp - amp) <= 1e-10
+            both += 1
+        # with one pair the gap is unknown, and so is whether node_amp means anything
+        assert c.e0_full is not None and (c.gap, c.node_amp) == (None, None)
+    assert both >= 5
 
 
 def test_nodal_amplitude_dimension_mismatch():

@@ -101,6 +101,20 @@ def test_sparse_hermitian_rejects_asymmetric():
         SparseHermitian(bad)
 
 
+# 1e308 is finite, but H + H^dagger, which the stored operator halves, overflows
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), 1e308])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_entries_are_refused(bad):
+    # a NaN compares false with the 1e-12 bound, so the Hermiticity check alone let it through
+    for m in (np.array([[bad, 1.0], [1.0, 0.0]]), np.array([[0.0, bad], [np.conj(bad), 0.0]])):
+        with pytest.raises(ValueError, match="non-finite"):
+            SparseHermitian(m)
+    pencil = FluxPencil(sector_isometry(build_lattice(6, 3, MOEBIUS), ODD), HoppingParams())
+    pencil._data[0, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        pencil.at(0.3)
+
+
 def test_reflection_permutation():
     lat = build_lattice(5, 5, ANNULUS)
     perm = reflection_permutation(lat)
