@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import collections
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -253,8 +253,9 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
     budget = cfg.max_iter if cfg.max_iter is not None else 10 * n
     shifts = _Shifts(h)
     lo, hi = shifts.lo, shifts.hi
-    # the floor keeps a multiple of the identity (lo == hi) off its eigenvalue
-    sigma = lo - _SQRT_EPS * max(hi - lo, 1.0)
+    # the floors keep a multiple of the identity (lo == hi) off its eigenvalue, and sigma
+    # a few units in the last place of lo below it where the diagonal dwarfs the width
+    sigma = lo - _SQRT_EPS * max(hi - lo, 1.0, 4.0 * _SQRT_EPS * abs(lo))
     # positive definite, so diagonal pivots are stable: no growth check as in inertia_count
     factor = shifts.factor(sigma)
     # a pivot's rounding grows as eps ||H||^2 / d at a distance d from an eigenvalue, and the
@@ -308,7 +309,10 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
 
 
 def solve(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
-    """Dispatch on cfg.method; auto picks dense for n <= 1024."""
+    """Dispatch on cfg.method; auto picks dense for n <= 1024.  A k above n is capped at n
+    here, so one k serves every sector; ``dense_eigh`` and ``lanczos_lowest`` refuse it."""
+    if cfg.k > h.n:
+        cfg = replace(cfg, k=h.n)
     method = cfg.method
     if method == "auto":
         method = "dense" if h.n <= _AUTO_DENSE_N else "lanczos"

@@ -9,10 +9,16 @@ phi = 2*pi*f/nx, so each sector's three pieces are restricted once a
 sweep (``hamiltonian.FluxPencil``) and a point is one combination of
 their data.  Each point still meets the checks of restricting its
 assembled operator: the pieces' leaks summed bound its leak by the same
-1e-12, and its block is checked Hermitian to 1e-12 and finite.  The full
-sector is still the whole operator, so ``node_amp`` is computed, not zero
-by construction; it is reported only where the gap (k >= 2) exceeds 1e-8,
-so that the ground state, and with it the amplitude, is unique.
+round-off bound, and its block is checked Hermitian to it and finite.
+The full sector is still the whole operator, so ``node_amp`` is
+computed, not zero by construction; it is reported only where the gap
+(k >= 2) exceeds 1e-8, so that the ground state, and with it the
+amplitude, is unique.
+
+Each input is checked once, by the type that owns it: the lattice,
+hopping and solver config when built (a ``SweepConfig`` holds them as
+built), the sector names by ``sector_isometry``, the flux grid and that
+some sector is named by ``SweepConfig``; ``solve`` caps k at n.
 
 Minima of the sector energies against flux locate the quantization
 values: the even sector dips at integers, the odd (nodal) sector at
@@ -42,16 +48,15 @@ from .hamiltonian import (
     restrict,
     sector_isometry,
 )
-from .lattice import ANNULUS, MOEBIUS, StripLattice, build_lattice
+from .lattice import ANNULUS, StripLattice, build_lattice
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    nx: int = 48
-    ny: int = 9
-    topology: str = MOEBIUS
-    tx: float = 1.0
-    ty: float = 1.0
+    """A sweep's inputs; the lattice, hopping and solver come built, so checked."""
+
+    lattice: StripLattice
+    hop: HoppingParams
     f_min: float = -0.25
     f_max: float = 1.25
     f_steps: int = 151
@@ -59,7 +64,6 @@ class SweepConfig:
     sectors: tuple = (FULL, EVEN, ODD)
 
     def __post_init__(self):
-        build_lattice(self.nx, self.ny, self.topology)  # raises on invalid dimensions
         # a non-finite end or span would put nan and inf in f_values
         if not (self.f_min < self.f_max and math.isfinite(float(self.f_max) - float(self.f_min))):
             raise ValueError(f"need finite f_min < f_max, got [{self.f_min}, {self.f_max}]")
@@ -68,13 +72,12 @@ class SweepConfig:
         if not self.sectors:
             raise ValueError("at least one sector must be requested")
         self._isometries  # raises on unknown or nonexistent sectors
-        HoppingParams(tx=self.tx, ty=self.ty)  # raises on invalid hopping
 
     @cached_property
     def _isometries(self) -> dict:
         """Each requested sector's basis: validation builds it once, and the sweep reuses it."""
-        lat = build_lattice(self.nx, self.ny, self.topology)
-        return {sector: sector_isometry(lat, sector) for sector in dict.fromkeys(self.sectors)}
+        return {sector: sector_isometry(self.lattice, sector)
+                for sector in dict.fromkeys(self.sectors)}
 
     def f_values(self) -> np.ndarray:
         return np.linspace(self.f_min, self.f_max, self.f_steps)
@@ -117,18 +120,16 @@ def flux_sweep(cfg: SweepConfig) -> list:
     ground state: a degenerate one has no basis-free center-row amplitude,
     only whatever vector LAPACK returns, and with k = 1 the gap is unknown.
     """
-    lat = build_lattice(cfg.nx, cfg.ny, cfg.topology)
-    hop = HoppingParams(tx=cfg.tx, ty=cfg.ty)
-    pencils = {sector: FluxPencil(iso, hop) for sector, iso in cfg._isometries.items()}
+    lat = cfg.lattice
+    pencils = {sector: FluxPencil(iso, cfg.hop) for sector, iso in cfg._isometries.items()}
+    full_solver = dataclasses.replace(cfg.solver, k=min(cfg.solver.k, 2))
     records = []
     for f in cfg.f_values():
         f = float(f)
         try:
             fields = {}
             for sector, pencil in pencils.items():
-                hs = pencil.at(f)
-                k = min(cfg.solver.k, 2) if sector == FULL else cfg.solver.k
-                res = solve(hs, dataclasses.replace(cfg.solver, k=min(k, hs.n)))
+                res = solve(pencil.at(f), full_solver if sector == FULL else cfg.solver)
                 fields[f"e0_{sector}"] = float(res.values[0])
                 if sector == FULL and res.k >= 2:
                     fields["gap"] = float(res.values[1] - res.values[0])
@@ -292,11 +293,9 @@ def annulus_equivalence_check(band: StripLattice, f_values: Sequence[float],
     """
     if not band.is_moebius:
         raise ValueError(f"need a moebius band, got {band.topology}")
-    if band.ny % 2 == 0 or band.ny < 3:
-        raise ValueError(f"need odd ny >= 3, got {band.ny}")
+    iso = sector_isometry(band, ODD)  # raises unless ny is odd and >= 3
     ring = build_lattice(band.nx, (band.ny - 1) // 2, ANNULUS)
     hop = HoppingParams(tx=tx, ty=ty)
-    iso = sector_isometry(band, ODD)
     worst = 0.0
     for f in f_values:
         f = float(f)

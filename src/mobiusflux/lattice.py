@@ -99,14 +99,15 @@ class StripLattice:
     def step_table(self) -> np.ndarray:
         """Site id one step on from each site, one row per direction code; -1 at a wall.
 
-        Off the seam column +x is the id one column on; the seam column's
-        entries are read off ``neighbor``, so the seam rule has one
-        implementation.  The -x row is the +x row's inverse.
+        This is the one implementation of the gluing.  Off the seam column
+        +x is the id one column on; from column nx-1 it is column 0, the row
+        reversed, j -> ny-1-j, where the moebius seam flips.  The -x row is
+        the +x row's inverse.
         """
         ids = np.arange(self.n_sites)
         east, west, row = ids + self.ny, np.empty_like(ids), ids % self.ny
-        east[-self.ny:] = [self.site_id(neighbor(self, Site(self.nx - 1, j), DIR_PX))
-                           for j in range(self.ny)]
+        seam = np.arange(self.ny)
+        east[-self.ny:] = seam[::-1] if self.is_moebius and self.seam_flip else seam
         west[east] = ids
         table = np.stack((east, west, np.where(row < self.ny - 1, ids + 1, -1),
                           np.where(row > 0, ids - 1, -1)))
@@ -130,28 +131,13 @@ def build_lattice(nx: int, ny: int, topology: str) -> StripLattice:
 
 
 def neighbor(lat: StripLattice, site, direction: str) -> Optional[Site]:
-    """Step one link from ``site``; None where a Dirichlet wall blocks.
-
-    Crossing the seam in +x from column nx-1 (or in -x from column 0) on
-    a moebius lattice flips the row, j -> ny-1-j.
-    """
-    i, j = site
+    """Step one link from ``site``, read off ``step_table``; None where a Dirichlet wall blocks."""
     if not lat.contains(site):
         raise LatticeError(f"site {site} outside lattice {lat.nx}x{lat.ny}")
-    flip = lat.is_moebius and lat.seam_flip
-    if direction == DIR_PX:
-        if i < lat.nx - 1:
-            return Site(i + 1, j)
-        return Site(0, lat.ny - 1 - j) if flip else Site(0, j)
-    if direction == DIR_MX:
-        if i > 0:
-            return Site(i - 1, j)
-        return Site(lat.nx - 1, lat.ny - 1 - j) if flip else Site(lat.nx - 1, j)
-    if direction == DIR_PY:
-        return Site(i, j + 1) if j < lat.ny - 1 else None
-    if direction == DIR_MY:
-        return Site(i, j - 1) if j > 0 else None
-    raise LatticeError(f"unknown direction {direction!r}")
+    if direction not in CODE:
+        raise LatticeError(f"unknown direction {direction!r}")
+    there = int(lat.step_table[CODE[direction], lat.site_id(site)])
+    return None if there < 0 else Site(*divmod(there, lat.ny))
 
 
 @dataclass(frozen=True, eq=False)

@@ -65,7 +65,7 @@ def _verdict(num: int, description: str, ok: bool, detail: str = "") -> None:
 def nodal_sweep():
     """48 x 9 moebius sweep in the weak-rung regime, with wall-clock time."""
     cfg = SweepConfig(
-        nx=48, ny=9, topology=MOEBIUS, tx=1.0, ty=0.01,
+        build_lattice(48, 9, MOEBIUS), HoppingParams(tx=1.0, ty=0.01),
         f_min=-0.25, f_max=1.25, f_steps=151,
         solver=SolverConfig(k=6, method="dense"),
     )

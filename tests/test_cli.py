@@ -163,6 +163,14 @@ def test_sweep_invalid_range_exits_2(capsys):
     # the odd sector of a one-row strip is empty
     ("spectrum", "--sectors", "odd", "--ny", "1"),
     ("sweep", "--sectors", "full,odd", "--ny", "1"),
+    # sector lists: spectrum prints one sector, or 'full' among known ones; no name unchecked
+    ("spectrum", "--sectors", "full,bogus"),
+    ("spectrum", "--sectors", "even,bogus"),
+    ("spectrum", "--sectors", "even,odd"),
+    ("spectrum", "--sectors", ","),
+    ("sweep", "--sectors", ","),
+    ("sweep", "--sectors", "full,bogus"),
+    ("sweep", "--sectors", "EVEN"),
     # lattice dimensions are checked before the sweep starts
     ("sweep", "--nx", "2", "--sectors", "full"),
     ("sweep", "--ny", "0", "--sectors", "full"),
@@ -219,17 +227,84 @@ def test_linear_algebra_failure_exits_1(capsys, monkeypatch, tmp_path, command):
 def test_non_finite_operator_exits_2(capsys, tmp_path, command, solver, key):
     # 2 tx + 2 ty overflows to inf on the diagonal; a NaN defect once passed the Hermiticity
     # check, and the Krylov path then died on a singular factor with a traceback
-    argv = [command, "--nx", "8", "--ny", "3", "--k", "2", "--f-steps", "3",
-            "--solver", solver, key, "1e308"]
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("config error:") and "non-finite" in err
-    if command == "sweep":
-        new = tmp_path / "new.csv"
-        code, out, _ = run_cli(capsys, *argv, "--out", str(new))
-        assert code == 2 and out == ""
-        assert not new.exists()
+    # 1e200 is finite throughout, but squared and summed it overflows a residual norm: entries
+    # above 1e150 are refused, where a dense solve once printed an inf residual with exit 0
+    for value in ("1e308", "1e200"):
+        argv = [command, "--nx", "8", "--ny", "3", "--k", "2", "--f-steps", "3",
+                "--solver", solver, key, value]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:") and "non-finite" in err
+        if command == "sweep":
+            new = tmp_path / "new.csv"
+            code, out, _ = run_cli(capsys, *argv, "--out", str(new))
+            assert code == 2 and out == ""
+            assert not new.exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "sweep"])
+@pytest.mark.parametrize("key", ["--tx", "--ty"])
+def test_entries_below_the_size_bound_give_finite_residuals(capsys, command, key):
+    argv = [command, "--nx", "8", "--ny", "3", "--k", "2", "--f-steps", "3", "--solver", "dense",
+            key, "1e140", "--sectors", "full"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    if command == "spectrum":
+        assert all(math.isfinite(float(r)) for r in read_csv_column(out, "residual"))
+    else:
+        assert all(math.isfinite(float(e)) for e in read_csv_column(out, "e0_full"))
+
+
+@pytest.mark.parametrize("sector", ["even", "odd"])
+@pytest.mark.parametrize("scale", ["1e4", "1e8"])
+def test_parity_sectors_at_large_hopping(capsys, sector, scale):
+    # an absolute 1e-12 leak bound once refused these with exit 2; tx = ty scales H exactly
+    argv = ["spectrum", "--nx", "8", "--ny", "3", "--f", "0.3", "--sectors", sector]
+    code, unit, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, big, err = run_cli(capsys, *argv, "--tx", scale, "--ty", scale)
+    assert code == 0, err
+    assert_allclose([float(v) for v in read_csv_column(big, "eigenvalue")],
+                    [float(scale) * float(v) for v in read_csv_column(unit, "eigenvalue")],
+                    rtol=1e-12, atol=0)
+
+
+def test_parity_sweep_at_large_hopping(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--nx", "8", "--ny", "3", "--tx", "1e6", "--ty", "1e6",
+                             "--f-steps", "5")
+    assert code == 0, err
+    assert all(line.endswith(",ok") for line in out.strip().split("\n")[1:])
+
+
+def test_lanczos_on_a_diagonal_that_dwarfs_the_hopping(capsys):
+    # Gershgorin's interval rounds to one point at 1e20 + O(1), and the shift below it
+    # once rounded onto it: SuperLU raised "Factor is exactly singular", uncaught
+    for sectors, ny in (("full", "1"), ("odd", "3")):
+        code, out, err = run_cli(capsys, "spectrum", "--nx", "8", "--ny", ny, "--ty", "1e20",
+                                 "--k", "2", "--solver", "lanczos", "--sectors", sectors)
+        assert code == 0, err
+        assert [float(v) for v in read_csv_column(out, "eigenvalue")] == pytest.approx([2e20] * 2)
+
+
+def test_a_sweep_builds_its_lattice_and_hopping_once(capsys, monkeypatch):
+    # build_config builds them, and nothing downstream rebuilds them to check them again
+    from mobiusflux.hamiltonian import HoppingParams
+    from mobiusflux.lattice import StripLattice
+
+    built = []
+
+    def counted(check):
+        def post_init(self):
+            built.append(type(self).__name__)
+            check(self)
+        return post_init
+
+    for cls in (StripLattice, HoppingParams):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls.__post_init__))
+    code, _, _ = run_cli(capsys, "sweep", "--nx", "8", "--ny", "5", "--f-steps", "3", "--k", "2")
+    assert code == 0
+    assert sorted(built) == ["HoppingParams", "StripLattice"]
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

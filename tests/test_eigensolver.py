@@ -240,8 +240,8 @@ def test_lanczos_reports_an_uncertifiable_count_as_no_convergence(monkeypatch):
     with pytest.raises(NoConvergenceError) as err:
         lanczos_lowest(moebius_operator(12, 5, 0.3), SolverConfig(k=4, seed=1, method="lanczos"))
     assert err.value.best is not None and err.value.best.k == 4
-    records = flux_sweep(SweepConfig(nx=12, ny=5, f_steps=3, sectors=("full",),
-                                     solver=SolverConfig(k=4, method="lanczos")))
+    records = flux_sweep(SweepConfig(build_lattice(12, 5, MOEBIUS), HoppingParams(), f_steps=3,
+                                     sectors=("full",), solver=SolverConfig(k=4, method="lanczos")))
     assert [rec.status for rec in records] == ["failed"] * 3
 
 

@@ -93,6 +93,12 @@ def test_assemble_input_validation():
         assemble(lat, uniform_flux_field(other, 0.0), HoppingParams())
     with pytest.raises(LatticeError):
         assemble(lat, uniform_flux_field(lat, 0.0), HoppingParams(), pot=np.zeros(5))
+    # a potential's entries are checked with the operator's, by the one finiteness check
+    for bad in (np.nan, np.inf, 1e200):
+        pot = np.zeros((6, 3))
+        pot[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            assemble(lat, uniform_flux_field(lat, 0.0), HoppingParams(), pot=pot)
 
 
 def test_sparse_hermitian_rejects_asymmetric():
@@ -310,3 +316,32 @@ def test_real_basis_of_a_y_asymmetric_mirror_symmetric_operator(topology, nx):
     assert_allclose(got.values, want.values, rtol=0, atol=1e-12)
     assert abs(nodal_amplitude(iso.embed(got.vectors[:, 0]), lat)
                - nodal_amplitude(want.vectors[:, 0], lat)) <= 1e-10
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_a_symmetry_breaking_field_is_refused_at_any_scale(scale):
+    # the sector leak bound grows with the entries as round-off does, and no faster: a random
+    # field's leak is of the order of the hopping itself
+    from mobiusflux.gauge import GaugeField
+
+    lat = build_lattice(8, 5, MOEBIUS)
+    rng = np.random.default_rng(6)
+    field = GaugeField(lat, rng.uniform(-np.pi, np.pi, (8, 5)), rng.uniform(-np.pi, np.pi, (8, 4)))
+    h = assemble(lat, field, HoppingParams(tx=scale, ty=scale))
+    for sector in (EVEN, ODD):
+        with pytest.raises(SymmetryViolationError):
+            restrict(h, sector_isometry(lat, sector))
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e8])
+def test_sector_checks_scale_with_the_operator(scale):
+    # at tx = 1e4 the leak of a symmetric operator (7e-12) once failed an absolute 1e-12 bound,
+    # and at 1e6 its Hermiticity defect did; H scales with tx = ty, and so does its spectrum
+    lat = build_lattice(8, 3, MOEBIUS)
+    for sector in (EVEN, ODD):
+        iso = sector_isometry(lat, sector)
+        unit = dense_eigh(FluxPencil(iso, HoppingParams()).at(0.3)).values
+        big = FluxPencil(iso, HoppingParams(tx=scale, ty=scale)).at(0.3)
+        assert_allclose(dense_eigh(big).values, scale * unit, rtol=1e-12, atol=0)
+        h = assemble(lat, uniform_flux_field(lat, 0.3), HoppingParams(tx=scale, ty=scale))
+        assert_allclose(dense_eigh(restrict(h, iso)).values, scale * unit, rtol=1e-12, atol=0)

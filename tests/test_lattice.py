@@ -29,12 +29,13 @@ def test_build_lattice_counts():
 
 @pytest.mark.parametrize("nx,ny", [(2, 1), (1, 5), (3, 0), (0, 0)])
 def test_build_lattice_rejects_small(nx, ny):
-    with pytest.raises(LatticeError):
+    # the one check of a lattice's dimensions: a sweep or command takes the lattice built
+    with pytest.raises(LatticeError, match="nx" if nx < 3 else "ny"):
         build_lattice(nx, ny, ANNULUS)
 
 
 def test_build_lattice_rejects_bad_topology():
-    with pytest.raises(LatticeError):
+    with pytest.raises(LatticeError, match="topology"):
         build_lattice(4, 3, "klein")
 
 

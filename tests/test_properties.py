@@ -1,10 +1,12 @@
 """Property tests: the array-built core against per-site definitions.
 
 Each reference below walks the lattice site by site through ``neighbor``,
-the one implementation of the seam rule, and must agree exactly with the
-index-array code on random small lattices of both topologies, with the
-seam flip on or off.  The curvature, a sum of four rounded terms, agrees
-to round-off.  Loops are walked again through ``neighbor`` for their
+the seam and wall rule written out per site here, independent of the
+step table that is the library's one implementation of it, and must
+agree exactly with the index-array code on random small lattices of both
+topologies, with the seam flip on or off.  The curvature, a sum of four
+rounded terms, agrees to round-off.  Loops are walked again through
+``neighbor`` for their
 Wilson angle and seam crossings, and lifted to the cut-open band.  The
 sector bases are checked against their defining symmetries and against
 the plain operator's spectrum, and the sweep's flux pencil against
@@ -19,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mobiusflux import hamiltonian
+from mobiusflux import hamiltonian, lattice
 from mobiusflux.eigensolver import dense_eigh
 from mobiusflux.gauge import (
     GaugeField,
@@ -57,7 +59,6 @@ from mobiusflux.lattice import (
     StripLattice,
     cut_complement_of_center,
     homology_class,
-    neighbor,
     walk_loop,
 )
 
@@ -67,6 +68,19 @@ ANGLES = st.floats(-10.0, 10.0)
 
 
 _REVERSE = {DIR_PX: DIR_MX, DIR_MX: DIR_PX, DIR_PY: DIR_MY, DIR_MY: DIR_PY}
+
+
+def neighbor(lat, site, direction):
+    """One link on from ``site``, None at a wall: crossing the seam on a moebius
+    lattice (seam flip on) lands on the mirrored row, j -> ny-1-j."""
+    i, j = site
+    if direction in (DIR_PY, DIR_MY):
+        j += 1 if direction == DIR_PY else -1
+        return Site(i, j) if 0 <= j < lat.ny else None
+    i += 1 if direction == DIR_PX else -1
+    if 0 <= i < lat.nx:
+        return Site(i, j)
+    return Site(i % lat.nx, lat.ny - 1 - j if lat.is_moebius and lat.seam_flip else j)
 
 
 @st.composite
@@ -102,6 +116,7 @@ def test_x_next_is_the_plus_x_neighbor(lat):
             there = neighbor(lat, site, direction)
             want = -1 if there is None else lat.site_id(there)
             assert lat.step_table[code, lat.site_id(site)] == want
+            assert lattice.neighbor(lat, site, direction) == there
 
 
 @SMALL
