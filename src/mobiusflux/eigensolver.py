@@ -3,7 +3,12 @@
 Two routes: a dense direct solve (LAPACK) for reference accuracy at small
 dimension, and shift-invert Lanczos (ARPACK) for larger problems.
 The dense route computes only the k lowest pairs asked for, by LAPACK's
-index-range driver (MRRR): full accuracy at a fraction of the cost of all n.
+index-range driver (dsyevr/zheevr): full accuracy at a fraction of the cost
+of all n.  For k < n that driver finds the values by bisection (stebz) and
+only then, if asked, the vectors by inverse iteration (stein), so a
+values-only solve returns the same values bit for bit; for k = n it takes
+other routes for values (sterf) and for vectors (MRRR, stemr), whose values
+differ in the last bits, so there the values-only mode solves for vectors.
 It hands LAPACK one column-major dense copy to overwrite in place, with no
 finiteness scan: ``SparseHermitian`` refuses non-finite entries when built.
 The iterative route shifts just below the spectrum's Gershgorin bound, where
@@ -35,7 +40,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .hamiltonian import SparseHermitian
+from .hamiltonian import ROUND_OFF, SparseHermitian
 
 _DENSE_MAX_N = 4096
 _AUTO_DENSE_N = 1024
@@ -77,11 +82,12 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Ascending eigenvalues, unit-norm eigenvectors (columns), residuals."""
+    """Ascending eigenvalues, unit-norm eigenvectors (columns), residuals; a values-only
+    solve leaves vectors and residuals None."""
 
     values: np.ndarray
-    vectors: np.ndarray
-    residuals: np.ndarray
+    vectors: Optional[np.ndarray]
+    residuals: Optional[np.ndarray]
 
     @property
     def k(self) -> int:
@@ -99,10 +105,13 @@ def _finalize(h: SparseHermitian, values: np.ndarray, vectors: np.ndarray) -> Ei
     return EigenResult(values=values, vectors=vectors, residuals=residuals)
 
 
-def dense_eigh(h: SparseHermitian, k: Optional[int] = None) -> EigenResult:
+def dense_eigh(h: SparseHermitian, k: Optional[int] = None, *,
+               values_only: bool = False) -> EigenResult:
     """k lowest eigenpairs (None: all n) by a dense direct solve; n <= 4096.
 
     The reference path; only the requested pairs and their residuals are computed.
+    With values_only and k < n, only the k values: bit for bit the values of
+    the vector solve (see the module docstring); at k = n the pairs are solved.
     LAPACK overwrites the one column-major copy it is handed, unscanned:
     every ``SparseHermitian`` is checked finite when it is built.
     """
@@ -113,9 +122,13 @@ def dense_eigh(h: SparseHermitian, k: Optional[int] = None) -> EigenResult:
     k = h.n if k is None else k
     if not 1 <= k <= h.n:
         raise ValueError(f"k must lie in [1, n={h.n}], got {k}")
-    values, vectors = eigh(h.csr.toarray(order="F"), subset_by_index=[0, k - 1],
-                           check_finite=False, overwrite_a=True)
-    return _finalize(h, values, vectors)
+    values_only = values_only and k < h.n
+    out = eigh(h.csr.toarray(order="F"), subset_by_index=[0, k - 1], eigvals_only=values_only,
+               check_finite=False, overwrite_a=True)
+    if values_only:
+        out.setflags(write=False)
+        return EigenResult(values=out, vectors=None, residuals=None)
+    return _finalize(h, *out)
 
 
 def residual_report(h: SparseHermitian, res: EigenResult) -> np.ndarray:
@@ -233,8 +246,12 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
     stop test bounds the residual of the inverse; times ||H - sigma I|| <=
     hi - sigma it bounds the residual on H, so ARPACK gets cfg.tol / (hi - sigma).
     Rayleigh-Ritz makes the vectors orthonormal.  Residuals must meet
-    tol * max(1, |lambda|_max), and the inertia count just above the top
-    value must equal the number of values; a larger count means skipped
+    tol * max(1, |lambda|_max), or min(tol, ``ROUND_OFF``) times h's
+    Gershgorin bound on ||H|| where that is larger: a residual is never
+    below eps ||H||, however small the lowest eigenvalues are against ||H||,
+    while a tol below the round-off itself is still held to as asked.  The
+    certificate's cut margin is the same gate.  The inertia count just above
+    the top value must equal the number of values; a larger count means skipped
     degenerate copies, so the solve is redone for that many.  Where the
     sparse count there is not trusted, it is taken at one or two higher
     cuts before the dense count.  cfg.max_iter
@@ -261,6 +278,7 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
     # a pivot's rounding grows as eps ||H||^2 / d at a distance d from an eigenvalue, and the
     # first cut sits within ~||R|| of one: 100 sqrt(eps) ||H|| higher it is ~1% of the bound
     retry = 100.0 * _SQRT_EPS * (hi - sigma)
+    floor = min(cfg.tol, ROUND_OFF) * max(abs(lo), abs(hi))
     calls = itertools.count()
     latest = collections.deque(maxlen=max(k, 20))  # ARPACK's newest Krylov vectors
 
@@ -285,14 +303,14 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
                 f"Lanczos did not reach tol={cfg.tol} within {budget} factor solves",
                 best=_rayleigh_ritz(h, np.column_stack(latest), k),
             ) from None
-        scale = max(1.0, float(np.max(np.abs(res.values))))
-        if not np.all(res.residuals <= cfg.tol * scale):
+        gate = max(cfg.tol * max(1.0, float(np.max(np.abs(res.values)))), floor)
+        if not np.all(res.residuals <= gate):
             raise NoConvergenceError(f"Lanczos residuals exceed tol={cfg.tol}", best=res.lowest(k))
         # Ritz value i is >= lambda_i and within ||R|| of a distinct eigenvalue,
         # so exactly `want` eigenvalues below sigma means none was skipped
         # and so does any higher cut: where the count at this one is not trusted, one or
         # two higher ones are tried before the dense count
-        cut = res.values[-1] + np.linalg.norm(res.residuals) + cfg.tol * scale
+        cut = res.values[-1] + np.linalg.norm(res.residuals) + gate
         counts = (shifts.count_below(c) for c in (cut, cut + retry, cut + 100.0 * retry))
         count = next((c for c in counts if c is not None), None)
         if count is None:
@@ -308,14 +326,16 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
         want = count
 
 
-def solve(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
+def solve(h: SparseHermitian, cfg: SolverConfig, *, values_only: bool = False) -> EigenResult:
     """Dispatch on cfg.method; auto picks dense for n <= 1024.  A k above n is capped at n
-    here, so one k serves every sector; ``dense_eigh`` and ``lanczos_lowest`` refuse it."""
+    here, so one k serves every sector; ``dense_eigh`` and ``lanczos_lowest`` refuse it.
+    values_only reaches the dense route only: Lanczos needs its vectors for the
+    Rayleigh-Ritz step, the residual gate and the certificate."""
     if cfg.k > h.n:
         cfg = replace(cfg, k=h.n)
     method = cfg.method
     if method == "auto":
         method = "dense" if h.n <= _AUTO_DENSE_N else "lanczos"
     if method == "dense":
-        return dense_eigh(h, cfg.k)
+        return dense_eigh(h, cfg.k, values_only=values_only)
     return lanczos_lowest(h, cfg)

@@ -114,8 +114,10 @@ def flux_sweep(cfg: SweepConfig) -> list:
 
     The full sector asks the solver for min(k, 2) pairs, all that its
     columns read (e0, the gap and the ground vector); a parity sector asks
-    for k, so that its e0 is bit for bit the one ``spectrum`` prints (the
-    MRRR driver's lowest value depends on how many pairs it computes).
+    for k values and no vectors, so that its e0 is bit for bit the one
+    ``spectrum`` prints: the dense driver's bisection finds the same values
+    with or without vectors, but its lowest value depends on how many it is
+    asked for (see ``eigensolver``).
     ``node_amp`` is left empty unless the full-sector gap shows a unique
     ground state: a degenerate one has no basis-free center-row amplitude,
     only whatever vector LAPACK returns, and with k = 1 the gap is unknown.
@@ -129,7 +131,8 @@ def flux_sweep(cfg: SweepConfig) -> list:
         try:
             fields = {}
             for sector, pencil in pencils.items():
-                res = solve(pencil.at(f), full_solver if sector == FULL else cfg.solver)
+                res = solve(pencil.at(f), full_solver if sector == FULL else cfg.solver,
+                            values_only=sector != FULL)
                 fields[f"e0_{sector}"] = float(res.values[0])
                 if sector == FULL and res.k >= 2:
                     fields["gap"] = float(res.values[1] - res.values[0])

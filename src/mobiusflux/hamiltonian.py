@@ -61,7 +61,8 @@ ODD = "odd"
 SECTORS = (FULL, EVEN, ODD)
 
 _MAX_ENTRY = 1e150  # ~sqrt(largest double / 1e8): squared and summed over 1e8 rows, finite
-_EPS = float(np.finfo(float).eps)
+# rounding explains a defect or residual up to this times the operator's size (see _round_off_bound)
+ROUND_OFF = 64.0 * float(np.finfo(float).eps)
 
 
 class SymmetryViolationError(ValueError):
@@ -85,7 +86,7 @@ class HoppingParams:
 def _round_off_bound(size: float) -> float:
     """The largest defect rounding explains in an operator of max |entry| size (measured:
     leaks 1.3-2.6 eps size, Hermiticity defects below 0.3 eps size, for sizes 1 to 1e8)."""
-    return max(1e-12, 64.0 * _EPS * size)
+    return max(1e-12, ROUND_OFF * size)
 
 
 def _max_abs(entries: np.ndarray) -> float:

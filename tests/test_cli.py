@@ -41,15 +41,20 @@ def test_spectrum_matches_ring_oracle(capsys):
 
 
 def test_sector_spectrum_is_the_sweep_bit_for_bit(capsys):
-    # the spectrum command and the sweep solve a sector in one and the same basis
-    size = ["--nx", "48", "--ny", "9", "--ty", "0.01", "--solver", "dense"]
-    code, out, _ = run_cli(capsys, "sweep", *size, "--f-min", "0.3", "--f-max", "0.5",
-                           "--f-steps", "3")
-    assert code == 0
-    for sector in ("even", "odd"):
-        code, spectrum, _ = run_cli(capsys, "spectrum", *size, "--f", "0.3", "--sectors", sector)
+    # the spectrum command and the sweep solve a sector in one and the same basis; on the
+    # 3 x 3 band k = 6 reaches both sectors' dimensions (odd 3, even 6), where LAPACK's
+    # driver takes other routes
+    for size in (["--nx", "48", "--ny", "9", "--ty", "0.01"], ["--nx", "3", "--ny", "3", "--k", "6"]):
+        size = [*size, "--solver", "dense"]
+        code, out, _ = run_cli(capsys, "sweep", *size, "--f-min", "0.3", "--f-max", "0.5",
+                               "--f-steps", "2")
         assert code == 0
-        assert read_csv_column(spectrum, "eigenvalue")[0] == read_csv_column(out, f"e0_{sector}")[0]
+        for sector in ("even", "odd"):
+            for row, f in enumerate(read_csv_column(out, "f")):
+                code, spectrum, _ = run_cli(capsys, "spectrum", *size, "--f", f, "--sectors", sector)
+                assert code == 0
+                e0 = read_csv_column(spectrum, "eigenvalue")[0]
+                assert e0 == read_csv_column(out, f"e0_{sector}")[row]
 
 
 def test_spectrum_flux_periodicity(capsys):
@@ -199,7 +204,7 @@ def test_invalid_config_exits_2(capsys, tmp_path, argv):
 
 @pytest.mark.parametrize("command", ["spectrum", "sweep"])
 def test_linear_algebra_failure_exits_1(capsys, monkeypatch, tmp_path, command):
-    def failing_solve(h, cfg):
+    def failing_solve(h, cfg, values_only=False):
         raise np.linalg.LinAlgError("factorization failed")
 
     monkeypatch.setattr(cli, "solve", failing_solve)
@@ -275,6 +280,28 @@ def test_parity_sweep_at_large_hopping(capsys):
                              "--f-steps", "5")
     assert code == 0, err
     assert all(line.endswith(",ok") for line in out.strip().split("\n")[1:])
+
+
+@pytest.mark.parametrize("sector", ["full", "even"])
+def test_lanczos_residual_gate_has_a_round_off_floor(capsys, sector):
+    # at tx = 1e6 the lowest eigenvalues are O(1) while ||H|| ~ 2e6, so a residual is
+    # eps ||H|| ~ 1e-9: the gate tol * max(1, |lambda|) = 1e-10 once refused every solve
+    from mobiusflux.eigensolver import _gershgorin
+    from mobiusflux.gauge import uniform_flux_field
+    from mobiusflux.hamiltonian import ROUND_OFF, HoppingParams, assemble
+    from mobiusflux.lattice import build_lattice
+
+    argv = ["spectrum", "--nx", "8", "--ny", "3", "--k", "2", "--tx", "1e6", "--sectors", sector]
+    code, lanczos, err = run_cli(capsys, *argv, "--solver", "lanczos")
+    assert code == 0, err
+    code, dense, err = run_cli(capsys, *argv, "--solver", "dense")
+    assert code == 0, err
+    lat = build_lattice(8, 3, "moebius")
+    lo, hi = _gershgorin(assemble(lat, uniform_flux_field(lat, 0.0), HoppingParams(1e6, 1.0)))
+    floor = ROUND_OFF * max(abs(lo), abs(hi))
+    assert 1e-10 < floor < 1e-7
+    assert_allclose([float(v) for v in read_csv_column(lanczos, "eigenvalue")],
+                    [float(v) for v in read_csv_column(dense, "eigenvalue")], rtol=0, atol=floor)
 
 
 def test_lanczos_on_a_diagonal_that_dwarfs_the_hopping(capsys):

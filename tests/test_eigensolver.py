@@ -133,6 +133,27 @@ def test_dense_eigh_is_scipys_eigh_on_a_copy_it_may_overwrite(h, k):
     assert first.residuals.tobytes() == again.residuals.tobytes()
 
 
+@pytest.mark.parametrize("h", list(dense_cases()))
+@pytest.mark.parametrize("k", [1, 2, 6, "n-1", "n"])
+def test_dense_values_only_are_the_vector_solves_values_bit_for_bit(h, k):
+    # for k < n LAPACK bisects for the values whether or not it then computes vectors; at
+    # k = n it takes other routes for values and for vectors, so the pairs are solved
+    k = {"n-1": h.n - 1, "n": h.n}.get(k, k)
+    values = dense_eigh(h, k, values_only=True)
+    assert (values.vectors is None, values.residuals is None) == (k < h.n, k < h.n)
+    assert np.array_equal(values.values, dense_eigh(h, k).values)
+    assert np.array_equal(solve(h, SolverConfig(k=k, method="dense"), values_only=True).values,
+                          values.values)
+
+
+def test_values_only_leaves_the_lanczos_route_its_pairs():
+    h = moebius_operator(12, 5, 0.3)
+    cfg = SolverConfig(k=4, seed=1, method="lanczos")
+    res = solve(h, cfg, values_only=True)
+    assert res.vectors is not None
+    assert np.array_equal(res.values, solve(h, cfg).values)
+
+
 @pytest.mark.parametrize("k", [0, -1, 61])
 def test_dense_k_out_of_range(k):
     h = strip_operator(MOEBIUS, 0.3, 1.0)

@@ -239,6 +239,26 @@ def test_full_sector_asks_for_two_pairs_whatever_k(topology):
     assert both >= 5
 
 
+def test_values_only_sectors_keep_the_csv_bytes(monkeypatch):
+    # the parity sectors are solved for values only; forced through the vector solve,
+    # the acceptance band's sweep renders the same text
+    from mobiusflux.cli import render_sweep_csv
+
+    cfg = small_sweep(nx=48, ny=9, ty=0.01, f_min=0.0, f_max=0.5, f_steps=5,
+                      solver=SolverConfig(k=6, method="dense"))
+    text = render_sweep_csv(flux_sweep(cfg))
+    solve = experiments.solve
+    calls = []
+
+    def with_vectors(h, cfg, values_only=False):
+        calls.append(values_only)
+        return solve(h, cfg)
+
+    monkeypatch.setattr(experiments, "solve", with_vectors)
+    assert render_sweep_csv(flux_sweep(cfg)) == text
+    assert calls.count(True) == 2 * 5 and calls.count(False) == 5
+
+
 def test_nodal_amplitude_dimension_mismatch():
     lat = build_lattice(8, 5, MOEBIUS)
     with pytest.raises(ValueError):
