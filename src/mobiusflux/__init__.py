@@ -71,7 +71,6 @@ from .lattice import (
     center_loop,
     cut_complement_of_center,
     homology_class,
-    neighbor,
     offset_loop,
     walk_loop,
 )

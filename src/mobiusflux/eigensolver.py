@@ -187,7 +187,18 @@ class _Shifts:
                     options={"SymmetricMode": True})
 
     def count_below(self, sigma: float) -> Optional[int]:
-        """The inertia count of ``inertia_count`` from the sparse factor; None where it is not trusted."""
+        """Number of eigenvalues of H below sigma, by Sylvester's law of inertia; None if untrusted.
+
+        D's negative entries in the factor L D L^H of H - sigma I are the
+        count.  Diagonal pivots are not stable on an indefinite matrix: a
+        pivot near zero makes later entries grow until rounding swamps the
+        signs of later pivots.  So the count is trusted only if the pivots
+        stayed on the diagonal, are real to within sqrt(eps) ||H - sigma I||
+        (exactly real in exact arithmetic) and no entry of U exceeds
+        ||H - sigma I|| / sqrt(eps).  Where it is not, or sigma is an
+        eigenvalue so the factor is exactly singular, it returns None, and
+        the caller may count the dense spectrum (``_dense_count``).
+        """
         try:
             lu = self.factor(sigma)
         except RuntimeError:  # SuperLU's "Factor is exactly singular": sigma is an eigenvalue
@@ -209,23 +220,6 @@ def _dense_count(h: SparseHermitian, sigma: float) -> int:
             f"no trustworthy sparse factor of H - {sigma!r} I, and n={h.n} exceeds "
             f"the dense count's limit {_DENSE_MAX_N}")
     return int(np.count_nonzero(np.linalg.eigvalsh(h.toarray()) < sigma))
-
-
-def inertia_count(h: SparseHermitian, sigma: float) -> int:
-    """Number of eigenvalues of h below sigma, by Sylvester's law of inertia.
-
-    D's negative entries in the factor L D L^H of H - sigma I are the count.
-    Diagonal pivots are not stable on an indefinite matrix: a pivot near zero
-    makes later entries grow until rounding swamps the signs of later pivots.
-    So the count is trusted only if the pivots stayed on the diagonal, are
-    real to within sqrt(eps) ||H - sigma I|| (exactly real in exact
-    arithmetic) and no entry of U exceeds ||H - sigma I|| / sqrt(eps);
-    otherwise, and when sigma is an eigenvalue so the factor is exactly
-    singular, the dense spectrum counts.  Above the dense path's size limit
-    that fallback raises LinAlgError.
-    """
-    count = _Shifts(h).count_below(sigma)
-    return _dense_count(h, sigma) if count is None else count
 
 
 def _rayleigh_ritz(h: SparseHermitian, basis: np.ndarray, k: int) -> EigenResult:
@@ -273,7 +267,7 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
     # the floors keep a multiple of the identity (lo == hi) off its eigenvalue, and sigma
     # a few units in the last place of lo below it where the diagonal dwarfs the width
     sigma = lo - _SQRT_EPS * max(hi - lo, 1.0, 4.0 * _SQRT_EPS * abs(lo))
-    # positive definite, so diagonal pivots are stable: no growth check as in inertia_count
+    # positive definite, so diagonal pivots are stable: no growth check as in count_below
     factor = shifts.factor(sigma)
     # a pivot's rounding grows as eps ||H||^2 / d at a distance d from an eigenvalue, and the
     # first cut sits within ~||R|| of one: 100 sqrt(eps) ||H|| higher it is ~1% of the bound

@@ -102,10 +102,11 @@ class GaugeTransform:
 
 
 def uniform_flux_angle(lat: StripLattice, f: float) -> float:
-    """The angle 2*pi*f/nx that a uniform flux f puts on every +x link."""
-    if not math.isfinite(f):
-        raise GaugeError("flux must be finite")
-    return TAU * f / lat.nx
+    """The angle 2*pi*f/nx that a uniform flux f puts on every +x link; it must be finite."""
+    angle = TAU * f / lat.nx
+    if not math.isfinite(angle):
+        raise GaugeError(f"flux f={float(f)!r} gives a link angle 2*pi*f/nx that is not finite")
+    return angle
 
 
 def uniform_flux_field(lat: StripLattice, f: float) -> GaugeField:

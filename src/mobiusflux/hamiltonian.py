@@ -5,13 +5,15 @@ absorbs the particle mass, so energies are reported in units of the x
 hopping.  The discrete kinetic term puts 2*tx + 2*ty on every diagonal
 (also at Dirichlet walls, where the missing neighbor simply contributes
 no hop) and -t * exp(i*theta) on every existing link, theta being the
-gauge field's Peierls angle for the hop direction.  ``assemble`` writes
-these entries straight onto a CSR pattern built once per lattice, and
-checks and symmetrizes them through the pattern's transpose index, the
-one check it shares with ``FluxPencil.at``.  Every operator is checked
-finite, entries at most 1e150, where it is built, so no solver scans
-it again; its Hermiticity defect and sector leak must meet 1e-12, or
-64 eps max |entry| where that is larger.
+gauge field's Peierls angle for the hop direction.  Every operator,
+``SparseHermitian(matrix)``, ``assemble``, ``restrict`` and
+``FluxPencil.at`` alike, is checked, symmetrized and stored in one way:
+on a CSR pattern closed under transposition, through its transpose
+index, keeping every slot the pattern holds.  ``assemble`` writes its
+entries straight onto a pattern built once per lattice.  Every operator
+is checked finite, entries at most 1e150, where it is built, so no
+solver scans it again; its Hermiticity defect and sector leak must meet
+1e-12, or 64 eps max |entry| where that is larger.
 
 The reflection y -> -y commutes with any assembled operator whose angles
 and potential share that symmetry; its even and odd eigenspaces are the
@@ -93,21 +95,6 @@ def _max_abs(entries: np.ndarray) -> float:
     return float(np.max(np.abs(entries), initial=0.0))
 
 
-def _check_hermitian(entries: np.ndarray, defect) -> None:
-    """Refuse a non-finite or too large entry, then a Hermiticity defect above the round-off bound.
-
-    ``defect()`` gives the entries of H - H^dagger.  A NaN compares false
-    with any bound, so the entries are checked first: finite, and at most
-    1e150, so that H + H^dagger and every residual norm are finite too.
-    """
-    size = _max_abs(entries)
-    if not size <= _MAX_ENTRY:
-        raise ValueError(f"matrix has a non-finite entry, or one above {_MAX_ENTRY:.3g}")
-    worst = _max_abs(defect())
-    if worst > _round_off_bound(size):
-        raise ValueError(f"matrix is not Hermitian: max defect {worst:.3e}")
-
-
 class SparseHermitian:
     """Sparse matrix with exact Hermitian symmetry.
 
@@ -116,17 +103,18 @@ class SparseHermitian:
     exactly symmetrized (H + H^dagger)/2, finite, whose Hermiticity holds
     entrywise in floating point, with a real diagonal.  It is stored as
     float64 when every imaginary part is exactly 0.0, so solvers run in
-    real arithmetic; nothing is rounded to get there.
+    real arithmetic; nothing is rounded to get there.  The CSR holds every
+    stored entry of the matrix and of its transpose, explicit zeros
+    included, so its pattern is closed under transposition.
     """
 
     def __init__(self, matrix):
-        m = sp.csr_matrix(matrix, dtype=complex)
+        m = sp.csr_matrix(matrix, dtype=complex, copy=True)  # never sort the caller's arrays
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix is {m.shape}, not square")
-        _check_hermitian(m.data, lambda: (m - m.conj().T).data)
-        m = ((m + m.conj().T) * 0.5).tocsr()
         m.sum_duplicates()
-        self._csr = m if np.any(m.data.imag) else m.real
+        pattern, (data,) = _Pattern.of_matrices([m], m.shape[0])
+        self._csr = pattern.hermitian(data).csr
 
     @property
     def n(self) -> int:
@@ -144,7 +132,7 @@ class SparseHermitian:
 
 
 class _Pattern(NamedTuple):
-    """A square CSR pattern closed under transposition.
+    """A square CSR pattern closed under transposition: the one store of every operator.
 
     ``transpose`` holds the slot of each entry's transpose, so data laid
     on the pattern is checked and symmetrized entry by entry, with no
@@ -165,10 +153,39 @@ class _Pattern(NamedTuple):
             arr.setflags(write=False)
         return pattern
 
+    @classmethod
+    def of_matrices(cls, matrices, n: int) -> tuple:
+        """The pattern of these n x n matrices and their transposes, and each one's data laid on it.
+
+        Each matrix must hold no duplicate entries; a slot it does not
+        hold is 0 in its row of the data.
+        """
+        coos = [m.tocoo() for m in matrices]
+        own = [c.row.astype(np.int64) * n + c.col for c in coos]
+        keys = np.sort(np.concatenate(own + [c.col.astype(np.int64) * n + c.row for c in coos]))
+        first = np.ones(keys.size, dtype=bool)  # np.unique by a sort: its hashing is slower here
+        first[1:] = keys[1:] != keys[:-1]
+        keys = keys[first]
+        data = np.zeros((len(coos), keys.size), dtype=complex)
+        for row, c, k in zip(data, coos, own):
+            row[np.searchsorted(keys, k)] = c.data
+        return cls.of(keys, n), data
+
     def hermitian(self, data: np.ndarray) -> SparseHermitian:
-        """The operator with these entries, checked and stored as ``SparseHermitian`` does."""
+        """The operator with these entries: checked, symmetrized and stored.
+
+        A NaN compares false with any bound, so the entries are checked
+        first: finite, and at most 1e150, so that H + H^dagger and every
+        residual norm are finite too.  Then the Hermiticity defect must
+        meet the round-off bound.
+        """
+        size = _max_abs(data)
+        if not size <= _MAX_ENTRY:
+            raise ValueError(f"matrix has a non-finite entry, or one above {_MAX_ENTRY:.3g}")
         adjoint = data[self.transpose].conj()
-        _check_hermitian(data, lambda: data - adjoint)
+        worst = _max_abs(data - adjoint)
+        if worst > _round_off_bound(size):
+            raise ValueError(f"matrix is not Hermitian: max defect {worst:.3e}")
         data = (data + adjoint) * 0.5
         if not np.any(data.imag):
             data = data.real.copy()
@@ -197,10 +214,7 @@ def assemble(lat: StripLattice, field: GaugeField, hop: HoppingParams,
     y_hop = -hop.ty * np.exp(1j * field.theta_y.reshape(-1)) if hop.ty != 0.0 else None
     pattern, order = _link_layout(lat, y_hop is not None)
     values = _link_values(lat, 2.0 * hop.tx + 2.0 * hop.ty + v, x_hop, y_hop)
-    h = pattern.hermitian(values[order])
-    # a potential can zero a diagonal entry, which the generic constructor drops (and
-    # the cached pattern, shared by every operator built on it, must not lose)
-    return h if np.all(h.csr.data) else SparseHermitian(h.csr)
+    return pattern.hermitian(values[order])
 
 
 def _link_coords(lat: StripLattice, x_links: bool, y_links: bool) -> tuple:
@@ -391,16 +405,8 @@ class FluxPencil:
                   _link_operator(lat, 0.0, -1j * tx, None))
         blocks, leaks = zip(*(_project(piece.tocsr(), iso) for piece in pieces))
         _check_leak(sum(leaks), max(_max_abs(piece.data) for piece in pieces))
-        n = iso.dim
-        coos = [block.tocoo() for block in blocks]
-        own = [c.row.astype(np.int64) * n + c.col for c in coos]
-        # the pattern: every piece's entries and their transposes, row-major
-        keys = np.unique(np.concatenate(own + [c.col.astype(np.int64) * n + c.row for c in coos]))
         self.iso = iso
-        self._pattern = _Pattern.of(keys, n)
-        self._data = np.zeros((3, keys.size), dtype=complex)
-        for data, c, k in zip(self._data, coos, own):
-            data[np.searchsorted(keys, k)] = c.data
+        self._pattern, self._data = _Pattern.of_matrices(blocks, iso.dim)
 
     def at(self, f: float) -> SparseHermitian:
         """The sector operator at flux f: ``restrict(assemble(...))`` to round-off."""

@@ -12,8 +12,8 @@ number of seam crossings, which generates H_1 of either surface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, NamedTuple, Optional
+from functools import cached_property, lru_cache
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -114,11 +114,6 @@ class StripLattice:
         table.setflags(write=False)
         return table
 
-    @cached_property
-    def center_cut(self) -> "CenterCut":
-        """``cut_complement_of_center`` of this lattice, built once per lattice."""
-        return _cut_center(self)
-
     @property
     def x_next(self) -> np.ndarray:
         """Site id of each site's +x neighbour, indexed by site id: the table's +x row."""
@@ -128,16 +123,6 @@ class StripLattice:
 def build_lattice(nx: int, ny: int, topology: str) -> StripLattice:
     """Construct the strip lattice; nx >= 3 and ny >= 1 are required."""
     return StripLattice(nx=nx, ny=ny, topology=topology)
-
-
-def neighbor(lat: StripLattice, site, direction: str) -> Optional[Site]:
-    """Step one link from ``site``, read off ``step_table``; None where a Dirichlet wall blocks."""
-    if not lat.contains(site):
-        raise LatticeError(f"site {site} outside lattice {lat.nx}x{lat.ny}")
-    if direction not in CODE:
-        raise LatticeError(f"unknown direction {direction!r}")
-    there = int(lat.step_table[CODE[direction], lat.site_id(site)])
-    return None if there < 0 else Site(*divmod(there, lat.ny))
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,18 +252,15 @@ class CenterCut:
         return LoopPath(self.cut, steps, sites)
 
 
+@lru_cache(maxsize=16)
 def cut_complement_of_center(lat: StripLattice) -> CenterCut:
     """Cut a moebius strip open along the center circle.
 
     The complement of the center row is orientable; it reassembles into
     an annulus going around twice.  Requires moebius topology, odd ny and
-    ny >= 3.  The cut is cached on the lattice, so every call on one
-    lattice returns the same object.
+    ny >= 3.  The cuts of the last 16 lattices are cached, so repeated
+    calls on one lattice return the same object.
     """
-    return lat.center_cut
-
-
-def _cut_center(lat: StripLattice) -> CenterCut:
     if not lat.is_moebius:
         raise LatticeError("cut_complement_of_center needs a moebius lattice")
     c = lat.center_row

@@ -248,6 +248,24 @@ def test_non_finite_operator_exits_2(capsys, tmp_path, command, solver, key):
             assert not new.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--f", "1e308", "--sectors", "even"),
+    ("spectrum", "--f", "1e308", "--sectors", "full"),
+    ("sweep", "--f-min", "0", "--f-max", "1e308", "--f-steps", "3"),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_flux_whose_link_angle_is_not_finite_exits_2(capsys, tmp_path, argv):
+    # 2 pi f / nx overflows at a finite f: the sector pencil once failed on cos(inf) with
+    # "math domain error", the full sector's field with a message of its own
+    new = tmp_path / "new.csv"
+    code, out, err = run_cli(capsys, *argv, "--nx", "6", "--ny", "3", "--out", str(new))
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(r"config error: flux f=\S+ gives a link angle 2\*pi\*f/nx that is not "
+                        r"finite\n", err)
+    assert not new.exists()
+
+
 @pytest.mark.parametrize("command", ["spectrum", "sweep"])
 @pytest.mark.parametrize("key", ["--tx", "--ty"])
 def test_entries_below_the_size_bound_give_finite_residuals(capsys, command, key):

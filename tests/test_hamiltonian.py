@@ -294,6 +294,48 @@ def test_sparse_hermitian_is_real_only_when_every_imaginary_part_is_zero():
     assert tiny.csr.dtype == np.complex128
 
 
+def one_store_cases():
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    a = a + a.conj().T
+    rows, cols = np.nonzero(a)
+    # duplicates: every entry stored twice, as a quarter and three quarters of it
+    duplicates = sp.coo_matrix((np.concatenate([0.25 * a[rows, cols], 0.75 * a[rows, cols]]),
+                                (np.tile(rows, 2), np.tile(cols, 2))), shape=(5, 5))
+    zeros = sp.csr_matrix(a)
+    zeros.data[[1, 5]] = 0.0  # the slots (0, 1) and (1, 0), held as explicit zeros
+    # a duplicate pair that sums to zero, and an off-diagonal pair (x, -x) that symmetrizes
+    # to zero, x far inside the round-off bound
+    cancel = sp.coo_matrix((np.array([1.0, 0.5, -0.5, 1e-14, -1e-14, 2.0, 3.0]),
+                            ([0, 0, 0, 0, 1, 1, 2], [0, 2, 2, 1, 0, 1, 2])), shape=(3, 3))
+    zero_diagonal = np.diag([1.0, 0.0, 2.0]) + np.eye(3, k=1) + np.eye(3, k=-1)
+    real_in_complex = (np.diag([1.0, 2.0, 3.0]) + np.eye(3, k=2) + np.eye(3, k=-2)).astype(complex)
+    return [duplicates, zeros, cancel, zero_diagonal, real_in_complex, a]
+
+
+@pytest.mark.parametrize("m", one_store_cases())
+def test_sparse_hermitian_stores_the_symmetrized_matrix_bit_for_bit(m):
+    # one store for every input: the dense matrix is (M + M^H)/2, bit for bit; float64
+    # exactly when every imaginary part is 0; a CSR pattern closed under transposition
+    dense = m.toarray() if sp.issparse(m) else m
+    dense = np.asarray(dense, dtype=complex)
+    want = (dense + dense.conj().T) * 0.5
+    h = SparseHermitian(m)
+    got = h.toarray()
+    assert got.dtype == (np.complex128 if np.any(want.imag) else np.float64)
+    assert got.astype(complex).tobytes() == want.tobytes()
+    csr = h.csr
+    rows = np.repeat(np.arange(h.n), np.diff(csr.indptr))
+    assert csr.has_canonical_format
+    assert set(zip(rows.tolist(), csr.indices.tolist())) == set(zip(csr.indices.tolist(),
+                                                                    rows.tolist()))
+    if sp.issparse(m):  # every slot of M and of its transpose is kept, explicit zeros too
+        coo = m.tocoo()
+        held = set(zip(rows.tolist(), csr.indices.tolist()))
+        assert set(zip(coo.row.tolist(), coo.col.tolist())) <= held
+        assert set(zip(coo.col.tolist(), coo.row.tolist())) <= held
+
+
 @pytest.mark.parametrize("topology", [MOEBIUS, ANNULUS])
 @pytest.mark.parametrize("nx", [7, 8])
 def test_real_basis_of_a_y_asymmetric_mirror_symmetric_operator(topology, nx):
