@@ -146,28 +146,20 @@ def _gershgorin(h: SparseHermitian) -> tuple:
 
 
 class _Shifts:
-    """H's Gershgorin interval and a CSC copy of H with a slot for every diagonal entry.
+    """H's Gershgorin interval and a CSC copy of H with its diagonal slots.
 
-    Built once per solve from H's CSR arrays, with no sort: each factor of
-    H - sigma I is then a data update on the diagonal slots, and it holds
-    the same entries as the sparse difference H - sigma I, apart from a
-    diagonal entry that is exactly zero, which stays a slot here.
+    Built once per solve from H's CSR arrays, with no sort: H's store holds
+    every diagonal slot, so each factor of H - sigma I is a data update on
+    them.  Off the diagonal it drops H's explicit zeros, as the sparse
+    difference H - sigma I does.
     """
 
     def __init__(self, h: SparseHermitian):
         self.lo, self.hi = _gershgorin(h)
         n, csr = h.n, h.csr
-        ids = np.arange(n)
-        rows = np.repeat(ids, np.diff(csr.indptr))
-        on_diag = csr.indices == rows
-        missing = np.ones(n, dtype=bool)
-        missing[rows[on_diag]] = False
-        keep = on_diag | (csr.data != 0)  # as H - sigma I drops H's explicit zeros
+        rows = np.repeat(np.arange(n), np.diff(csr.indptr))
+        keep = (csr.indices == rows) | (csr.data != 0)
         rows, cols, data = rows[keep], csr.indices[keep], csr.data[keep]
-        if missing.any():  # a slot after the row's entries left of the diagonal
-            at = np.searchsorted(rows.astype(np.int64) * n + cols, ids[missing] * (n + 1))
-            rows, cols = np.insert(rows, at, ids[missing]), np.insert(cols, at, ids[missing])
-            data = np.insert(data, at, 0)
         # H is Hermitian entry by entry, so row j of its CSR, conjugated, is column j of its CSC
         self._diag = csr.diagonal()
         self._csc = sp.csc_matrix((data.conj(), cols, np.searchsorted(rows, np.arange(n + 1))),

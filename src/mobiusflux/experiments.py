@@ -259,17 +259,17 @@ class LadderPeriodicity:
     period: float  # 0.5 or 1.0, the smallest period matched to tolerance
 
 
-def ladder_periodicity_test(lat: StripLattice, f_values: Sequence[float], ty: float = 0.0,
-                            tx: float = 1.0, match_tol: float = 1e-10) -> LadderPeriodicity:
-    """Period of the ny=2 moebius ladder spectrum as a function of flux.
+def ladder_periodicity_test(lat: StripLattice, f_values: Sequence[float],
+                            ty: float = 0.0) -> LadderPeriodicity:
+    """Period of the ny=2 moebius ladder spectrum as a function of flux, at tx = 1.
 
     With ty = 0 the two rows chain into one ring of twice the length, so
     the spectrum has period 1/2 in f; any rung coupling breaks the half
-    period and leaves period 1.
+    period and leaves period 1.  A period matches to 1e-10 in every eigenvalue.
     """
     if not lat.is_moebius or lat.ny != 2:
         raise ValueError(f"need a two-row moebius ladder, got ny={lat.ny} {lat.topology}")
-    hop = HoppingParams(tx=tx, ty=ty)
+    hop = HoppingParams(ty=ty)
 
     def spectrum(f: float) -> np.ndarray:
         return dense_eigh(assemble(lat, uniform_flux_field(lat, f), hop)).values
@@ -280,15 +280,14 @@ def ladder_periodicity_test(lat: StripLattice, f_values: Sequence[float], ty: fl
         base = spectrum(float(f))
         dev_half = max(dev_half, float(np.max(np.abs(spectrum(float(f) + 0.5) - base))))
         dev_full = max(dev_full, float(np.max(np.abs(spectrum(float(f) + 1.0) - base))))
-    period = 0.5 if dev_half <= match_tol else (1.0 if dev_full <= match_tol else float("inf"))
+    period = 0.5 if dev_half <= 1e-10 else (1.0 if dev_full <= 1e-10 else float("inf"))
     return LadderPeriodicity(
         ty=ty, max_dev_half_period=dev_half, max_dev_full_period=dev_full, period=period
     )
 
 
-def annulus_equivalence_check(band: StripLattice, f_values: Sequence[float],
-                              tx: float = 1.0, ty: float = 1.0) -> float:
-    """Max deviation of E_odd(moebius) from E(half-width annulus at f+1/2).
+def annulus_equivalence_check(band: StripLattice, f_values: Sequence[float]) -> float:
+    """Max deviation of E_odd(moebius) from E(half-width annulus at f+1/2), at tx = ty = 1.
 
     Cutting the band open along the center circle doubles the homology
     generator, which shifts the effective flux seen by the nodal sector
@@ -298,7 +297,7 @@ def annulus_equivalence_check(band: StripLattice, f_values: Sequence[float],
         raise ValueError(f"need a moebius band, got {band.topology}")
     iso = sector_isometry(band, ODD)  # raises unless ny is odd and >= 3
     ring = build_lattice(band.nx, (band.ny - 1) // 2, ANNULUS)
-    hop = HoppingParams(tx=tx, ty=ty)
+    hop = HoppingParams()
     worst = 0.0
     for f in f_values:
         f = float(f)

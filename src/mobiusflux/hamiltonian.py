@@ -9,11 +9,12 @@ gauge field's Peierls angle for the hop direction.  Every operator,
 ``SparseHermitian(matrix)``, ``assemble``, ``restrict`` and
 ``FluxPencil.at`` alike, is checked, symmetrized and stored in one way:
 on a CSR pattern closed under transposition, through its transpose
-index, keeping every slot the pattern holds.  ``assemble`` writes its
-entries straight onto a pattern built once per lattice.  Every operator
-is checked finite, entries at most 1e150, where it is built, so no
-solver scans it again; its Hermiticity defect and sector leak must meet
-1e-12, or 64 eps max |entry| where that is larger.
+index, keeping every slot the pattern holds, every diagonal slot among
+them.  ``assemble`` writes its entries straight onto the one link
+layout, a pattern built once per lattice.  Every operator is checked
+finite, entries at most 1e150, where it is built, so no solver scans it
+again; its Hermiticity defect and sector leak must meet 1e-12, or
+64 eps max |entry| where that is larger.
 
 The reflection y -> -y commutes with any assembled operator whose angles
 and potential share that symmetry; its even and odd eigenspaces are the
@@ -35,13 +36,15 @@ complex.
 A uniform flux f puts one angle phi = 2*pi*f/nx on every x link and
 none on the y links, so H(f) = R + cos(phi) X + sin(phi) Y, with R the
 diagonal plus the rungs, X = -tx (S + S^T) and Y = -i tx (S - S^T), S
-the +x link incidence.  ``FluxPencil`` restricts the three pieces to a
-sector once and evaluates each flux point from their data arrays, with
-the guarantees of ``restrict(assemble(...))``: the leak is linear in H,
-so no point leaks more than the pieces' leaks summed, which must meet
-the same bound; and each point's block is checked Hermitian to it
-and symmetrized entry by entry, as ``SparseHermitian`` does.
-``restrict(assemble(...))`` stays the path for any other field.
+the +x link incidence.  ``FluxPencil`` lays the three pieces on
+``assemble``'s link layout, restricts them to a sector once, by the
+projection ``restrict`` uses, and evaluates each flux point from their
+data arrays, with the guarantees of ``restrict(assemble(...))``: the
+leak is linear in H, so no point leaks more than the pieces' leaks
+summed, which must meet the same bound; and each point's block is
+checked Hermitian to it and symmetrized entry by entry, as
+``SparseHermitian`` does.  ``restrict(assemble(...))`` stays the path
+for any other field.
 """
 
 from __future__ import annotations
@@ -105,7 +108,8 @@ class SparseHermitian:
     float64 when every imaginary part is exactly 0.0, so solvers run in
     real arithmetic; nothing is rounded to get there.  The CSR holds every
     stored entry of the matrix and of its transpose, explicit zeros
-    included, so its pattern is closed under transposition.
+    included, so its pattern is closed under transposition, and every
+    diagonal slot.
     """
 
     def __init__(self, matrix):
@@ -155,14 +159,15 @@ class _Pattern(NamedTuple):
 
     @classmethod
     def of_matrices(cls, matrices, n: int) -> tuple:
-        """The pattern of these n x n matrices and their transposes, and each one's data laid on it.
+        """The pattern of these n x n matrices, their transposes and the diagonal, and their data.
 
         Each matrix must hold no duplicate entries; a slot it does not
         hold is 0 in its row of the data.
         """
         coos = [m.tocoo() for m in matrices]
         own = [c.row.astype(np.int64) * n + c.col for c in coos]
-        keys = np.sort(np.concatenate(own + [c.col.astype(np.int64) * n + c.row for c in coos]))
+        keys = np.sort(np.concatenate(own + [c.col.astype(np.int64) * n + c.row for c in coos]
+                                      + [np.arange(n, dtype=np.int64) * (n + 1)]))
         first = np.ones(keys.size, dtype=bool)  # np.unique by a sort: its hashing is slower here
         first[1:] = keys[1:] != keys[:-1]
         keys = keys[first]
@@ -217,17 +222,14 @@ def assemble(lat: StripLattice, field: GaugeField, hop: HoppingParams,
     return pattern.hermitian(values[order])
 
 
-def _link_coords(lat: StripLattice, x_links: bool, y_links: bool) -> tuple:
+def _link_coords(lat: StripLattice, y_links: bool) -> tuple:
     """Rows and columns of the diagonal, then of every +x and +y link and its conjugate.
 
     Each link (u -> v) enters as H[v, u] and its conjugate at H[u, v],
     the +x links read off ``lat.x_next``.
     """
     ids = np.arange(lat.n_sites)
-    rows, cols = [ids], [ids]
-    if x_links:
-        rows += [lat.x_next, ids]
-        cols += [ids, lat.x_next]
+    rows, cols = [ids, lat.x_next, ids], [ids, ids, lat.x_next]
     if y_links:
         below = ids.reshape(lat.nx, lat.ny)[:, :-1].reshape(-1)
         rows += [below + 1, below]
@@ -236,21 +238,14 @@ def _link_coords(lat: StripLattice, x_links: bool, y_links: bool) -> tuple:
 
 
 def _link_values(lat: StripLattice, diag, x_hop, y_hop) -> np.ndarray:
-    """The entries at ``_link_coords``: H[v, u] = hop[u] on each link, its conjugate at H[u, v]."""
-    vals = [np.broadcast_to(diag, (lat.n_sites,))]
-    for hop in (x_hop, y_hop):
-        if hop is not None:
-            vals += [hop, np.conj(hop)]
+    """The entries at ``_link_coords``: H[v, u] = hop[u] on each link, its conjugate at H[u, v].
+
+    ``y_hop`` None leaves the +y links out, as ``_link_coords`` does.
+    """
+    vals = [np.broadcast_to(diag, (lat.n_sites,)), x_hop, np.conj(x_hop)]
+    if y_hop is not None:
+        vals += [y_hop, np.conj(y_hop)]
     return np.concatenate(vals)
-
-
-def _link_operator(lat: StripLattice, diag, x_hop, y_hop) -> sp.coo_matrix:
-    """``diag`` on the diagonal plus a value on every +x and +y link; None leaves links out."""
-    return sp.coo_matrix(
-        (_link_values(lat, diag, x_hop, y_hop),
-         _link_coords(lat, x_hop is not None, y_hop is not None)),
-        shape=(lat.n_sites, lat.n_sites),
-    )
 
 
 @functools.lru_cache(maxsize=16)
@@ -260,7 +255,7 @@ def _link_layout(lat: StripLattice, y_links: bool) -> tuple:
     nx >= 3 keeps every link distinct, so the entries fill the pattern one to one.
     """
     n = lat.n_sites
-    rows, cols = _link_coords(lat, True, y_links)
+    rows, cols = _link_coords(lat, y_links)
     keys = rows.astype(np.int64) * n + cols
     order = np.argsort(keys)
     return _Pattern.of(keys[order], n), order
@@ -367,9 +362,8 @@ def restrict(h: SparseHermitian, iso: SectorIsometry) -> SparseHermitian:
     in max magnitude.  That is the numerical form of requiring
     reflection-symmetric angles and potential.
     """
-    block, leak = _project(h.csr, iso)
-    _check_leak(leak, _max_abs(h.csr.data))
-    return SparseHermitian(block)
+    pattern, (data,) = _sector_blocks(iso, [h.csr])
+    return pattern.hermitian(data)
 
 
 def _project(m, iso: SectorIsometry) -> tuple:
@@ -381,32 +375,38 @@ def _project(m, iso: SectorIsometry) -> tuple:
     return block, float(abs(mb - iso.matrix @ block).max())
 
 
-def _check_leak(leak: float, size: float) -> None:
-    """Refuse a sector leak above the round-off bound of an operator of max |entry| size."""
-    if leak > _round_off_bound(size):
+def _sector_blocks(iso: SectorIsometry, matrices) -> tuple:
+    """The blocks B^dagger M B laid on one pattern, as ``_Pattern.of_matrices``; the leak is
+    linear in M, so theirs are summed and checked once, against their largest entry's bound."""
+    blocks, leaks = zip(*(_project(m, iso) for m in matrices))
+    leak = sum(leaks)
+    if leak > _round_off_bound(max(_max_abs(m.data) for m in matrices)):
         raise SymmetryViolationError(f"operator couples even and odd sectors (leak {leak:.3e})")
+    return _Pattern.of_matrices(blocks, iso.dim)
 
 
 class FluxPencil:
     """One sector's uniform-flux operator as a function of f (see the module docstring).
 
-    R, X and Y are projected once, their leaks summed and checked, and
-    laid on one shared pattern, closed under transposition; ``at(f)``
-    combines their data and checks it through the pattern's transpose
-    index.
+    R, X and Y are laid on ``assemble``'s pattern, each 0 on the links it
+    does not hold, and projected once by ``_sector_blocks`` onto one
+    shared pattern; ``at(f)`` combines their data and checks it through
+    the pattern's transpose index.
     """
 
     def __init__(self, iso: SectorIsometry, hop: HoppingParams):
-        lat = iso.lattice
-        tx = np.full(lat.n_sites, hop.tx)
+        lat, n = iso.lattice, iso.lattice.n_sites
+        tx = np.full(n, hop.tx)
         rungs = np.full(lat.nx * (lat.ny - 1), -hop.ty) if hop.ty != 0.0 else None
-        pieces = (_link_operator(lat, 2.0 * hop.tx + 2.0 * hop.ty, None, rungs),
-                  _link_operator(lat, 0.0, -tx, None),
-                  _link_operator(lat, 0.0, -1j * tx, None))
-        blocks, leaks = zip(*(_project(piece.tocsr(), iso) for piece in pieces))
-        _check_leak(sum(leaks), max(_max_abs(piece.data) for piece in pieces))
+        no_rungs = None if rungs is None else np.zeros_like(rungs)
+        pieces = (_link_values(lat, 2.0 * hop.tx + 2.0 * hop.ty, np.zeros(n), rungs),
+                  _link_values(lat, 0.0, -tx, no_rungs),
+                  _link_values(lat, 0.0, -1j * tx, no_rungs))
+        pattern, order = _link_layout(lat, rungs is not None)
         self.iso = iso
-        self._pattern, self._data = _Pattern.of_matrices(blocks, iso.dim)
+        self._pattern, self._data = _sector_blocks(
+            iso, [sp.csr_matrix((piece[order], pattern.indices, pattern.indptr), shape=(n, n))
+                  for piece in pieces])
 
     def at(self, f: float) -> SparseHermitian:
         """The sector operator at flux f: ``restrict(assemble(...))`` to round-off."""

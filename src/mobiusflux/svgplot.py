@@ -14,7 +14,7 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list:
     return [lo + span * i / (n - 1) for i in range(n)]
 
 
-def render_sweep_svg(records: Sequence, title: str = "ground energy vs flux") -> str:
+def render_sweep_svg(records: Sequence) -> str:
     """Render the available energy columns of a sweep as one SVG document."""
     series = []
     for column, color in _SERIES:
@@ -44,7 +44,7 @@ def render_sweep_svg(records: Sequence, title: str = "ground energy vs flux") ->
         f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
+        'font-family="sans-serif" font-size="16">ground energy vs flux</text>',
         f'<line x1="{_ML}" y1="{_HEIGHT - _MB}" x2="{_WIDTH - _MR}" y2="{_HEIGHT - _MB}" '
         'stroke="black" stroke-width="1"/>',
         f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_HEIGHT - _MB}" '

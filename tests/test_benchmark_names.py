@@ -4,7 +4,8 @@
 ``mobiusflux.<layer>`` and counts ``SparseHermitian.matvec``; a change that
 deletes or renames one of them fails here, not only in a traced run.  So
 does one that moves the operator from the first parameter of a traced
-eigensolver function, where the traced run reads its dimension.
+eigensolver function, where the traced run reads its dimension, or that
+moves or renames an argument or attribute a ``Tracer._after_*`` hook reads.
 ``perfbench/workloads.py``, which every run drives, is parsed, not run:
 each ``<layer>.<name>`` it reads must exist, and each keyword it passes
 must be a parameter of the callee.
@@ -48,6 +49,36 @@ def test_traced_eigensolver_functions_take_the_operator_first():
     for name in _tracing().TRACED["eigensolver"]:
         first = next(iter(inspect.signature(getattr(eigensolver, name)).parameters))
         assert first == "h", f"mobiusflux.eigensolver.{name} takes {first!r} first"
+
+
+def _hook_params(fn, **arguments):
+    """The arguments as the tracer hands them to a hook: in signature order, defaults filled."""
+    bound = inspect.signature(fn).bind(**arguments)
+    bound.apply_defaults()
+    return tuple(bound.arguments.values())
+
+
+def test_the_tracer_hooks_read_what_their_calls_pass():
+    from mobiusflux import gauge, hamiltonian, verify
+    from mobiusflux.lattice import MOEBIUS, build_lattice, center_loop
+
+    def first(fn, count):
+        return list(inspect.signature(fn).parameters)[:count]
+
+    assert first(hamiltonian.restrict, 2) == ["h", "iso"]
+    assert first(gauge.wilson_loop, 2) == ["field", "loop"]
+    assert first(verify.run_verification, 2) == ["seed", "broken_seam"]
+    tracer = _tracing().Tracer
+    lat = build_lattice(6, 3, MOEBIUS)
+    field = gauge.uniform_flux_field(lat, 0.3)
+    h = hamiltonian.assemble(lat, field, hamiltonian.HoppingParams())
+    iso = hamiltonian.sector_isometry(lat, hamiltonian.EVEN)
+    restricted = _hook_params(hamiltonian.restrict, h=h, iso=iso)
+    assert tracer._after_restrict(restricted, None) == {"sector": "even", "n": lat.n_sites}
+    walked = _hook_params(gauge.wilson_loop, field=field, loop=center_loop(lat))
+    assert tracer._after_wilson_loop(walked, None) == {"links": lat.nx}
+    broken = _hook_params(verify.run_verification, broken_seam=True)
+    assert tracer._after_run_verification(broken, []) == {"broken": True, "seconds": {}}
 
 
 def _workload_reads():

@@ -283,7 +283,7 @@ def pencil_at_cos_phi_zero():
     moebius_operator(12, 5, 0.3),
     # at f = 0 the sin(phi) piece leaves explicit zeros in the pencil's pattern
     FluxPencil(sector_isometry(build_lattice(12, 5, MOEBIUS), EVEN), HoppingParams()).at(0.0),
-    # no stored diagonal entry in row 1, so its slot comes from the set-up
+    # a zero diagonal entry in row 1, whose slot the store holds as an explicit zero
     SparseHermitian(sp.csr_matrix(np.diag([1.0, 0.0, 2.0]) + np.eye(3, k=1) + np.eye(3, k=-1))),
     # a complex operator whose potential cancels two diagonal entries, one of them the last:
     # both stay in the store as explicit zeros, which the sparse difference fills
@@ -292,7 +292,7 @@ def pencil_at_cos_phi_zero():
     # at f = nx / 4, phi = pi / 2: the cos(phi) piece's slots hold 6e-17 or, zeroed, 0
     FluxPencil(sector_isometry(build_lattice(12, 5, MOEBIUS), ODD), HoppingParams()).at(3.0),
     pencil_at_cos_phi_zero(),
-    # no stored diagonal entry in the last row: the slot the set-up inserts is the last of all
+    # a zero diagonal entry in the last row: the store holds its slot, the last of all
     SparseHermitian(np.diag([1.0, 2.0, 0.0]) + np.eye(3, k=1) + np.eye(3, k=-1)),
 ])
 def test_each_shift_factors_the_sparse_difference(h):

@@ -15,6 +15,7 @@ from mobiusflux.hamiltonian import (
     EVEN,
     FULL,
     ODD,
+    SECTORS,
     FluxPencil,
     HoppingParams,
     SectorIsometry,
@@ -242,9 +243,11 @@ def test_assemble_keeps_its_hermiticity_check(monkeypatch):
     monkeypatch.setattr(hamiltonian, "_link_values", skewed)
     with pytest.raises(ValueError, match="not Hermitian"):
         assemble(lat, uniform_flux_field(lat, 0.3), HoppingParams())
+    n = lat.n_sites
+    links = sp.coo_matrix((hamiltonian._link_values(lat, 4.0, -np.ones(n), None),
+                           hamiltonian._link_coords(lat, False)), shape=(n, n))
     with pytest.raises(ValueError, match="not Hermitian"):
-        SparseHermitian(hamiltonian._link_operator(lat, 4.0, -np.ones(lat.n_sites), None)
-                        + sp.coo_matrix(([1e-9], ([1], [0])), shape=(lat.n_sites,) * 2))
+        SparseHermitian(links + sp.coo_matrix(([1e-9], ([1], [0])), shape=(n, n)))
 
 
 def test_restrict_dimension_mismatch():
@@ -327,13 +330,95 @@ def test_sparse_hermitian_stores_the_symmetrized_matrix_bit_for_bit(m):
     csr = h.csr
     rows = np.repeat(np.arange(h.n), np.diff(csr.indptr))
     assert csr.has_canonical_format
-    assert set(zip(rows.tolist(), csr.indices.tolist())) == set(zip(csr.indices.tolist(),
-                                                                    rows.tolist()))
+    held = set(zip(rows.tolist(), csr.indices.tolist()))
+    assert held == set(zip(csr.indices.tolist(), rows.tolist()))
+    assert {(i, i) for i in range(h.n)} <= held  # every diagonal slot, a zero one too
     if sp.issparse(m):  # every slot of M and of its transpose is kept, explicit zeros too
         coo = m.tocoo()
-        held = set(zip(rows.tolist(), csr.indices.tolist()))
         assert set(zip(coo.row.tolist(), coo.col.tolist())) <= held
         assert set(zip(coo.col.tolist(), coo.row.tolist())) <= held
+
+
+def _holds_every_diagonal_slot(h):
+    csr = h.csr
+    rows = np.repeat(np.arange(h.n), np.diff(csr.indptr))
+    return np.array_equal(np.unique(rows[csr.indices == rows]), np.arange(h.n))
+
+
+@pytest.mark.parametrize("topology", [MOEBIUS, ANNULUS])
+def test_every_built_operator_holds_every_diagonal_slot(topology):
+    # the store's diagonal rule, which the shift-and-invert factor relies on: a potential
+    # of -(2 tx) zeroes every diagonal entry at ty = 0, and the slots stay
+    lat = build_lattice(6, 5, topology)
+    hop = HoppingParams(ty=0.0)
+    h = assemble(lat, uniform_flux_field(lat, 0.3), hop, pot=np.full(lat.n_sites, -2.0))
+    assert not np.any(h.csr.diagonal())
+    assert _holds_every_diagonal_slot(h)
+    for sector in (FULL, EVEN, ODD):
+        iso = sector_isometry(lat, sector)
+        assert _holds_every_diagonal_slot(restrict(h, iso))
+        for ty in (0.0, 1.0):
+            assert _holds_every_diagonal_slot(FluxPencil(iso, HoppingParams(ty=ty)).at(0.3))
+
+
+def _old_pencil_pieces(lat, hop):
+    """R, X and Y as three COO matrices, each holding only its own entries and the diagonal."""
+    n = lat.n_sites
+    ids = np.arange(n)
+    below = ids.reshape(lat.nx, lat.ny)[:, :-1].reshape(-1)
+    diag = np.full(n, 2.0 * hop.tx + 2.0 * hop.ty)
+    if hop.ty != 0.0:
+        r = sp.coo_matrix((np.concatenate([diag, np.full(2 * below.size, -hop.ty)]),
+                           (np.concatenate([ids, below + 1, below]),
+                            np.concatenate([ids, below, below + 1]))), shape=(n, n))
+    else:
+        r = sp.coo_matrix((diag, (ids, ids)), shape=(n, n))
+    links = (np.concatenate([ids, lat.x_next, ids]), np.concatenate([ids, ids, lat.x_next]))
+    tx = np.full(n, hop.tx)
+    x = sp.coo_matrix((np.concatenate([np.zeros(n), -tx, -tx]), links), shape=(n, n))
+    y_hop = -1j * tx
+    y = sp.coo_matrix((np.concatenate([np.zeros(n), y_hop, y_hop.conj()]), links), shape=(n, n))
+    return r, x, y
+
+
+@pytest.mark.parametrize("topology", [MOEBIUS, ANNULUS])
+@pytest.mark.parametrize("ty", [0.0, 0.01, 1.0])
+@pytest.mark.parametrize("ny", [1, 3, 9])
+def test_flux_pencil_pieces_on_the_link_layout_are_the_per_piece_construction(topology, ty, ny):
+    # the pieces laid on assemble's pattern, zeros on the links each does not hold, project
+    # to the same blocks, bit for bit, as pieces that hold only their own entries
+    lat = build_lattice(8, ny, topology)
+    hop = HoppingParams(ty=ty)
+    for sector in SECTORS:
+        try:
+            iso = sector_isometry(lat, sector)
+        except LatticeError:
+            continue
+        blocks = [hamiltonian._project(piece.tocsr(), iso)[0]
+                  for piece in _old_pencil_pieces(lat, hop)]
+        pattern, data = hamiltonian._Pattern.of_matrices(blocks, iso.dim)
+        pencil = FluxPencil(iso, hop)
+        assert pencil._data.dtype == data.dtype and pencil._data.tobytes() == data.tobytes()
+        for got, want in zip(pencil._pattern, pattern):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("topology", [MOEBIUS, ANNULUS])
+@pytest.mark.parametrize("ty", [0.0, 1.0])
+@pytest.mark.parametrize("f", [0.0, 0.3])
+def test_restrict_is_the_written_out_product_bit_for_bit(topology, ty, f):
+    lat = build_lattice(8, 5, topology)
+    pot = np.outer(np.ones(lat.nx), [0.5, -1.0, -2.0 - 2.0 * ty, -1.0, 0.5])  # a zero diagonal row
+    h = assemble(lat, uniform_flux_field(lat, f), HoppingParams(ty=ty), pot=pot)
+    for sector in SECTORS:
+        iso = sector_isometry(lat, sector)
+        b = iso.matrix
+        got = restrict(h, iso).csr
+        want = SparseHermitian(b.conj().T @ (h.csr @ b)).csr
+        assert got.dtype == want.dtype
+        for name in ("indptr", "indices", "data"):
+            a, c = getattr(got, name), getattr(want, name)
+            assert a.dtype == c.dtype and a.tobytes() == c.tobytes()
 
 
 @pytest.mark.parametrize("topology", [MOEBIUS, ANNULUS])

@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -151,7 +152,10 @@ def test_assemble_is_the_generic_hermitian_round_trip_bit_for_bit(field, tx, ty,
     x_hop = -tx * np.exp(1j * field.theta_x.reshape(-1))
     y_hop = -ty * np.exp(1j * field.theta_y.reshape(-1)) if ty != 0.0 else None
     v = np.zeros(lat.n_sites) if pot is None else pot
-    want = SparseHermitian(hamiltonian._link_operator(lat, diag + v, x_hop, y_hop)).csr
+    n = lat.n_sites
+    want = SparseHermitian(sp.coo_matrix(
+        (hamiltonian._link_values(lat, diag + v, x_hop, y_hop),
+         hamiltonian._link_coords(lat, y_hop is not None)), shape=(n, n))).csr
     assert got.dtype == want.dtype
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got, name), getattr(want, name)
