@@ -11,6 +11,8 @@ other routes for values (sterf) and for vectors (MRRR, stemr), whose values
 differ in the last bits, so there the values-only mode solves for vectors.
 It hands LAPACK one column-major dense copy to overwrite in place, with no
 finiteness scan: ``SparseHermitian`` refuses non-finite entries when built.
+A real operator is symmetric entry by entry, so that copy is its row-major
+array, transposed.
 The iterative route shifts just below the spectrum's Gershgorin bound, where
 H - sigma I is positive definite, and iterates with solves on its sparse
 factor: the lowest eigenvalues of H are the best separated ones of the
@@ -33,7 +35,6 @@ in place of zheevr, and real ARPACK on a real factor.
 from __future__ import annotations
 
 import collections
-import itertools
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -123,7 +124,11 @@ def dense_eigh(h: SparseHermitian, k: Optional[int] = None, *,
     if not 1 <= k <= h.n:
         raise ValueError(f"k must lie in [1, n={h.n}], got {k}")
     values_only = values_only and k < h.n
-    out = eigh(h.csr.toarray(order="F"), subset_by_index=[0, k - 1], eigvals_only=values_only,
+    csr = h.csr
+    # a real store is symmetric entry by entry, so its row-major array is its column-major
+    # one, with no CSC conversion; a complex one's would be its conjugate
+    a = csr.toarray().T if csr.dtype == np.float64 else csr.toarray(order="F")
+    out = eigh(a, subset_by_index=[0, k - 1], eigvals_only=values_only,
                check_finite=False, overwrite_a=True)
     if values_only:
         out.setflags(write=False)
@@ -240,10 +245,15 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
     the top value must equal the number of values; a larger count means skipped
     degenerate copies, so the solve is redone for that many.  Where the
     sparse count there is not trusted, it is taken at one or two higher
-    cuts before the dense count.  cfg.max_iter
-    caps the factor solves; on exhaustion the error carries the Ritz pairs of
-    the latest Krylov vectors.  k >= n - 1, beyond ARPACK, goes to the dense
-    solver.
+    cuts before the dense count; a re-solve whose cut lies at or below the
+    one counted takes that count, with no new factorization.  The count
+    comes before the gate, which the solve's values must then all meet: at
+    a highly degenerate level, where Rayleigh-Ritz can leave a copy's
+    residual above it, inverse-iteration steps on the factor refine the
+    block while the budget lasts and the worst residual still falls.
+    cfg.max_iter caps the factor solves; on exhaustion the error carries the
+    Ritz pairs of the latest Krylov vectors.  k >= n - 1, beyond ARPACK,
+    goes to the dense solver.
     """
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
@@ -265,51 +275,75 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
     # first cut sits within ~||R|| of one: 100 sqrt(eps) ||H|| higher it is ~1% of the bound
     retry = 100.0 * _SQRT_EPS * (hi - sigma)
     floor = min(cfg.tol, ROUND_OFF) * max(abs(lo), abs(hi))
-    calls = itertools.count()
+    solves = 0
     latest = collections.deque(maxlen=max(k, 20))  # ARPACK's newest Krylov vectors
 
     def inverse(v):
-        if next(calls) >= budget:
+        nonlocal solves
+        if solves >= budget:
             raise NoConvergenceError("factor-solve budget exhausted")
+        solves += 1
         latest.append(v.copy())  # v is a view of ARPACK's workspace
         return factor.solve(v)
 
     op = LinearOperator((n, n), matvec=inverse, dtype=h.csr.dtype)
-    want = k
-    while True:
+
+    def ritz(m):
+        """The m lowest Ritz pairs of a shift-invert solve, or the dense ones for m >= n - 1."""
         try:
-            if want >= n - 1:
-                res = dense_eigh(h, want)
-            else:
-                _, vectors = eigsh(h.csr, want, sigma=sigma, which="LM", v0=v0,
-                                   tol=cfg.tol / (hi - sigma), maxiter=budget, OPinv=op)
-                res = _rayleigh_ritz(h, vectors, want)
+            if m >= n - 1:
+                return dense_eigh(h, m)
+            _, vectors = eigsh(h.csr, m, sigma=sigma, which="LM", v0=v0,
+                               tol=cfg.tol / (hi - sigma), maxiter=budget, OPinv=op)
+            return _rayleigh_ritz(h, vectors, m)
         except (NoConvergenceError, ArpackNoConvergence):
             raise NoConvergenceError(
                 f"Lanczos did not reach tol={cfg.tol} within {budget} factor solves",
                 best=_rayleigh_ritz(h, np.column_stack(latest), k),
             ) from None
+
+    want, counted = k, -np.inf
+    res = ritz(want)
+    while True:
         gate = max(cfg.tol * max(1.0, float(np.max(np.abs(res.values)))), floor)
-        if not np.all(res.residuals <= gate):
-            raise NoConvergenceError(f"Lanczos residuals exceed tol={cfg.tol}", best=res.lowest(k))
         # Ritz value i is >= lambda_i and within ||R|| of a distinct eigenvalue,
         # so exactly `want` eigenvalues below sigma means none was skipped
         # and so does any higher cut: where the count at this one is not trusted, one or
-        # two higher ones are tried before the dense count
+        # two higher ones are tried before the dense count.  A cut at or below one counted
+        # before needs no count: `want` eigenvalues lie below the earlier cut, and the
+        # `want` Ritz values put as many below this one
         cut = res.values[-1] + np.linalg.norm(res.residuals) + gate
-        counts = (shifts.count_below(c) for c in (cut, cut + retry, cut + 100.0 * retry))
-        count = next((c for c in counts if c is not None), None)
-        if count is None:
-            try:
-                count = _dense_count(h, cut)
-            except np.linalg.LinAlgError as exc:
-                raise NoConvergenceError(f"completeness not certified: {exc}",
-                                         best=res.lowest(k)) from None
-        if count == want:
+        if cut > counted:
+            for counted in (cut, cut + retry, cut + 100.0 * retry):
+                count = shifts.count_below(counted)
+                if count is not None:
+                    break
+            else:
+                counted = cut
+                try:
+                    count = _dense_count(h, cut)
+                except np.linalg.LinAlgError as exc:
+                    raise NoConvergenceError(f"completeness not certified: {exc}",
+                                             best=res.lowest(k)) from None
+            if count < want:
+                raise NoConvergenceError(f"inertia count {count} < {want} values",
+                                         best=res.lowest(k))
+            if count > want:  # skipped degenerate copies: solve again for all of them
+                want = count
+                res = ritz(want)
+                continue
+        if np.all(res.residuals <= gate):
             return res.lowest(k)
-        if count < want:
-            raise NoConvergenceError(f"inertia count {count} < {want} values", best=res.lowest(k))
-        want = count
+        # at a highly degenerate level Rayleigh-Ritz can leave a copy's residual above the
+        # gate: one inverse-iteration step on the factor at hand refines the block, while
+        # the budget lasts and the worst residual still falls
+        if solves + want <= budget:
+            solves += want
+            refined = _rayleigh_ritz(h, factor.solve(res.vectors), want)
+            if np.max(refined.residuals) < np.max(res.residuals):
+                res = refined
+                continue
+        raise NoConvergenceError(f"Lanczos residuals exceed tol={cfg.tol}", best=res.lowest(k))
 
 
 def solve(h: SparseHermitian, cfg: SolverConfig, *, values_only: bool = False) -> EigenResult:

@@ -28,23 +28,27 @@ commutes with H and squares to 1, so H is real symmetric in any basis
 that Theta fixes (Wigner's antiunitary symmetry, Dyson's orthogonal
 class).  ``sector_isometry`` gives such a basis of each sector:
 (e_s + e_Ms)/sqrt(2) and i (e_s - e_Ms)/sqrt(2) over mirror pairs of the
-sector's coordinates, e_s on a fixed column.  It is a unitary similarity
-for any operator, so an input without the mirror symmetry (a
-gauge-transformed field, say) keeps its exact spectrum and merely stays
-complex.
+sector's coordinates, e_s on a fixed column, each partner read off its
+(i, j); the basis holds its CSR form and its adjoint, built once, for
+the projection.  It is a unitary similarity for any operator, so an
+input without the mirror symmetry (a gauge-transformed field, say) keeps
+its exact spectrum and merely stays complex.  Data with no imaginary
+part is stored as float64, and the store checks and symmetrizes real
+data in real arithmetic.
 
 A uniform flux f puts one angle phi = 2*pi*f/nx on every x link and
 none on the y links, so H(f) = R + cos(phi) X + sin(phi) Y, with R the
 diagonal plus the rungs, X = -tx (S + S^T) and Y = -i tx (S - S^T), S
 the +x link incidence.  ``FluxPencil`` lays the three pieces on
 ``assemble``'s link layout, restricts them to a sector once, by the
-projection ``restrict`` uses, and evaluates each flux point from their
-data arrays, with the guarantees of ``restrict(assemble(...))``: the
-leak is linear in H, so no point leaks more than the pieces' leaks
-summed, which must meet the same bound; and each point's block is
-checked Hermitian to it and symmetrized entry by entry, as
-``SparseHermitian`` does.  ``restrict(assemble(...))`` stays the path
-for any other field.
+projection ``restrict`` uses, keeps the blocks as float64 (in the mirror
+basis every imaginary part is exactly 0.0), and evaluates each flux
+point from their real data arrays, with the guarantees of
+``restrict(assemble(...))``: the leak is linear in H, so no point leaks
+more than the pieces' leaks summed, which must meet the same bound; and
+each point's block is checked Hermitian to it and symmetrized entry by
+entry, as ``SparseHermitian`` does.  ``restrict(assemble(...))`` stays
+the path for any other field.
 """
 
 from __future__ import annotations
@@ -162,7 +166,9 @@ class _Pattern(NamedTuple):
         """The pattern of these n x n matrices, their transposes and the diagonal, and their data.
 
         Each matrix must hold no duplicate entries; a slot it does not
-        hold is 0 in its row of the data.
+        hold is 0 in its row of the data.  The data is float64 when every
+        imaginary part is exactly 0.0, as in the blocks of a uniform-flux
+        operator in the mirror basis.
         """
         coos = [m.tocoo() for m in matrices]
         own = [c.row.astype(np.int64) * n + c.col for c in coos]
@@ -174,6 +180,8 @@ class _Pattern(NamedTuple):
         data = np.zeros((len(coos), keys.size), dtype=complex)
         for row, c, k in zip(data, coos, own):
             row[np.searchsorted(keys, k)] = c.data
+        if not np.any(data.imag):
+            data = data.real.copy()
         return cls.of(keys, n), data
 
     def hermitian(self, data: np.ndarray) -> SparseHermitian:
@@ -182,17 +190,21 @@ class _Pattern(NamedTuple):
         A NaN compares false with any bound, so the entries are checked
         first: finite, and at most 1e150, so that H + H^dagger and every
         residual norm are finite too.  Then the Hermiticity defect must
-        meet the round-off bound.
+        meet the round-off bound.  Real data stays in real arithmetic;
+        complex data is stored as float64 once symmetrized if every
+        imaginary part is then exactly 0.0.
         """
         size = _max_abs(data)
         if not size <= _MAX_ENTRY:
             raise ValueError(f"matrix has a non-finite entry, or one above {_MAX_ENTRY:.3g}")
-        adjoint = data[self.transpose].conj()
+        adjoint = data[self.transpose]
+        if np.iscomplexobj(data):
+            adjoint = adjoint.conj()
         worst = _max_abs(data - adjoint)
         if worst > _round_off_bound(size):
             raise ValueError(f"matrix is not Hermitian: max defect {worst:.3e}")
         data = (data + adjoint) * 0.5
-        if not np.any(data.imag):
+        if np.iscomplexobj(data) and not np.any(data.imag):
             data = data.real.copy()
         n = self.indptr.size - 1
         h = SparseHermitian.__new__(SparseHermitian)
@@ -287,7 +299,9 @@ class SectorIsometry:
     (e(i,j) -/+ e(i,ny-1-j))/sqrt(2) over rows below center plus, for the
     even sector, the bare center-row sites, recombined in mirror pairs so
     that Theta = M K fixes each one.  Each column touches at most four
-    sites, so orthonormality holds to round-off.
+    sites, so orthonormality holds to round-off.  ``matrix`` is the CSC
+    form; its CSR form and its adjoint, which the sector projection
+    multiplies with, are built once, on first use.
     """
 
     lattice: StripLattice
@@ -298,60 +312,76 @@ class SectorIsometry:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
+    @functools.cached_property
+    def csr(self) -> sp.csr_matrix:
+        return self.matrix.tocsr()
+
+    @functools.cached_property
+    def adjoint(self) -> sp.csr_matrix:
+        """B^dagger, CSR: the transpose of the conjugated CSC arrays."""
+        return self.matrix.conj().T
+
     def embed(self, vec: np.ndarray) -> np.ndarray:
         """Map a sector vector back to the full site basis."""
-        return self.matrix @ vec
+        return self.csr @ vec
 
 
 def sector_isometry(lat: StripLattice, sector: str) -> SectorIsometry:
     """Isometry onto a sector ("full", "even" or "odd") whose columns Theta = M K fixes.
 
     It is the parity basis B times Theta's real basis on B's coordinates:
-    M permutes B's columns, M b_p = b_q, and a pair p < q becomes
-    (b_p + b_q)/sqrt(2) in column p and i (b_p - b_q)/sqrt(2) in column q;
-    a column M fixes stays.  An operator commuting with Theta restricts to
-    a real symmetric one.
+    M maps B's column at (i, j) to the one at (nx-1-i, j), M b_p = b_q,
+    and a pair p < q becomes (b_p + b_q)/sqrt(2) in column p and
+    i (b_p - b_q)/sqrt(2) in column q; a column M fixes stays.  Each entry
+    is one product, written straight into the CSC arrays with the rows of
+    each column descending, as the sparse product B W lists them.  An
+    operator commuting with Theta restricts to a real symmetric one.
 
     Raises LatticeError where a parity sector does not exist: ny even (no
     center row), or the odd sector of a one-row strip, which is empty.
     """
     if sector not in SECTORS:
         raise ValueError(f"sector must be one of {SECTORS}, got {sector!r}")
+    nx, n = lat.nx, lat.n_sites
+    grid = np.arange(n).reshape(nx, lat.ny)
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    # B's columns in blocks, each on an (nx, width) grid of column coordinates (i, j): the
+    # sites of each column, ascending, and its entries there; a block's columns follow the
+    # blocks before it, row-major
     if sector == FULL:
-        b = sp.identity(lat.n_sites, format="csc")
+        blocks = [(grid[:, :, None], np.ones(1))]
     else:
         c = lat.center_row
         if sector == ODD and c == 0:
             raise LatticeError("the odd sector of a one-row strip is empty")
         sign = 1.0 if sector == EVEN else -1.0
-        inv_sqrt2 = 1.0 / np.sqrt(2.0)
-        grid = np.arange(lat.n_sites).reshape(lat.nx, lat.ny)
-        below = grid[:, :c].reshape(-1)
-        pairs = np.arange(below.size)
-        rows = [below, reflection_permutation(lat)[below]]
-        cols = [pairs, pairs]
-        vals = [np.full(below.size, inv_sqrt2), np.full(below.size, sign * inv_sqrt2)]
+        blocks = [(np.stack([grid[:, :c], grid[:, ::-1][:, :c]], axis=-1),
+                   np.array([inv_sqrt2, sign * inv_sqrt2]))]
         if sector == EVEN:
-            rows.append(grid[:, c])
-            cols.append(below.size + np.arange(lat.nx))
-            vals.append(np.ones(lat.nx))
-        b = sp.csc_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(lat.n_sites, pairs.size + (lat.nx if sector == EVEN else 0)),
-        )
-    mirror = np.arange(lat.n_sites).reshape(lat.nx, lat.ny)[::-1].reshape(-1)
-    # column p of B^T (M B) is e_q where M b_p = b_q: one entry per column
-    partner = (b.T @ b[mirror]).tocsc().indices
-    p = np.arange(b.shape[1])
-    lo, fixed = p < partner, p == partner
-    a, q = p[lo], partner[lo]
-    s = np.full(a.size, 1.0 / np.sqrt(2.0))
-    w = sp.csc_matrix(
-        (np.concatenate([s, s, 1j * s, -1j * s, np.ones(np.count_nonzero(fixed))]),
-         (np.concatenate([a, q, a, q, p[fixed]]), np.concatenate([a, a, q, q, p[fixed]]))),
-        shape=(p.size, p.size),
-    )
-    return SectorIsometry(lattice=lat, parity=sector, matrix=b @ w)
+            blocks.append((grid[:, c, None, None], np.ones(1)))
+    i = np.arange(nx)[:, None, None]
+    lower, upper = i < nx - 1 - i, i > nx - 1 - i  # a column M fixes is neither
+    rows, data, counts = [], [], []
+    for sites, vals in blocks:
+        partner = sites[::-1]  # the column at (nx-1-i, j): its sites lie all above or all below
+        # both columns of a pair hold the pair's sites, descending: the upper column's first
+        support = np.concatenate([np.maximum(sites, partner)[..., ::-1],
+                                  np.minimum(sites, partner)[..., ::-1]], axis=-1)
+        desc = vals[::-1]
+        scaled = inv_sqrt2 * desc
+        real = np.where(lower, np.concatenate([scaled, scaled]),
+                        np.where(upper, 0.0, np.concatenate([desc, desc])))
+        imag = np.where(upper, np.concatenate([-scaled, scaled]), 0.0)
+        value = real + 1j * imag  # zero parts +0.0, as the product's sums leave them
+        keep = np.broadcast_to(lower | upper | (np.arange(2 * desc.size) < desc.size),
+                               support.shape)  # a fixed column holds its own sites once
+        rows.append(support[keep])
+        data.append(np.broadcast_to(value, support.shape)[keep])
+        counts.append(keep.sum(axis=-1).reshape(-1))
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    matrix = sp.csc_matrix((np.concatenate(data), np.concatenate(rows), indptr),
+                           shape=(n, indptr.size - 1))
+    return SectorIsometry(lattice=lat, parity=sector, matrix=matrix)
 
 
 def restrict(h: SparseHermitian, iso: SectorIsometry) -> SparseHermitian:
@@ -370,9 +400,9 @@ def _project(m, iso: SectorIsometry) -> tuple:
     """The sparse block B^dagger M B and its leak max |M B - B (B^dagger M B)|, unchecked."""
     if m.shape[0] != iso.lattice.n_sites:
         raise ValueError(f"operator dimension {m.shape[0]} != lattice size {iso.lattice.n_sites}")
-    mb = m @ iso.matrix
-    block = iso.matrix.conj().T @ mb
-    return block, float(abs(mb - iso.matrix @ block).max())
+    mb = m @ iso.csr
+    block = iso.adjoint @ mb
+    return block, float(abs(mb - iso.csr @ block).max())
 
 
 def _sector_blocks(iso: SectorIsometry, matrices) -> tuple:
@@ -390,8 +420,9 @@ class FluxPencil:
 
     R, X and Y are laid on ``assemble``'s pattern, each 0 on the links it
     does not hold, and projected once by ``_sector_blocks`` onto one
-    shared pattern; ``at(f)`` combines their data and checks it through
-    the pattern's transpose index.
+    shared pattern, as float64 blocks in the mirror basis; ``at(f)``
+    combines their data in real arithmetic and checks it through the
+    pattern's transpose index.
     """
 
     def __init__(self, iso: SectorIsometry, hop: HoppingParams):

@@ -374,6 +374,45 @@ def test_lanczos_matches_dense_at_the_auto_lanczos_size(topology, f, seed):
     assert np.all(res.residuals <= cfg.tol * max(1.0, float(np.max(np.abs(res.values)))))
 
 
+@pytest.mark.parametrize("topology, f, factorizations", [
+    # the re-solve's cut lies below the first (0.0827305993257605 against ...8425 at f = 0,
+    # 0.0752266425003 against ...5146 at f = 1/2): the first count stands, no third factor
+    (MOEBIUS, 0.0, 2),
+    (MOEBIUS, 0.5, 2),
+    # the re-solve's cut lies 1.4e-15 above the first, where no count was taken: it counts again
+    (ANNULUS, 0.0, 3),
+])
+def test_a_re_solve_at_or_below_the_counted_cut_takes_that_count(monkeypatch, topology, f,
+                                                                  factorizations):
+    factor = eigensolver._Shifts.factor
+    calls = []
+
+    def counted(shifts, sigma):
+        calls.append(sigma)
+        return factor(shifts, sigma)
+
+    monkeypatch.setattr(eigensolver._Shifts, "factor", counted)
+    lat = build_lattice(48, 25, topology)
+    h = assemble(lat, uniform_flux_field(lat, f), HoppingParams())
+    res = lanczos_lowest(h, SolverConfig(k=6, seed=2024, method="lanczos"))
+    assert len(calls) == factorizations
+    assert_allclose(res.values, dense_eigh(h, 6).values, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("topology", [MOEBIUS, ANNULUS])
+@pytest.mark.parametrize("k", [4, 6])
+@pytest.mark.parametrize("seed", [12345, 2024])
+def test_lanczos_refines_residuals_at_highly_degenerate_levels(topology, k, seed):
+    # ty = 0 decouples the rows: levels up to six-fold degenerate, where Rayleigh-Ritz left
+    # a copy's residual at 1.3e-10 to 5.5e-10 against the 1e-10 gate, and the solve failed
+    lat = build_lattice(8, 3, topology)
+    h = assemble(lat, uniform_flux_field(lat, 0.0), HoppingParams(ty=0.0))
+    cfg = SolverConfig(k=k, seed=seed, method="lanczos")
+    res = lanczos_lowest(h, cfg)
+    assert np.all(res.residuals <= cfg.tol)
+    assert_allclose(res.values, dense_eigh(h, k).values, rtol=0, atol=1e-13)
+
+
 def test_lanczos_budget_counts_factor_solves():
     h = moebius_operator(48, 25, 0.5)
     # ~90 shift-invert solves suffice, re-solve included; ARPACK on H took ~800 matvecs

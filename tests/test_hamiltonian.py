@@ -117,6 +117,8 @@ def test_non_finite_entries_are_refused(bad):
         with pytest.raises(ValueError, match="non-finite"):
             SparseHermitian(m)
     pencil = FluxPencil(sector_isometry(build_lattice(6, 3, MOEBIUS), ODD), HoppingParams())
+    # the pencil's blocks are float64; a complex entry goes into complex blocks, the other path
+    pencil._data = pencil._data.astype(np.result_type(pencil._data, bad))
     pencil._data[0, 0] = bad
     with pytest.raises(ValueError, match="non-finite"):
         pencil.at(0.3)
@@ -291,6 +293,60 @@ def test_sector_isometry_needs_center_row():
         sector_isometry(build_lattice(6, 5, MOEBIUS), "left")
 
 
+def _product_isometry(lat, sector):
+    """The basis as the sparse product B W, mirror partners read off B^T (M B)."""
+    if sector == FULL:
+        b = sp.identity(lat.n_sites, format="csc")
+    else:
+        c = lat.center_row
+        grid = np.arange(lat.n_sites).reshape(lat.nx, lat.ny)
+        below = grid[:, :c].reshape(-1)
+        pairs = np.arange(below.size)
+        sign = 1.0 if sector == EVEN else -1.0
+        rows = [below, reflection_permutation(lat)[below]]
+        cols = [pairs, pairs]
+        vals = [np.full(below.size, 1.0 / np.sqrt(2.0)), np.full(below.size, sign / np.sqrt(2.0))]
+        if sector == EVEN:
+            rows.append(grid[:, c])
+            cols.append(below.size + np.arange(lat.nx))
+            vals.append(np.ones(lat.nx))
+        b = sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(lat.n_sites, pairs.size + (lat.nx if sector == EVEN else 0)))
+    mirror = np.arange(lat.n_sites).reshape(lat.nx, lat.ny)[::-1].reshape(-1)
+    partner = (b.T @ b[mirror]).tocsc().indices
+    p = np.arange(b.shape[1])
+    lo, fixed = p < partner, p == partner
+    a, q = p[lo], partner[lo]
+    s = np.full(a.size, 1.0 / np.sqrt(2.0))
+    w = sp.csc_matrix(
+        (np.concatenate([s, s, 1j * s, -1j * s, np.ones(np.count_nonzero(fixed))]),
+         (np.concatenate([a, q, a, q, p[fixed]]), np.concatenate([a, a, q, q, p[fixed]]))),
+        shape=(p.size, p.size))
+    return b @ w
+
+
+@pytest.mark.parametrize("topology", [MOEBIUS, ANNULUS])
+@pytest.mark.parametrize("nx", [3, 4, 7, 8, 48])
+@pytest.mark.parametrize("ny", [1, 2, 3, 5, 9])
+def test_sector_isometry_is_the_sparse_product_bit_for_bit(topology, nx, ny):
+    # the columns written by index arithmetic are the product's, rows in its order, down to
+    # the sign of every zero part, so every projection through them sums the same way
+    lat = build_lattice(nx, ny, topology)
+    for sector in SECTORS:
+        if sector != FULL and (ny % 2 == 0 or (sector == ODD and ny == 1)):
+            with pytest.raises(LatticeError):
+                sector_isometry(lat, sector)
+            continue
+        iso = sector_isometry(lat, sector)
+        want = _product_isometry(lat, sector)
+        assert iso.matrix.format == "csc" and iso.matrix.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            a, c = getattr(iso.matrix, name), getattr(want, name)
+            assert a.dtype == c.dtype and a.tobytes() == c.tobytes()
+        assert np.array_equal(iso.csr.toarray(), want.toarray())
+        assert np.array_equal(iso.adjoint.toarray(), want.conj().T.toarray())
+
+
 def test_sparse_hermitian_is_real_only_when_every_imaginary_part_is_zero():
     assert SparseHermitian(np.array([[1.0, 2.0 + 0j], [2.0, 3.0]])).csr.dtype == np.float64
     tiny = SparseHermitian(np.array([[1.0, 2.0 + 1e-300j], [2.0 - 1e-300j, 3.0]]))
@@ -401,6 +457,17 @@ def test_flux_pencil_pieces_on_the_link_layout_are_the_per_piece_construction(to
         assert pencil._data.dtype == data.dtype and pencil._data.tobytes() == data.tobytes()
         for got, want in zip(pencil._pattern, pattern):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # the blocks are stored as float64: the complex projection laid on the same pattern
+        # has exactly these real parts, and every imaginary part is 0.0
+        keys = (np.repeat(np.arange(iso.dim), np.diff(pattern.indptr)) * iso.dim
+                + pattern.indices)
+        projected = np.zeros((len(blocks), keys.size), dtype=complex)
+        for row, block in zip(projected, blocks):
+            coo = block.tocoo()
+            row[np.searchsorted(keys, coo.row * iso.dim + coo.col)] = coo.data
+        assert pencil._data.dtype == np.float64
+        assert pencil._data.tobytes() == projected.real.tobytes()
+        assert np.all(projected.imag == 0.0)
 
 
 @pytest.mark.parametrize("topology", [MOEBIUS, ANNULUS])
