@@ -9,8 +9,10 @@ only then, if asked, the vectors by inverse iteration (stein), so a
 values-only solve returns the same values bit for bit; for k = n it takes
 other routes for values (sterf) and for vectors (MRRR, stemr), whose values
 differ in the last bits, so there the values-only mode solves for vectors.
-It hands LAPACK one column-major dense copy to overwrite in place, with no
-finiteness scan: ``SparseHermitian`` refuses non-finite entries when built.
+It calls that driver directly, with the arguments scipy's ``eigh`` would
+pass and its workspace sized once per dtype and n, and hands it one
+column-major dense copy to overwrite in place, with no finiteness scan:
+``SparseHermitian`` refuses non-finite entries when built.
 A real operator is symmetric entry by entry, so that copy is its row-major
 array, transposed.
 The iterative route shifts just below the spectrum's Gershgorin bound, where
@@ -35,6 +37,7 @@ in place of zheevr, and real ARPACK on a real factor.
 from __future__ import annotations
 
 import collections
+import functools
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -71,8 +74,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError(f"max_iter must be positive, got {self.max_iter}")
         if self.method not in METHODS:
@@ -106,6 +109,17 @@ def _finalize(h: SparseHermitian, values: np.ndarray, vectors: np.ndarray) -> Ei
     return EigenResult(values=values, vectors=vectors, residuals=residuals)
 
 
+@functools.lru_cache(maxsize=16)
+def _evr(dtype: np.dtype, n: int) -> tuple:
+    """LAPACK's index-range driver for dtype, dsyevr or zheevr, and its workspace sizes at n."""
+    from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
+
+    name, sizes = (("syevr", ("lwork", "liwork")) if dtype == np.float64
+                   else ("heevr", ("lwork", "lrwork", "liwork")))
+    driver, query = get_lapack_funcs((name, name + "_lwork"), dtype=dtype)
+    return driver, dict(zip(sizes, _compute_lwork(query, n=n, lower=1)))
+
+
 def dense_eigh(h: SparseHermitian, k: Optional[int] = None, *,
                values_only: bool = False) -> EigenResult:
     """k lowest eigenpairs (None: all n) by a dense direct solve; n <= 4096.
@@ -113,11 +127,11 @@ def dense_eigh(h: SparseHermitian, k: Optional[int] = None, *,
     The reference path; only the requested pairs and their residuals are computed.
     With values_only and k < n, only the k values: bit for bit the values of
     the vector solve (see the module docstring); at k = n the pairs are solved.
-    LAPACK overwrites the one column-major copy it is handed, unscanned:
-    every ``SparseHermitian`` is checked finite when it is built.
+    dsyevr or zheevr, called directly with ``scipy.linalg.eigh``'s arguments
+    (so its values and vectors bit for bit), overwrites the one column-major
+    copy it is handed, unscanned: every ``SparseHermitian`` is checked
+    finite when it is built.  A nonzero info raises LinAlgError.
     """
-    from scipy.linalg import eigh
-
     if h.n > _DENSE_MAX_N:
         raise ValueError(f"dense path limited to n <= {_DENSE_MAX_N}, got {h.n}")
     k = h.n if k is None else k
@@ -128,12 +142,16 @@ def dense_eigh(h: SparseHermitian, k: Optional[int] = None, *,
     # a real store is symmetric entry by entry, so its row-major array is its column-major
     # one, with no CSC conversion; a complex one's would be its conjugate
     a = csr.toarray().T if csr.dtype == np.float64 else csr.toarray(order="F")
-    out = eigh(a, subset_by_index=[0, k - 1], eigvals_only=values_only,
-               check_finite=False, overwrite_a=True)
+    driver, lwork = _evr(csr.dtype, h.n)
+    values, vectors, m, _, info = driver(a, compute_v=0 if values_only else 1, range="I",
+                                         lower=1, il=1, iu=k, overwrite_a=1, **lwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dense eigensolver failed: LAPACK info = {info}")
+    values = values[:m]
     if values_only:
-        out.setflags(write=False)
-        return EigenResult(values=out, vectors=None, residuals=None)
-    return _finalize(h, *out)
+        values.setflags(write=False)
+        return EigenResult(values=values, vectors=None, residuals=None)
+    return _finalize(h, values, vectors[:, :m])
 
 
 def residual_report(h: SparseHermitian, res: EigenResult) -> np.ndarray:
@@ -205,7 +223,7 @@ class _Shifts:
         pivots = u.diagonal()
         if (np.array_equal(lu.perm_r, lu.perm_c)
                 and np.max(np.abs(pivots.imag)) <= _SQRT_EPS * norm
-                and np.max(np.abs(u.data)) <= norm / _SQRT_EPS):
+                and np.max(np.abs(u.data)) * _SQRT_EPS <= norm):
             return int(np.count_nonzero(pivots.real < 0))
         return None
 

@@ -10,11 +10,13 @@ gauge field's Peierls angle for the hop direction.  Every operator,
 ``FluxPencil.at`` alike, is checked, symmetrized and stored in one way:
 on a CSR pattern closed under transposition, through its transpose
 index, keeping every slot the pattern holds, every diagonal slot among
-them.  ``assemble`` writes its entries straight onto the one link
-layout, a pattern built once per lattice.  Every operator is checked
-finite, entries at most 1e150, where it is built, so no solver scans it
-again; its Hermiticity defect and sector leak must meet 1e-12, or
-64 eps max |entry| where that is larger.
+them.  The pattern holds its CSR, index arrays validated once, and an
+operator on it is that CSR with its own data, which no sparse
+constructor checks again.  ``assemble`` writes its entries straight onto
+the one link layout, a pattern built once per lattice.  Every operator
+is checked finite, entries at most 1e150, where it is built, so no
+solver scans it again; its Hermiticity defect and sector leak must meet
+1e-12, or 64 eps max |entry| where that is larger.
 
 The reflection y -> -y commutes with any assembled operator whose angles
 and potential share that symmetry; its even and odd eigenspaces are the
@@ -44,15 +46,20 @@ the +x link incidence.  ``FluxPencil`` lays the three pieces on
 projection ``restrict`` uses, keeps the blocks as float64 (in the mirror
 basis every imaginary part is exactly 0.0), and evaluates each flux
 point from their real data arrays, with the guarantees of
-``restrict(assemble(...))``: the leak is linear in H, so no point leaks
-more than the pieces' leaks summed, which must meet the same bound; and
-each point's block is checked Hermitian to it and symmetrized entry by
-entry, as ``SparseHermitian`` does.  ``restrict(assemble(...))`` stays
-the path for any other field.
+``restrict(assemble(...))``.  The leak and the Hermiticity defect are
+both linear in H, and |cos phi|, |sin phi| <= 1, so no point leaks or
+departs from Hermiticity more than the pieces summed, which are checked
+once, when the pencil is built, against the same bound; each piece is
+then kept symmetrized, (P + P^dagger)/2, so every point is exactly
+Hermitian, and is checked only finite, entries at most 1e150.  On every
+lattice tested, each point's CSR arrays are bit for bit those of the
+unsymmetrized pieces combined, then symmetrized.
+``restrict(assemble(...))`` stays the path for any other field.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -102,6 +109,15 @@ def _max_abs(entries: np.ndarray) -> float:
     return float(np.max(np.abs(entries), initial=0.0))
 
 
+def _entry_size(entries: np.ndarray) -> float:
+    """max |entry|, refusing a non-finite entry or one above 1e150, so that H + H^dagger and
+    every residual norm are finite too."""
+    size = _max_abs(entries)
+    if not size <= _MAX_ENTRY:
+        raise ValueError(f"matrix has a non-finite entry, or one above {_MAX_ENTRY:.3g}")
+    return size
+
+
 class SparseHermitian:
     """Sparse matrix with exact Hermitian symmetry.
 
@@ -142,24 +158,27 @@ class SparseHermitian:
 class _Pattern(NamedTuple):
     """A square CSR pattern closed under transposition: the one store of every operator.
 
-    ``transpose`` holds the slot of each entry's transpose, so data laid
-    on the pattern is checked and symmetrized entry by entry, with no
-    sparse round trip.
+    ``template`` is the pattern's CSR, its index arrays validated once,
+    when the pattern is built; an operator on the pattern is a shallow
+    copy of it with its own data, which no sparse constructor checks
+    again.  ``transpose`` holds the slot of each entry's transpose, so
+    data laid on the pattern is checked and symmetrized entry by entry,
+    with no sparse round trip.
     """
 
-    indices: np.ndarray
-    indptr: np.ndarray
+    template: sp.csr_matrix
     transpose: np.ndarray
 
     @classmethod
     def of(cls, keys: np.ndarray, n: int) -> "_Pattern":
         """The pattern of sorted, distinct row-major keys row * n + col, closed under transposition."""
         rows, cols = np.divmod(keys, n)
-        pattern = cls(cols.astype(np.int32), np.searchsorted(rows, np.arange(n + 1)).astype(np.int32),
-                      np.searchsorted(keys, cols * n + rows))
-        for arr in pattern:  # every operator on the pattern shares them
+        indices = cols.astype(np.int32)
+        indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+        transpose = np.searchsorted(keys, cols * n + rows)
+        for arr in (indices, indptr, transpose):  # every operator on the pattern shares them
             arr.setflags(write=False)
-        return pattern
+        return cls(sp.csr_matrix((np.zeros(keys.size), indices, indptr), shape=(n, n)), transpose)
 
     @classmethod
     def of_matrices(cls, matrices, n: int) -> tuple:
@@ -184,32 +203,45 @@ class _Pattern(NamedTuple):
             data = data.real.copy()
         return cls.of(keys, n), data
 
-    def hermitian(self, data: np.ndarray) -> SparseHermitian:
-        """The operator with these entries: checked, symmetrized and stored.
+    def csr(self, data: np.ndarray) -> sp.csr_matrix:
+        """The CSR matrix with these entries on the pattern, unchecked."""
+        m = copy.copy(self.template)
+        m.data = data
+        return m
+
+    def symmetrized(self, data: np.ndarray) -> np.ndarray:
+        """(P + P^dagger)/2 of each row P of data, once P is checked.
 
         A NaN compares false with any bound, so the entries are checked
-        first: finite, and at most 1e150, so that H + H^dagger and every
-        residual norm are finite too.  Then the Hermiticity defect must
-        meet the round-off bound.  Real data stays in real arithmetic;
-        complex data is stored as float64 once symmetrized if every
-        imaginary part is then exactly 0.0.
+        first (``_entry_size``).  Then the Hermiticity defects of the rows,
+        summed, must meet the round-off bound of the largest entry: the
+        defect is linear in P, so the sum bounds that of any combination
+        of the rows with coefficients at most 1 in magnitude.  Real data
+        stays in real arithmetic.
         """
-        size = _max_abs(data)
-        if not size <= _MAX_ENTRY:
-            raise ValueError(f"matrix has a non-finite entry, or one above {_MAX_ENTRY:.3g}")
-        adjoint = data[self.transpose]
+        size = _entry_size(data)
+        adjoint = data[..., self.transpose]
         if np.iscomplexobj(data):
             adjoint = adjoint.conj()
-        worst = _max_abs(data - adjoint)
+        worst = float(np.sum(np.max(np.abs(data - adjoint), axis=-1, initial=0.0)))
         if worst > _round_off_bound(size):
             raise ValueError(f"matrix is not Hermitian: max defect {worst:.3e}")
-        data = (data + adjoint) * 0.5
+        return (data + adjoint) * 0.5
+
+    def store(self, data: np.ndarray) -> SparseHermitian:
+        """The operator with these entries, exactly Hermitian and checked finite by the caller.
+
+        Complex data is stored as float64 if every imaginary part is exactly 0.0.
+        """
         if np.iscomplexobj(data) and not np.any(data.imag):
             data = data.real.copy()
-        n = self.indptr.size - 1
         h = SparseHermitian.__new__(SparseHermitian)
-        h._csr = sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+        h._csr = self.csr(data)
         return h
+
+    def hermitian(self, data: np.ndarray) -> SparseHermitian:
+        """The operator with these entries: checked, symmetrized and stored."""
+        return self.store(self.symmetrized(data))
 
 
 def assemble(lat: StripLattice, field: GaugeField, hop: HoppingParams,
@@ -420,9 +452,9 @@ class FluxPencil:
 
     R, X and Y are laid on ``assemble``'s pattern, each 0 on the links it
     does not hold, and projected once by ``_sector_blocks`` onto one
-    shared pattern, as float64 blocks in the mirror basis; ``at(f)``
-    combines their data in real arithmetic and checks it through the
-    pattern's transpose index.
+    shared pattern, as float64 blocks in the mirror basis, which are
+    checked and symmetrized there, once; ``at(f)`` combines their data in
+    real arithmetic and checks only its entries: finite, at most 1e150.
     """
 
     def __init__(self, iso: SectorIsometry, hop: HoppingParams):
@@ -435,12 +467,16 @@ class FluxPencil:
                   _link_values(lat, 0.0, -1j * tx, no_rungs))
         pattern, order = _link_layout(lat, rungs is not None)
         self.iso = iso
-        self._pattern, self._data = _sector_blocks(
-            iso, [sp.csr_matrix((piece[order], pattern.indices, pattern.indptr), shape=(n, n))
-                  for piece in pieces])
+        self._pattern, data = _sector_blocks(iso, [pattern.csr(piece[order]) for piece in pieces])
+        self._data = self._pattern.symmetrized(data)
 
     def at(self, f: float) -> SparseHermitian:
-        """The sector operator at flux f: ``restrict(assemble(...))`` to round-off."""
+        """The sector operator at flux f: ``restrict(assemble(...))`` to round-off.
+
+        Each piece is exactly Hermitian, and so is any real combination of them.
+        """
         phi = uniform_flux_angle(self.iso.lattice, f)
         r, x, y = self._data
-        return self._pattern.hermitian(r + math.cos(phi) * x + math.sin(phi) * y)
+        data = r + math.cos(phi) * x + math.sin(phi) * y
+        _entry_size(data)
+        return self._pattern.store(data)

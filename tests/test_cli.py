@@ -191,6 +191,8 @@ def test_sweep_invalid_range_exits_2(capsys):
     ("verify", "--tx", "-1"),
     ("verify", "--topology", "torus"),
     ("spectrum", "--solver", "bogus"),
+    # a non-finite tol, refused like every other float key
+    ("spectrum", "--tol", "inf", "--solver", "lanczos", "--k", "3"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_invalid_config_exits_2(capsys, tmp_path, argv):
@@ -246,6 +248,19 @@ def test_non_finite_operator_exits_2(capsys, tmp_path, command, solver, key):
             code, out, _ = run_cli(capsys, *argv, "--out", str(new))
             assert code == 2 and out == ""
             assert not new.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_huge_tol_solves_without_overflow(capsys):
+    # the inertia count's growth check once divided ||H - sigma I|| by sqrt(eps), which
+    # overflows at tol = 1e300, where the cut sits 1e300 above the spectrum
+    size = ["--nx", "12", "--ny", "5", "--k", "3", "--sectors", "full"]
+    code, out, _ = run_cli(capsys, "spectrum", *size, "--tol", "1e300", "--solver", "lanczos")
+    assert code == 0
+    code, dense, _ = run_cli(capsys, "spectrum", *size, "--solver", "dense")
+    assert code == 0
+    assert_allclose([float(v) for v in read_csv_column(out, "eigenvalue")],
+                    [float(v) for v in read_csv_column(dense, "eigenvalue")], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("argv", [

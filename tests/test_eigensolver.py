@@ -47,6 +47,9 @@ def test_solver_config_validation():
         SolverConfig(k=0)
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
+    for tol in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            SolverConfig(tol=tol)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
@@ -116,20 +119,29 @@ def dense_cases():
 
 
 @pytest.mark.parametrize("h", list(dense_cases()))
-@pytest.mark.parametrize("k", [1, 2, 6])
-def test_dense_eigh_is_scipys_eigh_on_a_copy_it_may_overwrite(h, k):
-    # LAPACK overwrites the one dense copy it is handed: never the operator, and no bit moves
+@pytest.mark.parametrize("k", [1, 2, 6, "n-1", "n"])
+@pytest.mark.parametrize("values_only", [False, True])
+def test_dense_eigh_is_scipys_eigh_on_a_copy_it_may_overwrite(h, k, values_only):
+    # LAPACK overwrites the one dense copy it is handed: never the operator, and no bit moves.
+    # dsyevr or zheevr is called directly, with eigh's arguments, and returns eigh's values
+    # and vectors; at k = n values_only solves the pairs, as eigh's eigvals_only would not
     from scipy.linalg import eigh
 
+    k = {"n-1": h.n - 1, "n": h.n}.get(k, k)
     stored = [arr.copy() for arr in (h.csr.data, h.csr.indices, h.csr.indptr)]
-    first, again = dense_eigh(h, k), dense_eigh(h, k)
+    first, again = (dense_eigh(h, k, values_only=values_only) for _ in range(2))
     for arr, before in zip((h.csr.data, h.csr.indices, h.csr.indptr), stored):
         assert arr.tobytes() == before.tobytes()
-    values, vectors = eigh(h.toarray(), subset_by_index=[0, k - 1])
+    if values_only and k < h.n:
+        values = eigh(h.toarray(), subset_by_index=[0, k - 1], eigvals_only=True)
+        assert first.vectors is None and first.residuals is None
+    else:
+        values, vectors = eigh(h.toarray(), subset_by_index=[0, k - 1])
+        for res in (first, again):
+            assert res.vectors.tobytes() == (vectors / np.linalg.norm(vectors, axis=0)).tobytes()
+        assert first.residuals.tobytes() == again.residuals.tobytes()
     for res in (first, again):
-        assert res.values.tobytes() == values.tobytes()
-        assert res.vectors.tobytes() == (vectors / np.linalg.norm(vectors, axis=0)).tobytes()
-    assert first.residuals.tobytes() == again.residuals.tobytes()
+        assert res.values.dtype == values.dtype and res.values.tobytes() == values.tobytes()
 
 
 @pytest.mark.parametrize("h", list(dense_cases()))

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from mobiusflux import hamiltonian
 from mobiusflux.eigensolver import dense_eigh
-from mobiusflux.gauge import apply_gauge_transform, uniform_flux_field
+from mobiusflux.gauge import apply_gauge_transform, uniform_flux_angle, uniform_flux_field
 from mobiusflux.experiments import nodal_amplitude
 from mobiusflux.hamiltonian import (
     EVEN,
@@ -223,13 +223,32 @@ def test_flux_pencil_keeps_the_leak_and_hermiticity_checks(monkeypatch):
     with pytest.raises(SymmetryViolationError):
         FluxPencil(sector_isometry(lat, ODD), hop)
     monkeypatch.undo()
-    # every point is checked Hermitian: a defect in the cos(phi) piece shows at f = 0
-    pencil = FluxPencil(sector_isometry(lat, ODD), hop)
-    transpose = pencil._pattern.transpose
-    off_diagonal = np.flatnonzero(transpose != np.arange(transpose.size))[0]
-    pencil._data[1, off_diagonal] += 1e-9
+    # every piece is checked Hermitian when the pencil is built: a hop off by 1e-9 on the
+    # first +x link and on its mirror image across the center row, not on their conjugates,
+    # keeps the pieces reflection symmetric, so it is no leak
+    values = hamiltonian._link_values
+
+    def skewed(*args):
+        vals = values(*args)
+        vals[[lat.n_sites, lat.n_sites + lat.ny - 1]] += 1e-9
+        return vals
+
+    monkeypatch.setattr(hamiltonian, "_link_values", skewed)
     with pytest.raises(ValueError, match="not Hermitian"):
-        pencil.at(0.0)
+        FluxPencil(sector_isometry(lat, ODD), hop)
+    monkeypatch.undo()
+    # the pieces' defects are summed: three of 0.4e-12 each meet the bound alone, not together
+    def skewed_project(m, iso):
+        block, leak = project(m, iso)
+        return block + sp.csr_matrix(([0.4e-12], ([0], [1])), shape=block.shape), leak
+
+    monkeypatch.setattr(hamiltonian, "_project", skewed_project)
+    pattern, data = hamiltonian._sector_blocks(sector_isometry(lat, ODD),
+                                               [sp.identity(lat.n_sites, format="csr")])
+    assert len(data) == 1
+    pattern.symmetrized(data)  # one alone passes
+    with pytest.raises(ValueError, match="not Hermitian"):
+        FluxPencil(sector_isometry(lat, ODD), hop)
 
 
 def test_assemble_keeps_its_hermiticity_check(monkeypatch):
@@ -442,7 +461,8 @@ def _old_pencil_pieces(lat, hop):
 @pytest.mark.parametrize("ny", [1, 3, 9])
 def test_flux_pencil_pieces_on_the_link_layout_are_the_per_piece_construction(topology, ty, ny):
     # the pieces laid on assemble's pattern, zeros on the links each does not hold, project
-    # to the same blocks, bit for bit, as pieces that hold only their own entries
+    # to the same blocks, bit for bit, as pieces that hold only their own entries; the pencil
+    # keeps them symmetrized, (P + P^T)/2
     lat = build_lattice(8, ny, topology)
     hop = HoppingParams(ty=ty)
     for sector in SECTORS:
@@ -453,21 +473,52 @@ def test_flux_pencil_pieces_on_the_link_layout_are_the_per_piece_construction(to
         blocks = [hamiltonian._project(piece.tocsr(), iso)[0]
                   for piece in _old_pencil_pieces(lat, hop)]
         pattern, data = hamiltonian._Pattern.of_matrices(blocks, iso.dim)
+        symmetrized = (data + data[:, pattern.transpose]) * 0.5
         pencil = FluxPencil(iso, hop)
-        assert pencil._data.dtype == data.dtype and pencil._data.tobytes() == data.tobytes()
-        for got, want in zip(pencil._pattern, pattern):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert pencil._data.dtype == data.dtype and pencil._data.tobytes() == symmetrized.tobytes()
+        got, want = pencil._pattern, pattern
+        for a, c in ((got.template.indices, want.template.indices),
+                     (got.template.indptr, want.template.indptr), (got.transpose, want.transpose)):
+            assert a.dtype == c.dtype and a.tobytes() == c.tobytes()
         # the blocks are stored as float64: the complex projection laid on the same pattern
         # has exactly these real parts, and every imaginary part is 0.0
-        keys = (np.repeat(np.arange(iso.dim), np.diff(pattern.indptr)) * iso.dim
-                + pattern.indices)
+        keys = (np.repeat(np.arange(iso.dim), np.diff(pattern.template.indptr)) * iso.dim
+                + pattern.template.indices)
         projected = np.zeros((len(blocks), keys.size), dtype=complex)
         for row, block in zip(projected, blocks):
             coo = block.tocoo()
             row[np.searchsorted(keys, coo.row * iso.dim + coo.col)] = coo.data
         assert pencil._data.dtype == np.float64
-        assert pencil._data.tobytes() == projected.real.tobytes()
+        real = projected.real
+        assert pencil._data.tobytes() == ((real + real[:, pattern.transpose]) * 0.5).tobytes()
         assert np.all(projected.imag == 0.0)
+
+
+@pytest.mark.parametrize("topology", [MOEBIUS, ANNULUS])
+@pytest.mark.parametrize("ty", [0.0, 0.01, 0.3, 1.0, 7.3])
+def test_flux_pencil_points_are_the_per_point_rule_bit_for_bit(topology, ty):
+    # the pieces are symmetrized once, not each point: every point's CSR arrays are those of
+    # the unsymmetrized pieces combined, then checked and symmetrized as restrict's store does
+    hop = HoppingParams(ty=ty)
+    for nx in (3, 4, 7, 8, 48):
+        for ny in (1, 2, 3, 5, 9):
+            lat = build_lattice(nx, ny, topology)
+            for sector in SECTORS:
+                try:
+                    iso = sector_isometry(lat, sector)
+                except LatticeError:
+                    continue
+                blocks = [hamiltonian._project(piece.tocsr(), iso)[0]
+                          for piece in _old_pencil_pieces(lat, hop)]
+                pattern, (r, x, y) = hamiltonian._Pattern.of_matrices(blocks, iso.dim)
+                pencil = FluxPencil(iso, hop)
+                for f in (0.0, 0.25, 0.3, 0.5, -1.7, nx / 4, 12.345):
+                    phi = uniform_flux_angle(lat, f)
+                    want = pattern.hermitian(r + math.cos(phi) * x + math.sin(phi) * y).csr
+                    got = pencil.at(f).csr
+                    for name in ("data", "indices", "indptr"):
+                        a, c = getattr(got, name), getattr(want, name)
+                        assert a.dtype == c.dtype and a.tobytes() == c.tobytes()
 
 
 @pytest.mark.parametrize("topology", [MOEBIUS, ANNULUS])
