@@ -14,7 +14,6 @@ from .eigensolver import (
     SolverConfig,
     dense_eigh,
     lanczos_lowest,
-    residual_report,
     solve,
 )
 from .experiments import (
@@ -53,7 +52,6 @@ from .hamiltonian import (
     SparseHermitian,
     SymmetryViolationError,
     assemble,
-    reflection_permutation,
     restrict,
     ring_spectrum_oracle,
     sector_isometry,

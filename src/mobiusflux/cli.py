@@ -61,19 +61,21 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Every key, in flag order; its default's type (str where None) is the key's type."""
+
     topology: str = "moebius"
     nx: int = 48
     ny: int = 9
+    f_steps: int = 151
+    k: int = 6
+    seed: int = 12345
     tx: float = 1.0
     ty: float = 1.0
     f: float = 0.0
     f_min: float = -0.25
     f_max: float = 1.25
-    f_steps: int = 151
-    k: int = 6
-    solver: str = "auto"
     tol: float = 1e-10
-    seed: int = 12345
+    solver: str = "auto"
     sectors: str = "full,even,odd"
     out: Optional[str] = None
     plot: Optional[str] = None
@@ -93,28 +95,23 @@ class Run(NamedTuple):
     solver: SolverConfig
 
 
-_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-_INT_KEYS = ("nx", "ny", "f_steps", "k", "seed")
-_FLOAT_KEYS = ("tx", "ty", "f", "f_min", "f_max", "tol")
-_BOOL_KEYS = ("strict",)
+_TYPES = {f.name: str if f.default is None else type(f.default)
+          for f in dataclasses.fields(RunConfig)}
 
 
 def _parse_value(key: str, text: str):
-    if key not in _FIELDS:
+    if key not in _TYPES:
         raise ConfigError(f"unknown config key {key!r}")
+    kind = _TYPES[key]
     try:
-        if key in _INT_KEYS:
-            return int(text)
-        if key in _FLOAT_KEYS:
-            return float(text)
-        if key in _BOOL_KEYS:
+        if kind is bool:
             low = text.strip().lower()
             if low in ("1", "true", "yes", "on"):
                 return True
             if low in ("0", "false", "no", "off"):
                 return False
             raise ValueError(f"not a boolean: {text!r}")
-        return text.strip()
+        return text.strip() if kind is str else kind(text)
     except ValueError as exc:
         raise ConfigError(f"bad value for key {key!r}: {exc}") from exc
 
@@ -142,7 +139,7 @@ def build_config(args: argparse.Namespace) -> Run:
     values = {}
     if args.config:
         values.update(load_config_file(args.config))
-    for key in _FIELDS:
+    for key in _TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -241,6 +238,8 @@ def cmd_sweep(run: Run, stdout) -> int:
         solver=run.solver,
         sectors=config.sector_list(),
     )
+    if config.out and config.plot and Path(config.out).resolve() == Path(config.plot).resolve():
+        raise ConfigError(f"out and plot name the same file: {config.out!r}, {config.plot!r}")
     created = []
     try:
         for path in (config.out, config.plot):
@@ -301,19 +300,23 @@ def cmd_verify(run: Run, broken_seam: bool, stdout) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+_FLAG_TEXT = {
+    "topology": {"metavar": "|".join(TOPOLOGIES)},
+    "solver": {"metavar": "|".join(METHODS)},
+    "sectors": {"help": "comma list from full,even,odd"},
+    "out": {"help": "CSV output path (default: stdout)"},
+    "plot": {"help": "SVG output path"},
+    "strict": {"help": "exit 1 if any sweep point fails to converge"},
+}
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="key = value config file")
-    parser.add_argument("--topology", metavar="|".join(TOPOLOGIES))
-    for key in _INT_KEYS:
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
-    for key in _FLOAT_KEYS:
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float)
-    parser.add_argument("--solver", metavar="|".join(METHODS))
-    parser.add_argument("--sectors", help="comma list from full,even,odd")
-    parser.add_argument("--out", help="CSV output path (default: stdout)")
-    parser.add_argument("--plot", help="SVG output path")
-    parser.add_argument("--strict", action="store_const", const=True, default=None,
-                        help="exit 1 if any sweep point fails to converge")
+    for key, kind in _TYPES.items():
+        how = ({"action": "store_const", "const": True, "default": None} if kind is bool
+               else {"type": kind})
+        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, **how,
+                            **_FLAG_TEXT.get(key, {}))
 
 
 @functools.cache  # built on first use, then shared by every main() call of the process
@@ -342,20 +345,19 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {
+    "spectrum": lambda run, args, stdout: cmd_spectrum(run, stdout),
+    "sweep": lambda run, args, stdout: cmd_sweep(run, stdout),
+    "holonomy": lambda run, args, stdout: cmd_holonomy(run, args.loop, stdout),
+    "verify": lambda run, args, stdout: cmd_verify(run, args.broken_seam, stdout),
+}
+
+
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     stdout = sys.stdout
     try:
-        run = build_config(args)
-        if args.command == "spectrum":
-            return cmd_spectrum(run, stdout)
-        if args.command == "sweep":
-            return cmd_sweep(run, stdout)
-        if args.command == "holonomy":
-            return cmd_holonomy(run, args.loop, stdout)
-        if args.command == "verify":
-            return cmd_verify(run, args.broken_seam, stdout)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](build_config(args), args, stdout)
     except (NoConvergenceError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE

@@ -1,37 +1,12 @@
 """Lowest eigenpairs of sparse Hermitian operators, with certification.
 
-Two routes: a dense direct solve (LAPACK) for reference accuracy at small
-dimension, and shift-invert Lanczos (ARPACK) for larger problems.
-The dense route computes only the k lowest pairs asked for, by LAPACK's
-index-range driver (dsyevr/zheevr): full accuracy at a fraction of the cost
-of all n.  For k < n that driver finds the values by bisection (stebz) and
-only then, if asked, the vectors by inverse iteration (stein), so a
-values-only solve returns the same values bit for bit; for k = n it takes
-other routes for values (sterf) and for vectors (MRRR, stemr), whose values
-differ in the last bits, so there the values-only mode solves for vectors.
-It calls that driver directly, with the arguments scipy's ``eigh`` would
-pass and its workspace sized once per dtype and n, and hands it one
-column-major dense copy to overwrite in place, with no finiteness scan:
-``SparseHermitian`` refuses non-finite entries when built.
-A real operator is symmetric entry by entry, so that copy is its row-major
-array, transposed.
-The iterative route shifts just below the spectrum's Gershgorin bound, where
-H - sigma I is positive definite, and iterates with solves on its sparse
-factor: the lowest eigenvalues of H are the best separated ones of the
-inverse, so a few dozen solves do the work of hundreds of matvecs.
-A Krylov method can skip copies of a degenerate eigenvalue (routine at
-half-integer flux) while every residual it reports is tiny, so an
-iterative answer counts only once a Sylvester inertia count shows that no
-eigenvalue below its top value was missed.  The shift-invert solves and the
-counts use one symmetric-mode sparse factorization, set up once per solve:
-each shift is a data update on the diagonal of one CSC copy of H, read off
-its CSR arrays (H is Hermitian entry by entry, so a row conjugated is the
-column).  Residuals
-||H v - lambda v|| are always recomputed from the returned pairs;
-eigenvectors of degenerate eigenvalues are ambiguous beyond orthonormality.
-Both routes work in the operator's own dtype, so a real symmetric operator
-(see ``hamiltonian.sector_isometry``) is solved in real arithmetic: dsyevr
-in place of zheevr, and real ARPACK on a real factor.
+Two routes, both in the operator's own dtype, so a real operator is
+solved in real arithmetic: ``dense_eigh``, a direct LAPACK solve, the
+reference at small dimension, and ``lanczos_lowest``, shift-invert
+Lanczos certified complete by a sparse inertia count; ``solve`` picks.
+Residuals ||H v - lambda v|| are always recomputed from the returned
+pairs; eigenvectors of degenerate eigenvalues are ambiguous beyond
+orthonormality.
 """
 
 from __future__ import annotations
@@ -125,8 +100,11 @@ def dense_eigh(h: SparseHermitian, k: Optional[int] = None, *,
     """k lowest eigenpairs (None: all n) by a dense direct solve; n <= 4096.
 
     The reference path; only the requested pairs and their residuals are computed.
-    With values_only and k < n, only the k values: bit for bit the values of
-    the vector solve (see the module docstring); at k = n the pairs are solved.
+    For k < n LAPACK's index-range driver finds the values by bisection
+    (stebz) and only then, if asked, the vectors by inverse iteration
+    (stein), so with values_only only the k values are solved, bit for bit
+    those of the vector solve; for k = n it takes other routes, whose values
+    differ in the last bits, so there the pairs are solved.
     dsyevr or zheevr, called directly with ``scipy.linalg.eigh``'s arguments
     (so its values and vectors bit for bit), overwrites the one column-major
     copy it is handed, unscanned: every ``SparseHermitian`` is checked
@@ -152,13 +130,6 @@ def dense_eigh(h: SparseHermitian, k: Optional[int] = None, *,
         values.setflags(write=False)
         return EigenResult(values=values, vectors=None, residuals=None)
     return _finalize(h, values, vectors[:, :m])
-
-
-def residual_report(h: SparseHermitian, res: EigenResult) -> np.ndarray:
-    """Recompute ||H v - lambda v||_2 independently of the solver."""
-    if res.vectors.shape[0] != h.n:
-        raise ValueError(f"vectors have dimension {res.vectors.shape[0]}, operator has {h.n}")
-    return np.linalg.norm(h.csr @ res.vectors - res.vectors * res.values, axis=0)
 
 
 def _gershgorin(h: SparseHermitian) -> tuple:
@@ -247,6 +218,10 @@ def _rayleigh_ritz(h: SparseHermitian, basis: np.ndarray, k: int) -> EigenResult
 def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
     """k lowest eigenpairs by shift-invert Lanczos, certified complete.
 
+    A Krylov method can skip copies of a degenerate eigenvalue (routine at
+    half-integer flux) while every residual it reports is tiny, so an
+    answer counts only once a Sylvester inertia count shows that no
+    eigenvalue below its top value was missed.
     sigma sits a sqrt(eps) * (hi - lo) step below h's Gershgorin interval
     [lo, hi], so H - sigma I is positive definite and is factored once.
     ARPACK (scipy's eigsh) runs on its inverse, whose largest, best separated

@@ -1,29 +1,11 @@
 """Flux-sweep experiments: quantization minima, nodal states, currents.
 
-A sweep solves the requested sectors at evenly spaced flux values in the
-real basis of ``hamiltonian.sector_isometry`` (the full space is one of
-them), and records ground energies, the spectral gap, the ground state's
-amplitude on the center row, and the persistent current -dE0/df.  The
-uniform flux makes the operator H(f) = R + cos(phi) X + sin(phi) Y,
-phi = 2*pi*f/nx, so each sector's three pieces are restricted once a
-sweep (``hamiltonian.FluxPencil``) and a point is one combination of
-their data.  Each point still meets the checks of restricting its
-assembled operator: the pieces' leaks summed bound its leak by the same
-round-off bound, and its block is checked Hermitian to it and finite.
-The full sector is still the whole operator, so ``node_amp`` is
-computed, not zero by construction; it is reported only where the gap
-(k >= 2) exceeds 1e-8, so that the ground state, and with it the
-amplitude, is unique.
-
-Each input is checked once, by the type that owns it: the lattice,
-hopping and solver config when built (a ``SweepConfig`` holds them as
-built), the sector names by ``sector_isometry``, the flux grid and that
-some sector is named by ``SweepConfig``; ``solve`` caps k at n.
-
-Minima of the sector energies against flux locate the quantization
-values: the even sector dips at integers, the odd (nodal) sector at
-half-odd integers, and both loci are checked against the independent
-annulus identity E_odd(moebius, f) = E(annulus of half width, f + 1/2).
+``flux_sweep`` solves each requested sector's ``FluxPencil`` on a flux
+grid and records ground energies, the gap, the ground state's amplitude
+on the center row and the persistent current -dE0/df.  ``detect_minima``
+locates the quantization values: the even sector dips at integers, the
+odd (nodal) sector at half-odd integers.  ``annulus_equivalence_check``
+and ``ladder_periodicity_test`` check them against exact identities.
 """
 
 from __future__ import annotations
@@ -117,7 +99,7 @@ def flux_sweep(cfg: SweepConfig) -> list:
     for k values and no vectors, so that its e0 is bit for bit the one
     ``spectrum`` prints: the dense driver's bisection finds the same values
     with or without vectors, but its lowest value depends on how many it is
-    asked for (see ``eigensolver``).
+    asked for (see ``dense_eigh``).
     ``node_amp`` is left empty unless the full-sector gap shows a unique
     ground state: a degenerate one has no basis-free center-row amplitude,
     only whatever vector LAPACK returns, and with k = 1 the gap is unknown.

@@ -1,60 +1,11 @@
 """Magnetic tight-binding Hamiltonian and reflection-parity sectors.
 
-Units: hbar = 1, lattice spacing 1, and the hopping energy t = 1/(2 m a^2)
-absorbs the particle mass, so energies are reported in units of the x
-hopping.  The discrete kinetic term puts 2*tx + 2*ty on every diagonal
-(also at Dirichlet walls, where the missing neighbor simply contributes
-no hop) and -t * exp(i*theta) on every existing link, theta being the
-gauge field's Peierls angle for the hop direction.  Every operator,
-``SparseHermitian(matrix)``, ``assemble``, ``restrict`` and
-``FluxPencil.at`` alike, is checked, symmetrized and stored in one way:
-on a CSR pattern closed under transposition, through its transpose
-index, keeping every slot the pattern holds, every diagonal slot among
-them.  The pattern holds its CSR, index arrays validated once, and an
-operator on it is that CSR with its own data, which no sparse
-constructor checks again.  ``assemble`` writes its entries straight onto
-the one link layout, a pattern built once per lattice.  Every operator
-is checked finite, entries at most 1e150, where it is built, so no
-solver scans it again; its Hermiticity defect and sector leak must meet
-1e-12, or 64 eps max |entry| where that is larger.
-
-The reflection y -> -y commutes with any assembled operator whose angles
-and potential share that symmetry; its even and odd eigenspaces are the
-sectors.  Odd-sector states vanish identically on the center row, which
-is what realizes nodal states on the middle circle.
-
-A uniform flux is odd under complex conjugation K and odd under the
-mirror along the ring, M: (i, j) -> (nx-1-i, j), which reverses every x
-link (the seam's included).  Their product Theta = M K is antiunitary,
-commutes with H and squares to 1, so H is real symmetric in any basis
-that Theta fixes (Wigner's antiunitary symmetry, Dyson's orthogonal
-class).  ``sector_isometry`` gives such a basis of each sector:
-(e_s + e_Ms)/sqrt(2) and i (e_s - e_Ms)/sqrt(2) over mirror pairs of the
-sector's coordinates, e_s on a fixed column, each partner read off its
-(i, j); the basis holds its CSR form and its adjoint, built once, for
-the projection.  It is a unitary similarity for any operator, so an
-input without the mirror symmetry (a gauge-transformed field, say) keeps
-its exact spectrum and merely stays complex.  Data with no imaginary
-part is stored as float64, and the store checks and symmetrizes real
-data in real arithmetic.
-
-A uniform flux f puts one angle phi = 2*pi*f/nx on every x link and
-none on the y links, so H(f) = R + cos(phi) X + sin(phi) Y, with R the
-diagonal plus the rungs, X = -tx (S + S^T) and Y = -i tx (S - S^T), S
-the +x link incidence.  ``FluxPencil`` lays the three pieces on
-``assemble``'s link layout, restricts them to a sector once, by the
-projection ``restrict`` uses, keeps the blocks as float64 (in the mirror
-basis every imaginary part is exactly 0.0), and evaluates each flux
-point from their real data arrays, with the guarantees of
-``restrict(assemble(...))``.  The leak and the Hermiticity defect are
-both linear in H, and |cos phi|, |sin phi| <= 1, so no point leaks or
-departs from Hermiticity more than the pieces summed, which are checked
-once, when the pencil is built, against the same bound; each piece is
-then kept symmetrized, (P + P^dagger)/2, so every point is exactly
-Hermitian, and is checked only finite, entries at most 1e150.  On every
-lattice tested, each point's CSR arrays are bit for bit those of the
-unsymmetrized pieces combined, then symmetrized.
-``restrict(assemble(...))`` stays the path for any other field.
+Units: hbar = 1, lattice spacing 1, energies in units of the x hopping.
+``SparseHermitian`` is every operator's type and ``_Pattern`` its one
+store; ``assemble`` builds the site-basis operator on a link layout held
+per lattice, ``sector_isometry`` gives the real mirror basis of a
+reflection-parity sector, ``restrict`` projects onto it, and
+``FluxPencil`` evaluates a sector's uniform-flux operator at any flux.
 """
 
 from __future__ import annotations
@@ -121,15 +72,9 @@ def _entry_size(entries: np.ndarray) -> float:
 class SparseHermitian:
     """Sparse matrix with exact Hermitian symmetry.
 
-    Construction refuses a non-finite entry (or one above 1e150), verifies
-    max |H - H^dagger| against the round-off bound and then stores the
-    exactly symmetrized (H + H^dagger)/2, finite, whose Hermiticity holds
-    entrywise in floating point, with a real diagonal.  It is stored as
-    float64 when every imaginary part is exactly 0.0, so solvers run in
-    real arithmetic; nothing is rounded to get there.  The CSR holds every
-    stored entry of the matrix and of its transpose, explicit zeros
-    included, so its pattern is closed under transposition, and every
-    diagonal slot.
+    Construction checks the matrix and stores (H + H^dagger)/2, as
+    ``_Pattern.hermitian`` does, on the pattern of the matrix, its
+    transpose and the diagonal.
     """
 
     def __init__(self, matrix):
@@ -163,7 +108,8 @@ class _Pattern(NamedTuple):
     copy of it with its own data, which no sparse constructor checks
     again.  ``transpose`` holds the slot of each entry's transpose, so
     data laid on the pattern is checked and symmetrized entry by entry,
-    with no sparse round trip.
+    with no sparse round trip.  Every pattern holds every diagonal slot,
+    and an operator keeps every slot, explicit zeros included.
     """
 
     template: sp.csr_matrix
@@ -185,9 +131,7 @@ class _Pattern(NamedTuple):
         """The pattern of these n x n matrices, their transposes and the diagonal, and their data.
 
         Each matrix must hold no duplicate entries; a slot it does not
-        hold is 0 in its row of the data.  The data is float64 when every
-        imaginary part is exactly 0.0, as in the blocks of a uniform-flux
-        operator in the mirror basis.
+        hold is 0 in its row of the (complex) data.
         """
         coos = [m.tocoo() for m in matrices]
         own = [c.row.astype(np.int64) * n + c.col for c in coos]
@@ -199,8 +143,6 @@ class _Pattern(NamedTuple):
         data = np.zeros((len(coos), keys.size), dtype=complex)
         for row, c, k in zip(data, coos, own):
             row[np.searchsorted(keys, k)] = c.data
-        if not np.any(data.imag):
-            data = data.real.copy()
         return cls.of(keys, n), data
 
     def csr(self, data: np.ndarray) -> sp.csr_matrix:
@@ -216,25 +158,21 @@ class _Pattern(NamedTuple):
         first (``_entry_size``).  Then the Hermiticity defects of the rows,
         summed, must meet the round-off bound of the largest entry: the
         defect is linear in P, so the sum bounds that of any combination
-        of the rows with coefficients at most 1 in magnitude.  Real data
-        stays in real arithmetic.
+        of the rows with coefficients at most 1 in magnitude.  The result
+        is float64 when every imaginary part is exactly 0.0, as in the
+        blocks of a uniform-flux operator in the mirror basis, so solvers
+        run in real arithmetic; nothing is rounded to get there.
         """
         size = _entry_size(data)
-        adjoint = data[..., self.transpose]
-        if np.iscomplexobj(data):
-            adjoint = adjoint.conj()
+        adjoint = data[..., self.transpose].conj()
         worst = float(np.sum(np.max(np.abs(data - adjoint), axis=-1, initial=0.0)))
         if worst > _round_off_bound(size):
             raise ValueError(f"matrix is not Hermitian: max defect {worst:.3e}")
-        return (data + adjoint) * 0.5
+        data = (data + adjoint) * 0.5
+        return data.real.copy() if np.iscomplexobj(data) and not np.any(data.imag) else data
 
     def store(self, data: np.ndarray) -> SparseHermitian:
-        """The operator with these entries, exactly Hermitian and checked finite by the caller.
-
-        Complex data is stored as float64 if every imaginary part is exactly 0.0.
-        """
-        if np.iscomplexobj(data) and not np.any(data.imag):
-            data = data.real.copy()
+        """The operator with these entries, exactly Hermitian and checked finite by the caller."""
         h = SparseHermitian.__new__(SparseHermitian)
         h._csr = self.csr(data)
         return h
@@ -248,8 +186,11 @@ def assemble(lat: StripLattice, field: GaugeField, hop: HoppingParams,
              pot: Optional[np.ndarray] = None) -> SparseHermitian:
     """Assemble the lattice Schrodinger operator with Peierls link phases.
 
-    ``pot`` is an optional on-site potential, shape (nx, ny) or flat
-    (nx*ny,), in units of the hopping; omitted means zero.
+    2*tx + 2*ty + pot on every diagonal, walls included, where the missing
+    neighbor contributes no hop, and -t exp(i theta) on every link, theta
+    the field's angle for the hop.  ``pot`` is an optional on-site
+    potential, shape (nx, ny) or flat (nx*ny,), in units of the hopping;
+    omitted means zero.
     """
     if field.lattice != lat:
         raise LatticeError("gauge field lives on a different lattice")
@@ -316,12 +257,6 @@ def ring_spectrum_oracle(nx: int, f: float) -> np.ndarray:
     return np.sort(2.0 - 2.0 * np.cos(2.0 * np.pi * (k + f) / nx))
 
 
-def reflection_permutation(lat: StripLattice) -> np.ndarray:
-    """Site-id permutation of the reflection (i, j) -> (i, ny-1-j)."""
-    lat.center_row  # requires odd ny
-    return np.arange(lat.n_sites).reshape(lat.nx, lat.ny)[:, ::-1].reshape(-1)
-
-
 @dataclass(frozen=True)
 class SectorIsometry:
     """Orthonormal embedding of the full space or one reflection-parity subspace.
@@ -366,8 +301,12 @@ def sector_isometry(lat: StripLattice, sector: str) -> SectorIsometry:
     and a pair p < q becomes (b_p + b_q)/sqrt(2) in column p and
     i (b_p - b_q)/sqrt(2) in column q; a column M fixes stays.  Each entry
     is one product, written straight into the CSC arrays with the rows of
-    each column descending, as the sparse product B W lists them.  An
-    operator commuting with Theta restricts to a real symmetric one.
+    each column descending, as the sparse product B W lists them.  A
+    uniform flux is odd under complex conjugation K and under the mirror
+    M along the ring, so Theta commutes with H and H restricts to a real
+    symmetric block; an operator without that symmetry keeps its exact
+    spectrum and merely stays complex.  Odd-sector states vanish on the
+    center row: the nodal states on the middle circle.
 
     Raises LatticeError where a parity sector does not exist: ny even (no
     center row), or the odd sector of a one-row strip, which is empty.
@@ -448,13 +387,17 @@ def _sector_blocks(iso: SectorIsometry, matrices) -> tuple:
 
 
 class FluxPencil:
-    """One sector's uniform-flux operator as a function of f (see the module docstring).
+    """One sector's uniform-flux operator H(f) = R + cos(phi) X + sin(phi) Y.
 
-    R, X and Y are laid on ``assemble``'s pattern, each 0 on the links it
-    does not hold, and projected once by ``_sector_blocks`` onto one
-    shared pattern, as float64 blocks in the mirror basis, which are
-    checked and symmetrized there, once; ``at(f)`` combines their data in
-    real arithmetic and checks only its entries: finite, at most 1e150.
+    phi = 2*pi*f/nx is the angle on every x link, R the diagonal plus the
+    rungs, X = -tx (S + S^T) and Y = -i tx (S - S^T), S the +x link
+    incidence.  The pieces are laid on ``assemble``'s pattern, each 0 on
+    the links it does not hold, and projected once by ``_sector_blocks``
+    onto one shared pattern, float64 blocks in the mirror basis, checked
+    and symmetrized there, once; ``at(f)`` combines their data in real
+    arithmetic and checks only its entries: finite, at most 1e150.  Each
+    point's CSR arrays are bit for bit those of the unsymmetrized pieces
+    combined, then symmetrized.
     """
 
     def __init__(self, iso: SectorIsometry, hop: HoppingParams):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,11 +80,6 @@ class StripLattice:
         if self.ny % 2 == 0:
             raise LatticeError(f"ny={self.ny} has no center row (ny must be odd)")
         return (self.ny - 1) // 2
-
-    def sites(self) -> Iterator[Site]:
-        for i in range(self.nx):
-            for j in range(self.ny):
-                yield Site(i, j)
 
     def contains(self, site) -> bool:
         i, j = site

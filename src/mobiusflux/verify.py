@@ -110,17 +110,6 @@ def random_class2_loop(lat: StripLattice, rng: np.random.Generator):
     return _column_walk(lat, rows + [(r, r0)])
 
 
-def random_annulus_loop(lat: StripLattice, rng: np.random.Generator, wraps: int = 1):
-    """Random class-``wraps`` walk on an annulus, wandering over all rows."""
-    r0 = int(rng.integers(0, lat.ny))
-    r, rows = r0, []
-    for _ in range(wraps * lat.nx):
-        target = int(rng.integers(0, lat.ny))
-        rows.append((r, target))
-        r = target
-    return _column_walk(lat, rows + [(r, r0)])
-
-
 def random_gauge_transform(lat: StripLattice, rng: np.random.Generator) -> GaugeTransform:
     return GaugeTransform(lattice=lat, chi=rng.uniform(-math.pi, math.pi, (lat.nx, lat.ny)))
 

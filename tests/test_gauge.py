@@ -34,7 +34,7 @@ from mobiusflux.lattice import (
     offset_loop,
     walk_loop,
 )
-from mobiusflux.verify import random_class2_loop, random_gauge_transform
+from mobiusflux.verify import _column_walk, random_class2_loop, random_gauge_transform
 
 TAU = 2 * math.pi
 
@@ -279,9 +279,18 @@ def test_stokes_defect_rejects_center_touching_loop():
         stokes_defect(field, through, offset_loop(lat, 0))
 
 
-def test_annulus_stokes_with_wandering_loops():
-    from mobiusflux.verify import random_annulus_loop
+def random_annulus_loop(lat, rng, wraps):
+    """Random class-``wraps`` walk on an annulus, wandering over all rows."""
+    r0 = int(rng.integers(0, lat.ny))
+    r, rows = r0, []
+    for _ in range(wraps * lat.nx):
+        target = int(rng.integers(0, lat.ny))
+        rows.append((r, target))
+        r = target
+    return _column_walk(lat, rows + [(r, r0)])
 
+
+def test_annulus_stokes_with_wandering_loops():
     lat = build_lattice(7, 4, ANNULUS)
     rng = np.random.default_rng(23)
     for _ in range(6):

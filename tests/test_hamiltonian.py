@@ -22,7 +22,6 @@ from mobiusflux.hamiltonian import (
     SparseHermitian,
     SymmetryViolationError,
     assemble,
-    reflection_permutation,
     restrict,
     ring_spectrum_oracle,
     sector_isometry,
@@ -124,21 +123,16 @@ def test_non_finite_entries_are_refused(bad):
         pencil.at(0.3)
 
 
-def test_reflection_permutation():
-    lat = build_lattice(5, 5, ANNULUS)
-    perm = reflection_permutation(lat)
-    assert perm[lat.site_id(Site(3, 0))] == lat.site_id(Site(3, 4))
-    assert perm[lat.site_id(Site(3, 2))] == lat.site_id(Site(3, 2))
-    assert np.array_equal(perm[perm], np.arange(lat.n_sites))
-    with pytest.raises(LatticeError):
-        reflection_permutation(build_lattice(5, 4, ANNULUS))
+def reflection(lat):
+    """Site-id permutation of the reflection (i, j) -> (i, ny-1-j)."""
+    return np.arange(lat.n_sites).reshape(lat.nx, lat.ny)[:, ::-1].ravel()
 
 
 def test_reflection_commutes_with_assembled_operator():
     # exhaustive entrywise check on nx=4, ny=3
     lat = build_lattice(4, 3, MOEBIUS)
     h = assemble(lat, uniform_flux_field(lat, 0.3), HoppingParams()).toarray()
-    perm = reflection_permutation(lat)
+    perm = reflection(lat)
     conjugated = h[np.ix_(perm, perm)]
     assert np.array_equal(conjugated, h)
 
@@ -322,7 +316,7 @@ def _product_isometry(lat, sector):
         below = grid[:, :c].reshape(-1)
         pairs = np.arange(below.size)
         sign = 1.0 if sector == EVEN else -1.0
-        rows = [below, reflection_permutation(lat)[below]]
+        rows = [below, reflection(lat)[below]]
         cols = [pairs, pairs]
         vals = [np.full(below.size, 1.0 / np.sqrt(2.0)), np.full(below.size, sign / np.sqrt(2.0))]
         if sector == EVEN:
@@ -473,9 +467,10 @@ def test_flux_pencil_pieces_on_the_link_layout_are_the_per_piece_construction(to
         blocks = [hamiltonian._project(piece.tocsr(), iso)[0]
                   for piece in _old_pencil_pieces(lat, hop)]
         pattern, data = hamiltonian._Pattern.of_matrices(blocks, iso.dim)
-        symmetrized = (data + data[:, pattern.transpose]) * 0.5
+        symmetrized = ((data + data[:, pattern.transpose]) * 0.5).real
         pencil = FluxPencil(iso, hop)
-        assert pencil._data.dtype == data.dtype and pencil._data.tobytes() == symmetrized.tobytes()
+        assert pencil._data.dtype == symmetrized.dtype
+        assert pencil._data.tobytes() == symmetrized.tobytes()
         got, want = pencil._pattern, pattern
         for a, c in ((got.template.indices, want.template.indices),
                      (got.template.indptr, want.template.indptr), (got.transpose, want.transpose)):
@@ -519,6 +514,81 @@ def test_flux_pencil_points_are_the_per_point_rule_bit_for_bit(topology, ty):
                     for name in ("data", "indices", "indptr"):
                         a, c = getattr(got, name), getattr(want, name)
                         assert a.dtype == c.dtype and a.tobytes() == c.tobytes()
+
+
+def _stored(blocks, n):
+    """The store's CSR arrays, rebuilt densely: the slots of the blocks, of their transposes
+    and the diagonal, each block (B + B^H)/2 in complex arithmetic, float64 when every
+    imaginary part is 0.0."""
+    held = np.eye(n, dtype=bool)
+    sym = []
+    for block in blocks:
+        coo = block.tocoo()  # explicit zeros are slots too
+        held[coo.row, coo.col] = held[coo.col, coo.row] = True
+        dense = np.zeros((n, n), dtype=complex)
+        dense[coo.row, coo.col] = coo.data  # toarray sums onto +0.0, losing a -0.0 part
+        sym.append((dense + dense.conj().T) * 0.5)
+    rows, cols = np.nonzero(held)
+    data = np.array([d[rows, cols] for d in sym])
+    if not np.any(data.imag):
+        data = data.real.copy()
+    return data, cols.astype(np.int32), np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+
+
+def _assert_stored(h, data, indices, indptr):
+    for name, want in (("data", data), ("indices", indices), ("indptr", indptr)):
+        got = getattr(h.csr, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("topology", [MOEBIUS, ANNULUS])
+@pytest.mark.parametrize("f", [0.0, 0.3])
+def test_assemble_is_stored_real_exactly_when_every_imaginary_part_is_zero(topology, f):
+    # written per link here: 4 on the diagonal, -t exp(i theta) on each +x and +y link, t = 1.0
+    # a factor as in assemble, so that zero imaginary parts carry its signs
+    lat = build_lattice(6, 5, topology)
+    field = uniform_flux_field(lat, f)
+    n = lat.n_sites
+    h = np.diag(np.full(n, 4.0)).astype(complex)
+    ids = np.arange(n)
+    h[lat.x_next, ids] = -1.0 * np.exp(1j * field.theta_x.reshape(-1))
+    below = ids.reshape(lat.nx, lat.ny)[:, :-1].reshape(-1)
+    h[below + 1, below] = -1.0 * np.exp(1j * field.theta_y.reshape(-1))
+    h[ids, lat.x_next] = h[lat.x_next, ids].conj()
+    h[below, below + 1] = h[below + 1, below].conj()
+    (data,), indices, indptr = _stored([sp.csr_matrix(h)], n)
+    assert data.dtype == (np.float64 if f == 0.0 else np.complex128)
+    _assert_stored(assemble(lat, field, HoppingParams()), data, indices, indptr)
+
+
+@pytest.mark.parametrize("topology", [MOEBIUS, ANNULUS])
+@pytest.mark.parametrize("ty", [0.0, 0.01, 1.0])
+def test_restrict_and_the_pencil_are_stored_real(topology, ty):
+    # a uniform flux in the mirror basis: every imaginary part is 0.0, so float64
+    lat = build_lattice(8, 5, topology)
+    hop = HoppingParams(ty=ty)
+    for sector in SECTORS:
+        iso = sector_isometry(lat, sector)
+        h = assemble(lat, uniform_flux_field(lat, 0.3), hop)
+        (data,), indices, indptr = _stored([iso.adjoint @ (h.csr @ iso.csr)], iso.dim)
+        assert data.dtype == np.float64
+        _assert_stored(restrict(h, iso), data, indices, indptr)
+        pieces = [iso.adjoint @ (piece.tocsr() @ iso.csr) for piece in _old_pencil_pieces(lat, hop)]
+        (r, x, y), indices, indptr = _stored(pieces, iso.dim)
+        assert r.dtype == np.float64
+        pencil = FluxPencil(iso, hop)
+        for f in (0.0, 0.3, 0.5):
+            phi = uniform_flux_angle(lat, f)
+            _assert_stored(pencil.at(f), r + math.cos(phi) * x + math.sin(phi) * y, indices, indptr)
+
+
+def test_imaginary_parts_that_cancel_are_stored_real():
+    # a real matrix whose diagonal carries +-1e-17j: symmetrized, every imaginary part is 0.0
+    m = (np.diag([1.0, 2.0, 3.0, 4.0]) + np.eye(4, k=1) + np.eye(4, k=-1)).astype(complex)
+    m[np.diag_indices(4)] += [1e-17j, -1e-17j, 1e-17j, -1e-17j]
+    (data,), indices, indptr = _stored([sp.csr_matrix(m)], 4)
+    assert data.dtype == np.float64
+    _assert_stored(SparseHermitian(m), data, indices, indptr)
 
 
 @pytest.mark.parametrize("topology", [MOEBIUS, ANNULUS])

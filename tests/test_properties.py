@@ -13,6 +13,7 @@ the plain operator's spectrum, and the sweep's flux pencil against
 ``restrict`` of the assembled operator.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -42,7 +43,6 @@ from mobiusflux.hamiltonian import (
     HoppingParams,
     SparseHermitian,
     assemble,
-    reflection_permutation,
     restrict,
     sector_isometry,
 )
@@ -84,6 +84,16 @@ def neighbor(lat, site, direction):
     return Site(i % lat.nx, lat.ny - 1 - j if lat.is_moebius and lat.seam_flip else j)
 
 
+def sites(lat):
+    """Every site, in site-id order."""
+    return [Site(i, j) for i, j in itertools.product(range(lat.nx), range(lat.ny))]
+
+
+def reflection(lat):
+    """Site-id permutation of the reflection (i, j) -> (i, ny-1-j)."""
+    return np.arange(lat.n_sites).reshape(lat.nx, lat.ny)[:, ::-1].ravel()
+
+
 @st.composite
 def lattices(draw, ny=st.integers(1, 7), topology=st.sampled_from(TOPOLOGIES),
              seam_flip=st.booleans()):
@@ -111,7 +121,7 @@ def test_x_next_is_the_plus_x_neighbor(lat):
     # and the step table's row for each direction is that neighbour, -1 at a wall
     assert lat.step_table.shape == (len(DIRECTIONS), lat.n_sites)
     assert not lat.step_table.flags.writeable
-    for site in lat.sites():
+    for site in sites(lat):
         assert lat.x_next[lat.site_id(site)] == lat.site_id(neighbor(lat, site, DIR_PX))
         for code, direction in enumerate(DIRECTIONS):
             there = neighbor(lat, site, direction)
@@ -126,7 +136,7 @@ def test_assemble_entries_are_the_peierls_link_values(field, tx, ty, data):
     pot = data.draw(hnp.arrays(float, lat.n_sites, elements=st.floats(-5.0, 5.0)))
     got = assemble(lat, field, HoppingParams(tx=tx, ty=ty), pot).toarray()
     want = np.zeros((lat.n_sites, lat.n_sites), dtype=complex)
-    for site in lat.sites():
+    for site in sites(lat):
         u = lat.site_id(site)
         want[u, u] = 2.0 * tx + 2.0 * ty + pot[u]
         for direction, t, theta in ((DIR_PX, tx, field.theta_x), (DIR_PY, ty, field.theta_y)):
@@ -168,7 +178,7 @@ def test_gauge_transform_shifts_each_link_by_the_chi_difference(field, data):
     lat = field.lattice
     chi = data.draw(hnp.arrays(float, (lat.nx, lat.ny), elements=ANGLES))
     got = apply_gauge_transform(field, GaugeTransform(lattice=lat, chi=chi))
-    for site in lat.sites():
+    for site in sites(lat):
         v = neighbor(lat, site, DIR_PX)
         assert got.theta_x[site] == field.theta_x[site] + (chi[v] - chi[site])
         w = neighbor(lat, site, DIR_PY)
@@ -187,7 +197,7 @@ def test_sector_isometry_is_an_orthonormal_reflection_eigenbasis(lat, sector):
     assert np.allclose(b.conj().T @ b, np.eye(b.shape[1]), rtol=0.0, atol=1e-15)
     if sector != FULL:
         sign = 1.0 if sector == EVEN else -1.0
-        assert np.array_equal(b[reflection_permutation(lat)], sign * b)
+        assert np.array_equal(b[reflection(lat)], sign * b)
 
 
 def _sectors(lat):
@@ -224,7 +234,7 @@ def test_sector_isometry_makes_uniform_flux_real_with_the_same_spectrum(lat, f, 
         assert np.array_equal(u.conj()[mirror], u)  # every column is fixed by M K
         if sector != FULL:
             sign = 1.0 if sector == EVEN else -1.0
-            assert np.array_equal(u[reflection_permutation(lat)], sign * u)
+            assert np.array_equal(u[reflection(lat)], sign * u)
         hr = restrict(h, iso)
         assert hr.csr.dtype == np.float64
         # the sweep's pencil: the same real operator, exactly symmetric
