@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +30,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .eigensolver import METHODS, NoConvergenceError, SolverConfig, solve
-from .experiments import SweepConfig, flux_sweep
+from .experiments import SweepConfig, SweepRecord, flux_sweep
 from .gauge import uniform_flux_field, wilson_loop
 from .hamiltonian import (
     FULL,
@@ -183,7 +184,7 @@ def cmd_spectrum(run: Run, stdout) -> int:
     return EXIT_OK
 
 
-_CSV_COLUMNS = ("f", "e0_full", "e0_even", "e0_odd", "gap", "node_amp", "current", "status")
+_CSV_COLUMNS = tuple(field.name for field in dataclasses.fields(SweepRecord))
 
 
 def render_sweep_csv(records) -> str:
@@ -227,7 +228,7 @@ def _claim_output(path: str) -> bool:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def cmd_sweep(run: Run, stdout) -> int:
+def cmd_sweep(run: Run, config_path: Optional[str], stdout) -> int:
     config = run.config
     sweep_cfg = SweepConfig(
         lattice=run.lattice,
@@ -238,8 +239,10 @@ def cmd_sweep(run: Run, stdout) -> int:
         solver=run.solver,
         sectors=config.sector_list(),
     )
-    if config.out and config.plot and Path(config.out).resolve() == Path(config.plot).resolve():
-        raise ConfigError(f"out and plot name the same file: {config.out!r}, {config.plot!r}")
+    paths = {"config": config_path, "out": config.out, "plot": config.plot}
+    for (key_a, path_a), (key_b, path_b) in itertools.combinations(paths.items(), 2):
+        if path_a and path_b and Path(path_a).resolve() == Path(path_b).resolve():
+            raise ConfigError(f"{key_a} and {key_b} name the same file: {path_a!r}, {path_b!r}")
     created = []
     try:
         for path in (config.out, config.plot):
@@ -304,9 +307,9 @@ _FLAG_TEXT = {
     "topology": {"metavar": "|".join(TOPOLOGIES)},
     "solver": {"metavar": "|".join(METHODS)},
     "sectors": {"help": "comma list from full,even,odd"},
-    "out": {"help": "CSV output path (default: stdout)"},
-    "plot": {"help": "SVG output path"},
-    "strict": {"help": "exit 1 if any sweep point fails to converge"},
+    "out": {"help": "sweep only: CSV output path, not the --config file (default: stdout)"},
+    "plot": {"help": "sweep only: SVG output path, not the --config or --out file"},
+    "strict": {"help": "sweep only: exit 1 if any sweep point fails to converge"},
 }
 
 
@@ -347,7 +350,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 _COMMANDS = {
     "spectrum": lambda run, args, stdout: cmd_spectrum(run, stdout),
-    "sweep": lambda run, args, stdout: cmd_sweep(run, stdout),
+    "sweep": lambda run, args, stdout: cmd_sweep(run, args.config, stdout),
     "holonomy": lambda run, args, stdout: cmd_holonomy(run, args.loop, stdout),
     "verify": lambda run, args, stdout: cmd_verify(run, args.broken_seam, stdout),
 }

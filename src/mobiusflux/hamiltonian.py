@@ -188,7 +188,8 @@ def assemble(lat: StripLattice, field: GaugeField, hop: HoppingParams,
 
     2*tx + 2*ty + pot on every diagonal, walls included, where the missing
     neighbor contributes no hop, and -t exp(i theta) on every link, theta
-    the field's angle for the hop.  ``pot`` is an optional on-site
+    the field's angle for the hop; at ty = 0 the rungs hold exact zeros, so
+    the pattern is the lattice's alone.  ``pot`` is an optional on-site
     potential, shape (nx, ny) or flat (nx*ny,), in units of the hopping;
     omitted means zero.
     """
@@ -201,46 +202,44 @@ def assemble(lat: StripLattice, field: GaugeField, hop: HoppingParams,
         if v.shape != (n,):  # its entries are checked with the operator's
             raise LatticeError(f"potential has {v.size} entries, lattice has {n} sites")
     x_hop = -hop.tx * np.exp(1j * field.theta_x.reshape(-1))
-    y_hop = -hop.ty * np.exp(1j * field.theta_y.reshape(-1)) if hop.ty != 0.0 else None
-    pattern, order = _link_layout(lat, y_hop is not None)
+    y_hop = -hop.ty * np.exp(1j * field.theta_y.reshape(-1))
+    pattern, order = _link_layout(lat)
     values = _link_values(lat, 2.0 * hop.tx + 2.0 * hop.ty + v, x_hop, y_hop)
     return pattern.hermitian(values[order])
 
 
-def _link_coords(lat: StripLattice, y_links: bool) -> tuple:
+def _link_coords(lat: StripLattice) -> tuple:
     """Rows and columns of the diagonal, then of every +x and +y link and its conjugate.
 
     Each link (u -> v) enters as H[v, u] and its conjugate at H[u, v],
     the +x links read off ``lat.x_next``.
     """
     ids = np.arange(lat.n_sites)
-    rows, cols = [ids, lat.x_next, ids], [ids, ids, lat.x_next]
-    if y_links:
-        below = ids.reshape(lat.nx, lat.ny)[:, :-1].reshape(-1)
-        rows += [below + 1, below]
-        cols += [below, below + 1]
-    return np.concatenate(rows), np.concatenate(cols)
+    below = ids.reshape(lat.nx, lat.ny)[:, :-1].reshape(-1)
+    return (np.concatenate([ids, lat.x_next, ids, below + 1, below]),
+            np.concatenate([ids, ids, lat.x_next, below, below + 1]))
 
 
 def _link_values(lat: StripLattice, diag, x_hop, y_hop) -> np.ndarray:
     """The entries at ``_link_coords``: H[v, u] = hop[u] on each link, its conjugate at H[u, v].
 
-    ``y_hop`` None leaves the +y links out, as ``_link_coords`` does.
+    Each class takes one value for all its members or one each: ``diag``
+    and ``x_hop`` per site, ``y_hop`` per +y link.
     """
-    vals = [np.broadcast_to(diag, (lat.n_sites,)), x_hop, np.conj(x_hop)]
-    if y_hop is not None:
-        vals += [y_hop, np.conj(y_hop)]
-    return np.concatenate(vals)
+    x_hop = np.broadcast_to(x_hop, (lat.n_sites,))
+    y_hop = np.broadcast_to(y_hop, (lat.nx * (lat.ny - 1),))
+    return np.concatenate([np.broadcast_to(diag, (lat.n_sites,)), x_hop, np.conj(x_hop),
+                           y_hop, np.conj(y_hop)])
 
 
 @functools.lru_cache(maxsize=16)
-def _link_layout(lat: StripLattice, y_links: bool) -> tuple:
+def _link_layout(lat: StripLattice) -> tuple:
     """``assemble``'s pattern on lat, once per lattice, and the order that sorts its entries into it.
 
     nx >= 3 keeps every link distinct, so the entries fill the pattern one to one.
     """
     n = lat.n_sites
-    rows, cols = _link_coords(lat, y_links)
+    rows, cols = _link_coords(lat)
     keys = rows.astype(np.int64) * n + cols
     order = np.argsort(keys)
     return _Pattern.of(keys[order], n), order
@@ -296,17 +295,16 @@ class SectorIsometry:
 def sector_isometry(lat: StripLattice, sector: str) -> SectorIsometry:
     """Isometry onto a sector ("full", "even" or "odd") whose columns Theta = M K fixes.
 
-    It is the parity basis B times Theta's real basis on B's coordinates:
-    M maps B's column at (i, j) to the one at (nx-1-i, j), M b_p = b_q,
-    and a pair p < q becomes (b_p + b_q)/sqrt(2) in column p and
-    i (b_p - b_q)/sqrt(2) in column q; a column M fixes stays.  Each entry
-    is one product, written straight into the CSC arrays with the rows of
-    each column descending, as the sparse product B W lists them.  A
-    uniform flux is odd under complex conjugation K and under the mirror
-    M along the ring, so Theta commutes with H and H restricts to a real
-    symmetric block; an operator without that symmetry keeps its exact
-    spectrum and merely stays complex.  Odd-sector states vanish on the
-    center row: the nodal states on the middle circle.
+    It is the product B W of the parity basis B and Theta's real basis W
+    on B's coordinates: M maps B's column at (i, j) to the one at
+    (nx-1-i, j), M b_p = b_q, and W turns a pair p < q into
+    (b_p + b_q)/sqrt(2) in column p and i (b_p - b_q)/sqrt(2) in column q;
+    a column M fixes stays.  A uniform flux is odd under complex
+    conjugation K and under the mirror M along the ring, so Theta commutes
+    with H and H restricts to a real symmetric block; an operator without
+    that symmetry keeps its exact spectrum and merely stays complex.
+    Odd-sector states vanish on the center row: the nodal states on the
+    middle circle.
 
     Raises LatticeError where a parity sector does not exist: ny even (no
     center row), or the odd sector of a one-row strip, which is empty.
@@ -316,43 +314,33 @@ def sector_isometry(lat: StripLattice, sector: str) -> SectorIsometry:
     nx, n = lat.nx, lat.n_sites
     grid = np.arange(n).reshape(nx, lat.ny)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    # B's columns in blocks, each on an (nx, width) grid of column coordinates (i, j): the
-    # sites of each column, ascending, and its entries there; a block's columns follow the
-    # blocks before it, row-major
+    # B as (columns, their sites, the entry there); each block of columns is an (nx, width)
+    # grid of column coordinates (i, j), numbered row-major after the blocks before it
     if sector == FULL:
-        blocks = [(grid[:, :, None], np.ones(1))]
+        parts = [(grid, grid, 1.0)]
     else:
         c = lat.center_row
         if sector == ODD and c == 0:
             raise LatticeError("the odd sector of a one-row strip is empty")
-        sign = 1.0 if sector == EVEN else -1.0
-        blocks = [(np.stack([grid[:, :c], grid[:, ::-1][:, :c]], axis=-1),
-                   np.array([inv_sqrt2, sign * inv_sqrt2]))]
+        pairs = np.arange(nx * c).reshape(nx, c)
+        parts = [(pairs, grid[:, :c], inv_sqrt2),
+                 (pairs, grid[:, ::-1][:, :c], inv_sqrt2 if sector == EVEN else -inv_sqrt2)]
         if sector == EVEN:
-            blocks.append((grid[:, c, None, None], np.ones(1)))
-    i = np.arange(nx)[:, None, None]
-    lower, upper = i < nx - 1 - i, i > nx - 1 - i  # a column M fixes is neither
-    rows, data, counts = [], [], []
-    for sites, vals in blocks:
-        partner = sites[::-1]  # the column at (nx-1-i, j): its sites lie all above or all below
-        # both columns of a pair hold the pair's sites, descending: the upper column's first
-        support = np.concatenate([np.maximum(sites, partner)[..., ::-1],
-                                  np.minimum(sites, partner)[..., ::-1]], axis=-1)
-        desc = vals[::-1]
-        scaled = inv_sqrt2 * desc
-        real = np.where(lower, np.concatenate([scaled, scaled]),
-                        np.where(upper, 0.0, np.concatenate([desc, desc])))
-        imag = np.where(upper, np.concatenate([-scaled, scaled]), 0.0)
-        value = real + 1j * imag  # zero parts +0.0, as the product's sums leave them
-        keep = np.broadcast_to(lower | upper | (np.arange(2 * desc.size) < desc.size),
-                               support.shape)  # a fixed column holds its own sites once
-        rows.append(support[keep])
-        data.append(np.broadcast_to(value, support.shape)[keep])
-        counts.append(keep.sum(axis=-1).reshape(-1))
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    matrix = sp.csc_matrix((np.concatenate(data), np.concatenate(rows), indptr),
-                           shape=(n, indptr.size - 1))
-    return SectorIsometry(lattice=lat, parity=sector, matrix=matrix)
+            parts.append((nx * c + np.arange(nx)[:, None], grid[:, c, None], 1.0))
+    cols = np.concatenate([block.reshape(-1) for block, _, _ in parts])
+    rows = np.concatenate([sites.reshape(-1) for _, sites, _ in parts])
+    vals = np.concatenate([np.full(block.size, val) for block, _, val in parts])
+    b = sp.coo_matrix((vals, (rows, cols)), shape=(n, cols.max() + 1)).tocsc()
+    partner = np.empty(b.shape[1], dtype=np.intp)
+    for block, _, _ in parts:
+        partner[block] = block[::-1]  # the column at (nx-1-i, j)
+    p = np.arange(partner.size)
+    lower, fixed = p < partner, p == partner
+    lo, hi, s = p[lower], partner[lower], np.full(np.count_nonzero(lower), inv_sqrt2)
+    w = sp.coo_matrix((np.concatenate([s, s, 1j * s, -1j * s, np.ones(np.count_nonzero(fixed))]),
+                       (np.concatenate([lo, hi, lo, hi, p[fixed]]),
+                        np.concatenate([lo, lo, hi, hi, p[fixed]]))), shape=(p.size, p.size))
+    return SectorIsometry(lattice=lat, parity=sector, matrix=b @ w.tocsc())
 
 
 def restrict(h: SparseHermitian, iso: SectorIsometry) -> SparseHermitian:
@@ -401,14 +389,11 @@ class FluxPencil:
     """
 
     def __init__(self, iso: SectorIsometry, hop: HoppingParams):
-        lat, n = iso.lattice, iso.lattice.n_sites
-        tx = np.full(n, hop.tx)
-        rungs = np.full(lat.nx * (lat.ny - 1), -hop.ty) if hop.ty != 0.0 else None
-        no_rungs = None if rungs is None else np.zeros_like(rungs)
-        pieces = (_link_values(lat, 2.0 * hop.tx + 2.0 * hop.ty, np.zeros(n), rungs),
-                  _link_values(lat, 0.0, -tx, no_rungs),
-                  _link_values(lat, 0.0, -1j * tx, no_rungs))
-        pattern, order = _link_layout(lat, rungs is not None)
+        lat = iso.lattice
+        pieces = (_link_values(lat, 2.0 * hop.tx + 2.0 * hop.ty, 0.0, -hop.ty),
+                  _link_values(lat, 0.0, -hop.tx, 0.0),
+                  _link_values(lat, 0.0, -1j * hop.tx, 0.0))
+        pattern, order = _link_layout(lat)
         self.iso = iso
         self._pattern, data = _sector_blocks(iso, [pattern.csr(piece[order]) for piece in pieces])
         self._data = self._pattern.symmetrized(data)

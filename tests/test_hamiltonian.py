@@ -259,10 +259,24 @@ def test_assemble_keeps_its_hermiticity_check(monkeypatch):
     with pytest.raises(ValueError, match="not Hermitian"):
         assemble(lat, uniform_flux_field(lat, 0.3), HoppingParams())
     n = lat.n_sites
-    links = sp.coo_matrix((hamiltonian._link_values(lat, 4.0, -np.ones(n), None),
-                           hamiltonian._link_coords(lat, False)), shape=(n, n))
+    links = sp.coo_matrix((hamiltonian._link_values(lat, 4.0, -np.ones(n), -1.0),
+                           hamiltonian._link_coords(lat)), shape=(n, n))
     with pytest.raises(ValueError, match="not Hermitian"):
         SparseHermitian(links + sp.coo_matrix(([1e-9], ([1], [0])), shape=(n, n)))
+
+
+@pytest.mark.parametrize("topology", [MOEBIUS, ANNULUS])
+@pytest.mark.parametrize("ny", [1, 2, 5])
+def test_assemble_has_one_pattern_per_lattice_whatever_ty(topology, ny):
+    # the rungs are laid at ty = 0 too, as exact zeros, so the pattern is the lattice's alone
+    lat = build_lattice(6, ny, topology)
+    uniform = uniform_flux_field(lat, 0.3)
+    moved = apply_gauge_transform(uniform, random_gauge_transform(lat, np.random.default_rng(5)))
+    for field in (uniform, moved):
+        zero, one = (assemble(lat, field, HoppingParams(ty=ty)).csr for ty in (0.0, 1.0))
+        for name in ("indptr", "indices"):
+            a, c = getattr(zero, name), getattr(one, name)
+            assert a.dtype == c.dtype and a.tobytes() == c.tobytes()
 
 
 def test_restrict_dimension_mismatch():
