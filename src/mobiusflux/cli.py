@@ -1,14 +1,17 @@
 """Command-line front end: spectrum, sweep, holonomy and verify commands.
 
-Configuration is a flat key=value file (# comments) mirrored one-to-one
-by command-line flags; flags override file values and unknown keys are
-rejected.  All floating-point output uses 17 significant digits so the
-CSV round-trips the underlying doubles exactly, and every random choice
+``_COMMANDS`` gives each command its handler, help line and the keys it
+reads.  A command takes those keys as flags or from a flat key = value
+file (# comments), flags overriding the file; any other key is refused,
+as a flag by argparse's usage error and in the file as ``config error``.
+All floating-point output uses 17 significant digits so the CSV
+round-trips the underlying doubles exactly, and every random choice
 funnels through the single ``seed`` key.  Each key is checked once, by
 the library type that reads it: ``build_config`` builds the lattice,
-hopping and solver config at load, for every command, and the commands
-pass them on as built; ``sector_isometry`` checks the sector names a
-command solves, ``SweepConfig`` the flux grid.  ``main`` maps
+hopping and solver config at load, for every command (from the defaults
+where it reads none of their keys), and the commands pass them on as
+built; ``sector_isometry`` checks the sector names a command solves,
+``SweepConfig`` the flux grid.  ``main`` maps
 errors to exit codes in one place: 0 success; 1 ``NoConvergenceError``
 or ``LinAlgError``, a failed ``verify`` check, or failed sweep points
 under ``--strict``; 2 any other ``ValueError`` (an invalid key, flag or
@@ -101,8 +104,6 @@ _TYPES = {f.name: str if f.default is None else type(f.default)
 
 
 def _parse_value(key: str, text: str):
-    if key not in _TYPES:
-        raise ConfigError(f"unknown config key {key!r}")
     kind = _TYPES[key]
     try:
         if kind is bool:
@@ -117,8 +118,8 @@ def _parse_value(key: str, text: str):
         raise ConfigError(f"bad value for key {key!r}: {exc}") from exc
 
 
-def load_config_file(path: str) -> dict:
-    """Parse a key = value config file; unknown keys are an error."""
+def load_config_file(path: str, command: str, keys: tuple) -> dict:
+    """Parse a key = value config file; a key outside the command's keys is an error."""
     values = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -131,19 +132,19 @@ def load_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, text = (part.strip() for part in line.split("=", 1))
+        if key not in keys:
+            raise ConfigError(f"{command} reads no config key {key!r}")
         values[key] = _parse_value(key, text)
     return values
 
 
 def build_config(args: argparse.Namespace) -> Run:
     """Merge file and flags, then build (and so validate) the shared objects once."""
-    values = {}
-    if args.config:
-        values.update(load_config_file(args.config))
-    for key in _TYPES:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+    keys = _COMMANDS[args.command].keys
+    values = load_config_file(args.config, args.command, keys) if args.config else {}
+    for key in keys:
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
     config = RunConfig(**values)
     return Run(
         config=config,
@@ -165,7 +166,7 @@ def _fmt(value) -> str:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_spectrum(run: Run, stdout) -> int:
+def cmd_spectrum(run: Run, args: argparse.Namespace, stdout) -> int:
     sectors = run.config.sector_list()  # one name, which sector_isometry checks, or several
     if len(sectors) != 1 and (FULL not in sectors or not set(sectors) <= set(SECTORS)):
         raise ConfigError(f"spectrum needs a single sector, or 'full' among {SECTORS}, "
@@ -228,7 +229,7 @@ def _claim_output(path: str) -> bool:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def cmd_sweep(run: Run, config_path: Optional[str], stdout) -> int:
+def cmd_sweep(run: Run, args: argparse.Namespace, stdout) -> int:
     config = run.config
     sweep_cfg = SweepConfig(
         lattice=run.lattice,
@@ -239,7 +240,7 @@ def cmd_sweep(run: Run, config_path: Optional[str], stdout) -> int:
         solver=run.solver,
         sectors=config.sector_list(),
     )
-    paths = {"config": config_path, "out": config.out, "plot": config.plot}
+    paths = {"config": args.config, "out": config.out, "plot": config.plot}
     for (key_a, path_a), (key_b, path_b) in itertools.combinations(paths.items(), 2):
         if path_a and path_b and Path(path_a).resolve() == Path(path_b).resolve():
             raise ConfigError(f"{key_a} and {key_b} name the same file: {path_a!r}, {path_b!r}")
@@ -267,8 +268,8 @@ def cmd_sweep(run: Run, config_path: Optional[str], stdout) -> int:
     return EXIT_OK
 
 
-def cmd_holonomy(run: Run, loop_spec: str, stdout) -> int:
-    lat = run.lattice
+def cmd_holonomy(run: Run, args: argparse.Namespace, stdout) -> int:
+    lat, loop_spec = run.lattice, args.loop
     if loop_spec == "center":
         loop = center_loop(lat)
     elif loop_spec.startswith("offset="):
@@ -288,8 +289,8 @@ def cmd_holonomy(run: Run, loop_spec: str, stdout) -> int:
     return EXIT_OK
 
 
-def cmd_verify(run: Run, broken_seam: bool, stdout) -> int:
-    results = run_verification(seed=run.config.seed, broken_seam=broken_seam)
+def cmd_verify(run: Run, args: argparse.Namespace, stdout) -> int:
+    results = run_verification(seed=run.config.seed, broken_seam=args.broken_seam)
     all_passed = True
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -297,6 +298,24 @@ def cmd_verify(run: Run, broken_seam: bool, stdout) -> int:
         stdout.write(f"{status} {res.name}: {res.detail} [{res.seconds:.2f}s]\n")
     stdout.write(f"{'all checks passed' if all_passed else 'SUITE FAILED'}\n")
     return EXIT_OK if all_passed else EXIT_COMPUTE
+
+
+# handler(run, args, stdout) -> exit code; keys: the keys the command reads, in flag order
+Command = NamedTuple("Command", [("handler", object), ("help", str), ("keys", tuple)])
+
+
+_COMMANDS = {
+    "spectrum": Command(cmd_spectrum, "k lowest eigenvalues at one flux (CSV to stdout)",
+                        ("topology", "nx", "ny", "k", "seed", "tx", "ty", "f", "tol", "solver",
+                         "sectors")),
+    "sweep": Command(cmd_sweep, "flux sweep to CSV, optional SVG plot",
+                     ("topology", "nx", "ny", "f_steps", "k", "seed", "tx", "ty", "f_min",
+                      "f_max", "tol", "solver", "sectors", "out", "plot", "strict")),
+    "holonomy": Command(cmd_holonomy, "homology class and Wilson loop of a canonical loop",
+                        ("topology", "nx", "ny", "f")),
+    "verify": Command(cmd_verify, "run the invariant suite, exit 0 iff all checks pass",
+                      ("seed",)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -307,17 +326,17 @@ _FLAG_TEXT = {
     "topology": {"metavar": "|".join(TOPOLOGIES)},
     "solver": {"metavar": "|".join(METHODS)},
     "sectors": {"help": "comma list from full,even,odd"},
-    "out": {"help": "sweep only: CSV output path, not the --config file (default: stdout)"},
-    "plot": {"help": "sweep only: SVG output path, not the --config or --out file"},
-    "strict": {"help": "sweep only: exit 1 if any sweep point fails to converge"},
+    "out": {"help": "CSV output path, not the --config file (default: stdout)"},
+    "plot": {"help": "SVG output path, not the --config or --out file"},
+    "strict": {"help": "exit 1 if any sweep point fails to converge"},
 }
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, keys: tuple) -> None:
     parser.add_argument("--config", metavar="FILE", help="key = value config file")
-    for key, kind in _TYPES.items():
-        how = ({"action": "store_const", "const": True, "default": None} if kind is bool
-               else {"type": kind})
+    for key in keys:
+        how = ({"action": "store_const", "const": True, "default": None} if _TYPES[key] is bool
+               else {"type": _TYPES[key]})
         parser.add_argument(f"--{key.replace('_', '-')}", dest=key, **how,
                             **_FLAG_TEXT.get(key, {}))
 
@@ -329,38 +348,19 @@ def make_parser() -> argparse.ArgumentParser:
         description="Flux quantization experiments on annulus and Moebius lattice rings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", help="k lowest eigenvalues at one flux (CSV to stdout)")
-    _add_config_flags(p)
-
-    p = sub.add_parser("sweep", help="flux sweep to CSV, optional SVG plot")
-    _add_config_flags(p)
-
-    p = sub.add_parser("holonomy", help="homology class and Wilson loop of a canonical loop")
-    _add_config_flags(p)
-    p.add_argument("--loop", default="center", metavar="center|offset=<j>",
-                   help="loop selector (default: center)")
-
-    p = sub.add_parser("verify", help="run the invariant suite, exit 0 iff all checks pass")
-    _add_config_flags(p)
-    p.add_argument("--broken-seam", action="store_true", help=argparse.SUPPRESS)
-
+    for name, command in _COMMANDS.items():
+        _add_config_flags(sub.add_parser(name, help=command.help), command.keys)
+    sub.choices["holonomy"].add_argument("--loop", default="center", metavar="center|offset=<j>",
+                                         help="loop selector (default: center)")
+    sub.choices["verify"].add_argument("--broken-seam", action="store_true", help=argparse.SUPPRESS)
     return parser
-
-
-_COMMANDS = {
-    "spectrum": lambda run, args, stdout: cmd_spectrum(run, stdout),
-    "sweep": lambda run, args, stdout: cmd_sweep(run, args.config, stdout),
-    "holonomy": lambda run, args, stdout: cmd_holonomy(run, args.loop, stdout),
-    "verify": lambda run, args, stdout: cmd_verify(run, args.broken_seam, stdout),
-}
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     stdout = sys.stdout
     try:
-        return _COMMANDS[args.command](build_config(args), args, stdout)
+        return _COMMANDS[args.command].handler(build_config(args), args, stdout)
     except (NoConvergenceError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE

@@ -211,11 +211,19 @@ def lift_field(corr: CenterCut, field: GaugeField) -> GaugeField:
     return GaugeField(lattice=cut, theta_x=theta_x, theta_y=theta_y)
 
 
+def _angle_sum(terms: np.ndarray) -> float:
+    """fsum of a loop's finite angle terms; a total past the double range is a GaugeError."""
+    try:
+        return math.fsum(terms.tolist())
+    except OverflowError:
+        raise GaugeError("a loop's total angle is not a finite double") from None
+
+
 def _steps_angle(field: GaugeField, links: tuple) -> float:
     """fsum of the signed link angle of every step."""
     link, sign = links
     angles = np.concatenate((field.theta_x.ravel(), field.theta_y.ravel()))
-    return math.fsum((sign * angles[link]).tolist())
+    return _angle_sum(sign * angles[link])
 
 
 def _bounding_face_weights(lat: StripLattice, links1: tuple, links2: tuple) -> np.ndarray:
@@ -266,6 +274,7 @@ def stokes_defect(field: GaugeField, loop1: LoopPath, loop2: LoopPath) -> float:
     # term by term over the faces of nonzero weight: summing each face's four links
     # first would round once more per face
     inside = m != 0
-    enclosed = math.fsum(np.concatenate([m[inside] * t[inside] for t in _face_terms(work_field)]))
+    enclosed = _angle_sum(np.concatenate([m[inside] * t[inside]
+                                          for t in _face_terms(work_field)]))
     wilson_gap = _steps_angle(work_field, w1.links) - _steps_angle(work_field, w2.links)
     return reduce_angle(wilson_gap - enclosed)

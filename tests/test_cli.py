@@ -22,6 +22,20 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_cli_or_usage(capsys, *argv):
+    """run_cli, with an argparse usage error's exit code in place of its SystemExit."""
+    try:
+        return run_cli(capsys, *argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+# small runs: each command's own flags, so that a case's flags may follow and override them
+SMALL = {"spectrum": ("--nx", "4"), "sweep": ("--nx", "4", "--f-steps", "3"),
+         "holonomy": (), "verify": ()}
+
+
 def read_csv_column(text, name):
     lines = text.strip().split("\n")
     idx = lines[0].split(",").index(name)
@@ -72,6 +86,37 @@ def test_unknown_config_key_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "spectrum", "--config", str(cfg))
     assert code == 2
     assert "topologyy" in err
+
+
+@pytest.mark.parametrize("flag", [("--out", "x.csv"), ("--plot", "y.svg"), ("--strict",)])
+@pytest.mark.parametrize("command", ["spectrum", "holonomy", "verify"])
+def test_a_flag_the_command_does_not_read_exits_2(capsys, tmp_path, monkeypatch, command, flag):
+    # only sweep reads out, plot and strict; the others once took them, printed to stdout
+    # and wrote no file
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli_or_usage(capsys, command, *flag)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,line", [
+    ("spectrum", "out = x.csv"),
+    ("spectrum", "f_steps = 3"),
+    ("sweep", "f = 0.5"),
+    ("holonomy", "tx = 2"),
+    ("verify", "nx = 4"),
+])
+def test_a_config_key_the_command_does_not_read_exits_2(capsys, tmp_path, command, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{line}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    key = line.split(" ")[0]
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: {command} reads no config key {key!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def test_bad_flag_value_exits_2(capsys):
@@ -187,21 +232,27 @@ def test_sweep_invalid_range_exits_2(capsys):
     ("sweep", "--plot", "{missing}/sweep.svg"),
     # the dense solver refuses n = 5000 before it allocates anything
     ("spectrum", "--solver", "dense", "--nx", "1000", "--ny", "5", "--sectors", "full"),
-    # every command validates the shared keys, also those it does not read
+    # a key the command does not read is argparse's usage error
     ("verify", "--tx", "-1"),
     ("verify", "--topology", "torus"),
     ("spectrum", "--solver", "bogus"),
     # a non-finite tol, refused like every other float key
     ("spectrum", "--tol", "inf", "--solver", "lanczos", "--k", "3"),
+    # the link angle 2 pi f / nx is finite, the class-2 loop's 4 pi f is not: fsum once
+    # raised OverflowError with a traceback
+    ("holonomy", "--f", "2e307", "--loop", "offset=0"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_invalid_config_exits_2(capsys, tmp_path, argv):
     argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
     # the case's own flags come last, so they override the small defaults
-    code, out, err = run_cli(capsys, argv[0], "--nx", "4", "--f-steps", "3", *argv[1:])
+    code, out, err = run_cli_or_usage(capsys, argv[0], *SMALL[argv[0]], *argv[1:])
     assert code == 2
     assert out == ""
-    assert err.startswith("config error:")
+    if argv[0] == "verify":
+        assert "unrecognized arguments" in err
+    else:
+        assert err.startswith("config error:")
 
 
 @pytest.mark.parametrize("command", ["spectrum", "sweep"])
@@ -211,7 +262,7 @@ def test_linear_algebra_failure_exits_1(capsys, monkeypatch, tmp_path, command):
 
     monkeypatch.setattr(cli, "solve", failing_solve)
     monkeypatch.setattr(experiments, "solve", failing_solve)
-    code, out, err = run_cli(capsys, command, "--nx", "4", "--f-steps", "3")
+    code, out, err = run_cli(capsys, command, *SMALL[command])
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
@@ -220,7 +271,7 @@ def test_linear_algebra_failure_exits_1(capsys, monkeypatch, tmp_path, command):
         old, new = tmp_path / "old", tmp_path / "new"
         old.write_bytes(b"earlier run\n")
         for out_path, plot_path in ((new, old), (old, new)):
-            code, _, _ = run_cli(capsys, command, "--nx", "4", "--f-steps", "3",
+            code, _, _ = run_cli(capsys, command, *SMALL[command],
                                  "--out", str(out_path), "--plot", str(plot_path))
             assert code == 1
             assert not new.exists()
@@ -237,7 +288,7 @@ def test_non_finite_operator_exits_2(capsys, tmp_path, command, solver, key):
     # 1e200 is finite throughout, but squared and summed it overflows a residual norm: entries
     # above 1e150 are refused, where a dense solve once printed an inf residual with exit 0
     for value in ("1e308", "1e200"):
-        argv = [command, "--nx", "8", "--ny", "3", "--k", "2", "--f-steps", "3",
+        argv = [command, *SMALL[command], "--nx", "8", "--ny", "3", "--k", "2",
                 "--solver", solver, key, value]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -266,14 +317,15 @@ def test_a_huge_tol_solves_without_overflow(capsys):
 @pytest.mark.parametrize("argv", [
     ("spectrum", "--f", "1e308", "--sectors", "even"),
     ("spectrum", "--f", "1e308", "--sectors", "full"),
-    ("sweep", "--f-min", "0", "--f-max", "1e308", "--f-steps", "3"),
+    ("sweep", "--f-min", "0", "--f-max", "1e308", "--f-steps", "3", "--out", "{new}"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_flux_whose_link_angle_is_not_finite_exits_2(capsys, tmp_path, argv):
     # 2 pi f / nx overflows at a finite f: the sector pencil once failed on cos(inf) with
     # "math domain error", the full sector's field with a message of its own
     new = tmp_path / "new.csv"
-    code, out, err = run_cli(capsys, *argv, "--nx", "6", "--ny", "3", "--out", str(new))
+    argv = [arg.format(new=new) for arg in argv]
+    code, out, err = run_cli(capsys, *argv, "--nx", "6", "--ny", "3")
     assert code == 2
     assert out == ""
     assert re.fullmatch(r"config error: flux f=\S+ gives a link angle 2\*pi\*f/nx that is not "
@@ -284,8 +336,8 @@ def test_a_flux_whose_link_angle_is_not_finite_exits_2(capsys, tmp_path, argv):
 @pytest.mark.parametrize("command", ["spectrum", "sweep"])
 @pytest.mark.parametrize("key", ["--tx", "--ty"])
 def test_entries_below_the_size_bound_give_finite_residuals(capsys, command, key):
-    argv = [command, "--nx", "8", "--ny", "3", "--k", "2", "--f-steps", "3", "--solver", "dense",
-            key, "1e140", "--sectors", "full"]
+    argv = [command, *SMALL[command], "--nx", "8", "--ny", "3", "--k", "2",
+            "--solver", "dense", key, "1e140", "--sectors", "full"]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     if command == "spectrum":

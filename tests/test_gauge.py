@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from mobiusflux.eigensolver import dense_eigh
 from mobiusflux.gauge import (
     GaugeError,
+    GaugeField,
     GaugeTransform,
     add_face_flux,
     apply_gauge_transform,
@@ -301,6 +302,23 @@ def test_annulus_stokes_with_wandering_loops():
         l1 = random_annulus_loop(lat, rng, wraps=2)
         l2 = random_annulus_loop(lat, rng, wraps=2)
         assert abs(stokes_defect(field, l1, l2)) < 1e-12
+
+
+def test_loop_angle_sums_past_the_double_range_are_refused():
+    # every link angle is finite, their sum along the loop is not: fsum once raised
+    # OverflowError
+    lat = build_lattice(8, 5, MOEBIUS)
+    field = uniform_flux_field(lat, 2e307)
+    assert math.isfinite(wilson_loop(field, center_loop(lat)).angle)
+    with pytest.raises(GaugeError, match="not a finite double"):
+        wilson_loop(field, offset_loop(lat, 0))
+    # stokes_defect's enclosed curvature: row 0's x links give nx terms of 1e308
+    annulus = build_lattice(8, 5, ANNULUS)
+    theta_x = np.zeros((8, 5))
+    theta_x[:, 0] = 1e308
+    field = GaugeField(lattice=annulus, theta_x=theta_x, theta_y=np.zeros((8, 4)))
+    with pytest.raises(GaugeError, match="not a finite double"):
+        stokes_defect(field, offset_loop(annulus, 0), offset_loop(annulus, 1))
 
 
 def test_wilson_loop_lattice_mismatch():

@@ -26,14 +26,15 @@ from pathlib import Path
 TOPOLOGIES = ("moebius", "annulus")
 TYS = ("0", "0.01", "0.3", "1")
 LATTICES = ((8, 3), (6, 5), (12, 1), (48, 9), (10, 2), (7, 7))
+FLUXES = ("0", "0.5", "0.13", "-0.37")
 ACCEPTANCE = ("sweep", "--ty", "0.01", "--solver", "dense")
 
 
 def commands():
-    """The command set: 2,304 spectra, 96 sweeps, 8 spectra at n = 1200, the acceptance sweep
-    and three verify runs."""
+    """The command set: 2,304 spectra, 96 sweeps, 8 spectra at n = 1200, the acceptance sweep,
+    three verify runs, 144 holonomy runs and four commands given a key they do not read."""
     for ty, top, (nx, ny), f, solver, sector, k in itertools.product(
-            TYS, TOPOLOGIES, LATTICES, ("0", "0.5", "0.13", "-0.37"), ("dense", "lanczos"),
+            TYS, TOPOLOGIES, LATTICES, FLUXES, ("dense", "lanczos"),
             ("full", "even", "odd"), ("1", "4")):
         yield ("spectrum", "--topology", top, "--nx", str(nx), "--ny", str(ny), "--ty", ty,
                "--f", f, "--solver", solver, "--sectors", sector, "--k", k)
@@ -47,6 +48,14 @@ def commands():
     yield ("verify",)
     yield ("verify", "--seed", "7")
     yield ("verify", "--broken-seam")
+    for top, (nx, ny), f, loop in itertools.product(TOPOLOGIES, LATTICES, FLUXES,
+                                                    ("center", "offset=0", "offset=1")):
+        yield ("holonomy", "--topology", top, "--nx", str(nx), "--ny", str(ny), "--f", f,
+               "--loop", loop)
+    yield ("spectrum", "--out", "x.csv")
+    yield ("spectrum", "--f-steps", "3")
+    yield ("holonomy", "--tx", "2")
+    yield ("verify", "--nx", "4")
 
 
 def run(main, argv) -> tuple:
