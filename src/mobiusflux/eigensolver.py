@@ -11,7 +11,6 @@ orthonormality.
 
 from __future__ import annotations
 
-import collections
 import functools
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -30,19 +29,20 @@ _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 METHODS = ("dense", "lanczos", "auto")
 
 
-class NoConvergenceError(RuntimeError):
-    """Iterative solve not certified in budget; carries the best pairs found."""
+def _budget(n: int) -> int:
+    """Factor solves a Lanczos solve of dimension n may take."""
+    return 10 * n
 
-    def __init__(self, message: str, best: Optional["EigenResult"] = None):
-        super().__init__(message)
-        self.best = best
+
+class NoConvergenceError(RuntimeError):
+    """Iterative solve not certified: the budget ran out, the count was short or not trusted,
+    or a residual missed the gate.  It carries its message only."""
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     k: int = 6
     tol: float = 1e-10
-    max_iter: Optional[int] = None  # Lanczos factor-solve budget; None -> 10 * n
     seed: int = 2024
     method: str = "auto"
 
@@ -51,8 +51,6 @@ class SolverConfig:
             raise ValueError(f"k must be positive, got {self.k}")
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and > 0, got {self.tol}")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ValueError(f"max_iter must be positive, got {self.max_iter}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if not 0 <= int(self.seed) < 2**64:
@@ -238,15 +236,16 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
     the top value must equal the number of values; a larger count means skipped
     degenerate copies, so the solve is redone for that many.  Where the
     sparse count there is not trusted, it is taken at one or two higher
-    cuts before the dense count; a re-solve whose cut lies at or below the
-    one counted takes that count, with no new factorization.  The count
-    comes before the gate, which the solve's values must then all meet: at
-    a highly degenerate level, where Rayleigh-Ritz can leave a copy's
-    residual above it, inverse-iteration steps on the factor refine the
-    block while the budget lasts and the worst residual still falls.
-    cfg.max_iter caps the factor solves; on exhaustion the error carries the
-    Ritz pairs of the latest Krylov vectors.  k >= n - 1, beyond ARPACK,
-    goes to the dense solver.
+    cuts before the dense count; a re-solve whose bound theta_max + ||R||
+    lies below the cut counted before takes that count, with no new
+    factorization.  The count comes before the gate, which the solve's
+    values must then all meet: at a highly degenerate level, where
+    Rayleigh-Ritz can leave a copy's residual above it, inverse-iteration
+    steps on the factor refine the block while the budget lasts and the
+    worst residual still falls.
+    The factor solves are capped at 10 n (``_budget``); every failure raises
+    NoConvergenceError, which carries only its message.  k >= n - 1, beyond
+    ARPACK, goes to the dense solver.
     """
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
@@ -256,7 +255,7 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
     rng = np.random.default_rng(cfg.seed)
     re, im = rng.standard_normal(n), rng.standard_normal(n)
     v0 = re + 1j * im if np.iscomplexobj(h.csr) else re
-    budget = cfg.max_iter if cfg.max_iter is not None else 10 * n
+    budget = _budget(n)
     shifts = _Shifts(h)
     lo, hi = shifts.lo, shifts.hi
     # the floors keep a multiple of the identity (lo == hi) off its eigenvalue, and sigma
@@ -267,16 +266,15 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
     # a pivot's rounding grows as eps ||H||^2 / d at a distance d from an eigenvalue, and the
     # first cut sits within ~||R|| of one: 100 sqrt(eps) ||H|| higher it is ~1% of the bound
     retry = 100.0 * _SQRT_EPS * (hi - sigma)
+    round_off = ROUND_OFF * max(abs(lo), abs(hi))  # the rounding of a computed bound
     floor = min(cfg.tol, ROUND_OFF) * max(abs(lo), abs(hi))
     solves = 0
-    latest = collections.deque(maxlen=max(k, 20))  # ARPACK's newest Krylov vectors
 
     def inverse(v):
         nonlocal solves
         if solves >= budget:
             raise NoConvergenceError("factor-solve budget exhausted")
         solves += 1
-        latest.append(v.copy())  # v is a view of ARPACK's workspace
         return factor.solve(v)
 
     op = LinearOperator((n, n), matvec=inverse, dtype=h.csr.dtype)
@@ -291,22 +289,22 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
             return _rayleigh_ritz(h, vectors, m)
         except (NoConvergenceError, ArpackNoConvergence):
             raise NoConvergenceError(
-                f"Lanczos did not reach tol={cfg.tol} within {budget} factor solves",
-                best=_rayleigh_ritz(h, np.column_stack(latest), k),
-            ) from None
+                f"Lanczos did not reach tol={cfg.tol} within {budget} factor solves") from None
 
     want, counted = k, -np.inf
     res = ritz(want)
     while True:
         gate = max(cfg.tol * max(1.0, float(np.max(np.abs(res.values)))), floor)
-        # Ritz value i is >= lambda_i and within ||R|| of a distinct eigenvalue,
-        # so exactly `want` eigenvalues below sigma means none was skipped
-        # and so does any higher cut: where the count at this one is not trusted, one or
-        # two higher ones are tried before the dense count.  A cut at or below one counted
-        # before needs no count: `want` eigenvalues lie below the earlier cut, and the
-        # `want` Ritz values put as many below this one
-        cut = res.values[-1] + np.linalg.norm(res.residuals) + gate
-        if cut > counted:
+        # Ritz value i is >= lambda_i and within ||R|| of a distinct eigenvalue (Kahan), so
+        # `want` eigenvalues lie at or below bound = theta_max + ||R||, and exactly `want`
+        # below a cut above it means none was skipped, as at any higher cut: where the count
+        # at this one is not trusted, one or two higher ones are tried before the dense count.
+        # A re-solve whose bound lies below the cut counted before needs no count: exactly
+        # `want` eigenvalues lie below that cut, so the `want` its Ritz values find there
+        # are the lowest
+        bound = res.values[-1] + np.linalg.norm(res.residuals)
+        if bound + round_off >= counted:
+            cut = bound + gate
             for counted in (cut, cut + retry, cut + 100.0 * retry):
                 count = shifts.count_below(counted)
                 if count is not None:
@@ -316,11 +314,9 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
                 try:
                     count = _dense_count(h, cut)
                 except np.linalg.LinAlgError as exc:
-                    raise NoConvergenceError(f"completeness not certified: {exc}",
-                                             best=res.lowest(k)) from None
+                    raise NoConvergenceError(f"completeness not certified: {exc}") from None
             if count < want:
-                raise NoConvergenceError(f"inertia count {count} < {want} values",
-                                         best=res.lowest(k))
+                raise NoConvergenceError(f"inertia count {count} < {want} values")
             if count > want:  # skipped degenerate copies: solve again for all of them
                 want = count
                 res = ritz(want)
@@ -336,7 +332,7 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
             if np.max(refined.residuals) < np.max(res.residuals):
                 res = refined
                 continue
-        raise NoConvergenceError(f"Lanczos residuals exceed tol={cfg.tol}", best=res.lowest(k))
+        raise NoConvergenceError(f"Lanczos residuals exceed tol={cfg.tol}")
 
 
 def solve(h: SparseHermitian, cfg: SolverConfig, *, values_only: bool = False) -> EigenResult:

@@ -4,14 +4,15 @@ Sites sit on a rectangular grid: ``nx`` columns wrap around the ring and
 ``ny`` rows span the width, with hard (Dirichlet) walls at the top and
 bottom rows.  The Moebius variant glues column ``nx-1`` to column ``0``
 with the row order reversed, the lattice version of identifying (0, y)
-with (L, -y).  Loops are closed walks held as site-id arrays, checked
-against one step table per lattice; their homology class is the signed
-number of seam crossings, which generates H_1 of either surface.
+with (L, -y).  A loop is its sites: a closed walk given as a site-id
+array, whose direction codes are read off one step table per lattice;
+its homology class is the signed number of seam crossings, which
+generates H_1 of either surface.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -122,35 +123,35 @@ def build_lattice(nx: int, ny: int, topology: str) -> StripLattice:
 
 @dataclass(frozen=True, eq=False)
 class LoopPath:
-    """Closed directed walk as arrays, checked against the step table once.
+    """Closed walk given by its site ids, checked against the step table once.
 
-    ``steps`` holds one direction code per step; ``sites`` the site id the
-    walk stands on before each step, then the start again.
+    ``sites`` holds the site id the walk stands on before each step, then
+    the start again.  ``steps`` holds each step's direction code, read off
+    the table: the row that maps a site to the next one, unique for
+    nx >= 3, where a site's four neighbours are distinct.
     """
 
     lattice: StripLattice
-    steps: np.ndarray
     sites: np.ndarray
+    steps: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        lat = self.lattice
-        steps, sites = np.array(self.steps), np.array(self.sites)
-        if steps.size == 0 or steps.shape != (steps.size,) or sites.shape != (steps.size + 1,):
-            raise LoopError(f"a loop is one or more steps and one site more, not "
-                            f"{steps.shape} steps and {sites.shape} sites")
-        for arr, name, end in ((steps, "direction codes", len(DIRECTIONS)),
-                               (sites, "site ids", lat.n_sites)):
-            # checked before the table is indexed, which would wrap a negative id
-            if arr.dtype.kind not in "iu" or np.any((arr < 0) | (arr >= end)):
-                raise LatticeError(f"{name} must be integers in [0, {end})")
-        landed = lat.step_table[steps, sites[:-1]]  # -1 where a step meets a wall
-        if np.any(landed != sites[1:]):
-            k = int(np.argmax(landed != sites[1:]))
-            reached = f"site {landed[k]}" if landed[k] >= 0 else "a wall"
-            raise LoopError(f"step {k} from site {sites[k]} reaches {reached}, not {sites[k + 1]}")
+        lat, sites = self.lattice, np.array(self.sites)
+        if sites.ndim != 1 or sites.size < 2:
+            raise LoopError(f"a loop is two or more site ids, not an array of shape {sites.shape}")
+        # checked before the table is indexed, which would wrap a negative id
+        if sites.dtype.kind not in "iu" or np.any((sites < 0) | (sites >= lat.n_sites)):
+            raise LatticeError(f"site ids must be integers in [0, {lat.n_sites})")
+        # one row per direction, true where it steps to the next site; -1 at a wall matches none
+        hits = lat.step_table.take(sites[:-1], axis=1) == sites[1:]
+        if not np.all(hits.any(axis=0)):
+            k = int(np.argmin(hits.any(axis=0)))
+            raise LoopError(f"step {k}: sites {sites[k]} and {sites[k + 1]} are not neighbours")
         if sites[-1] != sites[0]:
             raise LoopError(f"walk ends at site {sites[-1]}, does not close to {sites[0]}")
-        for name, arr in (("steps", steps.astype(np.int8)), ("sites", sites)):
+        # at most one row hits, so each step's code is the sum of code * hit over the rows
+        steps = np.arange(len(DIRECTIONS), dtype=np.int8) @ hits
+        for name, arr in (("steps", steps), ("sites", sites)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -178,15 +179,14 @@ def walk_loop(lat: StripLattice, start, directions) -> LoopPath:
     """Build a LoopPath from a start site and a sequence of direction names."""
     if not lat.contains(start):
         raise LatticeError(f"site {start} outside lattice {lat.nx}x{lat.ny}")
-    steps, sites = [], [lat.site_id(start)]
+    sites = [lat.site_id(start)]
     for d in directions:
         if d not in CODE:
             raise LatticeError(f"unknown direction {d!r}")
-        steps.append(CODE[d])
         sites.append(int(lat.step_table[CODE[d], sites[-1]]))
         if sites[-1] < 0:  # stop here: the table would read -1 as the last site id
             raise LoopError(f"walk blocked at site {sites[-2]} going {d}")
-    return LoopPath(lat, np.array(steps, dtype=np.int8), np.array(sites))
+    return LoopPath(lat, sites)
 
 
 def center_loop(lat: StripLattice) -> LoopPath:
@@ -223,11 +223,10 @@ class CenterCut:
 
     ``cut`` has nx' = 2*nx columns and ny' = (ny-1)/2 rows.  Columns
     [0, nx) image the rows above center, columns [nx, 2*nx) the rows
-    below center in flipped order; the maps preserve adjacency.  Cut rows
-    in the lower block run against the band rows, so lifting flips the y
-    direction there.  ``to_band`` holds the band site id of each cut site
-    id; ``from_band``, its inverse, holds the cut site id of each band site
-    id, and -1 on the center row.
+    below center in flipped order; the maps preserve adjacency, so a
+    lifted walk is the image of its sites.  ``to_band`` holds the band
+    site id of each cut site id; ``from_band``, its inverse, holds the cut
+    site id of each band site id, and -1 on the center row.
     """
 
     band: StripLattice
@@ -242,9 +241,7 @@ class CenterCut:
         sites = self.from_band[loop.sites]
         if np.any(sites < 0):
             raise LoopError("loop touches the center row and does not lift")
-        below = loop.sites[:-1] % self.band.ny < self.band.center_row
-        steps = np.where(below & (loop.steps >= CODE[DIR_PY]), loop.steps ^ 1, loop.steps)
-        return LoopPath(self.cut, steps, sites)
+        return LoopPath(self.cut, sites)
 
 
 @lru_cache(maxsize=16)

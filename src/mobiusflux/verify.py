@@ -39,10 +39,6 @@ from .hamiltonian import (
 )
 from .lattice import (
     ANNULUS,
-    CODE,
-    DIR_MY,
-    DIR_PX,
-    DIR_PY,
     MOEBIUS,
     LoopError,
     LoopPath,
@@ -73,16 +69,12 @@ def _moebius(nx: int, ny: int, broken_seam: bool) -> StripLattice:
 
 def _column_walk(lat: StripLattice, rows: list) -> LoopPath:
     """The walk through column k % nx from row a to row b for the k-th (a, b) of
-    ``rows``, stepping +x between columns; each step's code is read off its two sites."""
+    ``rows``, stepping +x between columns."""
     sites = []
     for k, (a, b) in enumerate(rows):
         step, base = (1 if b >= a else -1), k % lat.nx * lat.ny
         sites += range(base + a, base + b + step, step)
-    sites = np.array(sites)
-    column = sites // lat.ny
-    codes = np.where(column[1:] != column[:-1], CODE[DIR_PX],
-                     np.where(sites[1:] > sites[:-1], CODE[DIR_PY], CODE[DIR_MY]))
-    return LoopPath(lat, codes.astype(np.int8), sites)
+    return LoopPath(lat, sites)
 
 
 def random_class2_loop(lat: StripLattice, rng: np.random.Generator):

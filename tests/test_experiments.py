@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mobiusflux import experiments
+from mobiusflux import eigensolver, experiments
 from mobiusflux.eigensolver import SolverConfig, dense_eigh
 from mobiusflux.experiments import (
     EVEN,
@@ -345,21 +345,23 @@ def test_ladder_periodicity_needs_a_two_row_moebius_ladder(lat):
         ladder_periodicity_test(lat, (0.0,))
 
 
-def test_sweep_marks_failed_records_and_continues():
+def test_sweep_marks_failed_records_and_continues(monkeypatch):
     cfg = small_sweep(
         f_steps=5,
-        solver=SolverConfig(method="lanczos", tol=1e-15, max_iter=3),
+        solver=SolverConfig(method="lanczos", tol=1e-15),
         sectors=(FULL,),
     )
+    monkeypatch.setattr(eigensolver, "_budget", lambda n: 3)
     records = flux_sweep(cfg)
     assert len(records) == 5
     assert all(rec.status == "failed" for rec in records)
     assert all(rec.e0_full is None for rec in records)
 
 
-def test_detect_minima_skips_failed_records():
-    failing = SolverConfig(method="lanczos", tol=1e-15, max_iter=3)
+def test_detect_minima_skips_failed_records(monkeypatch):
+    failing = SolverConfig(method="lanczos", tol=1e-15)
     good = flux_sweep(small_sweep(sectors=(FULL,)))
+    monkeypatch.setattr(eigensolver, "_budget", lambda n: 3)
     failed = flux_sweep(small_sweep(solver=failing, sectors=(FULL,)))
     # every fourth point fails, f = 0 and f = 1 among them
     mixed = [bad if i % 4 == 1 else ok for i, (ok, bad) in enumerate(zip(good, failed))]

@@ -139,29 +139,40 @@ def test_homology_rejects_foreign_loop():
 
 def test_loop_validation():
     lat = build_lattice(6, 3, ANNULUS)
-    px, py, my = CODE["+x"], CODE["+y"], CODE["-y"]
-    with pytest.raises(LoopError):
-        LoopPath(lat, [], [0])  # empty
-    with pytest.raises(LoopError):  # does not chain: +x from (0, 0) is (1, 0), not (3, 0)
-        LoopPath(lat, [px, px], [lat.site_id((0, 0)), lat.site_id((3, 0)), lat.site_id((4, 0))])
-    with pytest.raises(LoopError):  # does not close
-        LoopPath(lat, [px], [lat.site_id((0, 0)), lat.site_id((1, 0))])
-    with pytest.raises(LoopError):  # through the wall
-        walk_loop(lat, Site(0, 0), ["-y", "+y"])
-    with pytest.raises(LoopError):  # through the wall, as arrays
-        LoopPath(lat, [my, py], [0, 1, 0])
-    for code in (4, -1):  # no such direction
-        with pytest.raises(LatticeError):
-            LoopPath(lat, [code, my], [0, 1, 0])
-    # a start outside the lattice; numpy would read id -18 as 0, which closes row 0
+    row0 = [lat.site_id((i, 0)) for i in range(6)]
+    assert LoopPath(lat, row0 + row0[:1]).steps.tolist() == [CODE["+x"]] * 6
+    for walk in ([], [0], [[0, 3], [3, 0]]):  # empty, a single site, not one walk
+        with pytest.raises(LoopError, match="two or more site ids"):
+            LoopPath(lat, walk)
+    # ids outside the lattice; numpy would read id -18 as 0, which closes row 0
     for start in (-18, -1, 18, 19):
-        with pytest.raises(LatticeError):
-            LoopPath(lat, [px] * 6, [start, 3, 6, 9, 12, 15, start])
+        with pytest.raises(LatticeError, match="integers in"):
+            LoopPath(lat, [start, *row0[1:], start])
         with pytest.raises(LatticeError):
             walk_loop(lat, divmod(start, 3), ["+x"] * 6)
-    for name in ("up", px):  # walk_loop takes names, not codes
+    for walk in (np.array(row0 + row0[:1], dtype=float), [True, False, True]):
+        with pytest.raises(LatticeError, match="integers in"):
+            LoopPath(lat, walk)
+    with pytest.raises(LoopError, match="does not close"):
+        LoopPath(lat, row0)
+    for walk in (
+        [0, 6, 9, 12, 15, 0],  # a skipped column: (0, 0) to (2, 0)
+        [2, 3, 2],  # id + 1 from the top row is through the wall: (0, 2) to (1, 0)
+        [0, 2, 1, 0],  # (0, 0) to (0, 2), through the wall the other way
+        [0, 0],  # a site is not its own neighbour
+    ):
+        with pytest.raises(LoopError, match="step 0: .* are not neighbours"):
+            LoopPath(lat, walk)
+    with pytest.raises(LoopError):  # through the wall, by name
+        walk_loop(lat, Site(0, 0), ["-y", "+y"])
+    for name in ("up", CODE["+x"]):  # walk_loop takes names, not codes
         with pytest.raises(LatticeError):
             walk_loop(lat, Site(0, 0), ["+x", name])
+    mob = build_lattice(6, 3, MOEBIUS)
+    with pytest.raises(LoopError, match="step 5: .* are not neighbours"):
+        LoopPath(mob, row0 + row0[:1])  # the unflipped row across the seam
+    flipped = row0 + [mob.site_id((i, 2)) for i in range(6)] + row0[:1]
+    assert homology_class(mob, LoopPath(mob, flipped)) == 2
 
 
 def test_loops_are_read_only_arrays():

@@ -5,12 +5,12 @@ the seam and wall rule written out per site here, independent of the
 step table that is the library's one implementation of it, and must
 agree exactly with the index-array code on random small lattices of both
 topologies, with the seam flip on or off.  The curvature, a sum of four
-rounded terms, agrees to round-off.  Loops are walked again through
-``neighbor`` for their
-Wilson angle and seam crossings, and lifted to the cut-open band.  The
-sector bases are checked against their defining symmetries and against
-the plain operator's spectrum, and the sweep's flux pencil against
-``restrict`` of the assembled operator.
+rounded terms, agrees to round-off.  A loop built from its sites takes
+the direction codes ``neighbor`` gives; loops are walked again through
+``neighbor`` for their Wilson angle and seam crossings, and lifted to
+the cut-open band.  The sector bases are checked against their defining
+symmetries and against the plain operator's spectrum, and the sweep's
+flux pencil against ``restrict`` of the assembled operator.
 """
 
 import itertools
@@ -56,6 +56,7 @@ from mobiusflux.lattice import (
     TOPOLOGIES,
     LatticeError,
     LoopError,
+    LoopPath,
     Site,
     StripLattice,
     cut_complement_of_center,
@@ -350,6 +351,29 @@ def test_homology_class_is_the_signed_count_of_seam_crossings(lat, data):
     assert homology_class(lat, loop) == crossings
 
 
+@SMALL
+@given(fields(), st.data())
+def test_a_loop_is_its_sites(field, data):
+    # each step's code is the one direction whose neighbour is the next site
+    lat = field.lattice
+    loop = data.draw(loops(lat))
+    ids = loop.sites.tolist()
+    walk = []
+    for here, there in zip(ids, ids[1:]):
+        site = Site(*divmod(here, lat.ny))
+        hits = [d for d in DIRECTIONS if neighbor(lat, site, d) is not None
+                and lat.site_id(neighbor(lat, site, d)) == there]
+        assert len(hits) == 1
+        walk.append((site, hits[0]))
+    again = LoopPath(lat, ids)
+    assert again.steps.tolist() == [DIRECTIONS.index(d) for _, d in walk]
+    assert all(np.array_equal(a, b) for a, b in zip(again.links, loop.links))
+    assert homology_class(lat, again) == homology_class(lat, loop)
+    angle = wilson_loop(field, again).angle
+    assert angle == wilson_loop(field, loop).angle
+    assert angle == math.fsum(_link_angle(field, site, d) for site, d in walk)
+
+
 CUT_BANDS = lattices(ny=st.sampled_from((3, 5, 7)), topology=st.just(MOEBIUS),
                      seam_flip=st.just(True))
 
@@ -367,3 +391,17 @@ def test_lift_halves_the_class_and_keeps_the_wilson_angle(field, data):
     lifted = corr.lift_loop(loop)
     assert 2 * homology_class(corr.cut, lifted) == homology_class(band, loop)
     assert wilson_loop(lift_field(corr, field), lifted).angle == wilson_loop(field, loop).angle
+
+
+@SMALL
+@given(CUT_BANDS, st.data())
+def test_a_lifted_step_is_the_band_step_with_y_flipped_below_the_center(band, data):
+    # cut rows below the center run against the band rows, so a y step there turns round
+    loop = data.draw(loops(band))
+    walk = _walked(loop)
+    if any(site.j == band.center_row for site, _ in walk):
+        return
+    lifted = cut_complement_of_center(band).lift_loop(loop)
+    want = [_REVERSE[d] if site.j < band.center_row and d in (DIR_PY, DIR_MY) else d
+            for site, d in walk]
+    assert [DIRECTIONS[code] for code in lifted.steps.tolist()] == want

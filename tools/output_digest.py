@@ -32,7 +32,8 @@ ACCEPTANCE = ("sweep", "--ty", "0.01", "--solver", "dense")
 
 def commands():
     """The command set: 2,304 spectra, 96 sweeps, 8 spectra at n = 1200, the acceptance sweep,
-    three verify runs, 144 holonomy runs and four commands given a key they do not read."""
+    12 verify runs (seeds 1 to 8 put more random walks, lifts and Stokes pairs through the
+    loop layer), 144 holonomy runs and four commands given a key they do not read."""
     for ty, top, (nx, ny), f, solver, sector, k in itertools.product(
             TYS, TOPOLOGIES, LATTICES, FLUXES, ("dense", "lanczos"),
             ("full", "even", "odd"), ("1", "4")):
@@ -48,6 +49,9 @@ def commands():
     yield ("verify",)
     yield ("verify", "--seed", "7")
     yield ("verify", "--broken-seam")
+    for seed in range(1, 9):
+        yield ("verify", "--seed", str(seed))
+    yield ("verify", "--broken-seam", "--seed", "7")
     for top, (nx, ny), f, loop in itertools.product(TOPOLOGIES, LATTICES, FLUXES,
                                                     ("center", "offset=0", "offset=1")):
         yield ("holonomy", "--topology", top, "--nx", str(nx), "--ny", str(ny), "--f", f,
