@@ -101,6 +101,8 @@ class Run(NamedTuple):
 
 _TYPES = {f.name: str if f.default is None else type(f.default)
           for f in dataclasses.fields(RunConfig)}
+_FLOAT_FLAGS = frozenset(f"--{key.replace('_', '-')}" for key, kind in _TYPES.items()
+                         if kind is float)
 
 
 def _parse_value(key: str, text: str):
@@ -122,7 +124,7 @@ def load_config_file(path: str, command: str, keys: tuple) -> dict:
     """Parse a key = value config file; a key outside the command's keys is an error."""
     values = {}
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()  # a BOM is not a key
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
@@ -356,8 +358,28 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_float_values(argv: list) -> list:
+    """argv with each float flag and a next token that starts with '-' and that float()
+    reads joined as '--f=-2e-1': argparse takes -2e-1 or -inf for a flag of its own."""
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in _FLOAT_FLAGS and token.startswith("-") and _is_float(token):
+            joined[-1] += f"={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = make_parser().parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
     stdout = sys.stdout
     try:
         return _COMMANDS[args.command].handler(build_config(args), args, stdout)

@@ -231,6 +231,17 @@ def detect_minima(records: Sequence[SweepRecord], column: str,
     )
 
 
+def uniform_spectrum(lat: StripLattice, f: float, hop: HoppingParams, iso=None) -> np.ndarray:
+    """Every eigenvalue, dense, of the uniform-flux operator at f, or of its block on iso."""
+    h = assemble(lat, uniform_flux_field(lat, f), hop)
+    return dense_eigh(h if iso is None else restrict(h, iso)).values
+
+
+def max_deviation(a: np.ndarray, b: np.ndarray) -> float:
+    """The worst entrywise gap between two spectra."""
+    return float(np.max(np.abs(a - b)))
+
+
 @dataclass(frozen=True)
 class LadderPeriodicity:
     """Spectral periodicity of the two-row moebius ladder in flux."""
@@ -252,16 +263,11 @@ def ladder_periodicity_test(lat: StripLattice, f_values: Sequence[float],
     if not lat.is_moebius or lat.ny != 2:
         raise ValueError(f"need a two-row moebius ladder, got ny={lat.ny} {lat.topology}")
     hop = HoppingParams(ty=ty)
-
-    def spectrum(f: float) -> np.ndarray:
-        return dense_eigh(assemble(lat, uniform_flux_field(lat, f), hop)).values
-
-    dev_half = 0.0
-    dev_full = 0.0
-    for f in f_values:
-        base = spectrum(float(f))
-        dev_half = max(dev_half, float(np.max(np.abs(spectrum(float(f) + 0.5) - base))))
-        dev_full = max(dev_full, float(np.max(np.abs(spectrum(float(f) + 1.0) - base))))
+    dev_half = dev_full = 0.0
+    for f in map(float, f_values):
+        base = uniform_spectrum(lat, f, hop)
+        dev_half = max(dev_half, max_deviation(uniform_spectrum(lat, f + 0.5, hop), base))
+        dev_full = max(dev_full, max_deviation(uniform_spectrum(lat, f + 1.0, hop), base))
     period = 0.5 if dev_half <= 1e-10 else (1.0 if dev_full <= 1e-10 else float("inf"))
     return LadderPeriodicity(
         ty=ty, max_dev_half_period=dev_half, max_dev_full_period=dev_full, period=period
@@ -280,12 +286,6 @@ def annulus_equivalence_check(band: StripLattice, f_values: Sequence[float]) -> 
     iso = sector_isometry(band, ODD)  # raises unless ny is odd and >= 3
     ring = build_lattice(band.nx, (band.ny - 1) // 2, ANNULUS)
     hop = HoppingParams()
-    worst = 0.0
-    for f in f_values:
-        f = float(f)
-        h_band = assemble(band, uniform_flux_field(band, f), hop)
-        e_odd = dense_eigh(restrict(h_band, iso)).values
-        h_ring = assemble(ring, uniform_flux_field(ring, f + 0.5), hop)
-        e_ring = dense_eigh(h_ring).values
-        worst = max(worst, float(np.max(np.abs(e_odd - e_ring))))
-    return worst
+    return max((max_deviation(uniform_spectrum(band, f, hop, iso),
+                              uniform_spectrum(ring, f + 0.5, hop)) for f in map(float, f_values)),
+               default=0.0)

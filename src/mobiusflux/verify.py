@@ -17,7 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolver import SolverConfig, dense_eigh, lanczos_lowest
-from .experiments import annulus_equivalence_check, ladder_periodicity_test
+from .experiments import (
+    annulus_equivalence_check,
+    ladder_periodicity_test,
+    max_deviation,
+    uniform_spectrum,
+)
 from .gauge import (
     GaugeTransform,
     add_face_flux,
@@ -33,7 +38,6 @@ from .hamiltonian import (
     ODD,
     HoppingParams,
     assemble,
-    restrict,
     ring_spectrum_oracle,
     sector_isometry,
 )
@@ -94,11 +98,9 @@ def random_class2_loop(lat: StripLattice, rng: np.random.Generator):
         if not half_lo <= r < half_hi:
             raise LoopError(f"the seam keeps row {r} in its half; "
                             "the walk would cross the center row")
-        for _ in range(lat.nx):
-            target = int(rng.integers(half_lo, half_hi))
-            rows.append((r, target))
-            r = target
-        r = int(lat.x_next[lat.site_id((lat.nx - 1, r))]) % lat.ny
+        targets = rng.integers(half_lo, half_hi, size=lat.nx).tolist()
+        rows += zip([r, *targets], targets)
+        r = int(lat.x_next[lat.site_id((lat.nx - 1, targets[-1]))]) % lat.ny
     return _column_walk(lat, rows + [(r, r0)])
 
 
@@ -108,6 +110,11 @@ def random_gauge_transform(lat: StripLattice, rng: np.random.Generator) -> Gauge
 
 def _angles_equal_mod(a: float, b: float) -> float:
     return abs(reduce_angle(a - b))
+
+
+def _verdict(what: str, worst: float, tol: float) -> tuple:
+    """A check's verdict and detail: its worst deviation against its tolerance."""
+    return worst <= tol, f"{what} = {worst:.2e} (tol {tol:g})"
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +128,7 @@ def check_flatness(rng, broken_seam=False) -> tuple:
         field = uniform_flux_field(lat, float(rng.uniform(-2, 2)))
         field = apply_gauge_transform(field, random_gauge_transform(lat, rng))
         worst = max([worst, *(abs(reduce_angle(a)) for a in face_curvature(field).flat)])
-    return worst <= ANGLE_TOL, f"max |curvature| = {worst:.2e} (tol {ANGLE_TOL:g})"
+    return _verdict("max |curvature|", worst, ANGLE_TOL)
 
 
 def check_gauge_invariance(rng, broken_seam=False) -> tuple:
@@ -136,7 +143,7 @@ def check_gauge_invariance(rng, broken_seam=False) -> tuple:
                 wilson_loop(field, loop).angle, wilson_loop(transformed, loop).angle
             )
             worst = max(worst, dev)
-    return worst <= ANGLE_TOL, f"max angle shift mod 2pi = {worst:.2e} (tol {ANGLE_TOL:g})"
+    return _verdict("max angle shift mod 2pi", worst, ANGLE_TOL)
 
 
 def check_homology_invariance(rng, broken_seam=False) -> tuple:
@@ -153,7 +160,7 @@ def check_homology_invariance(rng, broken_seam=False) -> tuple:
             return False, "generated loops disagree in homology class"
         dev = _angles_equal_mod(wilson_loop(field, l1).angle, wilson_loop(field, l2).angle)
         worst = max(worst, dev)
-    return worst <= ANGLE_TOL, f"max homologous angle gap = {worst:.2e} (tol {ANGLE_TOL:g})"
+    return _verdict("max homologous angle gap", worst, ANGLE_TOL)
 
 
 def check_loop_doubling(rng, broken_seam=False) -> tuple:
@@ -168,44 +175,32 @@ def check_loop_doubling(rng, broken_seam=False) -> tuple:
 
 
 def check_flux_periodicity(rng, broken_seam=False) -> tuple:
-    lat = _moebius(6, 5, broken_seam)
-    hop = HoppingParams()
-    worst = 0.0
-    for f in (float(rng.uniform(-1, 1)), 0.0, 0.3):
-        e0 = dense_eigh(assemble(lat, uniform_flux_field(lat, f), hop)).values
-        e1 = dense_eigh(assemble(lat, uniform_flux_field(lat, f + 1.0), hop)).values
-        worst = max(worst, float(np.max(np.abs(e0 - e1))))
-    return worst <= SPECTRUM_TOL, f"max |E(f)-E(f+1)| = {worst:.2e} (tol {SPECTRUM_TOL:g})"
+    lat, hop = _moebius(6, 5, broken_seam), HoppingParams()
+    worst = max(max_deviation(uniform_spectrum(lat, f, hop), uniform_spectrum(lat, f + 1.0, hop))
+                for f in (float(rng.uniform(-1, 1)), 0.0, 0.3))
+    return _verdict("max |E(f)-E(f+1)|", worst, SPECTRUM_TOL)
 
 
 def check_reflection_symmetry(rng, broken_seam=False) -> tuple:
-    lat = _moebius(6, 5, broken_seam)
-    hop = HoppingParams()
-    worst = 0.0
-    for f in (float(rng.uniform(0, 1)), 0.25):
-        ep = dense_eigh(assemble(lat, uniform_flux_field(lat, f), hop)).values
-        em = dense_eigh(assemble(lat, uniform_flux_field(lat, -f), hop)).values
-        worst = max(worst, float(np.max(np.abs(ep - em))))
-    return worst <= SPECTRUM_TOL, f"max |E(f)-E(-f)| = {worst:.2e} (tol {SPECTRUM_TOL:g})"
+    lat, hop = _moebius(6, 5, broken_seam), HoppingParams()
+    worst = max(max_deviation(uniform_spectrum(lat, f, hop), uniform_spectrum(lat, -f, hop))
+                for f in (float(rng.uniform(0, 1)), 0.25))
+    return _verdict("max |E(f)-E(-f)|", worst, SPECTRUM_TOL)
 
 
 def check_sector_completeness(rng, broken_seam=False) -> tuple:
-    lat = _moebius(6, 5, broken_seam)
-    hop = HoppingParams()
+    lat, hop = _moebius(6, 5, broken_seam), HoppingParams()
     worst = 0.0
     for f in (0.0, float(rng.uniform(0, 1))):
-        h = assemble(lat, uniform_flux_field(lat, f), hop)
-        full = dense_eigh(h).values
-        parts = np.concatenate(
-            [dense_eigh(restrict(h, sector_isometry(lat, p))).values for p in (EVEN, ODD)]
-        )
-        worst = max(worst, float(np.max(np.abs(np.sort(parts) - full))))
-    return worst <= SPECTRUM_TOL, f"max |sort(even+odd) - full| = {worst:.2e} (tol {SPECTRUM_TOL:g})"
+        parts = [uniform_spectrum(lat, f, hop, sector_isometry(lat, p)) for p in (EVEN, ODD)]
+        worst = max(worst, max_deviation(np.sort(np.concatenate(parts)),
+                                         uniform_spectrum(lat, f, hop)))
+    return _verdict("max |sort(even+odd) - full|", worst, SPECTRUM_TOL)
 
 
 def check_annulus_equivalence(rng, broken_seam=False) -> tuple:
     worst = annulus_equivalence_check(_moebius(6, 5, broken_seam), (0.0, 0.3, 0.5))
-    return worst <= SPECTRUM_TOL, f"max odd-vs-annulus deviation = {worst:.2e} (tol {SPECTRUM_TOL:g})"
+    return _verdict("max odd-vs-annulus deviation", worst, SPECTRUM_TOL)
 
 
 def check_ladder_periodicity(rng, broken_seam=False) -> tuple:
@@ -233,24 +228,21 @@ def check_stokes_defect(rng, broken_seam=False) -> tuple:
         l2 = random_class2_loop(lat, rng)
         for field in (flat, curved):
             worst = max(worst, abs(stokes_defect(field, l1, l2)))
-    return worst <= ANGLE_TOL, f"max |defect| = {worst:.2e} (tol {ANGLE_TOL:g})"
+    return _verdict("max |defect|", worst, ANGLE_TOL)
 
 
 def check_solver_cross_validation(rng, broken_seam=False) -> tuple:
     lat = _moebius(12, 5, broken_seam)
-    hop = HoppingParams()
-    h = assemble(lat, uniform_flux_field(lat, 0.25), hop)
+    h = assemble(lat, uniform_flux_field(lat, 0.25), HoppingParams())
     reference = dense_eigh(h, 6).values
     iterative = lanczos_lowest(h, SolverConfig(k=6, tol=1e-12, seed=7, method="lanczos")).values
-    worst = float(np.max(np.abs(iterative - reference)))
+    worst = max_deviation(iterative, reference)
     for nx in (3, 4, 8, 16):
         ring = build_lattice(nx, 1, ANNULUS)
         for f in (0.0, 0.25, 0.5):
-            got = dense_eigh(assemble(ring, uniform_flux_field(ring, f), HoppingParams(ty=0.0))).values
-            worst = max(worst, float(np.max(np.abs(got - ring_spectrum_oracle(nx, f)))))
-    return worst <= CROSS_VALIDATION_TOL, (
-        f"max solver/oracle deviation = {worst:.2e} (tol {CROSS_VALIDATION_TOL:g})"
-    )
+            worst = max(worst, max_deviation(uniform_spectrum(ring, f, HoppingParams(ty=0.0)),
+                                             ring_spectrum_oracle(nx, f)))
+    return _verdict("max solver/oracle deviation", worst, CROSS_VALIDATION_TOL)
 
 
 CHECKS = (

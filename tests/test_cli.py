@@ -119,6 +119,32 @@ def test_a_config_key_the_command_does_not_read_exits_2(capsys, tmp_path, comman
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--nx", "6", "--ny", "3", "--f", "-2e-1"),
+    ("spectrum", "--nx", "6", "--ny", "3", "--tx", "2", "--f", "-1e-05", "--k", "2"),
+    ("sweep", "--nx", "6", "--ny", "3", "--f-min", "-1e-05", "--f-max", "0.5", "--f-steps", "3"),
+    ("sweep", "--nx", "6", "--ny", "3", "--f-min", "-5E-1", "--f-max", "-1e-1", "--f-steps", "3"),
+])
+def test_a_negative_float_in_exponent_form_is_the_flags_value(capsys, argv):
+    # argparse took "-2e-1" for an option and exited 2 with "expected one argument";
+    # repr writes every |f| < 1e-4 this way
+    joined = [f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2])]
+    code, out, err = run_cli_or_usage(capsys, *argv)
+    assert code == 0 and err == ""
+    assert (code, out, err) == run_cli(capsys, argv[0], *joined)
+
+
+def test_a_config_file_with_a_byte_order_mark_reads_like_its_plain_copy(capsys, tmp_path):
+    # read as plain UTF-8 the mark was part of the first key: "reads no config key '\ufeffnx'"
+    text = "nx = 6\nny = 3\nf_steps = 3\nsectors = full,odd\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(plain))
+    assert code == 0 and out.count("\n") == 4
+    assert run_cli(capsys, "sweep", "--config", str(marked)) == (code, out, err)
+
+
 def test_bad_flag_value_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--nx", "notanint"])
@@ -227,6 +253,9 @@ def test_sweep_invalid_range_exits_2(capsys):
     # a flux grid with a non-finite end or span
     ("sweep", "--f-max", "inf"),
     ("sweep", "--f-min=-1e308", "--f-max=1e308"),
+    # argparse once took -inf for an option and stopped at its usage error
+    ("spectrum", "--f", "-inf"),
+    ("sweep", "--f-min", "-inf"),
     # output paths are checked before the sweep runs
     ("sweep", "--out", "{missing}/sweep.csv"),
     ("sweep", "--plot", "{missing}/sweep.svg"),

@@ -261,6 +261,45 @@ def test_random_class2_loop_refuses_a_broken_seam():
         random_class2_loop(lat, rng)
 
 
+@pytest.mark.parametrize("ny", [3, 5, 9, 51])
+def test_a_half_row_draw_is_the_scalar_draws(ny):
+    # random_class2_loop draws a half's nx rows in one call; numpy's Generator returns the
+    # values of nx scalar calls and leaves the same state, so no walk and no verify line
+    # moved when the scalar calls went
+    c = ny // 2
+    for lo, hi in ((0, c), (c + 1, ny)):
+        for seed in range(10):
+            for n in (1, 2, 5, 48, 200):
+                batch, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert (batch.integers(lo, hi, size=n).tolist()
+                        == [int(scalar.integers(lo, hi)) for _ in range(n)])
+                assert batch.bit_generator.state == scalar.bit_generator.state
+
+
+def _class2_loop_by_scalar_draws(lat, rng):
+    """random_class2_loop as it once was: one rng call per column."""
+    c = lat.center_row
+    r0 = int(rng.integers(0, c))
+    r, rows = r0, []
+    for half_lo, half_hi in ((0, c), (c + 1, lat.ny)):
+        for _ in range(lat.nx):
+            target = int(rng.integers(half_lo, half_hi))
+            rows.append((r, target))
+            r = target
+        r = int(lat.x_next[lat.site_id((lat.nx - 1, r))]) % lat.ny
+    return _column_walk(lat, rows + [(r, r0)])
+
+
+@pytest.mark.parametrize("nx,ny", [(3, 3), (6, 5), (7, 9), (40, 51)])
+def test_random_class2_loop_is_the_scalar_draw_walk(nx, ny):
+    lat = build_lattice(nx, ny, MOEBIUS)
+    batch, scalar = np.random.default_rng(nx * ny), np.random.default_rng(nx * ny)
+    for _ in range(5):
+        loop = random_class2_loop(lat, batch)
+        np.testing.assert_array_equal(loop.sites, _class2_loop_by_scalar_draws(lat, scalar).sites)
+        assert batch.bit_generator.state == scalar.bit_generator.state
+
+
 def test_stokes_defect_rejects_non_homologous():
     lat = build_lattice(6, 5, MOEBIUS)
     field = uniform_flux_field(lat, 0.0)

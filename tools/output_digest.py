@@ -3,11 +3,12 @@
     python tools/output_digest.py ROOT > digest.txt
 
 Imports ``mobiusflux`` from ``ROOT/src`` and runs a fixed command set
-in-process, with one BLAS thread.  Each line is the sha256 of a command's
-exit code, stdout and stderr, with ``verify``'s ``[...s]`` timings
-stripped, then the command; the last line is the sha256 of the default
-acceptance sweep's CSV.  Two checkouts give the same outputs when their
-digests match line for line.
+in-process, with one BLAS thread, in a temporary directory that holds
+the one config file the set reads.  Each line is the sha256 of a
+command's exit code, stdout and stderr, with ``verify``'s ``[...s]``
+timings stripped, then the command; the last line is the sha256 of the
+default acceptance sweep's CSV.  Two checkouts give the same outputs
+when their digests match line for line.
 """
 
 import os
@@ -21,6 +22,7 @@ import io
 import itertools
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 TOPOLOGIES = ("moebius", "annulus")
@@ -28,12 +30,14 @@ TYS = ("0", "0.01", "0.3", "1")
 LATTICES = ((8, 3), (6, 5), (12, 1), (48, 9), (10, 2), (7, 7))
 FLUXES = ("0", "0.5", "0.13", "-0.37")
 ACCEPTANCE = ("sweep", "--ty", "0.01", "--solver", "dense")
+BOM_CONFIG = ("bom.cfg", "\ufeffnx = 8\nny = 3\nf_steps = 5\n")  # a config file saved with a BOM
 
 
 def commands():
     """The command set: 2,304 spectra, 96 sweeps, 8 spectra at n = 1200, the acceptance sweep,
     12 verify runs (seeds 1 to 8 put more random walks, lifts and Stokes pairs through the
-    loop layer), 144 holonomy runs and four commands given a key they do not read."""
+    loop layer), 144 holonomy runs, four commands given a key they do not read, three
+    negative float values in exponent form and a config file with a byte-order mark."""
     for ty, top, (nx, ny), f, solver, sector, k in itertools.product(
             TYS, TOPOLOGIES, LATTICES, FLUXES, ("dense", "lanczos"),
             ("full", "even", "odd"), ("1", "4")):
@@ -60,6 +64,11 @@ def commands():
     yield ("spectrum", "--f-steps", "3")
     yield ("holonomy", "--tx", "2")
     yield ("verify", "--nx", "4")
+    yield ("spectrum", "--f", "-2e-1")
+    yield ("sweep", "--nx", "8", "--ny", "3", "--f-min", "-1e-05", "--f-max", "0.5",
+           "--f-steps", "5")
+    yield ("spectrum", "--f", "-inf")
+    yield ("sweep", "--config", BOM_CONFIG[0])
 
 
 def run(main, argv) -> tuple:
@@ -77,14 +86,17 @@ def main(root: str) -> None:
     sys.path.insert(0, str(Path(root).resolve() / "src"))
     from mobiusflux.cli import main as cli_main
 
-    for argv in commands():
-        code, out, err = run(cli_main, argv)
-        if argv[0] == "verify":
-            out = re.sub(r"\[[0-9.]+s\]", "[s]", out)
-        digest = hashlib.sha256(f"{code}\n{out}\n{err}".encode()).hexdigest()
-        print(digest, " ".join(argv), flush=True)
-        if argv == ACCEPTANCE:
-            csv = out
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        Path(BOM_CONFIG[0]).write_text(BOM_CONFIG[1], encoding="utf-8")
+        for argv in commands():
+            code, out, err = run(cli_main, argv)
+            if argv[0] == "verify":
+                out = re.sub(r"\[[0-9.]+s\]", "[s]", out)
+            digest = hashlib.sha256(f"{code}\n{out}\n{err}".encode()).hexdigest()
+            print(digest, " ".join(argv), flush=True)
+            if argv == ACCEPTANCE:
+                csv = out
     print(hashlib.sha256(csv.encode()).hexdigest(), "acceptance CSV")
 
 
