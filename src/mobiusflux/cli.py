@@ -25,6 +25,7 @@ import argparse
 import dataclasses
 import functools
 import itertools
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -101,8 +102,6 @@ class Run(NamedTuple):
 
 _TYPES = {f.name: str if f.default is None else type(f.default)
           for f in dataclasses.fields(RunConfig)}
-_FLOAT_FLAGS = frozenset(f"--{key.replace('_', '-')}" for key, kind in _TYPES.items()
-                         if kind is float)
 
 
 def _parse_value(key: str, text: str):
@@ -358,20 +357,21 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_float(text: str) -> bool:
+def _is_negative_float(text: str) -> bool:
     try:
         float(text)
     except ValueError:
         return False
-    return True
+    return text.startswith("-")
 
 
 def _join_float_values(argv: list) -> list:
-    """argv with each float flag and a next token that starts with '-' and that float()
-    reads joined as '--f=-2e-1': argparse takes -2e-1 or -inf for a flag of its own."""
+    """argv with each bare long flag and a next token that starts with '-' and that float()
+    reads joined as '--f=-2e-1': argparse takes -2e-1 or -inf for a flag of its own.  An
+    abbreviated flag joins too ('--f-mi=-1e-05'), and argparse resolves its prefix."""
     joined = []
     for token in argv:
-        if joined and joined[-1] in _FLOAT_FLAGS and token.startswith("-") and _is_float(token):
+        if joined and re.fullmatch(r"--[^=]+", joined[-1]) and _is_negative_float(token):
             joined[-1] += f"={token}"
         else:
             joined.append(token)

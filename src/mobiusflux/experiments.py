@@ -51,6 +51,9 @@ class SweepConfig:
             raise ValueError(f"need finite f_min < f_max, got [{self.f_min}, {self.f_max}]")
         if self.f_steps < 2:
             raise ValueError(f"need f_steps >= 2, got {self.f_steps}")
+        if not np.all(np.diff(self.f_values()) > 0):  # linspace rounds a narrow range's points
+            raise ValueError(f"[{self.f_min}, {self.f_max}] holds fewer than "
+                             f"f_steps = {self.f_steps} distinct doubles")
         if not self.sectors:
             raise ValueError("at least one sector must be requested")
         self._isometries  # raises on unknown or nonexistent sectors

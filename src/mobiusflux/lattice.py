@@ -204,7 +204,7 @@ def offset_loop(lat: StripLattice, j: int) -> LoopPath:
     if not 0 <= j < lat.ny:
         raise LatticeError(f"row {j} outside [0, {lat.ny})")
     if lat.is_moebius and lat.ny % 2 == 1 and j == lat.center_row:
-        raise LatticeError("row j is the center row; use center_loop for it")
+        raise LatticeError(f"row {j} is the center row; use center_loop for it")
     return walk_loop(lat, Site(0, j), [DIR_PX] * (2 if lat.is_moebius else 1) * lat.nx)
 
 

@@ -14,6 +14,25 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list:
     return [lo + span * i / (n - 1) for i in range(n)]
 
 
+def _limits(values: list) -> tuple:
+    """(lo, hi) of values, (0, 1) for none; a constant column spans [v, v + 1]."""
+    lo, hi = (min(values), max(values)) if values else (0.0, 1.0)
+    return lo, hi if hi != lo else lo + 1.0
+
+
+def _line(x1, y1, x2, y2, stroke="black", width=1) -> str:
+    """One <line>; the coordinates come formatted as they are to be written."""
+    return (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'stroke="{stroke}" stroke-width="{width}"/>')
+
+
+def _text(x, y, size, body, anchor="", extra="") -> str:
+    """One sans-serif <text>; extra holds further attributes, each with its leading space."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{body}</text>')
+
+
 def render_sweep_svg(records: Sequence) -> str:
     """Render the available energy columns of a sweep as one SVG document."""
     series = []
@@ -21,14 +40,8 @@ def render_sweep_svg(records: Sequence) -> str:
         pts = [(rec.f, getattr(rec, column)) for rec in records if getattr(rec, column) is not None]
         if pts:
             series.append((column, color, pts))
-    xs = [rec.f for rec in records]
-    ys = [y for _, _, pts in series for _, y in pts]
-    x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
-    y_lo, y_hi = (min(ys), max(ys)) if ys else (0.0, 1.0)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _limits([rec.f for rec in records])
+    y_lo, y_hi = _limits([y for _, _, pts in series for _, y in pts])
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
@@ -38,61 +51,32 @@ def render_sweep_svg(records: Sequence) -> str:
     def py(y: float) -> float:
         return _HEIGHT - _MB - (y - y_lo) / (y_hi - y_lo) * (_HEIGHT - _MT - _MB)
 
+    axis, mid = _HEIGHT - _MB, f"{(_MT + _HEIGHT - _MB) / 2:.1f}"
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-        'font-family="sans-serif" font-size="16">ground energy vs flux</text>',
-        f'<line x1="{_ML}" y1="{_HEIGHT - _MB}" x2="{_WIDTH - _MR}" y2="{_HEIGHT - _MB}" '
-        'stroke="black" stroke-width="1"/>',
-        f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_HEIGHT - _MB}" '
-        'stroke="black" stroke-width="1"/>',
+        _text(f"{_WIDTH / 2:.1f}", 24, 16, "ground energy vs flux", "middle"),
+        _line(_ML, axis, _WIDTH - _MR, axis),
+        _line(_ML, _MT, _ML, axis),
     ]
     for t in _ticks(x_lo, x_hi):
-        x = px(t)
-        parts.append(
-            f'<line x1="{x:.2f}" y1="{_HEIGHT - _MB}" x2="{x:.2f}" y2="{_HEIGHT - _MB + 5}" '
-            'stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{x:.2f}" y="{_HEIGHT - _MB + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{t:.3g}</text>'
-        )
+        x = f"{px(t):.2f}"
+        parts += [_line(x, axis, x, axis + 5), _text(x, axis + 20, 12, f"{t:.3g}", "middle")]
     for t in _ticks(y_lo, y_hi):
         y = py(t)
-        parts.append(
-            f'<line x1="{_ML - 5}" y1="{y:.2f}" x2="{_ML}" y2="{y:.2f}" '
-            'stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_ML - 8}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">{t:.4g}</text>'
-        )
-    parts.append(
-        f'<text x="{(_ML + _WIDTH - _MR) / 2:.1f}" y="{_HEIGHT - 12}" text-anchor="middle" '
-        'font-family="sans-serif" font-size="14">f = &#x3a6;/&#x3a6;&#x2080;</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{(_MT + _HEIGHT - _MB) / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14" '
-        f'transform="rotate(-90 18 {(_MT + _HEIGHT - _MB) / 2:.1f})">energy [tx]</text>'
-    )
+        parts += [_line(_ML - 5, f"{y:.2f}", _ML, f"{y:.2f}"),
+                  _text(_ML - 8, f"{y + 4:.2f}", 12, f"{t:.4g}", "end")]
+    parts += [
+        _text(f"{(_ML + _WIDTH - _MR) / 2:.1f}", _HEIGHT - 12, 14,
+              "f = &#x3a6;/&#x3a6;&#x2080;", "middle"),
+        _text(18, mid, 14, "energy [tx]", "middle", f' transform="rotate(-90 18 {mid})"'),
+    ]
     for idx, (column, color, pts) in enumerate(series):
         coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
-        parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
-        ly = _MT + 16 + 18 * idx
-        lx = _WIDTH - _MR - 130
-        parts.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 24}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 30}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{column}</text>'
-        )
+        ly, lx = _MT + 16 + 18 * idx, _WIDTH - _MR - 130
+        parts += [f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>',
+                  _line(lx, ly - 4, lx + 24, ly - 4, color, 2), _text(lx + 30, ly, 12, column)]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

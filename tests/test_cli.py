@@ -124,6 +124,9 @@ def test_a_config_key_the_command_does_not_read_exits_2(capsys, tmp_path, comman
     ("spectrum", "--nx", "6", "--ny", "3", "--tx", "2", "--f", "-1e-05", "--k", "2"),
     ("sweep", "--nx", "6", "--ny", "3", "--f-min", "-1e-05", "--f-max", "0.5", "--f-steps", "3"),
     ("sweep", "--nx", "6", "--ny", "3", "--f-min", "-5E-1", "--f-max", "-1e-1", "--f-steps", "3"),
+    # an abbreviated flag, which argparse resolves: '--f-mi -1e-05' once stopped there
+    ("sweep", "--nx", "6", "--ny", "3", "--f-steps", "3", "--f-mi", "-1e-05"),
+    ("sweep", "--nx", "6", "--ny", "3", "--f-min", "-1", "--f-ma", "-1e-05", "--f-steps", "3"),
 ])
 def test_a_negative_float_in_exponent_form_is_the_flags_value(capsys, argv):
     # argparse took "-2e-1" for an option and exited 2 with "expected one argument";
@@ -132,6 +135,13 @@ def test_a_negative_float_in_exponent_form_is_the_flags_value(capsys, argv):
     code, out, err = run_cli_or_usage(capsys, *argv)
     assert code == 0 and err == ""
     assert (code, out, err) == run_cli(capsys, argv[0], *joined)
+
+
+def test_an_int_flag_refuses_a_negative_exponent_form_value_by_name(capsys):
+    # the join serves every long flag: --nx once stopped at "expected one argument"
+    code, out, err = run_cli_or_usage(capsys, "sweep", "--nx", "-1e5")
+    assert (code, out) == (2, "")
+    assert "argument --nx: invalid int value: '-1e5'" in err
 
 
 def test_a_config_file_with_a_byte_order_mark_reads_like_its_plain_copy(capsys, tmp_path):
@@ -270,6 +280,10 @@ def test_sweep_invalid_range_exits_2(capsys):
     # the link angle 2 pi f / nx is finite, the class-2 loop's 4 pi f is not: fsum once
     # raised OverflowError with a traceback
     ("holonomy", "--f", "2e307", "--loop", "offset=0"),
+    # a range too narrow for f_steps distinct doubles: linspace rounded two points onto one,
+    # and the current printed -inf (with a divide-by-zero warning) or nan
+    ("sweep", "--nx", "6", "--ny", "3", "--f-min", "1", "--f-max", "1.0000000000000002"),
+    ("sweep", "--nx", "6", "--ny", "3", "--f-min", "0", "--f-max", "5e-324"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_invalid_config_exits_2(capsys, tmp_path, argv):
@@ -511,6 +525,8 @@ def test_holonomy_center_row_offset_exits_2(capsys):
         capsys, "holonomy", "--nx", "8", "--ny", "5", "--f", "0.5", "--loop", "offset=2"
     )
     assert code == 2
+    # the message once read "row j is the center row" with a literal j
+    assert err == "config error: row 2 is the center row; use center_loop for it\n"
 
 
 def test_holonomy_bad_selector_exits_2(capsys):

@@ -62,6 +62,13 @@ def test_sweep_config_validation():
         small_sweep(f_max=math.inf)
     with pytest.raises(ValueError, match="finite"):
         small_sweep(f_min=-1e308, f_max=1e308)
+    # linspace rounds some of these grids' points onto one double, and the current's
+    # central difference then divided by a zero step: -inf, or nan
+    for f_min, f_max in ((1.0, 1.0000000000000002), (0.0, 5e-324)):
+        with pytest.raises(ValueError, match="fewer than f_steps = 3 distinct doubles"):
+            small_sweep(f_min=f_min, f_max=f_max, f_steps=3)
+    # three adjacent doubles are a grid
+    assert len(set(small_sweep(f_min=1.0, f_max=1.0000000000000004, f_steps=3).f_values())) == 3
 
 
 @pytest.mark.parametrize("sectors", [(FULL, EVEN, ODD), (ODD, EVEN, ODD), (EVEN,)])

@@ -6,9 +6,10 @@ Imports ``mobiusflux`` from ``ROOT/src`` and runs a fixed command set
 in-process, with one BLAS thread, in a temporary directory that holds
 the one config file the set reads.  Each line is the sha256 of a
 command's exit code, stdout and stderr, with ``verify``'s ``[...s]``
-timings stripped, then the command; the last line is the sha256 of the
-default acceptance sweep's CSV.  Two checkouts give the same outputs
-when their digests match line for line.
+timings stripped, and of the SVG file a ``--plot`` command writes, then
+the command; the last line is the sha256 of the default acceptance
+sweep's CSV.  Two checkouts give the same outputs when their digests
+match line for line.
 """
 
 import os
@@ -30,6 +31,7 @@ TYS = ("0", "0.01", "0.3", "1")
 LATTICES = ((8, 3), (6, 5), (12, 1), (48, 9), (10, 2), (7, 7))
 FLUXES = ("0", "0.5", "0.13", "-0.37")
 ACCEPTANCE = ("sweep", "--ty", "0.01", "--solver", "dense")
+PLOT = "p.svg"
 BOM_CONFIG = ("bom.cfg", "\ufeffnx = 8\nny = 3\nf_steps = 5\n")  # a config file saved with a BOM
 
 
@@ -37,7 +39,10 @@ def commands():
     """The command set: 2,304 spectra, 96 sweeps, 8 spectra at n = 1200, the acceptance sweep,
     12 verify runs (seeds 1 to 8 put more random walks, lifts and Stokes pairs through the
     loop layer), 144 holonomy runs, four commands given a key they do not read, three
-    negative float values in exponent form and a config file with a byte-order mark."""
+    negative float values in exponent form, a config file with a byte-order mark, 38 plot
+    sweeps (the acceptance sweep and one whose every point fails among them), two flux
+    grids too narrow for their f_steps, an abbreviated float flag with a negative value, and
+    negative values for a key the command does not read and for an int key."""
     for ty, top, (nx, ny), f, solver, sector, k in itertools.product(
             TYS, TOPOLOGIES, LATTICES, FLUXES, ("dense", "lanczos"),
             ("full", "even", "odd"), ("1", "4")):
@@ -69,6 +74,19 @@ def commands():
            "--f-steps", "5")
     yield ("spectrum", "--f", "-inf")
     yield ("sweep", "--config", BOM_CONFIG[0])
+    for top, (nx, ny), sectors, ty in itertools.product(
+            TOPOLOGIES, ((8, 3), (48, 9)), ("full,even,odd", "full", "odd"), ("0", "0.01", "1")):
+        yield ("sweep", "--topology", top, "--nx", str(nx), "--ny", str(ny), "--ty", ty,
+               "--sectors", sectors, "--f-steps", "13", "--plot", PLOT)
+    yield (*ACCEPTANCE, "--plot", PLOT)
+    yield ("sweep", "--nx", "8", "--ny", "3", "--f-steps", "5", "--solver", "lanczos",
+           "--tol", "1e-300", "--plot", PLOT)
+    for f_min, f_max in (("1", "1.0000000000000002"), ("0", "5e-324")):
+        yield ("sweep", "--nx", "6", "--ny", "3", "--f-min", f_min, "--f-max", f_max,
+               "--f-steps", "3")
+    yield ("sweep", "--nx", "6", "--ny", "3", "--f-steps", "3", "--f-mi", "-1e-05")
+    yield ("holonomy", "--tx", "-2e-1")
+    yield ("sweep", "--nx", "-1e5")
 
 
 def run(main, argv) -> tuple:
@@ -90,10 +108,15 @@ def main(root: str) -> None:
         os.chdir(tmp)
         Path(BOM_CONFIG[0]).write_text(BOM_CONFIG[1], encoding="utf-8")
         for argv in commands():
+            Path(PLOT).unlink(missing_ok=True)
             code, out, err = run(cli_main, argv)
             if argv[0] == "verify":
                 out = re.sub(r"\[[0-9.]+s\]", "[s]", out)
-            digest = hashlib.sha256(f"{code}\n{out}\n{err}".encode()).hexdigest()
+            text = f"{code}\n{out}\n{err}"
+            if PLOT in argv:
+                text += "\n" + (Path(PLOT).read_text(encoding="utf-8") if Path(PLOT).exists()
+                                else "no plot file")
+            digest = hashlib.sha256(text.encode()).hexdigest()
             print(digest, " ".join(argv), flush=True)
             if argv == ACCEPTANCE:
                 csv = out
