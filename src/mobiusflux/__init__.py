@@ -55,6 +55,7 @@ from .hamiltonian import (
     restrict,
     ring_spectrum_oracle,
     sector_isometry,
+    sector_pencil,
 )
 from .lattice import (
     ANNULUS,

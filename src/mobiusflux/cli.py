@@ -39,10 +39,9 @@ from .gauge import uniform_flux_field, wilson_loop
 from .hamiltonian import (
     FULL,
     SECTORS,
-    FluxPencil,
     HoppingParams,
     assemble,
-    sector_isometry,
+    sector_pencil,
 )
 from .lattice import (
     TOPOLOGIES,
@@ -178,7 +177,7 @@ def cmd_spectrum(run: Run, args: argparse.Namespace, stdout) -> int:
     if sector == FULL:
         h = assemble(run.lattice, uniform_flux_field(run.lattice, run.config.f), run.hop)
     else:  # the sweep's operator, so both print the same e0
-        h = FluxPencil(sector_isometry(run.lattice, sector), run.hop).at(run.config.f)
+        h = sector_pencil(run.lattice, sector, run.hop).at(run.config.f)
     result = solve(h, run.solver)
     stdout.write("index,eigenvalue,residual\n")
     for idx, (val, res) in enumerate(zip(result.values, result.residuals)):
@@ -207,13 +206,8 @@ def parse_sweep_csv(text: str) -> list:
         cells = line.split(",")
         if len(cells) != len(header):
             raise ConfigError(f"CSV line {lineno}: {len(cells)} cells, header has {len(header)}")
-        row = {}
-        for col, cell in zip(header, cells):
-            if col == "status":
-                row[col] = cell
-            else:
-                row[col] = float(cell) if cell else None
-        rows.append(row)
+        rows.append({col: cell if col == "status" else float(cell) if cell else None
+                     for col, cell in zip(header, cells)})
     return rows
 
 
@@ -292,11 +286,10 @@ def cmd_holonomy(run: Run, args: argparse.Namespace, stdout) -> int:
 
 def cmd_verify(run: Run, args: argparse.Namespace, stdout) -> int:
     results = run_verification(seed=run.config.seed, broken_seam=args.broken_seam)
-    all_passed = True
     for res in results:
         status = "PASS" if res.passed else "FAIL"
-        all_passed &= res.passed
         stdout.write(f"{status} {res.name}: {res.detail} [{res.seconds:.2f}s]\n")
+    all_passed = all(res.passed for res in results)
     stdout.write(f"{'all checks passed' if all_passed else 'SUITE FAILED'}\n")
     return EXIT_OK if all_passed else EXIT_COMPUTE
 

@@ -71,7 +71,9 @@ class EigenResult:
         return len(self.values)
 
     def lowest(self, k: int) -> "EigenResult":
-        return EigenResult(self.values[:k], self.vectors[:, :k], self.residuals[:k])
+        """The k lowest values, with their vectors and residuals where they were solved."""
+        return EigenResult(*(a if a is None else a[..., :k]
+                             for a in (self.values, self.vectors, self.residuals)))
 
 
 def _finalize(h: SparseHermitian, values: np.ndarray, vectors: np.ndarray) -> EigenResult:

@@ -1,11 +1,12 @@
 """Flux-sweep experiments: quantization minima, nodal states, currents.
 
-``flux_sweep`` solves each requested sector's ``FluxPencil`` on a flux
-grid and records ground energies, the gap, the ground state's amplitude
-on the center row and the persistent current -dE0/df.  ``detect_minima``
-locates the quantization values: the even sector dips at integers, the
-odd (nodal) sector at half-odd integers.  ``annulus_equivalence_check``
-and ``ladder_periodicity_test`` check them against exact identities.
+``flux_sweep`` solves each requested sector's ``sector_pencil`` on a
+flux grid and records ground energies, the gap, the ground state's
+amplitude on the center row and the persistent current -dE0/df.
+``detect_minima`` locates the quantization values: the even sector dips
+at integers, the odd (nodal) sector at half-odd integers.
+``annulus_equivalence_check`` and ``ladder_periodicity_test`` check them
+against exact identities.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,11 +24,11 @@ from .hamiltonian import (
     EVEN,
     FULL,
     ODD,
-    FluxPencil,
     HoppingParams,
     assemble,
     restrict,
     sector_isometry,
+    sector_pencil,
 )
 from .lattice import ANNULUS, StripLattice, build_lattice
 
@@ -56,13 +56,8 @@ class SweepConfig:
                              f"f_steps = {self.f_steps} distinct doubles")
         if not self.sectors:
             raise ValueError("at least one sector must be requested")
-        self._isometries  # raises on unknown or nonexistent sectors
-
-    @cached_property
-    def _isometries(self) -> dict:
-        """Each requested sector's basis: validation builds it once, and the sweep reuses it."""
-        return {sector: sector_isometry(self.lattice, sector)
-                for sector in dict.fromkeys(self.sectors)}
+        for sector in self.sectors:  # raises on unknown or nonexistent sectors
+            sector_isometry(self.lattice, sector)
 
     def f_values(self) -> np.ndarray:
         return np.linspace(self.f_min, self.f_max, self.f_steps)
@@ -97,6 +92,9 @@ _UNIQUE_GAP = 1e-8
 def flux_sweep(cfg: SweepConfig) -> list:
     """Run the sweep; solver failures mark the record failed and continue.
 
+    Each sector's pencil is ``sector_pencil``'s, cached per process, so a
+    sweep builds none that an earlier sweep of the band and hopping built:
+    a repeated sweep pays only for ``at(f)`` and the solves.
     The full sector asks the solver for min(k, 2) pairs, all that its
     columns read (e0, the gap and the ground vector); a parity sector asks
     for k values and no vectors, so that its e0 is bit for bit the one
@@ -108,7 +106,7 @@ def flux_sweep(cfg: SweepConfig) -> list:
     only whatever vector LAPACK returns, and with k = 1 the gap is unknown.
     """
     lat = cfg.lattice
-    pencils = {sector: FluxPencil(iso, cfg.hop) for sector, iso in cfg._isometries.items()}
+    pencils = {sector: sector_pencil(lat, sector, cfg.hop) for sector in dict.fromkeys(cfg.sectors)}
     full_solver = dataclasses.replace(cfg.solver, k=min(cfg.solver.k, 2))
     records = []
     for f in cfg.f_values():

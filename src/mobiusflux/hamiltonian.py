@@ -6,6 +6,8 @@ store; ``assemble`` builds the site-basis operator on a link layout held
 per lattice, ``sector_isometry`` gives the real mirror basis of a
 reflection-parity sector, ``restrict`` projects onto it, and
 ``FluxPencil`` evaluates a sector's uniform-flux operator at any flux.
+``sector_isometry`` and ``sector_pencil`` keep what they build in a cache
+per process, read-only, so a band's bases and pencils are built once.
 """
 
 from __future__ import annotations
@@ -245,6 +247,13 @@ def _link_layout(lat: StripLattice) -> tuple:
     return _Pattern.of(keys[order], n), order
 
 
+def _frozen(m):
+    """The sparse matrix m with its arrays made read-only, so that every holder may share it."""
+    for arr in (m.data, m.indices, m.indptr):
+        arr.setflags(write=False)
+    return m
+
+
 def ring_spectrum_oracle(nx: int, f: float) -> np.ndarray:
     """Closed-form spectrum of the single-row ring at tx = 1.
 
@@ -267,7 +276,8 @@ class SectorIsometry:
     that Theta = M K fixes each one.  Each column touches at most four
     sites, so orthonormality holds to round-off.  ``matrix`` is the CSC
     form; its CSR form and its adjoint, which the sector projection
-    multiplies with, are built once, on first use.
+    multiplies with, are built once, on first use, and read-only, as is
+    the CSC form of a basis ``sector_isometry`` builds.
     """
 
     lattice: StripLattice
@@ -280,18 +290,34 @@ class SectorIsometry:
 
     @functools.cached_property
     def csr(self) -> sp.csr_matrix:
-        return self.matrix.tocsr()
+        return _frozen(self.matrix.tocsr())
 
     @functools.cached_property
     def adjoint(self) -> sp.csr_matrix:
         """B^dagger, CSR: the transpose of the conjugated CSC arrays."""
-        return self.matrix.conj().T
+        return _frozen(self.matrix.conj().T)
 
     def embed(self, vec: np.ndarray) -> np.ndarray:
         """Map a sector vector back to the full site basis."""
         return self.csr @ vec
 
 
+def _per_process(build):
+    """``build(lat, sector, ...)`` cached per process, like ``_link_layout``, behind the one
+    check of ``sector``: an unknown or unhashable name raises ValueError before any lookup."""
+    cached = functools.lru_cache(maxsize=16)(build)
+
+    @functools.wraps(build)
+    def checked(lat: StripLattice, sector: str, *args):
+        if sector not in SECTORS:
+            raise ValueError(f"sector must be one of {SECTORS}, got {sector!r}")
+        return cached(lat, sector, *args)
+
+    checked.cache_clear, checked.cache_info = cached.cache_clear, cached.cache_info
+    return checked
+
+
+@_per_process
 def sector_isometry(lat: StripLattice, sector: str) -> SectorIsometry:
     """Isometry onto a sector ("full", "even" or "odd") whose columns Theta = M K fixes.
 
@@ -306,11 +332,11 @@ def sector_isometry(lat: StripLattice, sector: str) -> SectorIsometry:
     Odd-sector states vanish on the center row: the nodal states on the
     middle circle.
 
-    Raises LatticeError where a parity sector does not exist: ny even (no
-    center row), or the odd sector of a one-row strip, which is empty.
+    Raises ValueError for a name not in ``SECTORS``, and LatticeError
+    where a parity sector does not exist: ny even (no center row), or the
+    odd sector of a one-row strip, which is empty.  The basis is built once
+    per lattice and sector in a process, and shared read-only.
     """
-    if sector not in SECTORS:
-        raise ValueError(f"sector must be one of {SECTORS}, got {sector!r}")
     nx, n = lat.nx, lat.n_sites
     grid = np.arange(n).reshape(nx, lat.ny)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
@@ -340,7 +366,7 @@ def sector_isometry(lat: StripLattice, sector: str) -> SectorIsometry:
     w = sp.coo_matrix((np.concatenate([s, s, 1j * s, -1j * s, np.ones(np.count_nonzero(fixed))]),
                        (np.concatenate([lo, hi, lo, hi, p[fixed]]),
                         np.concatenate([lo, lo, hi, hi, p[fixed]]))), shape=(p.size, p.size))
-    return SectorIsometry(lattice=lat, parity=sector, matrix=b @ w.tocsc())
+    return SectorIsometry(lattice=lat, parity=sector, matrix=_frozen(b @ w.tocsc()))
 
 
 def restrict(h: SparseHermitian, iso: SectorIsometry) -> SparseHermitian:
@@ -408,3 +434,12 @@ class FluxPencil:
         data = r + math.cos(phi) * x + math.sin(phi) * y
         _entry_size(data)
         return self._pattern.store(data)
+
+
+@_per_process
+def sector_pencil(lat: StripLattice, sector: str, hop: HoppingParams) -> FluxPencil:
+    """``FluxPencil(sector_isometry(lat, sector), hop)``, cached, its data read-only: built
+    once per band, sector and hopping, whatever number of sweeps solves it."""
+    pencil = FluxPencil(sector_isometry(lat, sector), hop)
+    pencil._data.setflags(write=False)
+    return pencil

@@ -137,12 +137,9 @@ def check_gauge_invariance(rng, broken_seam=False) -> tuple:
     for _ in range(20):
         field = uniform_flux_field(lat, float(rng.uniform(-2, 2)))
         transformed = apply_gauge_transform(field, random_gauge_transform(lat, rng))
-        loops = [center_loop(lat), offset_loop(lat, 0), random_class2_loop(lat, rng)]
-        for loop in loops:
-            dev = _angles_equal_mod(
-                wilson_loop(field, loop).angle, wilson_loop(transformed, loop).angle
-            )
-            worst = max(worst, dev)
+        for loop in (center_loop(lat), offset_loop(lat, 0), random_class2_loop(lat, rng)):
+            worst = max(worst, _angles_equal_mod(wilson_loop(field, loop).angle,
+                                                 wilson_loop(transformed, loop).angle))
     return _verdict("max angle shift mod 2pi", worst, ANGLE_TOL)
 
 

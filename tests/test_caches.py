@@ -1,0 +1,97 @@
+"""The per-process caches of sector bases and flux pencils: same bytes, read-only, bounded."""
+
+import re
+
+import pytest
+
+from mobiusflux import cli
+from mobiusflux.eigensolver import SolverConfig
+from mobiusflux.experiments import SweepConfig, flux_sweep
+from mobiusflux.hamiltonian import (
+    EVEN,
+    ODD,
+    FluxPencil,
+    HoppingParams,
+    sector_isometry,
+    sector_pencil,
+)
+from mobiusflux.lattice import MOEBIUS, build_lattice
+
+SMALL_SWEEP = ("sweep", "--nx", "6", "--ny", "3", "--f-steps", "5")
+ODD_SPECTRUM = ("spectrum", "--nx", "6", "--ny", "3", "--f", "0.3", "--sectors", "odd")
+# ty 0 and -0.0 build equal HoppingParams, one cache key; the broken seam is a lattice of its own
+COMMANDS = [
+    (*SMALL_SWEEP, "--ty", "0"),
+    (*SMALL_SWEEP, "--ty", "-0.0"),
+    (*ODD_SPECTRUM, "--ty", "0"),
+    (*ODD_SPECTRUM, "--ty", "-0.0"),
+    ("spectrum", "--nx", "6", "--ny", "3", "--f", "0.3", "--sectors", "even"),
+    ("sweep", "--ty", "0.01", "--solver", "dense", "--f-steps", "13"),
+    ("verify", "--broken-seam"),
+]
+
+
+def clear_caches():
+    sector_isometry.cache_clear()
+    sector_pencil.cache_clear()
+
+
+def run(capsys, argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, re.sub(r"\[[0-9.]+s\]", "[s]", captured.out), captured.err
+
+
+def test_one_process_prints_the_same_bytes_in_any_order(capsys):
+    cold = []
+    for argv in COMMANDS:
+        clear_caches()
+        cold.append(run(capsys, argv))
+    clear_caches()
+    forward = [run(capsys, argv) for argv in COMMANDS]
+    backward = [run(capsys, argv) for argv in reversed(COMMANDS)][::-1]
+    assert forward == cold
+    assert backward == cold
+    assert cold[0] == cold[1] and cold[2] == cold[3]
+    assert [code for code, _, _ in cold] == [0] * 6 + [1]
+
+
+def test_cached_bases_and_pencils_are_read_only():
+    lat, hop = build_lattice(6, 3, MOEBIUS), HoppingParams()
+    pencil = sector_pencil(lat, ODD, hop)
+    iso = sector_isometry(lat, ODD)
+    assert pencil.iso is iso and sector_pencil(lat, ODD, HoppingParams(ty=1)) is pencil
+    before = pencil.at(0.3).csr.toarray()
+    arrays = [getattr(m, name) for m in (iso.matrix, iso.csr, iso.adjoint)
+              for name in ("data", "indices", "indptr")]
+    for arr in arrays + [pencil._data]:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    assert (pencil.at(0.3).csr.toarray() == before).all()
+    # a pencil built by hand is the caller's own, and never enters a cache
+    own = FluxPencil(iso, hop)
+    own._data[1] = 0.0
+    assert sector_pencil(lat, ODD, hop) is pencil and (pencil.at(0.3).csr.toarray() == before).all()
+
+
+def test_caches_hold_at_most_their_maxsize_entries():
+    clear_caches()
+    solver = SolverConfig(k=2, method="dense")
+    for nx in range(3, 23):
+        flux_sweep(SweepConfig(build_lattice(nx, 3, MOEBIUS), HoppingParams(), f_steps=2,
+                               solver=solver))
+    for cache in (sector_isometry, sector_pencil):
+        info = cache.cache_info()
+        assert info.misses == 60
+        assert info.currsize <= info.maxsize == 16
+
+
+@pytest.mark.parametrize("sector", ["left", ["odd"], {"odd": 1}])
+def test_an_unknown_or_unhashable_sector_is_a_value_error(sector):
+    lat = build_lattice(6, 3, MOEBIUS)
+    with pytest.raises(ValueError, match="sector must be one of"):
+        sector_isometry(lat, sector)
+    with pytest.raises(ValueError, match="sector must be one of"):
+        sector_pencil(lat, sector, HoppingParams())
+    with pytest.raises(ValueError, match="sector must be one of"):
+        SweepConfig(lat, HoppingParams(), sectors=(EVEN, sector))

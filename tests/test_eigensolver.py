@@ -154,6 +154,18 @@ def test_dense_values_only_are_the_vector_solves_values_bit_for_bit(h, k):
                           values.values)
 
 
+def test_lowest_of_a_values_only_result_slices_the_values():
+    # it sliced vectors[:, :k] on a result that holds none: 'NoneType' is not subscriptable
+    h = moebius_operator(12, 5, 0.3)
+    values = dense_eigh(h, 4, values_only=True).lowest(2)
+    assert (values.vectors, values.residuals) == (None, None)
+    assert values.values.tobytes() == dense_eigh(h, 4, values_only=True).values[:2].tobytes()
+    pairs, both = dense_eigh(h, 4), dense_eigh(h, 4).lowest(2)
+    for got, want in zip((both.values, both.vectors, both.residuals),
+                         (pairs.values[:2], pairs.vectors[:, :2], pairs.residuals[:2])):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_values_only_leaves_the_lanczos_route_its_pairs():
     h = moebius_operator(12, 5, 0.3)
     cfg = SolverConfig(k=4, seed=1, method="lanczos")

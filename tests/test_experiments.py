@@ -29,6 +29,7 @@ from mobiusflux.hamiltonian import (
     assemble,
     restrict,
     sector_isometry,
+    sector_pencil,
 )
 from mobiusflux.lattice import ANNULUS, MOEBIUS, build_lattice
 
@@ -72,17 +73,16 @@ def test_sweep_config_validation():
 
 
 @pytest.mark.parametrize("sectors", [(FULL, EVEN, ODD), (ODD, EVEN, ODD), (EVEN,)])
-def test_sweep_builds_each_sector_basis_once(monkeypatch, sectors):
-    calls = []
-
-    def counting(lat, sector):
-        calls.append(sector)
-        return sector_isometry(lat, sector)
-
-    monkeypatch.setattr(experiments, "sector_isometry", counting)
-    records = flux_sweep(small_sweep(f_steps=5, sectors=sectors))
-    assert len(records) == 5
-    assert sorted(calls) == sorted(set(sectors))
+def test_sweep_builds_each_sector_basis_once(sectors):
+    # each (lattice, sector) basis and pencil is built at most once per process: counted
+    # as the caches' misses over two sweeps of one band
+    sector_isometry.cache_clear()
+    sector_pencil.cache_clear()
+    for _ in range(2):
+        records = flux_sweep(small_sweep(f_steps=5, sectors=sectors))
+        assert len(records) == 5
+    assert sector_isometry.cache_info().misses == len(set(sectors))
+    assert sector_pencil.cache_info().misses == len(set(sectors))
 
 
 def test_sweep_config_rejects_empty_odd_sector():
@@ -229,7 +229,7 @@ def test_full_sector_asks_for_two_pairs_whatever_k(topology):
     cfg = small_sweep(nx=48, ny=9, topology=topology, ty=0.01, f_min=0.3, f_max=0.6, f_steps=7)
     six, two, one = (flux_sweep(dataclasses.replace(cfg, solver=SolverConfig(k=k, method="dense")))
                      for k in (6, 2, 1))
-    iso = cfg._isometries[FULL]
+    iso = sector_isometry(cfg.lattice, FULL)
     pencil = FluxPencil(iso, cfg.hop)
     both = 0
     for a, b, c in zip(six, two, one):

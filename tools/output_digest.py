@@ -9,7 +9,10 @@ command's exit code, stdout and stderr, with ``verify``'s ``[...s]``
 timings stripped, and of the SVG file a ``--plot`` command writes, then
 the command; the last line is the sha256 of the default acceptance
 sweep's CSV.  Two checkouts give the same outputs when their digests
-match line for line.
+match line for line.  As one process runs all 2,615 commands, on
+interleaved lattices, sectors and hoppings, the run also checks that the
+per-process caches of sector bases and flux pencils (``sector_isometry``,
+``sector_pencil``) leave every output as a fresh process would print it.
 """
 
 import os
@@ -37,7 +40,7 @@ BOM_CONFIG = ("bom.cfg", "\ufeffnx = 8\nny = 3\nf_steps = 5\n")  # a config file
 
 def commands():
     """The command set: 2,304 spectra, 96 sweeps, 8 spectra at n = 1200, the acceptance sweep,
-    12 verify runs (seeds 1 to 8 put more random walks, lifts and Stokes pairs through the
+    11 verify runs (seeds 1 to 8 put more random walks, lifts and Stokes pairs through the
     loop layer), 144 holonomy runs, four commands given a key they do not read, three
     negative float values in exponent form, a config file with a byte-order mark, 38 plot
     sweeps (the acceptance sweep and one whose every point fails among them), two flux
@@ -56,7 +59,6 @@ def commands():
         yield ("spectrum", "--topology", top, "--nx", "48", "--ny", "25", "--ty", ty, "--f", f)
     yield ACCEPTANCE
     yield ("verify",)
-    yield ("verify", "--seed", "7")
     yield ("verify", "--broken-seam")
     for seed in range(1, 9):
         yield ("verify", "--seed", str(seed))
