@@ -166,7 +166,7 @@ def _fmt(value) -> str:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_spectrum(run: Run, args: argparse.Namespace, stdout) -> int:
+def cmd_spectrum(run: Run, args: argparse.Namespace) -> int:
     sectors = run.config.sector_list()  # one name, which sector_isometry checks, or several
     if len(sectors) != 1 and (FULL not in sectors or not set(sectors) <= set(SECTORS)):
         raise ConfigError(f"spectrum needs a single sector, or 'full' among {SECTORS}, "
@@ -179,9 +179,9 @@ def cmd_spectrum(run: Run, args: argparse.Namespace, stdout) -> int:
     else:  # the sweep's operator, so both print the same e0
         h = sector_pencil(run.lattice, sector, run.hop).at(run.config.f)
     result = solve(h, run.solver)
-    stdout.write("index,eigenvalue,residual\n")
+    print("index,eigenvalue,residual")
     for idx, (val, res) in enumerate(zip(result.values, result.residuals)):
-        stdout.write(f"{idx},{_fmt(float(val))},{_fmt(float(res))}\n")
+        print(f"{idx},{_fmt(float(val))},{_fmt(float(res))}")
     return EXIT_OK
 
 
@@ -224,7 +224,7 @@ def _claim_output(path: str) -> bool:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def cmd_sweep(run: Run, args: argparse.Namespace, stdout) -> int:
+def cmd_sweep(run: Run, args: argparse.Namespace) -> int:
     config = run.config
     sweep_cfg = SweepConfig(
         lattice=run.lattice,
@@ -253,7 +253,7 @@ def cmd_sweep(run: Run, args: argparse.Namespace, stdout) -> int:
     if config.out:
         Path(config.out).write_text(csv_text, encoding="utf-8", newline="\n")
     else:
-        stdout.write(csv_text)
+        sys.stdout.write(csv_text)
     if config.plot:
         Path(config.plot).write_text(render_sweep_svg(records), encoding="utf-8", newline="\n")
     failed = sum(1 for rec in records if rec.status != "ok")
@@ -263,7 +263,7 @@ def cmd_sweep(run: Run, args: argparse.Namespace, stdout) -> int:
     return EXIT_OK
 
 
-def cmd_holonomy(run: Run, args: argparse.Namespace, stdout) -> int:
+def cmd_holonomy(run: Run, args: argparse.Namespace) -> int:
     lat, loop_spec = run.lattice, args.loop
     if loop_spec == "center":
         loop = center_loop(lat)
@@ -277,24 +277,24 @@ def cmd_holonomy(run: Run, args: argparse.Namespace, stdout) -> int:
         raise ConfigError(f"loop selector must be 'center' or 'offset=<j>', got {loop_spec!r}")
     result = wilson_loop(uniform_flux_field(lat, run.config.f), loop)
     cls = homology_class(lat, loop)
-    stdout.write(f"homology_class {cls}\n")
-    stdout.write(f"wilson_angle {_fmt(result.angle)}\n")
-    stdout.write(f"holonomy_re {_fmt(result.holonomy.real)}\n")
-    stdout.write(f"holonomy_im {_fmt(result.holonomy.imag)}\n")
+    print(f"homology_class {cls}")
+    print(f"wilson_angle {_fmt(result.angle)}")
+    print(f"holonomy_re {_fmt(result.holonomy.real)}")
+    print(f"holonomy_im {_fmt(result.holonomy.imag)}")
     return EXIT_OK
 
 
-def cmd_verify(run: Run, args: argparse.Namespace, stdout) -> int:
+def cmd_verify(run: Run, args: argparse.Namespace) -> int:
     results = run_verification(seed=run.config.seed, broken_seam=args.broken_seam)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
-        stdout.write(f"{status} {res.name}: {res.detail} [{res.seconds:.2f}s]\n")
+        print(f"{status} {res.name}: {res.detail} [{res.seconds:.2f}s]")
     all_passed = all(res.passed for res in results)
-    stdout.write(f"{'all checks passed' if all_passed else 'SUITE FAILED'}\n")
+    print("all checks passed" if all_passed else "SUITE FAILED")
     return EXIT_OK if all_passed else EXIT_COMPUTE
 
 
-# handler(run, args, stdout) -> exit code; keys: the keys the command reads, in flag order
+# handler(run, args) -> exit code; keys: the keys the command reads, in flag order
 Command = NamedTuple("Command", [("handler", object), ("help", str), ("keys", tuple)])
 
 
@@ -373,9 +373,8 @@ def _join_float_values(argv: list) -> list:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
-    stdout = sys.stdout
     try:
-        return _COMMANDS[args.command].handler(build_config(args), args, stdout)
+        return _COMMANDS[args.command].handler(build_config(args), args)
     except (NoConvergenceError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE

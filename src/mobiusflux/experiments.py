@@ -161,8 +161,6 @@ class QuantizationReport:
     ``skipped`` holds the f values of the failed records left out.
     """
 
-    column: str
-    mode: str
     minima_f: tuple
     nearest_allowed: tuple
     distances: tuple
@@ -223,8 +221,6 @@ def detect_minima(records: Sequence[SweepRecord], column: str,
     nearest = [unit * round(fm / unit) for fm in minima]
     dists = [abs(fm - nf) for fm, nf in zip(minima, nearest)]
     return QuantizationReport(
-        column=column,
-        mode=mode,
         minima_f=tuple(minima),
         nearest_allowed=tuple(nearest),
         distances=tuple(dists),
@@ -247,7 +243,6 @@ def max_deviation(a: np.ndarray, b: np.ndarray) -> float:
 class LadderPeriodicity:
     """Spectral periodicity of the two-row moebius ladder in flux."""
 
-    ty: float
     max_dev_half_period: float
     max_dev_full_period: float
     period: float  # 0.5 or 1.0, the smallest period matched to tolerance
@@ -270,9 +265,8 @@ def ladder_periodicity_test(lat: StripLattice, f_values: Sequence[float],
         dev_half = max(dev_half, max_deviation(uniform_spectrum(lat, f + 0.5, hop), base))
         dev_full = max(dev_full, max_deviation(uniform_spectrum(lat, f + 1.0, hop), base))
     period = 0.5 if dev_half <= 1e-10 else (1.0 if dev_full <= 1e-10 else float("inf"))
-    return LadderPeriodicity(
-        ty=ty, max_dev_half_period=dev_half, max_dev_full_period=dev_full, period=period
-    )
+    return LadderPeriodicity(max_dev_half_period=dev_half, max_dev_full_period=dev_full,
+                             period=period)
 
 
 def annulus_equivalence_check(band: StripLattice, f_values: Sequence[float]) -> float:

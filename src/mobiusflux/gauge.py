@@ -52,10 +52,15 @@ def reduce_angle(angle: float) -> float:
     return r
 
 
-def _locked(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.setflags(write=False)
-    return out
+def _locked(obj, name: str, shape: tuple) -> None:
+    """Store obj's array called name as a read-only float copy of the given shape, all finite."""
+    arr = np.array(getattr(obj, name), dtype=float)
+    if arr.shape != shape:
+        raise GaugeError(f"{name} shape {arr.shape} != {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise GaugeError(f"{name} must be finite")
+    arr.setflags(write=False)
+    object.__setattr__(obj, name, arr)
 
 
 @dataclass(frozen=True)
@@ -73,16 +78,8 @@ class GaugeField:
 
     def __post_init__(self):
         nx, ny = self.lattice.nx, self.lattice.ny
-        tx = _locked(self.theta_x)
-        ty = _locked(self.theta_y)
-        if tx.shape != (nx, ny):
-            raise GaugeError(f"theta_x shape {tx.shape} != {(nx, ny)}")
-        if ty.shape != (nx, ny - 1):
-            raise GaugeError(f"theta_y shape {ty.shape} != {(nx, ny - 1)}")
-        if not (np.all(np.isfinite(tx)) and np.all(np.isfinite(ty))):
-            raise GaugeError("link angles must be finite")
-        object.__setattr__(self, "theta_x", tx)
-        object.__setattr__(self, "theta_y", ty)
+        _locked(self, "theta_x", (nx, ny))
+        _locked(self, "theta_y", (nx, ny - 1))
 
 
 @dataclass(frozen=True)
@@ -93,12 +90,7 @@ class GaugeTransform:
     chi: np.ndarray
 
     def __post_init__(self):
-        chi = _locked(self.chi)
-        if chi.shape != (self.lattice.nx, self.lattice.ny):
-            raise GaugeError(f"chi shape {chi.shape} != {(self.lattice.nx, self.lattice.ny)}")
-        if not np.all(np.isfinite(chi)):
-            raise GaugeError("chi must be finite")
-        object.__setattr__(self, "chi", chi)
+        _locked(self, "chi", (self.lattice.nx, self.lattice.ny))
 
 
 def uniform_flux_angle(lat: StripLattice, f: float) -> float:

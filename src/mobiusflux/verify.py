@@ -4,8 +4,8 @@ Every check is self-contained on a fixed small lattice, draws any
 randomness from an explicit generator, and returns a pass/fail verdict
 with the measured worst deviation.  The suite accepts a deliberately
 broken seam rule (lattice hook) so its own sensitivity can be tested:
-with the seam flip disabled the homology, equivalence, ladder and Stokes
-checks must fail.
+with the seam flip disabled the gauge-invariance, homology, equivalence,
+ladder and Stokes checks must fail.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .experiments import (
     uniform_spectrum,
 )
 from .gauge import (
+    GaugeField,
     GaugeTransform,
     add_face_flux,
     apply_gauge_transform,
@@ -108,6 +109,12 @@ def random_gauge_transform(lat: StripLattice, rng: np.random.Generator) -> Gauge
     return GaugeTransform(lattice=lat, chi=rng.uniform(-math.pi, math.pi, (lat.nx, lat.ny)))
 
 
+def _random_flat_field(lat: StripLattice, rng: np.random.Generator) -> GaugeField:
+    """A uniform field of random flux in [-2, 2) under a random gauge transform."""
+    return apply_gauge_transform(uniform_flux_field(lat, float(rng.uniform(-2, 2))),
+                                 random_gauge_transform(lat, rng))
+
+
 def _angles_equal_mod(a: float, b: float) -> float:
     return abs(reduce_angle(a - b))
 
@@ -121,17 +128,16 @@ def _verdict(what: str, worst: float, tol: float) -> tuple:
 # individual checks
 # ---------------------------------------------------------------------------
 
-def check_flatness(rng, broken_seam=False) -> tuple:
+def check_flatness(rng, broken_seam) -> tuple:
     lat = _moebius(6, 5, broken_seam)
     worst = 0.0
     for _ in range(20):
-        field = uniform_flux_field(lat, float(rng.uniform(-2, 2)))
-        field = apply_gauge_transform(field, random_gauge_transform(lat, rng))
-        worst = max([worst, *(abs(reduce_angle(a)) for a in face_curvature(field).flat)])
+        curvature = face_curvature(_random_flat_field(lat, rng))
+        worst = max([worst, *(abs(reduce_angle(a)) for a in curvature.flat)])
     return _verdict("max |curvature|", worst, ANGLE_TOL)
 
 
-def check_gauge_invariance(rng, broken_seam=False) -> tuple:
+def check_gauge_invariance(rng, broken_seam) -> tuple:
     lat = _moebius(6, 5, broken_seam)
     worst = 0.0
     for _ in range(20):
@@ -143,14 +149,11 @@ def check_gauge_invariance(rng, broken_seam=False) -> tuple:
     return _verdict("max angle shift mod 2pi", worst, ANGLE_TOL)
 
 
-def check_homology_invariance(rng, broken_seam=False) -> tuple:
+def check_homology_invariance(rng, broken_seam) -> tuple:
     lat = _moebius(6, 5, broken_seam)
     worst = 0.0
     for _ in range(10):
-        field = apply_gauge_transform(
-            uniform_flux_field(lat, float(rng.uniform(-2, 2))),
-            random_gauge_transform(lat, rng),
-        )
+        field = _random_flat_field(lat, rng)
         l1 = random_class2_loop(lat, rng)
         l2 = random_class2_loop(lat, rng)
         if homology_class(lat, l1) != homology_class(lat, l2):
@@ -160,7 +163,7 @@ def check_homology_invariance(rng, broken_seam=False) -> tuple:
     return _verdict("max homologous angle gap", worst, ANGLE_TOL)
 
 
-def check_loop_doubling(rng, broken_seam=False) -> tuple:
+def check_loop_doubling(rng, broken_seam) -> tuple:
     lat = _moebius(6, 5, broken_seam)
     cloop, oloop = center_loop(lat), offset_loop(lat, 0)
     exact = 0
@@ -171,21 +174,21 @@ def check_loop_doubling(rng, broken_seam=False) -> tuple:
     return exact == 20, f"bit-exact doubling in {exact}/20 random fluxes"
 
 
-def check_flux_periodicity(rng, broken_seam=False) -> tuple:
+def check_flux_periodicity(rng, broken_seam) -> tuple:
     lat, hop = _moebius(6, 5, broken_seam), HoppingParams()
     worst = max(max_deviation(uniform_spectrum(lat, f, hop), uniform_spectrum(lat, f + 1.0, hop))
                 for f in (float(rng.uniform(-1, 1)), 0.0, 0.3))
     return _verdict("max |E(f)-E(f+1)|", worst, SPECTRUM_TOL)
 
 
-def check_reflection_symmetry(rng, broken_seam=False) -> tuple:
+def check_reflection_symmetry(rng, broken_seam) -> tuple:
     lat, hop = _moebius(6, 5, broken_seam), HoppingParams()
     worst = max(max_deviation(uniform_spectrum(lat, f, hop), uniform_spectrum(lat, -f, hop))
                 for f in (float(rng.uniform(0, 1)), 0.25))
     return _verdict("max |E(f)-E(-f)|", worst, SPECTRUM_TOL)
 
 
-def check_sector_completeness(rng, broken_seam=False) -> tuple:
+def check_sector_completeness(rng, broken_seam) -> tuple:
     lat, hop = _moebius(6, 5, broken_seam), HoppingParams()
     worst = 0.0
     for f in (0.0, float(rng.uniform(0, 1))):
@@ -195,12 +198,12 @@ def check_sector_completeness(rng, broken_seam=False) -> tuple:
     return _verdict("max |sort(even+odd) - full|", worst, SPECTRUM_TOL)
 
 
-def check_annulus_equivalence(rng, broken_seam=False) -> tuple:
+def check_annulus_equivalence(rng, broken_seam) -> tuple:
     worst = annulus_equivalence_check(_moebius(6, 5, broken_seam), (0.0, 0.3, 0.5))
     return _verdict("max odd-vs-annulus deviation", worst, SPECTRUM_TOL)
 
 
-def check_ladder_periodicity(rng, broken_seam=False) -> tuple:
+def check_ladder_periodicity(rng, broken_seam) -> tuple:
     lat = _moebius(12, 2, broken_seam)
     decoupled = ladder_periodicity_test(lat, np.linspace(0.0, 1.0, 5), ty=0.0)
     coupled = ladder_periodicity_test(lat, (0.0,), ty=1.0)
@@ -211,14 +214,11 @@ def check_ladder_periodicity(rng, broken_seam=False) -> tuple:
     )
 
 
-def check_stokes_defect(rng, broken_seam=False) -> tuple:
+def check_stokes_defect(rng, broken_seam) -> tuple:
     lat = _moebius(6, 5, broken_seam)
     worst = 0.0
-    for trial in range(10):
-        flat = apply_gauge_transform(
-            uniform_flux_field(lat, float(rng.uniform(-2, 2))),
-            random_gauge_transform(lat, rng),
-        )
+    for _ in range(10):
+        flat = _random_flat_field(lat, rng)
         face = Site(int(rng.integers(0, lat.nx)), int(rng.integers(0, lat.ny - 1)))
         curved = add_face_flux(flat, face, 0.3)
         l1 = random_class2_loop(lat, rng)
@@ -228,7 +228,7 @@ def check_stokes_defect(rng, broken_seam=False) -> tuple:
     return _verdict("max |defect|", worst, ANGLE_TOL)
 
 
-def check_solver_cross_validation(rng, broken_seam=False) -> tuple:
+def check_solver_cross_validation(rng, broken_seam) -> tuple:
     lat = _moebius(12, 5, broken_seam)
     h = assemble(lat, uniform_flux_field(lat, 0.25), HoppingParams())
     reference = dense_eigh(h, 6).values
@@ -242,19 +242,12 @@ def check_solver_cross_validation(rng, broken_seam=False) -> tuple:
     return _verdict("max solver/oracle deviation", worst, CROSS_VALIDATION_TOL)
 
 
-CHECKS = (
-    ("flatness", check_flatness),
-    ("gauge_invariance", check_gauge_invariance),
-    ("homology_invariance", check_homology_invariance),
-    ("loop_doubling", check_loop_doubling),
-    ("flux_periodicity", check_flux_periodicity),
-    ("reflection_symmetry", check_reflection_symmetry),
-    ("sector_completeness", check_sector_completeness),
-    ("annulus_equivalence", check_annulus_equivalence),
-    ("ladder_periodicity", check_ladder_periodicity),
-    ("stokes_defect", check_stokes_defect),
-    ("solver_cross_validation", check_solver_cross_validation),
-)
+CHECKS = tuple((check.__name__.removeprefix("check_"), check) for check in (
+    check_flatness, check_gauge_invariance, check_homology_invariance, check_loop_doubling,
+    check_flux_periodicity, check_reflection_symmetry, check_sector_completeness,
+    check_annulus_equivalence, check_ladder_periodicity, check_stokes_defect,
+    check_solver_cross_validation,
+))
 
 
 def run_verification(seed: int = 12345, broken_seam: bool = False) -> list:
@@ -264,7 +257,7 @@ def run_verification(seed: int = 12345, broken_seam: bool = False) -> list:
         rng = np.random.default_rng(seed)
         start = time.perf_counter()
         try:
-            passed, detail = func(rng, broken_seam=broken_seam)
+            passed, detail = func(rng, broken_seam)
         except Exception as exc:  # a raising check is a failing check
             passed, detail = False, f"{type(exc).__name__}: {exc}"
         results.append(

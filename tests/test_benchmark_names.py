@@ -8,7 +8,8 @@ eigensolver function, where the traced run reads its dimension, or that
 moves or renames an argument or attribute a ``Tracer._after_*`` hook reads.
 ``perfbench/workloads.py``, which every run drives, is parsed, not run:
 each ``<layer>.<name>`` it reads must exist, and each keyword it passes
-must be a parameter of the callee.
+must be a parameter of the callee.  Each name in ``VERIFY_CHECKS`` must
+be a check of ``verify.CHECKS``, the table of every ``check_*`` function.
 """
 
 import ast
@@ -109,3 +110,13 @@ def test_every_name_the_workloads_read_exists_and_takes_their_keywords():
             continue
         for keyword in call.keywords:
             assert keyword.arg is None or keyword.arg in params, f"{where} takes no {keyword.arg!r}"
+
+
+def test_the_check_table_is_each_check_function_once_in_definition_order():
+    from mobiusflux import verify
+
+    defined = [(name.removeprefix("check_"), value) for name, value in vars(verify).items()
+               if name.startswith("check_") and inspect.isfunction(value)]
+    assert list(verify.CHECKS) == defined
+    # a subset: a new check needs no benchmark edit
+    assert set(_tracing().VERIFY_CHECKS) <= {name for name, _ in verify.CHECKS}

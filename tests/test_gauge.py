@@ -180,6 +180,42 @@ def test_gauge_transform_lattice_mismatch():
         apply_gauge_transform(uniform_flux_field(lat, 0.0), g)
 
 
+_ARRAY_SHAPES = {"theta_x": (6, 5), "theta_y": (6, 4), "chi": (6, 5)}
+
+
+def _with_array(name, value):
+    """A GaugeField or GaugeTransform on the 6 x 5 band whose array called name is value."""
+    lat = build_lattice(6, 5, MOEBIUS)
+    if name == "chi":
+        return GaugeTransform(lattice=lat, chi=value)
+    arrays = {key: np.zeros(_ARRAY_SHAPES[key]) for key in ("theta_x", "theta_y")}
+    return GaugeField(lattice=lat, **{**arrays, name: value})
+
+
+@pytest.mark.parametrize("name", list(_ARRAY_SHAPES))
+@pytest.mark.parametrize("bad", ["shape", np.nan, np.inf, -np.inf], ids=str)
+def test_a_gauge_array_of_a_wrong_shape_or_with_a_non_finite_entry_is_refused(name, bad):
+    if isinstance(bad, str):
+        value = np.zeros((5, 6))
+    else:
+        value = np.zeros(_ARRAY_SHAPES[name])
+        value[2, 1] = bad
+    with pytest.raises(GaugeError, match=rf"\b{name}\b"):
+        _with_array(name, value)
+
+
+@pytest.mark.parametrize("name", list(_ARRAY_SHAPES))
+@pytest.mark.parametrize("dtype", [int, float])
+def test_a_gauge_array_is_stored_as_a_read_only_float_copy(name, dtype):
+    given = np.ones(_ARRAY_SHAPES[name], dtype=dtype)
+    stored = getattr(_with_array(name, given), name)
+    assert stored.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        stored[0, 0] = 2.0
+    given[0, 0] = 7
+    assert np.all(stored == 1.0)
+
+
 def test_lift_field_preserves_loop_angles_and_flatness():
     lat = build_lattice(6, 5, MOEBIUS)
     corr = cut_complement_of_center(lat)
