@@ -40,7 +40,6 @@ from .hamiltonian import (
     FULL,
     SECTORS,
     HoppingParams,
-    assemble,
     sector_pencil,
 )
 from .lattice import (
@@ -172,13 +171,8 @@ def cmd_spectrum(run: Run, args: argparse.Namespace) -> int:
         raise ConfigError(f"spectrum needs a single sector, or 'full' among {SECTORS}, "
                           f"got {run.config.sectors!r}")
     sector = sectors[0] if len(sectors) == 1 else FULL
-    # the full sector stays in the site basis: at n = 1200, Lanczos on the mirror-basis
-    # block (8,252 nonzeros against 5,904, plus the restrict) ran 2-12% slower a solve
-    if sector == FULL:
-        h = assemble(run.lattice, uniform_flux_field(run.lattice, run.config.f), run.hop)
-    else:  # the sweep's operator, so both print the same e0
-        h = sector_pencil(run.lattice, sector, run.hop).at(run.config.f)
-    result = solve(h, run.solver)
+    # the sweep's operator for every sector, so both print the same e0 and gap
+    result = solve(sector_pencil(run.lattice, sector, run.hop).at(run.config.f), run.solver)
     print("index,eigenvalue,residual")
     for idx, (val, res) in enumerate(zip(result.values, result.residuals)):
         print(f"{idx},{_fmt(float(val))},{_fmt(float(res))}")

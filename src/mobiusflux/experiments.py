@@ -19,14 +19,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .eigensolver import NoConvergenceError, SolverConfig, dense_eigh, solve
-from .gauge import uniform_flux_field
 from .hamiltonian import (
     EVEN,
     FULL,
     ODD,
     HoppingParams,
-    assemble,
-    restrict,
     sector_isometry,
     sector_pencil,
 )
@@ -228,10 +225,10 @@ def detect_minima(records: Sequence[SweepRecord], column: str,
     )
 
 
-def uniform_spectrum(lat: StripLattice, f: float, hop: HoppingParams, iso=None) -> np.ndarray:
-    """Every eigenvalue, dense, of the uniform-flux operator at f, or of its block on iso."""
-    h = assemble(lat, uniform_flux_field(lat, f), hop)
-    return dense_eigh(h if iso is None else restrict(h, iso)).values
+def uniform_spectrum(lat: StripLattice, f: float, hop: HoppingParams, sector=FULL) -> np.ndarray:
+    """Every eigenvalue, dense, of the uniform-flux operator at f on one sector: the block
+    ``flux_sweep`` and ``spectrum`` solve, read off the cached ``sector_pencil``."""
+    return dense_eigh(sector_pencil(lat, sector, hop).at(f)).values
 
 
 def max_deviation(a: np.ndarray, b: np.ndarray) -> float:
@@ -278,9 +275,9 @@ def annulus_equivalence_check(band: StripLattice, f_values: Sequence[float]) -> 
     """
     if not band.is_moebius:
         raise ValueError(f"need a moebius band, got {band.topology}")
-    iso = sector_isometry(band, ODD)  # raises unless ny is odd and >= 3
+    sector_isometry(band, ODD)  # raises unless ny is odd and >= 3, whatever f_values holds
     ring = build_lattice(band.nx, (band.ny - 1) // 2, ANNULUS)
     hop = HoppingParams()
-    return max((max_deviation(uniform_spectrum(band, f, hop, iso),
+    return max((max_deviation(uniform_spectrum(band, f, hop, ODD),
                               uniform_spectrum(ring, f + 0.5, hop)) for f in map(float, f_values)),
                default=0.0)

@@ -28,6 +28,8 @@ COMMANDS = [
     ("spectrum", "--nx", "6", "--ny", "3", "--f", "0.3", "--sectors", "even"),
     ("sweep", "--ty", "0.01", "--solver", "dense", "--f-steps", "13"),
     ("verify", "--broken-seam"),
+    ("spectrum", "--nx", "6", "--ny", "3", "--f", "0.3"),  # the default sector list: full
+    ("spectrum", "--ty", "0.01", "--solver", "dense", "--f", "0.3"),
 ]
 
 
@@ -53,7 +55,7 @@ def test_one_process_prints_the_same_bytes_in_any_order(capsys):
     assert forward == cold
     assert backward == cold
     assert cold[0] == cold[1] and cold[2] == cold[3]
-    assert [code for code, _, _ in cold] == [0] * 6 + [1]
+    assert [code for code, _, _ in cold] == [0] * 6 + [1, 0, 0]
 
 
 def test_cached_bases_and_pencils_are_read_only():

@@ -57,18 +57,25 @@ def test_spectrum_matches_ring_oracle(capsys):
 def test_sector_spectrum_is_the_sweep_bit_for_bit(capsys):
     # the spectrum command and the sweep solve a sector in one and the same basis; on the
     # 3 x 3 band k = 6 reaches both sectors' dimensions (odd 3, even 6), where LAPACK's
-    # driver takes other routes
-    for size in (["--nx", "48", "--ny", "9", "--ty", "0.01"], ["--nx", "3", "--ny", "3", "--k", "6"]):
+    # driver takes other routes.  The full sector is asked for the two pairs the sweep asks
+    # of it, so its two values also give the sweep's gap
+    for size in (["--nx", "48", "--ny", "9", "--ty", "0.01"], ["--nx", "3", "--ny", "3", "--k", "6"],
+                 ["--topology", "annulus", "--nx", "8", "--ny", "3"]):
         size = [*size, "--solver", "dense"]
         code, out, _ = run_cli(capsys, "sweep", *size, "--f-min", "0.3", "--f-max", "0.5",
                                "--f-steps", "2")
         assert code == 0
-        for sector in ("even", "odd"):
+        for sector in ("full", "even", "odd"):
+            k = ["--k", "2"] if sector == "full" else []
             for row, f in enumerate(read_csv_column(out, "f")):
-                code, spectrum, _ = run_cli(capsys, "spectrum", *size, "--f", f, "--sectors", sector)
+                code, spectrum, _ = run_cli(capsys, "spectrum", *size, *k, "--f", f,
+                                            "--sectors", sector)
                 assert code == 0
-                e0 = read_csv_column(spectrum, "eigenvalue")[0]
-                assert e0 == read_csv_column(out, f"e0_{sector}")[row]
+                values = read_csv_column(spectrum, "eigenvalue")
+                assert values[0] == read_csv_column(out, f"e0_{sector}")[row]
+                if sector == "full":
+                    gap = float(read_csv_column(out, "gap")[row])
+                    assert float(values[1]) - float(values[0]) == gap
 
 
 def test_spectrum_flux_periodicity(capsys):

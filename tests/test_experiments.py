@@ -21,6 +21,7 @@ from mobiusflux.experiments import (
     ladder_periodicity_test,
     nodal_amplitude,
     persistent_current,
+    uniform_spectrum,
 )
 from mobiusflux.gauge import uniform_flux_field
 from mobiusflux.hamiltonian import (
@@ -31,7 +32,7 @@ from mobiusflux.hamiltonian import (
     sector_isometry,
     sector_pencil,
 )
-from mobiusflux.lattice import ANNULUS, MOEBIUS, build_lattice
+from mobiusflux.lattice import ANNULUS, MOEBIUS, LatticeError, build_lattice
 
 
 LADDER = build_lattice(12, 2, MOEBIUS)
@@ -328,6 +329,25 @@ def test_annulus_equivalence_check_small_grids():
 def test_annulus_equivalence_check_rejects_even_width():
     with pytest.raises(ValueError):
         annulus_equivalence_check(build_lattice(6, 4, MOEBIUS), (0.0,))
+    with pytest.raises(LatticeError, match="no center row"):  # with no flux to solve, too
+        annulus_equivalence_check(build_lattice(6, 4, MOEBIUS), ())
+
+
+@pytest.mark.parametrize("ty", [0.0, 0.01, 1.0])
+@pytest.mark.parametrize("f", [0.0, 0.5, 0.13, -0.37])
+@pytest.mark.parametrize("topology", [MOEBIUS, ANNULUS])
+def test_uniform_spectrum_is_the_restricted_site_operator_by_sector_name(topology, f, ty):
+    # the pencil's block against B^dagger H B of the site-basis operator, solved by numpy
+    hop = HoppingParams(ty=ty)
+    for nx, ny in ((6, 3), (5, 4), (4, 1), (3, 5)):
+        lat = build_lattice(nx, ny, topology)
+        sectors = [FULL] + [EVEN] * (ny % 2) + [ODD] * (ny % 2 and ny > 1)  # the ones that exist
+        h = assemble(lat, uniform_flux_field(lat, f), hop)
+        for sector in sectors:
+            want = np.linalg.eigvalsh(restrict(h, sector_isometry(lat, sector)).toarray())
+            assert_allclose(uniform_spectrum(lat, f, hop, sector), want, rtol=0, atol=1e-12)
+        assert_allclose(uniform_spectrum(lat, f, hop), np.linalg.eigvalsh(h.toarray()),
+                        rtol=0, atol=1e-12)
 
 
 def test_annulus_equivalence_check_rejects_an_annulus():
