@@ -25,6 +25,7 @@ from mobiusflux.hamiltonian import (
     restrict,
     ring_spectrum_oracle,
     sector_isometry,
+    sector_pencil,
 )
 from mobiusflux.lattice import ANNULUS, MOEBIUS, build_lattice
 
@@ -326,25 +327,96 @@ def test_each_shift_factors_the_sparse_difference(h):
             assert getattr(shifts._csc, name).tobytes() == getattr(want, name).tobytes()
 
 
+def record_factorizations(monkeypatch) -> list:
+    """The list lanczos_lowest's factorizations go to: each SuperLU factor's sigma, and
+    "cholesky" for each banded Cholesky."""
+    factor, cholesky = eigensolver._Shifts.factor, eigensolver._BandCholesky
+    calls = []
+
+    def superlu(shifts, sigma):
+        calls.append(sigma)
+        return factor(shifts, sigma)
+
+    def banded(*args):
+        calls.append("cholesky")
+        return cholesky(*args)
+
+    monkeypatch.setattr(eigensolver._Shifts, "factor", superlu)
+    monkeypatch.setattr(eigensolver, "_BandCholesky", banded)
+    return calls
+
+
+def ty_zero_operator():
+    # ty = 0 leaves the rungs in the pattern as explicit zeros, which the band stores and
+    # SuperLU's CSC drops
+    lat = build_lattice(48, 25, MOEBIUS)
+    h = assemble(lat, uniform_flux_field(lat, 0.3), HoppingParams(ty=0.0))
+    assert np.count_nonzero(h.csr.data == 0) > 0
+    return h
+
+
+@pytest.mark.parametrize("h", [
+    sector_pencil(build_lattice(48, 25, MOEBIUS), "full", HoppingParams()).at(0.3),
+    moebius_operator(48, 25, 0.3),
+    ty_zero_operator(),
+])
+@pytest.mark.parametrize("columns", [None, 3])
+def test_the_band_cholesky_solves_as_superlu(h, columns):
+    shifts = eigensolver._Shifts(h)
+    sigma = shifts.lo - 0.01
+    factor = eigensolver._definite_factor(h, shifts, sigma)
+    assert isinstance(factor, eigensolver._BandCholesky)
+    rng = np.random.default_rng(7)
+    shape = h.n if columns is None else (h.n, columns)
+    v = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if h.csr.dtype == complex
+                                      else 0.0)
+    x = factor.solve(v)
+    assert x.shape == v.shape and x.dtype == h.csr.dtype
+    want = shifts.factor(sigma).solve(v)
+    assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+    # and it solves the system itself: the residual of H - sigma I on x
+    assert np.max(np.abs(h.csr @ x - sigma * x - v)) <= 1e-12 * np.max(np.abs(v))
+
+
+def test_a_band_that_is_not_positive_definite_is_no_convergence():
+    h = moebius_operator(12, 5, 0.3)
+    shifts = eigensolver._Shifts(h)
+    for sigma in (0.5 * (shifts.lo + shifts.hi), shifts.hi + 1.0):
+        with pytest.raises(NoConvergenceError, match="banded Cholesky failed: LAPACK info = "):
+            eigensolver._definite_factor(h, shifts, sigma)
+
+
+@pytest.mark.parametrize("nx, ny, banded", [
+    (48, 25, True),  # reverse Cuthill-McKee half-bandwidth 52
+    (51, 51, False),  # 102: past the 100 the band takes, SuperLU factors
+])
+def test_the_shift_invert_factor_is_banded_up_to_a_half_bandwidth_of_100(monkeypatch, nx, ny,
+                                                                         banded):
+    h = sector_pencil(build_lattice(nx, ny, MOEBIUS), "full", HoppingParams()).at(0.3)
+    exact = dense_eigh(h, 6).values
+    calls = record_factorizations(monkeypatch)
+    res = lanczos_lowest(h, SolverConfig(k=6, seed=1, method="lanczos"))
+    assert_allclose(res.values, exact, rtol=0, atol=1e-10)
+    # the shift-invert factor comes first: its sigma lies below the spectrum, every cut above
+    assert (calls[0] == "cholesky") if banded else (calls[0] < res.values[0])
+    assert calls.count("cholesky") == banded
+
+
 def test_an_untrusted_count_is_retried_at_a_higher_cut(monkeypatch):
-    # annulus 48 x 25 at f = 0.3627: the pivots at the first cut are imaginary to 1.6e-7,
-    # over their 1.2e-7 bound, which sent the count to a dense eigvalsh at n = 1200
+    # annulus 48 x 25 at f = 0.3627: the pivots at the cut the SuperLU-factored solve first
+    # counted at are imaginary to 1.6e-7, over their 1.2e-7 bound, which sent the count to a
+    # dense eigvalsh at n = 1200; the retried cut, 100 sqrt(eps) (hi - sigma) higher, is trusted
     def no_dense_count(h, sigma):
         raise AssertionError("dense count")
 
-    count_below = eigensolver._Shifts.count_below
-    counts = []
-
-    def recorded(shifts, sigma):
-        counts.append(count_below(shifts, sigma))
-        return counts[-1]
-
-    monkeypatch.setattr(eigensolver, "_dense_count", no_dense_count)
-    monkeypatch.setattr(eigensolver._Shifts, "count_below", recorded)
     lat = build_lattice(48, 25, ANNULUS)
     h = assemble(lat, uniform_flux_field(lat, 0.3627), HoppingParams())
+    shifts = eigensolver._Shifts(h)
+    assert shifts.count_below(0.06507162284233749) is None
+    assert shifts.count_below(0.0650835437714702) == 6
+    # the banded factor's Ritz values lie ~1e-15 off, and its first cut is trusted
+    monkeypatch.setattr(eigensolver, "_dense_count", no_dense_count)
     res = lanczos_lowest(h, SolverConfig(k=6, seed=12345, method="lanczos"))
-    assert counts == [None, 6]
     k, m = np.arange(48)[:, None], np.arange(1, 26)[None, :]
     exact = np.sort((4.0 - 2.0 * np.cos(2.0 * np.pi * (k + 0.3627) / 48)
                      - 2.0 * np.cos(np.pi * m / 26)).ravel())
@@ -363,7 +435,7 @@ def test_an_untrusted_factor_above_the_dense_limit_certifies_at_the_retried_cut(
     def first_count_off_diagonal(shifts, sigma):
         calls.append(sigma)
         lu = factor(shifts, sigma)
-        return OffDiagonal(lu) if len(calls) == 2 else lu  # call 1 is the Lanczos factor
+        return OffDiagonal(lu) if len(calls) == 1 else lu  # the banded Cholesky is not SuperLU's
 
     h = moebius_operator(12, 5, 0.3)
     exact = dense_eigh(h, 4).values
@@ -371,7 +443,7 @@ def test_an_untrusted_factor_above_the_dense_limit_certifies_at_the_retried_cut(
     monkeypatch.setattr(eigensolver, "_DENSE_MAX_N", 4)
     res = lanczos_lowest(h, SolverConfig(k=4, seed=1, method="lanczos"))
     assert_allclose(res.values, exact, rtol=0, atol=1e-10)
-    assert len(calls) == 3 and calls[2] > calls[1] > res.values[-1]
+    assert len(calls) == 2 and calls[1] > calls[0] > res.values[-1]
 
 
 @pytest.mark.parametrize("topology, f, seed", [
@@ -410,14 +482,7 @@ def test_lanczos_matches_dense_at_the_auto_lanczos_size(topology, f, seed):
 ])
 def test_a_re_solve_at_or_below_the_counted_cut_takes_that_count(monkeypatch, topology, f, seed,
                                                                   factorizations):
-    factor = eigensolver._Shifts.factor
-    calls = []
-
-    def counted(shifts, sigma):
-        calls.append(sigma)
-        return factor(shifts, sigma)
-
-    monkeypatch.setattr(eigensolver._Shifts, "factor", counted)
+    calls = record_factorizations(monkeypatch)
     lat = build_lattice(48, 25, topology)
     h = assemble(lat, uniform_flux_field(lat, f), HoppingParams())
     res = lanczos_lowest(h, SolverConfig(k=6, seed=seed, method="lanczos"))

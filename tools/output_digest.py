@@ -9,7 +9,7 @@ command's exit code, stdout and stderr, with ``verify``'s ``[...s]``
 timings stripped, and of the SVG file a ``--plot`` command writes, then
 the command; the last line is the sha256 of the default acceptance
 sweep's CSV.  Two checkouts give the same outputs when their digests
-match line for line.  As one process runs all 2,615 commands, on
+match line for line.  As one process runs all 2,616 commands, on
 interleaved lattices, sectors and hoppings, the run also checks that the
 per-process caches of sector bases and flux pencils (``sector_isometry``,
 ``sector_pencil``) leave every output as a fresh process would print it.
@@ -39,7 +39,8 @@ BOM_CONFIG = ("bom.cfg", "\ufeffnx = 8\nny = 3\nf_steps = 5\n")  # a config file
 
 
 def commands():
-    """The command set: 2,304 spectra, 96 sweeps, 8 spectra at n = 1200, the acceptance sweep,
+    """The command set: 2,304 spectra, 96 sweeps, 8 spectra at n = 1200, one Lanczos spectrum
+    at 51 x 51 (n = 2,601, a band too wide for the banded factor), the acceptance sweep,
     11 verify runs (seeds 1 to 8 put more random walks, lifts and Stokes pairs through the
     loop layer), 144 holonomy runs, four commands given a key they do not read, three
     negative float values in exponent form, a config file with a byte-order mark, 38 plot
@@ -57,6 +58,9 @@ def commands():
                "--solver", solver, "--f-steps", "13")
     for top, ty, f in itertools.product(TOPOLOGIES, ("0", "1"), ("0", "0.5")):
         yield ("spectrum", "--topology", top, "--nx", "48", "--ny", "25", "--ty", ty, "--f", f)
+    # a band wider than the banded Cholesky takes: Lanczos on SuperLU's factor
+    yield ("spectrum", "--nx", "51", "--ny", "51", "--sectors", "full", "--k", "4",
+           "--solver", "lanczos")
     yield ACCEPTANCE
     yield ("verify",)
     yield ("verify", "--broken-seam")
