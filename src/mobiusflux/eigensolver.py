@@ -4,7 +4,7 @@ Two routes, both in the operator's own dtype, so a real operator is
 solved in real arithmetic: ``dense_eigh``, a direct LAPACK solve, the
 reference at small dimension, and ``lanczos_lowest``, shift-invert
 Lanczos on a banded Cholesky factor (SuperLU past a half-bandwidth of
-100), certified complete by SuperLU's sparse inertia count; ``solve`` picks.
+120), certified complete by SuperLU's sparse inertia count; ``solve`` picks.
 Residuals ||H v - lambda v|| are always recomputed from the returned
 pairs; eigenvectors of degenerate eigenvalues are ambiguous beyond
 orthonormality.
@@ -23,7 +23,11 @@ from .hamiltonian import ROUND_OFF, SparseHermitian
 
 _DENSE_MAX_N = 4096
 _AUTO_DENSE_N = 1024
-_MAX_BAND = 100  # the widest half-bandwidth the shift-invert factor takes as a band
+# the widest half-bandwidth the shift-invert factor takes as a band, from whole Lanczos
+# solves of Moebius bands (one BLAS thread): the band took 0.87-0.96 of SuperLU's time up
+# to b = 118, tied at 122-134 and mostly lost from 138 (1.44 at 202).  In the tie SuperLU
+# holds half the band's (b + 1) n entries, a gap that widens with b
+_MAX_BAND = 120
 # half the digits of a double: the relative margin of the shift below the
 # spectrum, and the pivot imaginary part and growth an inertia count tolerates
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
@@ -231,9 +235,11 @@ def _definite_factor(h: SparseHermitian, shifts: _Shifts, sigma: float):
     """A factor of the positive definite H - sigma I, with a ``solve``.
 
     LAPACK's banded Cholesky on H's reverse Cuthill-McKee order where its
-    half-bandwidth is at most 100 (a strip's is about twice its short side);
-    SuperLU's ``shifts.factor`` on a wider band, whose banded solves are the
-    slower (1.9x at 202), its diagonal pivots stable on a definite matrix.
+    half-bandwidth is at most ``_MAX_BAND`` (a strip's is about twice its
+    short side); SuperLU's ``shifts.factor`` on a wider band, where it is no
+    slower and holds less, its diagonal pivots stable on a definite matrix.
+    On a wide band the order and the width cost 3-6% of SuperLU's factor,
+    under 1% of a Lanczos solve.
     """
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -242,11 +248,11 @@ def _definite_factor(h: SparseHermitian, shifts: _Shifts, sigma: float):
     order = np.argsort(perm)
     rows = order[np.repeat(np.arange(h.n), np.diff(csr.indptr))]
     cols = order[csr.indices]
-    upper = rows <= cols
-    offsets, cols = cols[upper] - rows[upper], cols[upper]
-    width = int(offsets.max())
+    width = int(np.max(cols - rows))  # H's pattern is closed under transposition
     if width > _MAX_BAND:
         return shifts.factor(sigma)
+    upper = rows <= cols
+    offsets, cols = cols[upper] - rows[upper], cols[upper]
     ab = np.zeros((width + 1, h.n), dtype=csr.dtype, order="F")
     ab[width - offsets, cols] = csr.data[upper]
     ab[width] -= sigma
@@ -279,9 +285,10 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
     sigma sits a sqrt(eps) * (hi - lo) step below h's Gershgorin interval
     [lo, hi], so H - sigma I is positive definite and is factored once: by
     LAPACK's banded Cholesky on H's reverse Cuthill-McKee order, where that
-    half-bandwidth is at most 100, as a strip's short side keeps it, and by
-    SuperLU above (``_definite_factor``).  The count stays with SuperLU,
-    because H - sigma I is indefinite at a cut and LAPACK has no banded L D L^H.
+    half-bandwidth is at most 120, as a strip's short side keeps it, and by
+    SuperLU above, where it is no slower (``_definite_factor``).  The count
+    stays with SuperLU, because H - sigma I is indefinite at a cut and LAPACK
+    has no banded L D L^H.
     ARPACK (scipy's eigsh) runs on its inverse, whose largest, best separated
     eigenvalues are the lowest of H, from a seeded start vector (its real
     part on a real operator, which keeps the whole solve real).  ARPACK's

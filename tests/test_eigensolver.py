@@ -386,17 +386,30 @@ def test_a_band_that_is_not_positive_definite_is_no_convergence():
             eigensolver._definite_factor(h, shifts, sigma)
 
 
-@pytest.mark.parametrize("nx, ny, banded", [
-    (48, 25, True),  # reverse Cuthill-McKee half-bandwidth 52
-    (51, 51, False),  # 102: past the 100 the band takes, SuperLU factors
+def annulus_operator(nx, ny, f):
+    """The nx x ny annulus at uniform flux f, ty = 1, with its closed-form spectrum."""
+    lat = build_lattice(nx, ny, ANNULUS)
+    h = assemble(lat, uniform_flux_field(lat, f), HoppingParams())
+    k, m = np.arange(nx)[:, None], np.arange(1, ny + 1)[None, :]
+    return h, np.sort((4.0 - 2.0 * np.cos(2.0 * np.pi * (k + f) / nx)
+                       - 2.0 * np.cos(np.pi * m / (ny + 1))).ravel())
+
+
+@pytest.mark.parametrize("top, nx, ny, banded", [
+    (MOEBIUS, 48, 25, True),  # reverse Cuthill-McKee half-bandwidth 52
+    (ANNULUS, 120, 60, True),  # 120: the widest band the banded factor takes
+    (ANNULUS, 121, 61, False),  # 121: SuperLU factors
 ])
-def test_the_shift_invert_factor_is_banded_up_to_a_half_bandwidth_of_100(monkeypatch, nx, ny,
-                                                                         banded):
-    h = sector_pencil(build_lattice(nx, ny, MOEBIUS), "full", HoppingParams()).at(0.3)
-    exact = dense_eigh(h, 6).values
+def test_the_shift_invert_factor_is_banded_up_to_a_half_bandwidth_of_120(monkeypatch, top, nx,
+                                                                         ny, banded):
+    if top == MOEBIUS:
+        h = sector_pencil(build_lattice(nx, ny, MOEBIUS), "full", HoppingParams()).at(0.3)
+        exact = dense_eigh(h, 6).values
+    else:
+        h, exact = annulus_operator(nx, ny, 0.3)
     calls = record_factorizations(monkeypatch)
     res = lanczos_lowest(h, SolverConfig(k=6, seed=1, method="lanczos"))
-    assert_allclose(res.values, exact, rtol=0, atol=1e-10)
+    assert_allclose(res.values, exact[:6], rtol=0, atol=1e-10)
     # the shift-invert factor comes first: its sigma lies below the spectrum, every cut above
     assert (calls[0] == "cholesky") if banded else (calls[0] < res.values[0])
     assert calls.count("cholesky") == banded
@@ -409,17 +422,13 @@ def test_an_untrusted_count_is_retried_at_a_higher_cut(monkeypatch):
     def no_dense_count(h, sigma):
         raise AssertionError("dense count")
 
-    lat = build_lattice(48, 25, ANNULUS)
-    h = assemble(lat, uniform_flux_field(lat, 0.3627), HoppingParams())
+    h, exact = annulus_operator(48, 25, 0.3627)
     shifts = eigensolver._Shifts(h)
     assert shifts.count_below(0.06507162284233749) is None
     assert shifts.count_below(0.0650835437714702) == 6
     # the banded factor's Ritz values lie ~1e-15 off, and its first cut is trusted
     monkeypatch.setattr(eigensolver, "_dense_count", no_dense_count)
     res = lanczos_lowest(h, SolverConfig(k=6, seed=12345, method="lanczos"))
-    k, m = np.arange(48)[:, None], np.arange(1, 26)[None, :]
-    exact = np.sort((4.0 - 2.0 * np.cos(2.0 * np.pi * (k + 0.3627) / 48)
-                     - 2.0 * np.cos(np.pi * m / 26)).ravel())
     assert_allclose(res.values, exact[:6], rtol=0, atol=1e-10)
 
 

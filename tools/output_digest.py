@@ -40,7 +40,7 @@ BOM_CONFIG = ("bom.cfg", "\ufeffnx = 8\nny = 3\nf_steps = 5\n")  # a config file
 
 def commands():
     """The command set: 2,304 spectra, 96 sweeps, 8 spectra at n = 1200, one Lanczos spectrum
-    at 51 x 51 (n = 2,601, a band too wide for the banded factor), the acceptance sweep,
+    at 64 x 64 (n = 4,096, a band too wide for the banded factor), the acceptance sweep,
     11 verify runs (seeds 1 to 8 put more random walks, lifts and Stokes pairs through the
     loop layer), 144 holonomy runs, four commands given a key they do not read, three
     negative float values in exponent form, a config file with a byte-order mark, 38 plot
@@ -59,7 +59,7 @@ def commands():
     for top, ty, f in itertools.product(TOPOLOGIES, ("0", "1"), ("0", "0.5")):
         yield ("spectrum", "--topology", top, "--nx", "48", "--ny", "25", "--ty", ty, "--f", f)
     # a band wider than the banded Cholesky takes: Lanczos on SuperLU's factor
-    yield ("spectrum", "--nx", "51", "--ny", "51", "--sectors", "full", "--k", "4",
+    yield ("spectrum", "--nx", "64", "--ny", "64", "--sectors", "full", "--k", "4",
            "--solver", "lanczos")
     yield ACCEPTANCE
     yield ("verify",)
