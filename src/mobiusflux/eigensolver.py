@@ -5,6 +5,7 @@ solved in real arithmetic: ``dense_eigh``, a direct LAPACK solve, the
 reference at small dimension, and ``lanczos_lowest``, shift-invert
 Lanczos on a banded Cholesky factor (SuperLU past a half-bandwidth of
 120), certified complete by SuperLU's sparse inertia count; ``solve`` picks.
+Each SuperLU factor is of the plain sparse difference H - sigma I.
 Residuals ||H v - lambda v|| are always recomputed from the returned
 pairs; eigenvectors of degenerate eigenvalues are ambiguous beyond
 orthonormality.
@@ -145,65 +146,46 @@ def _gershgorin(h: SparseHermitian) -> tuple:
     return float(np.min(diag - radius)), float(np.max(diag + radius))
 
 
-class _Shifts:
-    """H's Gershgorin interval and a CSC copy of H with its diagonal slots, for the inertia count.
+def _superlu(h: SparseHermitian, sigma: float):
+    """Sparse LU of H - sigma I by SuperLU in symmetric mode with diagonal pivots.
 
-    Built once per solve from H's CSR arrays, with no sort: H's store holds
-    every diagonal slot, so each factor of H - sigma I is a data update on
-    them.  Off the diagonal it drops H's explicit zeros, as the sparse
-    difference H - sigma I does.  The count needs SuperLU's L D L^H: LAPACK
-    has no banded indefinite one.
+    It factors the sparse difference H - sigma I, which drops H's explicit
+    zeros and any diagonal entry sigma cancels.  When the pivots stay
+    diagonal (perm_r == perm_c) it is the congruence
+    P (H - sigma I) P^T = L D L^H with D the diagonal of U.  The inertia
+    count needs that L D L^H: LAPACK has no banded indefinite one.
     """
+    from scipy.sparse.linalg import splu
 
-    def __init__(self, h: SparseHermitian):
-        self.lo, self.hi = _gershgorin(h)
-        n, csr = h.n, h.csr
-        rows = np.repeat(np.arange(n), np.diff(csr.indptr))
-        keep = (csr.indices == rows) | (csr.data != 0)
-        rows, cols, data = rows[keep], csr.indices[keep], csr.data[keep]
-        # H is Hermitian entry by entry, so row j of its CSR, conjugated, is column j of its CSC
-        self._diag = csr.diagonal()
-        self._csc = sp.csc_matrix((data.conj(), cols, np.searchsorted(rows, np.arange(n + 1))),
-                                  shape=(n, n))
-        self._slots = np.flatnonzero(cols == rows)
+    a = (h.csr - sigma * sp.identity(h.n, dtype=h.csr.dtype, format="csr")).tocsc()
+    return splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                options={"SymmetricMode": True})
 
-    def factor(self, sigma: float):
-        """Sparse LU of H - sigma I by SuperLU in symmetric mode with diagonal pivots.
 
-        When the pivots stay diagonal (perm_r == perm_c) it is the congruence
-        P (H - sigma I) P^T = L D L^H with D the diagonal of U.
-        """
-        from scipy.sparse.linalg import splu
+def _count_below(h: SparseHermitian, cut: float, norm: float) -> Optional[int]:
+    """Number of eigenvalues of H below cut, by Sylvester's law of inertia; None if untrusted.
 
-        self._csc.data[self._slots] = self._diag - sigma  # the factor keeps no reference to it
-        return splu(self._csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                    options={"SymmetricMode": True})
-
-    def count_below(self, sigma: float) -> Optional[int]:
-        """Number of eigenvalues of H below sigma, by Sylvester's law of inertia; None if untrusted.
-
-        D's negative entries in the factor L D L^H of H - sigma I are the
-        count.  Diagonal pivots are not stable on an indefinite matrix: a
-        pivot near zero makes later entries grow until rounding swamps the
-        signs of later pivots.  So the count is trusted only if the pivots
-        stayed on the diagonal, are real to within sqrt(eps) ||H - sigma I||
-        (exactly real in exact arithmetic) and no entry of U exceeds
-        ||H - sigma I|| / sqrt(eps).  Where it is not, or sigma is an
-        eigenvalue so the factor is exactly singular, it returns None, and
-        the caller may count the dense spectrum (``_dense_count``).
-        """
-        try:
-            lu = self.factor(sigma)
-        except RuntimeError:  # SuperLU's "Factor is exactly singular": sigma is an eigenvalue
-            return None
-        norm = max(self.hi - sigma, sigma - self.lo)  # bounds ||H - sigma I||
-        u = lu.U
-        pivots = u.diagonal()
-        if (np.array_equal(lu.perm_r, lu.perm_c)
-                and np.max(np.abs(pivots.imag)) <= _SQRT_EPS * norm
-                and np.max(np.abs(u.data)) * _SQRT_EPS <= norm):
-            return int(np.count_nonzero(pivots.real < 0))
+    D's negative entries in the factor L D L^H of H - cut I (``_superlu``)
+    are the count; norm bounds ||H - cut I||.  Diagonal pivots are not
+    stable on an indefinite matrix: a pivot near zero makes later entries
+    grow until rounding swamps the signs of later pivots.  So the count is
+    trusted only if the pivots stayed on the diagonal, are real to within
+    sqrt(eps) norm (exactly real in exact arithmetic) and no entry of U
+    exceeds norm / sqrt(eps).  Where it is not, or cut is an eigenvalue so
+    the factor is exactly singular, it returns None, and the caller may
+    count the dense spectrum (``_dense_count``).
+    """
+    try:
+        lu = _superlu(h, cut)
+    except RuntimeError:  # SuperLU's "Factor is exactly singular": cut is an eigenvalue
         return None
+    u = lu.U
+    pivots = u.diagonal()
+    if (np.array_equal(lu.perm_r, lu.perm_c)
+            and np.max(np.abs(pivots.imag)) <= _SQRT_EPS * norm
+            and np.max(np.abs(u.data)) * _SQRT_EPS <= norm):
+        return int(np.count_nonzero(pivots.real < 0))
+    return None
 
 
 class _BandCholesky:
@@ -231,13 +213,13 @@ class _BandCholesky:
         return self._pbtrs(self._factor, v[self._perm])[0][self._order]
 
 
-def _definite_factor(h: SparseHermitian, shifts: _Shifts, sigma: float):
+def _definite_factor(h: SparseHermitian, sigma: float):
     """A factor of the positive definite H - sigma I, with a ``solve``.
 
     LAPACK's banded Cholesky on H's reverse Cuthill-McKee order where its
     half-bandwidth is at most ``_MAX_BAND`` (a strip's is about twice its
-    short side); SuperLU's ``shifts.factor`` on a wider band, where it is no
-    slower and holds less, its diagonal pivots stable on a definite matrix.
+    short side); ``_superlu`` on a wider band, where it is no slower and
+    holds less, its diagonal pivots stable on a definite matrix.
     On a wide band the order and the width cost 3-6% of SuperLU's factor,
     under 1% of a Lanczos solve.
     """
@@ -250,7 +232,7 @@ def _definite_factor(h: SparseHermitian, shifts: _Shifts, sigma: float):
     cols = order[csr.indices]
     width = int(np.max(cols - rows))  # H's pattern is closed under transposition
     if width > _MAX_BAND:
-        return shifts.factor(sigma)
+        return _superlu(h, sigma)
     upper = rows <= cols
     offsets, cols = cols[upper] - rows[upper], cols[upper]
     ab = np.zeros((width + 1, h.n), dtype=csr.dtype, order="F")
@@ -288,7 +270,8 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
     half-bandwidth is at most 120, as a strip's short side keeps it, and by
     SuperLU above, where it is no slower (``_definite_factor``).  The count
     stays with SuperLU, because H - sigma I is indefinite at a cut and LAPACK
-    has no banded L D L^H.
+    has no banded L D L^H: each cut factors the sparse difference H - cut I
+    anew (``_count_below``), its norm bounded by the Gershgorin interval.
     ARPACK (scipy's eigsh) runs on its inverse, whose largest, best separated
     eigenvalues are the lowest of H, from a seeded start vector (its real
     part on a real operator, which keeps the whole solve real).  ARPACK's
@@ -323,12 +306,11 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
     re, im = rng.standard_normal(n), rng.standard_normal(n)
     v0 = re + 1j * im if np.iscomplexobj(h.csr) else re
     budget = _budget(n)
-    shifts = _Shifts(h)
-    lo, hi = shifts.lo, shifts.hi
+    lo, hi = _gershgorin(h)
     # the floors keep a multiple of the identity (lo == hi) off its eigenvalue, and sigma
     # a few units in the last place of lo below it where the diagonal dwarfs the width
     sigma = lo - _SQRT_EPS * max(hi - lo, 1.0, 4.0 * _SQRT_EPS * abs(lo))
-    factor = _definite_factor(h, shifts, sigma)
+    factor = _definite_factor(h, sigma)
     # a pivot's rounding grows as eps ||H||^2 / d at a distance d from an eigenvalue, and the
     # first cut sits within ~||R|| of one: 100 sqrt(eps) ||H|| higher it is ~1% of the bound
     retry = 100.0 * _SQRT_EPS * (hi - sigma)
@@ -372,7 +354,7 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
         if bound + round_off >= counted:
             cut = bound + gate
             for counted in (cut, cut + retry, cut + 100.0 * retry):
-                count = shifts.count_below(counted)
+                count = _count_below(h, counted, max(hi - counted, counted - lo))
                 if count is not None:
                     break
             else:

@@ -1,5 +1,7 @@
 """CLI contract: exit codes, CSV schema and round trip, SVG, verify."""
 
+import ctypes
+import hashlib
 import math
 import os
 import re
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from numpy.testing import assert_allclose
 
 from mobiusflux import cli, experiments
@@ -482,6 +485,54 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert bad.returncode == 2
     assert bad.stdout == ""
     assert bad.stderr.startswith("config error:")
+
+
+ACCEPTANCE_CSV_SHA256 = "77a0d90b11dd018362addb878194135fc464c8422554f647c77dbb1aaa37e9fc"
+RECORDED_BUILD = ("numpy 2.4.6", "scipy 1.17.1",
+                  "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64")
+
+
+def blas_build() -> tuple:
+    """numpy's and scipy's versions, and the configuration numpy's OpenBLAS reports at run time."""
+    config = "unknown"
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        libs = []
+    for path in libs:
+        fn = getattr(ctypes.CDLL(path), "scipy_openblas_get_config64_", None)
+        if fn is not None:
+            fn.restype = ctypes.c_char_p
+            config = fn().decode()
+            break
+    return f"numpy {np.__version__}", f"scipy {scipy.__version__}", config
+
+
+def test_the_default_acceptance_csv_is_pinned_byte_for_byte(tmp_path):
+    """``sweep --ty 0.01 --solver dense`` prints the recorded CSV, on one BLAS thread.
+
+    Recorded with numpy 2.4.6, scipy 1.17.1 and numpy's OpenBLAS reporting
+    "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX
+    MAX_THREADS=64" from ``scipy_openblas_get_config64_``: the kernels
+    that run, where ``numpy.show_config()`` names the build's Haswell.  The
+    last printed digits depend on the build, the core and the thread count:
+    with two BLAS threads the same command printed sha256
+    de645fd65f0aada769675fe5353475779330c56d560e6865c8be9c3d3024ede5, so
+    the subprocess pins one.  On another build the test skips and names
+    both; the hash is never changed to make a run pass.
+    """
+    build = blas_build()
+    if build != RECORDED_BUILD:
+        pytest.skip(f"recorded on {' / '.join(RECORDED_BUILD)}; this host runs {' / '.join(build)}")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    run = subprocess.run([sys.executable, "-m", "mobiusflux", "sweep", "--ty", "0.01",
+                          "--solver", "dense"], capture_output=True, env=env, cwd=tmp_path)
+    assert run.returncode == 0
+    assert run.stderr == b""
+    assert hashlib.sha256(run.stdout).hexdigest() == ACCEPTANCE_CSV_SHA256
 
 
 def test_unwritable_plot_leaves_no_new_csv(capsys, tmp_path):

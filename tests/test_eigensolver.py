@@ -228,10 +228,24 @@ def test_lanczos_returns_complete_degenerate_spectrum(nx, ny, f, ty, seed):
     assert_allclose(res.values, dense_eigh(h).values[:6], rtol=0, atol=1e-8)
 
 
+def sparse_count(h, sigma):
+    """The sparse factor's count, or None, with the norm bound the solver gives it."""
+    lo, hi = eigensolver._gershgorin(h)
+    return eigensolver._count_below(h, sigma, max(hi - sigma, sigma - lo))
+
+
 def inertia_count(h, sigma):
     """The solver's count: the sparse factor's where it is trusted, else the dense spectrum's."""
-    count = eigensolver._Shifts(h).count_below(sigma)
+    count = sparse_count(h, sigma)
     return eigensolver._dense_count(h, sigma) if count is None else count
+
+
+def pencil_at_cos_phi_zero():
+    # cos(pi / 2) rounds to 6e-17, so the piece is zeroed by hand: 40 slots only it fills
+    # then hold explicit zeros
+    pencil = FluxPencil(sector_isometry(build_lattice(12, 5, MOEBIUS), ODD), HoppingParams())
+    pencil._data[1] = 0.0
+    return pencil.at(3.0)
 
 
 @pytest.mark.parametrize("h", [
@@ -240,6 +254,20 @@ def inertia_count(h, sigma):
     assemble(build_lattice(6, 3, ANNULUS), uniform_flux_field(build_lattice(6, 3, ANNULUS), 0.3),
              HoppingParams()),
     random_hermitian(30, seed=4),
+    moebius_operator(12, 5, 0.3),
+    # at f = 0 the sin(phi) piece leaves explicit zeros in the pencil's pattern
+    FluxPencil(sector_isometry(build_lattice(12, 5, MOEBIUS), EVEN), HoppingParams()).at(0.0),
+    # a zero diagonal entry in row 1, whose slot the store holds as an explicit zero
+    SparseHermitian(sp.csr_matrix(np.diag([1.0, 0.0, 2.0]) + np.eye(3, k=1) + np.eye(3, k=-1))),
+    # a complex operator whose potential cancels two diagonal entries, one of them the last:
+    # both stay in the store as explicit zeros, which the sparse difference fills
+    assemble(build_lattice(6, 3, MOEBIUS), uniform_flux_field(build_lattice(6, 3, MOEBIUS), 0.3),
+             HoppingParams(), pot=np.where(np.isin(np.arange(18), [4, 17]), -4.0, 0.0)),
+    # at f = nx / 4, phi = pi / 2: the cos(phi) piece's slots hold 6e-17 or, zeroed, 0
+    FluxPencil(sector_isometry(build_lattice(12, 5, MOEBIUS), ODD), HoppingParams()).at(3.0),
+    pencil_at_cos_phi_zero(),
+    # a zero diagonal entry in the last row: the store holds its slot, the last of all
+    SparseHermitian(np.diag([1.0, 2.0, 0.0]) + np.eye(3, k=1) + np.eye(3, k=-1)),
 ])
 def test_inertia_count_matches_dense_count(h):
     values = dense_eigh(h).values
@@ -272,6 +300,23 @@ def test_inertia_count_at_an_eigenvalue():
     assert inertia_count(h, 3.0 + 1e-9) == 5
 
 
+@pytest.mark.parametrize("h", [
+    sector_pencil(build_lattice(12, 5, MOEBIUS), ODD, HoppingParams()).at(0.3),
+    sector_pencil(build_lattice(48, 9, MOEBIUS), "full", HoppingParams(ty=0.01)).at(0.3),
+    assemble(build_lattice(6, 3, MOEBIUS), uniform_flux_field(build_lattice(6, 3, MOEBIUS), 0.3),
+             HoppingParams(), pot=np.where(np.isin(np.arange(18), [4, 17]), -4.0, 0.0)),
+    SparseHermitian(sp.csr_matrix(np.diag([1.0, 0.0, 2.0, 3.0]) + np.eye(4, k=1) + np.eye(4, k=-1))),
+])
+def test_a_cut_on_a_diagonal_entry_is_counted_right_or_not_trusted(h):
+    # there the sparse difference H - cut I holds no entry in that diagonal slot: SuperLU's
+    # count is the dense one or None (untrusted, or the factor is exactly singular)
+    values = np.linalg.eigvalsh(h.toarray())
+    for cut in map(float, np.unique(h.csr.diagonal().real)):
+        coo = (h.csr - cut * sp.identity(h.n, dtype=h.csr.dtype, format="csr")).tocoo()
+        assert np.count_nonzero(coo.row == coo.col) < h.n
+        assert sparse_count(h, cut) in (None, np.count_nonzero(values < cut))
+
+
 def test_inertia_count_dense_fallback_is_size_guarded(monkeypatch):
     monkeypatch.setattr(eigensolver, "_DENSE_MAX_N", 4)
     with pytest.raises(np.linalg.LinAlgError, match="exceeds"):
@@ -283,7 +328,7 @@ def test_inertia_count_dense_fallback_is_size_guarded(monkeypatch):
 
 def test_lanczos_reports_an_uncertifiable_count_as_no_convergence(monkeypatch):
     # no sparse count is trusted at any cut, and the dense count is out of reach
-    monkeypatch.setattr(eigensolver._Shifts, "count_below", lambda shifts, sigma: None)
+    monkeypatch.setattr(eigensolver, "_count_below", lambda h, cut, norm: None)
     monkeypatch.setattr(eigensolver, "_DENSE_MAX_N", 4)
     with pytest.raises(NoConvergenceError) as err:
         lanczos_lowest(moebius_operator(12, 5, 0.3), SolverConfig(k=4, seed=1, method="lanczos"))
@@ -293,55 +338,21 @@ def test_lanczos_reports_an_uncertifiable_count_as_no_convergence(monkeypatch):
     assert [rec.status for rec in records] == ["failed"] * 3
 
 
-def pencil_at_cos_phi_zero():
-    # cos(pi / 2) rounds to 6e-17, so the piece is zeroed by hand: 40 slots only it fills
-    # then hold explicit zeros
-    pencil = FluxPencil(sector_isometry(build_lattice(12, 5, MOEBIUS), ODD), HoppingParams())
-    pencil._data[1] = 0.0
-    return pencil.at(3.0)
-
-
-@pytest.mark.parametrize("h", [
-    moebius_operator(12, 5, 0.3),
-    # at f = 0 the sin(phi) piece leaves explicit zeros in the pencil's pattern
-    FluxPencil(sector_isometry(build_lattice(12, 5, MOEBIUS), EVEN), HoppingParams()).at(0.0),
-    # a zero diagonal entry in row 1, whose slot the store holds as an explicit zero
-    SparseHermitian(sp.csr_matrix(np.diag([1.0, 0.0, 2.0]) + np.eye(3, k=1) + np.eye(3, k=-1))),
-    # a complex operator whose potential cancels two diagonal entries, one of them the last:
-    # both stay in the store as explicit zeros, which the sparse difference fills
-    assemble(build_lattice(6, 3, MOEBIUS), uniform_flux_field(build_lattice(6, 3, MOEBIUS), 0.3),
-             HoppingParams(), pot=np.where(np.isin(np.arange(18), [4, 17]), -4.0, 0.0)),
-    # at f = nx / 4, phi = pi / 2: the cos(phi) piece's slots hold 6e-17 or, zeroed, 0
-    FluxPencil(sector_isometry(build_lattice(12, 5, MOEBIUS), ODD), HoppingParams()).at(3.0),
-    pencil_at_cos_phi_zero(),
-    # a zero diagonal entry in the last row: the store holds its slot, the last of all
-    SparseHermitian(np.diag([1.0, 2.0, 0.0]) + np.eye(3, k=1) + np.eye(3, k=-1)),
-])
-def test_each_shift_factors_the_sparse_difference(h):
-    # a data update on the diagonal slots gives the entries of H - sigma I, explicit zeros dropped
-    shifts = eigensolver._Shifts(h)
-    for sigma in (shifts.lo - 1.0, 0.5, shifts.hi + 1.0):
-        shifts.factor(sigma)
-        want = (h.csr - sigma * sp.identity(h.n, format="csr")).tocsc()
-        for name in ("indptr", "indices", "data"):
-            assert getattr(shifts._csc, name).tobytes() == getattr(want, name).tobytes()
-
-
 def record_factorizations(monkeypatch) -> list:
     """The list lanczos_lowest's factorizations go to: each SuperLU factor's sigma, and
     "cholesky" for each banded Cholesky."""
-    factor, cholesky = eigensolver._Shifts.factor, eigensolver._BandCholesky
+    factor, cholesky = eigensolver._superlu, eigensolver._BandCholesky
     calls = []
 
-    def superlu(shifts, sigma):
+    def superlu(h, sigma):
         calls.append(sigma)
-        return factor(shifts, sigma)
+        return factor(h, sigma)
 
     def banded(*args):
         calls.append("cholesky")
         return cholesky(*args)
 
-    monkeypatch.setattr(eigensolver._Shifts, "factor", superlu)
+    monkeypatch.setattr(eigensolver, "_superlu", superlu)
     monkeypatch.setattr(eigensolver, "_BandCholesky", banded)
     return calls
 
@@ -362,9 +373,8 @@ def ty_zero_operator():
 ])
 @pytest.mark.parametrize("columns", [None, 3])
 def test_the_band_cholesky_solves_as_superlu(h, columns):
-    shifts = eigensolver._Shifts(h)
-    sigma = shifts.lo - 0.01
-    factor = eigensolver._definite_factor(h, shifts, sigma)
+    sigma = eigensolver._gershgorin(h)[0] - 0.01
+    factor = eigensolver._definite_factor(h, sigma)
     assert isinstance(factor, eigensolver._BandCholesky)
     rng = np.random.default_rng(7)
     shape = h.n if columns is None else (h.n, columns)
@@ -372,7 +382,7 @@ def test_the_band_cholesky_solves_as_superlu(h, columns):
                                       else 0.0)
     x = factor.solve(v)
     assert x.shape == v.shape and x.dtype == h.csr.dtype
-    want = shifts.factor(sigma).solve(v)
+    want = eigensolver._superlu(h, sigma).solve(v)
     assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
     # and it solves the system itself: the residual of H - sigma I on x
     assert np.max(np.abs(h.csr @ x - sigma * x - v)) <= 1e-12 * np.max(np.abs(v))
@@ -380,10 +390,10 @@ def test_the_band_cholesky_solves_as_superlu(h, columns):
 
 def test_a_band_that_is_not_positive_definite_is_no_convergence():
     h = moebius_operator(12, 5, 0.3)
-    shifts = eigensolver._Shifts(h)
-    for sigma in (0.5 * (shifts.lo + shifts.hi), shifts.hi + 1.0):
+    lo, hi = eigensolver._gershgorin(h)
+    for sigma in (0.5 * (lo + hi), hi + 1.0):
         with pytest.raises(NoConvergenceError, match="banded Cholesky failed: LAPACK info = "):
-            eigensolver._definite_factor(h, shifts, sigma)
+            eigensolver._definite_factor(h, sigma)
 
 
 def annulus_operator(nx, ny, f):
@@ -423,9 +433,8 @@ def test_an_untrusted_count_is_retried_at_a_higher_cut(monkeypatch):
         raise AssertionError("dense count")
 
     h, exact = annulus_operator(48, 25, 0.3627)
-    shifts = eigensolver._Shifts(h)
-    assert shifts.count_below(0.06507162284233749) is None
-    assert shifts.count_below(0.0650835437714702) == 6
+    assert sparse_count(h, 0.06507162284233749) is None
+    assert sparse_count(h, 0.0650835437714702) == 6
     # the banded factor's Ritz values lie ~1e-15 off, and its first cut is trusted
     monkeypatch.setattr(eigensolver, "_dense_count", no_dense_count)
     res = lanczos_lowest(h, SolverConfig(k=6, seed=12345, method="lanczos"))
@@ -434,21 +443,21 @@ def test_an_untrusted_count_is_retried_at_a_higher_cut(monkeypatch):
 
 def test_an_untrusted_factor_above_the_dense_limit_certifies_at_the_retried_cut(monkeypatch):
     # the first count's factor leaves the diagonal: untrusted, and no dense count may stand in
-    factor = eigensolver._Shifts.factor
+    factor = eigensolver._superlu
     calls = []
 
     class OffDiagonal:
         def __init__(self, lu):
             self.U, self.perm_c, self.perm_r = lu.U, lu.perm_c, lu.perm_c[::-1]
 
-    def first_count_off_diagonal(shifts, sigma):
+    def first_count_off_diagonal(h, sigma):
         calls.append(sigma)
-        lu = factor(shifts, sigma)
+        lu = factor(h, sigma)
         return OffDiagonal(lu) if len(calls) == 1 else lu  # the banded Cholesky is not SuperLU's
 
     h = moebius_operator(12, 5, 0.3)
     exact = dense_eigh(h, 4).values
-    monkeypatch.setattr(eigensolver._Shifts, "factor", first_count_off_diagonal)
+    monkeypatch.setattr(eigensolver, "_superlu", first_count_off_diagonal)
     monkeypatch.setattr(eigensolver, "_DENSE_MAX_N", 4)
     res = lanczos_lowest(h, SolverConfig(k=4, seed=1, method="lanczos"))
     assert_allclose(res.values, exact, rtol=0, atol=1e-10)

@@ -430,8 +430,9 @@ def _holds_every_diagonal_slot(h):
 
 @pytest.mark.parametrize("topology", [MOEBIUS, ANNULUS])
 def test_every_built_operator_holds_every_diagonal_slot(topology):
-    # the store's diagonal rule, which the shift-and-invert factor relies on: a potential
-    # of -(2 tx) zeroes every diagonal entry at ty = 0, and the slots stay
+    # the store's diagonal rule, which no consumer relies on (the band subtracts sigma on its
+    # own diagonal row, SuperLU factors the sparse difference): a potential of -(2 tx) zeroes
+    # every diagonal entry at ty = 0, and the slots stay
     lat = build_lattice(6, 5, topology)
     hop = HoppingParams(ty=0.0)
     h = assemble(lat, uniform_flux_field(lat, 0.3), hop, pot=np.full(lat.n_sites, -2.0))
