@@ -4,8 +4,9 @@ Units: hbar = 1, lattice spacing 1, energies in units of the x hopping.
 ``SparseHermitian`` is every operator's type and ``_Pattern`` its one
 store; ``assemble`` builds the site-basis operator on a link layout held
 per lattice, ``sector_isometry`` gives the real mirror basis of a
-reflection-parity sector, ``restrict`` projects onto it, and
-``FluxPencil`` evaluates a sector's uniform-flux operator at any flux.
+reflection-parity sector as one CSC matrix, ``restrict`` projects onto
+it, and ``FluxPencil`` evaluates a sector's uniform-flux operator at any
+flux.
 ``sector_isometry`` and ``sector_pencil`` keep what they build in a cache
 per process, read-only, so a band's bases and pencils are built once.
 """
@@ -75,8 +76,8 @@ class SparseHermitian:
     """Sparse matrix with exact Hermitian symmetry.
 
     Construction checks the matrix and stores (H + H^dagger)/2, as
-    ``_Pattern.hermitian`` does, on the pattern of the matrix, its
-    transpose and the diagonal.
+    ``_Pattern.hermitian`` does, on the pattern of the matrix and its
+    transpose.
     """
 
     def __init__(self, matrix):
@@ -110,8 +111,9 @@ class _Pattern(NamedTuple):
     copy of it with its own data, which no sparse constructor checks
     again.  ``transpose`` holds the slot of each entry's transpose, so
     data laid on the pattern is checked and symmetrized entry by entry,
-    with no sparse round trip.  Every pattern holds every diagonal slot,
-    and an operator keeps every slot, explicit zeros included.
+    with no sparse round trip.  A pattern holds the slots of its matrices
+    and their transposes, no other, and an operator keeps every slot,
+    explicit zeros included.
     """
 
     template: sp.csr_matrix
@@ -130,15 +132,14 @@ class _Pattern(NamedTuple):
 
     @classmethod
     def of_matrices(cls, matrices, n: int) -> tuple:
-        """The pattern of these n x n matrices, their transposes and the diagonal, and their data.
+        """The pattern of these n x n matrices and their transposes, and their data.
 
         Each matrix must hold no duplicate entries; a slot it does not
         hold is 0 in its row of the (complex) data.
         """
         coos = [m.tocoo() for m in matrices]
         own = [c.row.astype(np.int64) * n + c.col for c in coos]
-        keys = np.sort(np.concatenate(own + [c.col.astype(np.int64) * n + c.row for c in coos]
-                                      + [np.arange(n, dtype=np.int64) * (n + 1)]))
+        keys = np.sort(np.concatenate(own + [c.col.astype(np.int64) * n + c.row for c in coos]))
         first = np.ones(keys.size, dtype=bool)  # np.unique by a sort: its hashing is slower here
         first[1:] = keys[1:] != keys[:-1]
         keys = keys[first]
@@ -274,10 +275,9 @@ class SectorIsometry:
     (e(i,j) -/+ e(i,ny-1-j))/sqrt(2) over rows below center plus, for the
     even sector, the bare center-row sites, recombined in mirror pairs so
     that Theta = M K fixes each one.  Each column touches at most four
-    sites, so orthonormality holds to round-off.  ``matrix`` is the CSC
-    form; its CSR form and its adjoint, which the sector projection
-    multiplies with, are built once, on first use, and read-only, as is
-    the CSC form of a basis ``sector_isometry`` builds.
+    sites, so orthonormality holds to round-off.  ``matrix`` is B W's
+    one stored form, CSC, which ``embed`` and the sector projection
+    multiply with; it is read-only in a basis ``sector_isometry`` builds.
     """
 
     lattice: StripLattice
@@ -288,18 +288,9 @@ class SectorIsometry:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    @functools.cached_property
-    def csr(self) -> sp.csr_matrix:
-        return _frozen(self.matrix.tocsr())
-
-    @functools.cached_property
-    def adjoint(self) -> sp.csr_matrix:
-        """B^dagger, CSR: the transpose of the conjugated CSC arrays."""
-        return _frozen(self.matrix.conj().T)
-
     def embed(self, vec: np.ndarray) -> np.ndarray:
         """Map a sector vector back to the full site basis."""
-        return self.csr @ vec
+        return self.matrix @ vec
 
 
 def _per_process(build):
@@ -385,9 +376,10 @@ def _project(m, iso: SectorIsometry) -> tuple:
     """The sparse block B^dagger M B and its leak max |M B - B (B^dagger M B)|, unchecked."""
     if m.shape[0] != iso.lattice.n_sites:
         raise ValueError(f"operator dimension {m.shape[0]} != lattice size {iso.lattice.n_sites}")
-    mb = m @ iso.csr
-    block = iso.adjoint @ mb
-    return block, float(abs(mb - iso.csr @ block).max())
+    b = iso.matrix.tocsr()
+    mb = m @ b
+    block = iso.matrix.conj().T @ mb
+    return block, float(abs(mb - b @ block).max())
 
 
 def _sector_blocks(iso: SectorIsometry, matrices) -> tuple:

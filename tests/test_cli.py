@@ -1,7 +1,6 @@
 """CLI contract: exit codes, CSV schema and round trip, SVG, verify."""
 
 import ctypes
-import hashlib
 import math
 import os
 import re
@@ -509,30 +508,45 @@ def blas_build() -> tuple:
     return f"numpy {np.__version__}", f"scipy {scipy.__version__}", config
 
 
-def test_the_default_acceptance_csv_is_pinned_byte_for_byte(tmp_path):
-    """``sweep --ty 0.01 --solver dense`` prints the recorded CSV, on one BLAS thread.
+# the golden subset of tools/output_digest.py, run on the checkout at sys.argv[1]; it prints
+# tests/golden_digest.txt, which a change that moves outputs on purpose regenerates with it
+GOLDEN_RUN = ("import sys; sys.path.insert(0, sys.argv[1] + '/tools'); import output_digest as d; "
+              "d.main(sys.argv[1], filter(d.golden, d.commands()))")
 
-    Recorded with numpy 2.4.6, scipy 1.17.1 and numpy's OpenBLAS reporting
-    "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX
-    MAX_THREADS=64" from ``scipy_openblas_get_config64_``: the kernels
-    that run, where ``numpy.show_config()`` names the build's Haswell.  The
-    last printed digits depend on the build, the core and the thread count:
-    with two BLAS threads the same command printed sha256
+
+def test_the_golden_digest_is_pinned_line_for_line(tmp_path):
+    """The digest tool's golden subset prints ``tests/golden_digest.txt``, on one BLAS thread.
+
+    That is 462 commands' sha256 lines and the default acceptance CSV's
+    (``sweep --ty 0.01 --solver dense``): every edge and refused input,
+    every ``verify`` run, both factor routes of the Lanczos solver and the
+    8 x 3 spectra, holonomies and plot sweeps; a moved line names its
+    command.  Recorded with numpy 2.4.6, scipy 1.17.1 and numpy's OpenBLAS
+    reporting "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY
+    SkylakeX MAX_THREADS=64" from ``scipy_openblas_get_config64_``: the
+    kernels that run, where ``numpy.show_config()`` names the build's
+    Haswell.  The last printed digits depend on the build, the core and
+    the thread count: with two BLAS threads the acceptance CSV hashed to
     de645fd65f0aada769675fe5353475779330c56d560e6865c8be9c3d3024ede5, so
     the subprocess pins one.  On another build the test skips and names
-    both; the hash is never changed to make a run pass.
+    both; the file is regenerated only by a change that moves outputs on
+    purpose, never to make a run pass.
     """
     build = blas_build()
     if build != RECORDED_BUILD:
         pytest.skip(f"recorded on {' / '.join(RECORDED_BUILD)}; this host runs {' / '.join(build)}")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
     env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
-    run = subprocess.run([sys.executable, "-m", "mobiusflux", "sweep", "--ty", "0.01",
-                          "--solver", "dense"], capture_output=True, env=env, cwd=tmp_path)
+    run = subprocess.run([sys.executable, "-c", GOLDEN_RUN, str(root)],
+                         capture_output=True, text=True, env=env, cwd=tmp_path)
     assert run.returncode == 0
-    assert run.stderr == b""
-    assert hashlib.sha256(run.stdout).hexdigest() == ACCEPTANCE_CSV_SHA256
+    assert run.stderr == ""
+    got = run.stdout.splitlines()
+    want = (root / "tests" / "golden_digest.txt").read_text(encoding="utf-8").splitlines()
+    assert want[-1] == f"{ACCEPTANCE_CSV_SHA256} acceptance CSV"
+    moved = [pinned.split(" ", 1)[1] for line, pinned in zip(got, want) if line != pinned]
+    assert len(got) == len(want) and not moved, f"{len(moved)} moved: " + "; ".join(moved)
 
 
 def test_unwritable_plot_leaves_no_new_csv(capsys, tmp_path):

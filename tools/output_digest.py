@@ -13,6 +13,9 @@ match line for line.  As one process runs all 2,616 commands, on
 interleaved lattices, sectors and hoppings, the run also checks that the
 per-process caches of sector bases and flux pencils (``sector_isometry``,
 ``sector_pencil``) leave every output as a fresh process would print it.
+``main(ROOT, filter(golden, commands()))`` prints the lines of the
+subset that ``tests/golden_digest.txt`` pins and ``tests/test_cli.py``
+checks.
 """
 
 import os
@@ -95,6 +98,16 @@ def commands():
     yield ("sweep", "--nx", "-1e5")
 
 
+def golden(argv) -> bool:
+    """Whether the golden digest pins this command: every one on the default topology (the
+    acceptance sweep, the 64 x 64 spectrum, every verify run and every edge or refused input),
+    the 8 x 3 spectra, holonomies and plot sweeps, and the spectra at n = 1200 (48 x 25)."""
+    if "--topology" not in argv:
+        return True
+    band = argv[argv.index("--nx") + 1], argv[argv.index("--ny") + 1]
+    return band == ("48", "25") or band == ("8", "3") and (argv[0] != "sweep" or PLOT in argv)
+
+
 def run(main, argv) -> tuple:
     """Exit code, stdout and stderr of one in-process ``main`` call."""
     out, err = io.StringIO(), io.StringIO()
@@ -106,14 +119,14 @@ def run(main, argv) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-def main(root: str) -> None:
+def main(root: str, argvs) -> None:
     sys.path.insert(0, str(Path(root).resolve() / "src"))
     from mobiusflux.cli import main as cli_main
 
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         Path(BOM_CONFIG[0]).write_text(BOM_CONFIG[1], encoding="utf-8")
-        for argv in commands():
+        for argv in argvs:
             Path(PLOT).unlink(missing_ok=True)
             code, out, err = run(cli_main, argv)
             if argv[0] == "verify":
@@ -132,4 +145,4 @@ def main(root: str) -> None:
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit(f"usage: {sys.argv[0]} ROOT")
-    main(sys.argv[1])
+    main(sys.argv[1], commands())
