@@ -4,8 +4,11 @@ Two routes, both in the operator's own dtype, so a real operator is
 solved in real arithmetic: ``dense_eigh``, a direct LAPACK solve, the
 reference at small dimension, and ``lanczos_lowest``, shift-invert
 Lanczos on a banded Cholesky factor (SuperLU past a half-bandwidth of
-120), certified complete by SuperLU's sparse inertia count; ``solve`` picks.
-Each SuperLU factor is of the plain sparse difference H - sigma I.
+120), certified complete by an inertia count on the same band, a block
+L D L^H (SuperLU's sparse one past a half-bandwidth of 96); ``solve``
+picks.  Both read one reverse Cuthill-McKee layout per sparsity pattern
+(``_layout``).  Each SuperLU factor is of the plain sparse difference
+H - sigma I.
 Residuals ||H v - lambda v|| are always recomputed from the returned
 pairs; eigenvectors of degenerate eigenvalues are ambiguous beyond
 orthonormality.
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,6 +32,15 @@ _AUTO_DENSE_N = 1024
 # to b = 118, tied at 122-134 and mostly lost from 138 (1.44 at 202).  In the tie SuperLU
 # holds half the band's (b + 1) n entries, a gap that widens with b
 _MAX_BAND = 120
+# the widest half-bandwidth the inertia count takes as a band, from counts just above the seventh
+# eigenvalue of Moebius full-sector bands (one BLAS thread), medians of three runs, ms of band /
+# SuperLU: 1.34 / 2.70 at b = 52, 2.73 / 4.16 at 72, 4.38 / 4.67 at 92, 4.62 / 5.11 at 96,
+# 5.30 / 5.27 at 97, 9.23 / 8.94 at 104, 9.76 / 7.96 at 116 and 14.9 / 10.6 at 128
+_MAX_COUNT_BAND = 96
+# the count's narrowest block: blocks as narrow as a narrow band are too many calls (1,200-site
+# ring, b = 3: 1.51 ms in blocks of 3, 0.79 in blocks of 16, SuperLU 0.69), while wider blocks
+# cost more flops (1.14 ms in blocks of 24; b = 8: 0.60 in blocks of 8, 0.51 of 16, 0.58 of 24)
+_MIN_BLOCK = 16
 # half the digits of a double: the relative margin of the shift below the
 # spectrum, and the pivot imaginary part and growth an inertia count tolerates
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
@@ -146,14 +158,65 @@ def _gershgorin(h: SparseHermitian) -> tuple:
     return float(np.min(diag - radius)), float(np.max(diag + radius))
 
 
+class _Layout(NamedTuple):
+    """The reverse Cuthill-McKee band of one sparsity pattern; every array is read-only.
+
+    Row i of the band is row perm[i] of H, row j of H is row order[j] of
+    the band, and width is the band's half-bandwidth.  A scatter is a pair
+    (slots, positions): entry slots[k] of the CSR data goes to flat
+    position positions[k].  ``upper`` fills LAPACK's upper band storage,
+    (width + 1) x n column-major (``_BandCholesky``).  ``pieces`` fills the
+    count's blocks (``_band_count``): the band cut into block x block
+    pieces, the last block padded, and block >= width, so the matrix is
+    block tridiagonal; piece 2j is diagonal block j, piece 2j + 1 the
+    block below it, each column-major.
+    """
+
+    perm: np.ndarray
+    order: np.ndarray
+    width: int
+    upper: tuple
+    block: int
+    pieces: tuple
+
+
+def _layout(csr) -> _Layout:
+    """The band layout of csr's pattern, built once per pattern: cached on its index arrays."""
+    return _pattern_layout(csr.shape[0], csr.indices.dtype.str, csr.indptr.tobytes(),
+                           csr.indices.tobytes())
+
+
+@functools.lru_cache(maxsize=16)
+def _pattern_layout(n: int, index: str, indptr: bytes, indices: bytes) -> _Layout:
+    """The layout of the n x n pattern with these CSR index arrays, bytes of dtype index."""
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    indptr, indices = np.frombuffer(indptr, index), np.frombuffer(indices, index)
+    pattern = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+    perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+    order = np.argsort(perm)
+    rows = order[np.repeat(np.arange(n), np.diff(indptr))]
+    cols = order[indices]
+    width = int(np.max(cols - rows, initial=0))  # H's pattern is closed under transposition
+    upper = np.flatnonzero(rows <= cols)
+    block = max(width, _MIN_BLOCK)
+    lower = np.flatnonzero(rows // block >= cols // block)
+    piece = (rows // block + cols // block)[lower]  # 2j in diagonal block j, 2j + 1 below it
+    arrays = (perm, order, upper, (rows + width * (cols + 1))[upper], lower,
+              (piece * block + cols[lower] % block) * block + rows[lower] % block)
+    for arr in arrays:
+        arr.setflags(write=False)
+    return _Layout(perm, order, width, arrays[2:4], block, arrays[4:])
+
+
 def _superlu(h: SparseHermitian, sigma: float):
     """Sparse LU of H - sigma I by SuperLU in symmetric mode with diagonal pivots.
 
     It factors the sparse difference H - sigma I, which drops H's explicit
     zeros and any diagonal entry sigma cancels.  When the pivots stay
     diagonal (perm_r == perm_c) it is the congruence
-    P (H - sigma I) P^T = L D L^H with D the diagonal of U.  The inertia
-    count needs that L D L^H: LAPACK has no banded indefinite one.
+    P (H - sigma I) P^T = L D L^H with D the diagonal of U, which the
+    inertia count reads on a band wider than ``_MAX_COUNT_BAND``.
     """
     from scipy.sparse.linalg import splu
 
@@ -162,19 +225,117 @@ def _superlu(h: SparseHermitian, sigma: float):
                 options={"SymmetricMode": True})
 
 
+@functools.lru_cache(maxsize=16)
+def _block_routines(dtype: np.dtype, block: int) -> tuple:
+    """The routines of the band count for dtype: LAPACK's Cholesky (?potrf) and Bunch-Kaufman
+    factor and solve (?sytrf, ?sysv, or ?hetrf, ?hesv), BLAS's ?trsm, ?syrk or ?herk, and ?gemm,
+    and the Bunch-Kaufman workspace at block."""
+    from scipy.linalg.blas import get_blas_funcs
+    from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
+
+    name = "sy" if dtype == np.float64 else "he"
+    lapack = get_lapack_funcs(("potrf", name + "trf", name + "sv", name + "sv_lwork"), dtype=dtype)
+    return (*lapack[:3], *get_blas_funcs(("trsm", name + "rk", "gemm"), dtype=dtype),
+            _compute_lwork(lapack[3], block, lower=1))
+
+
+def _band_count(h: SparseHermitian, layout: _Layout, cut: float, norm: float) -> Optional[int]:
+    """Eigenvalues of H below cut from a block L D L^H on the band; None if untrusted.
+
+    The band of A = P (H - cut I) P^T is block tridiagonal, with diagonal
+    blocks A_j and blocks C_j below them (``_Layout``); the padded rows
+    hold norm on the diagonal, which adds no negative eigenvalue.  Its
+    inertia is the sum of the inertias of S_1 = A_1 and
+    S_{j+1} = A_{j+1} - C_j S_j^{-1} C_j^H (Haynsworth).  Where S_j has a
+    Cholesky factor L L^H it has no negative eigenvalue, and
+    C_j S_j^{-1} C_j^H = W^H W with W = L^{-1} C_j^H: at a cut low in the
+    spectrum most blocks are so (17 of 23 at 48 x 25).  Any other S_j's
+    inertia is that of the D of its Bunch-Kaufman factor
+    (``_pivot_inertia``), on which S_j^{-1} C_j^H is solved.  Neither forms
+    an explicit inverse: its rounding reaches beyond S_j's near null space,
+    which C_j annihilates at a degenerate level, and there it flipped signs
+    in the next block.  The count is not trusted where a
+    Bunch-Kaufman factor is exactly singular (info != 0) or an entry of a
+    Schur complement or of a factor exceeds norm / sqrt(eps), the growth
+    bound ``_count_below`` puts on SuperLU's U.
+    """
+    csr, s = h.csr, layout.block
+    m = -(-h.n // s)
+    slots, positions = layout.pieces
+    data = np.zeros((2 * m - 1) * s * s, dtype=csr.dtype)
+    data[positions] = csr.data[slots]
+    diagonal = data.reshape(-1, s * s)[::2, ::s + 1]
+    diagonal -= cut
+    diagonal[-1, h.n - (m - 1) * s:] = norm
+    pieces = data.reshape(-1, s, s).transpose(0, 2, 1)  # each piece in Fortran order
+    potrf, trf, sv, trsm, rk, gemm, lwork = _block_routines(csr.dtype, s)
+    adjoint = 1 if csr.dtype == np.float64 else 2
+    # a Cholesky factor's rows keep pivot 1, and its positive diagonal counts no negative
+    factors, pivots = np.empty((m, s, s), dtype=csr.dtype), np.ones((m, s), dtype=np.int32)
+    for j in range(m - 1):
+        below, after = pieces[2 * j + 1], pieces[2 * j + 2]
+        cholesky, info = potrf(pieces[2 * j], lower=1, clean=0)
+        if info == 0:  # S_{j+1} -= W^H W, in place on its lower triangle, the one read
+            factors[j] = cholesky
+            rk(-1.0, trsm(1.0, cholesky, below.conj().T, lower=1), 1.0, after, trans=adjoint,
+               lower=1, overwrite_c=1)
+            continue
+        factors[j], pivots[j], solved, info = sv(pieces[2 * j], below.conj().T, lower=1,
+                                                 lwork=lwork)
+        if info != 0:
+            return None
+        gemm(-1.0, below, solved, 1.0, after, overwrite_c=1)  # S_{j+1}, in place
+    factors[-1], pivots[-1], info = trf(pieces[-1], lower=1, lwork=lwork)
+    if info != 0:
+        return None
+    if not max(np.max(np.abs(data)), np.max(np.abs(factors))) * _SQRT_EPS <= norm:
+        return None
+    return _pivot_inertia(factors, pivots)
+
+
+def _pivot_inertia(factors: np.ndarray, pivots: np.ndarray) -> Optional[int]:
+    """Negative eigenvalues of the block diagonal D of lower Bunch-Kaufman factors (LAPACK's
+    ?sytrf or ?hetrf, each row of factors with its row of pivots); None if a 2 x 2 block of D
+    is singular.
+
+    A 1 x 1 block counts by its sign.  The rows of a 2 x 2 block are
+    consecutive and carry negative pivots, so every other row with a
+    negative pivot starts one.  [[a, b*], [b, c]] has one
+    negative eigenvalue where its determinant a c - |b|^2 is negative, and
+    two where that is positive and a is; the determinant's sign is taken
+    after scaling by the block's largest entry, so it cannot overflow.
+    """
+    paired = pivots.reshape(-1) < 0
+    j, k = np.divmod(np.flatnonzero(paired)[::2], pivots.shape[1])
+    a, c = factors[j, k, k].real, factors[j, k + 1, k + 1].real
+    b = np.abs(factors[j, k + 1, k])
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(c)), b)
+    det = (a / scale) * (c / scale) - (b / scale) ** 2
+    if np.any(det == 0):
+        return None
+    singles = np.diagonal(factors, axis1=1, axis2=2).real.reshape(-1)[~paired]
+    return int(np.count_nonzero(singles < 0) + np.count_nonzero(det < 0)
+               + 2 * np.count_nonzero((det > 0) & (a < 0)))
+
+
 def _count_below(h: SparseHermitian, cut: float, norm: float) -> Optional[int]:
     """Number of eigenvalues of H below cut, by Sylvester's law of inertia; None if untrusted.
 
-    D's negative entries in the factor L D L^H of H - cut I (``_superlu``)
-    are the count; norm bounds ||H - cut I||.  Diagonal pivots are not
-    stable on an indefinite matrix: a pivot near zero makes later entries
-    grow until rounding swamps the signs of later pivots.  So the count is
+    norm bounds ||H - cut I||.  Up to a half-bandwidth of ``_MAX_COUNT_BAND``
+    the count is the band's block L D L^H (``_band_count``).  On a wider
+    band it is the negative entries of D in SuperLU's factor L D L^H of
+    H - cut I (``_superlu``).  Diagonal pivots are not stable on an
+    indefinite matrix: a pivot near zero makes later entries grow until
+    rounding swamps the signs of later pivots.  So SuperLU's count is
     trusted only if the pivots stayed on the diagonal, are real to within
     sqrt(eps) norm (exactly real in exact arithmetic) and no entry of U
-    exceeds norm / sqrt(eps).  Where it is not, or cut is an eigenvalue so
-    the factor is exactly singular, it returns None, and the caller may
-    count the dense spectrum (``_dense_count``).
+    exceeds norm / sqrt(eps).  Where a count is not trusted, or cut is an
+    eigenvalue so the factor is exactly singular, it returns None, and the
+    caller may count the dense spectrum (``_dense_count``).
     """
+    layout = _layout(h.csr)
+    if layout.width <= _MAX_COUNT_BAND:
+        return _band_count(h, layout, cut, norm)
     try:
         lu = _superlu(h, cut)
     except RuntimeError:  # SuperLU's "Factor is exactly singular": cut is an eigenvalue
@@ -216,29 +377,20 @@ class _BandCholesky:
 def _definite_factor(h: SparseHermitian, sigma: float):
     """A factor of the positive definite H - sigma I, with a ``solve``.
 
-    LAPACK's banded Cholesky on H's reverse Cuthill-McKee order where its
-    half-bandwidth is at most ``_MAX_BAND`` (a strip's is about twice its
-    short side); ``_superlu`` on a wider band, where it is no slower and
-    holds less, its diagonal pivots stable on a definite matrix.
-    On a wide band the order and the width cost 3-6% of SuperLU's factor,
-    under 1% of a Lanczos solve.
+    LAPACK's banded Cholesky on H's reverse Cuthill-McKee band (``_layout``)
+    where its half-bandwidth is at most ``_MAX_BAND`` (a strip's is about
+    twice its short side); ``_superlu`` on a wider band, where it is no
+    slower and holds less, its diagonal pivots stable on a definite matrix.
     """
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-    csr = h.csr
-    perm = reverse_cuthill_mckee(csr, symmetric_mode=True)
-    order = np.argsort(perm)
-    rows = order[np.repeat(np.arange(h.n), np.diff(csr.indptr))]
-    cols = order[csr.indices]
-    width = int(np.max(cols - rows))  # H's pattern is closed under transposition
-    if width > _MAX_BAND:
+    layout = _layout(h.csr)
+    if layout.width > _MAX_BAND:
         return _superlu(h, sigma)
-    upper = rows <= cols
-    offsets, cols = cols[upper] - rows[upper], cols[upper]
-    ab = np.zeros((width + 1, h.n), dtype=csr.dtype, order="F")
-    ab[width - offsets, cols] = csr.data[upper]
-    ab[width] -= sigma
-    return _BandCholesky(ab, perm, order)
+    slots, positions = layout.upper
+    ab = np.zeros((h.n, layout.width + 1), dtype=h.csr.dtype)
+    ab.reshape(-1)[positions] = h.csr.data[slots]
+    ab = ab.T  # (width + 1) x n in Fortran order
+    ab[layout.width] -= sigma
+    return _BandCholesky(ab, layout.perm, layout.order)
 
 
 def _dense_count(h: SparseHermitian, sigma: float) -> int:
@@ -268,10 +420,12 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
     [lo, hi], so H - sigma I is positive definite and is factored once: by
     LAPACK's banded Cholesky on H's reverse Cuthill-McKee order, where that
     half-bandwidth is at most 120, as a strip's short side keeps it, and by
-    SuperLU above, where it is no slower (``_definite_factor``).  The count
-    stays with SuperLU, because H - sigma I is indefinite at a cut and LAPACK
-    has no banded L D L^H: each cut factors the sparse difference H - cut I
-    anew (``_count_below``), its norm bounded by the Gershgorin interval.
+    SuperLU above, where it is no slower (``_definite_factor``).  H - cut I
+    is indefinite, so each count factors it anew (``_count_below``), its
+    norm bounded by the Gershgorin interval: a block L D L^H of Cholesky and
+    Bunch-Kaufman factors on the same band up to a half-bandwidth of 96,
+    SuperLU's sparse L D L^H above; the order and the band's index arrays
+    are built once per sparsity pattern (``_layout``).
     ARPACK (scipy's eigsh) runs on its inverse, whose largest, best separated
     eigenvalues are the lowest of H, from a seeded start vector (its real
     part on a real operator, which keeps the whole solve real).  ARPACK's

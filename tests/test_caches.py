@@ -1,11 +1,13 @@
-"""The per-process caches of sector bases and flux pencils: same bytes, read-only, bounded."""
+"""The per-process caches of sector bases, flux pencils and band layouts: same bytes,
+read-only, bounded."""
 
 import re
 
+import numpy as np
 import pytest
 
-from mobiusflux import cli
-from mobiusflux.eigensolver import SolverConfig
+from mobiusflux import cli, eigensolver
+from mobiusflux.eigensolver import SolverConfig, lanczos_lowest
 from mobiusflux.experiments import SweepConfig, flux_sweep
 from mobiusflux.hamiltonian import (
     EVEN,
@@ -15,7 +17,7 @@ from mobiusflux.hamiltonian import (
     sector_isometry,
     sector_pencil,
 )
-from mobiusflux.lattice import MOEBIUS, build_lattice
+from mobiusflux.lattice import ANNULUS, MOEBIUS, build_lattice
 
 SMALL_SWEEP = ("sweep", "--nx", "6", "--ny", "3", "--f-steps", "5")
 ODD_SPECTRUM = ("spectrum", "--nx", "6", "--ny", "3", "--f", "0.3", "--sectors", "odd")
@@ -30,12 +32,17 @@ COMMANDS = [
     ("verify", "--broken-seam"),
     ("spectrum", "--nx", "6", "--ny", "3", "--f", "0.3"),  # the default sector list: full
     ("spectrum", "--ty", "0.01", "--solver", "dense", "--f", "0.3"),
+    # Lanczos solves, which read the band layouts: two topologies of one n
+    ("spectrum", "--nx", "6", "--ny", "3", "--f", "0.3", "--solver", "lanczos"),
+    ("spectrum", "--topology", "annulus", "--nx", "6", "--ny", "3", "--f", "0.3", "--solver",
+     "lanczos"),
 ]
 
 
 def clear_caches():
     sector_isometry.cache_clear()
     sector_pencil.cache_clear()
+    eigensolver._pattern_layout.cache_clear()
 
 
 def run(capsys, argv):
@@ -55,7 +62,7 @@ def test_one_process_prints_the_same_bytes_in_any_order(capsys):
     assert forward == cold
     assert backward == cold
     assert cold[0] == cold[1] and cold[2] == cold[3]
-    assert [code for code, _, _ in cold] == [0] * 6 + [1, 0, 0]
+    assert [code for code, _, _ in cold] == [0] * 6 + [1, 0, 0, 0, 0]
 
 
 def test_cached_bases_and_pencils_are_read_only():
@@ -73,6 +80,27 @@ def test_cached_bases_and_pencils_are_read_only():
     own = FluxPencil(iso, hop)
     own._data[1] = 0.0
     assert sector_pencil(lat, ODD, hop) is pencil and (pencil.at(0.3).csr.toarray() == before).all()
+
+
+def test_the_band_layout_is_built_once_per_pattern():
+    clear_caches()
+    lat, hop, cfg = build_lattice(48, 25, MOEBIUS), HoppingParams(), SolverConfig(k=4, seed=1)
+    pencil = sector_pencil(lat, "full", hop)
+    for f in (0.1, 0.3, 0.5):
+        lanczos_lowest(pencil.at(f), cfg)
+    info = eigensolver._pattern_layout.cache_info()
+    # one build for every factor and count of the three solves
+    assert info.misses == 1 and info.hits >= 5
+    layout = eigensolver._layout(pencil.at(0.7).csr)
+    # the annulus of the same n has a pattern, and so a layout, of its own
+    other = eigensolver._layout(sector_pencil(build_lattice(48, 25, ANNULUS), "full", hop)
+                                .at(0.3).csr)
+    assert eigensolver._pattern_layout.cache_info().misses == 2
+    assert (layout.width, other.width) == (52, 51)
+    assert not np.array_equal(layout.perm, other.perm)
+    for arr in (layout.perm, layout.order, *layout.upper, *layout.pieces):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
 
 
 def test_caches_hold_at_most_their_maxsize_entries():

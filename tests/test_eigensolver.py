@@ -228,8 +228,21 @@ def test_lanczos_returns_complete_degenerate_spectrum(nx, ny, f, ty, seed):
     assert_allclose(res.values, dense_eigh(h).values[:6], rtol=0, atol=1e-8)
 
 
+def count_on_superlu(monkeypatch):
+    """Send every inertia count to SuperLU, the route of a band wider than _MAX_COUNT_BAND."""
+    monkeypatch.setattr(eigensolver, "_MAX_COUNT_BAND", -1)
+
+
+@pytest.fixture(params=["band", "superlu"])
+def count_route(request, monkeypatch):
+    """Each route of the sparse inertia count: the band's block L D L^H, or SuperLU's."""
+    if request.param == "superlu":
+        count_on_superlu(monkeypatch)
+    return request.param
+
+
 def sparse_count(h, sigma):
-    """The sparse factor's count, or None, with the norm bound the solver gives it."""
+    """The sparse count, or None, with the norm bound the solver gives it."""
     lo, hi = eigensolver._gershgorin(h)
     return eigensolver._count_below(h, sigma, max(hi - sigma, sigma - lo))
 
@@ -269,7 +282,7 @@ def pencil_at_cos_phi_zero():
     # a zero diagonal entry in the last row: the store holds its slot, the last of all
     SparseHermitian(np.diag([1.0, 2.0, 0.0]) + np.eye(3, k=1) + np.eye(3, k=-1)),
 ])
-def test_inertia_count_matches_dense_count(h):
+def test_inertia_count_matches_dense_count(h, count_route):
     values = dense_eigh(h).values
     gaps = np.flatnonzero(np.diff(values) > 1e-9)
     sigmas = [values[0] - 1.0, values[-1] + 1.0, *(0.5 * (values[gaps] + values[gaps + 1]))]
@@ -286,14 +299,14 @@ def near_zero_pivot_ring():
     return SparseHermitian(sp.csr_matrix(m)), diag[1] - 1e-15
 
 
-def test_inertia_count_survives_a_near_zero_pivot():
+def test_inertia_count_survives_a_near_zero_pivot(count_route):
     h, sigma = near_zero_pivot_ring()
     values = np.linalg.eigvalsh(h.toarray())
     assert np.min(np.abs(values - sigma)) > 0.05
     assert inertia_count(h, sigma) == np.count_nonzero(values < sigma) == 3
 
 
-def test_inertia_count_at_an_eigenvalue():
+def test_inertia_count_at_an_eigenvalue(count_route):
     # sigma = 3 makes the factor of 3 I - sigma I exactly singular
     h = SparseHermitian(3 * sp.identity(5))
     assert inertia_count(h, 3.0) == 0
@@ -307,8 +320,8 @@ def test_inertia_count_at_an_eigenvalue():
              HoppingParams(), pot=np.where(np.isin(np.arange(18), [4, 17]), -4.0, 0.0)),
     SparseHermitian(sp.csr_matrix(np.diag([1.0, 0.0, 2.0, 3.0]) + np.eye(4, k=1) + np.eye(4, k=-1))),
 ])
-def test_a_cut_on_a_diagonal_entry_is_counted_right_or_not_trusted(h):
-    # there the sparse difference H - cut I holds no entry in that diagonal slot: SuperLU's
+def test_a_cut_on_a_diagonal_entry_is_counted_right_or_not_trusted(h, count_route):
+    # there the sparse difference H - cut I holds no entry in that diagonal slot: each route's
     # count is the dense one or None (untrusted, or the factor is exactly singular)
     values = np.linalg.eigvalsh(h.toarray())
     for cut in map(float, np.unique(h.csr.diagonal().real)):
@@ -317,7 +330,112 @@ def test_a_cut_on_a_diagonal_entry_is_counted_right_or_not_trusted(h):
         assert sparse_count(h, cut) in (None, np.count_nonzero(values < cut))
 
 
+def zero_diagonal_path(n):
+    # the n-site path with a zero diagonal: Bunch-Kaufman takes 2 x 2 pivots, in runs that
+    # cross from one block into the next
+    return SparseHermitian(sp.diags([np.ones(n - 1), np.ones(n - 1)], [-1, 1]))
+
+
+def site_operator(top, nx, ny, f, ty=1.0):
+    lat = build_lattice(nx, ny, top)
+    return assemble(lat, uniform_flux_field(lat, f), HoppingParams(ty=ty))
+
+
+BAND_COUNTED = {
+    # real sector pencils (?potrf, ?sytrf): at 48 x 25 the last block is padded (n = 1200 in
+    # blocks of 52 or 51, 624 in 28, 576 in 26), at 16 x 5 n is a multiple of the block (80, 48
+    # and 32 in blocks of 16), and at 5 x 3 all n rows are one block
+    **{f"{top}-{nx}x{ny}-{sector}": (top, nx, ny, sector)
+       for top in (MOEBIUS, ANNULUS) for nx, ny in ((48, 25), (16, 5), (5, 3))
+       for sector in ("full", EVEN, ODD)},
+    # complex site-basis operators (?hetrf): 140 = 8 x 16 + 12, 80 = 5 x 16, 15 rows, and on
+    # the annulus 1200 = 25 x 48
+    **{f"{top}-site-{nx}x{ny}": (top, nx, ny, None) for top in (MOEBIUS, ANNULUS)
+       for nx, ny in ((20, 7), (16, 5), (5, 3))},
+    "annulus-site-48x25": (ANNULUS, 48, 25, None),
+    # ty = 0 at f = 1/2: levels up to 14-fold degenerate, where Schur complements formed from an
+    # explicit inverse miscounted by two at a cut 1.7e-10 above one, with no entry grown
+    **{f"{top}-site-7x7-ty0": (top, 7, 7, "ty0") for top in (MOEBIUS, ANNULUS)},
+    "zero-diagonal-path": None,
+}
+
+
+def band_counted(name):
+    if BAND_COUNTED[name] is None:
+        return zero_diagonal_path(30)
+    top, nx, ny, sector = BAND_COUNTED[name]
+    if sector is None:
+        return site_operator(top, nx, ny, 0.3)
+    if sector == "ty0":
+        return site_operator(top, nx, ny, 0.5, ty=0.0)
+    return sector_pencil(build_lattice(nx, ny, top), sector, HoppingParams()).at(0.3)
+
+
+@pytest.mark.parametrize("name", list(BAND_COUNTED))
+def test_a_trusted_band_count_is_never_wrong(name):
+    h = band_counted(name)
+    layout = eigensolver._layout(h.csr)
+    assert layout.width <= eigensolver._MAX_COUNT_BAND
+    assert (h.csr.dtype == complex) == ("site" in name)
+    values = np.linalg.eigvalsh(h.toarray())
+    lo, hi = eigensolver._gershgorin(h)
+
+    def count(cut):
+        return eigensolver._band_count(h, layout, cut, max(hi - cut, cut - lo))
+
+    # a random cut lies far from every eigenvalue on the scale of the count's rounding: the
+    # count is trusted there, and right
+    for cut in np.random.default_rng(h.n).uniform(lo, hi, 12):
+        assert count(cut) == np.count_nonzero(values < cut)
+    # within 1e-12 of an eigenvalue, or on a diagonal entry, it is right or not trusted
+    near = np.concatenate([values[:8] - 1e-12, values[:8] + 1e-12, values[-2:] - 1e-12])
+    for cut in (*near, *np.unique(h.csr.diagonal().real)):
+        assert count(cut) in (None, np.count_nonzero(values < cut))
+
+
+def test_an_exactly_singular_band_count_is_not_trusted():
+    h = SparseHermitian(3 * sp.identity(5))  # 3 I - 3 I is exactly singular
+    layout = eigensolver._layout(h.csr)
+    assert layout.width == 0 and eigensolver._count_below(h, 3.0, 3.0) is None
+    assert eigensolver._band_count(h, layout, 3.0, 3.0) is None
+    assert eigensolver._band_count(h, layout, 3.0 + 1e-9, 3.0) == 5
+
+
+def test_each_2x2_pivot_is_counted_by_the_sign_of_its_determinant():
+    # block 0: 1 x 1 pivots -1 (one negative) and 2, then [[2, 4], [4, 3]], determinant < 0
+    # (one); block 1: [[-2, 1], [1, -3]], determinant > 0 with a < 0 (two), then
+    # [[2, 1], [1, 3]] (none).  The last three pairs make one run of negative pivots
+    factors = np.zeros((2, 4, 4))
+    factors[0, 0, 0], factors[0, 1, 1] = -1.0, 2.0
+    pairs = {(0, 2): (2.0, 4.0, 3.0), (1, 0): (-2.0, 1.0, -3.0), (1, 2): (2.0, 1.0, 3.0)}
+    for (j, k), (a, b, c) in pairs.items():
+        factors[j, k, k], factors[j, k + 1, k], factors[j, k + 1, k + 1] = a, b, c
+    pivots = np.array([[1, 2, -3, -3], [-1, -1, -4, -4]], dtype=np.int32)
+    assert eigensolver._pivot_inertia(factors, pivots) == 1 + 1 + 2
+    factors[1, :2, :2] = [[-2.0, 0.0], [4.0, -8.0]]  # determinant 16 - 16 = 0: singular
+    assert eigensolver._pivot_inertia(factors, pivots) is None
+
+
+@pytest.mark.parametrize("ny, width, route", [
+    (48, 96, "band"),  # 96: the widest band the count takes
+    (49, 97, "superlu"),
+])
+def test_the_count_is_banded_up_to_a_half_bandwidth_of_96(monkeypatch, ny, width, route):
+    h = sector_pencil(build_lattice(48, ny, MOEBIUS), "full", HoppingParams()).at(0.3)
+    assert eigensolver._layout(h.csr).width == width
+    routes, band_count, superlu = [], eigensolver._band_count, eigensolver._superlu
+    monkeypatch.setattr(eigensolver, "_band_count",
+                        lambda *args: routes.append("band") or band_count(*args))
+    monkeypatch.setattr(eigensolver, "_superlu",
+                        lambda *args: routes.append("superlu") or superlu(*args))
+    lo, hi = eigensolver._gershgorin(h)
+    assert sparse_count(h, lo + 0.05 * (hi - lo)) > 0
+    assert routes == [route]
+
+
 def test_inertia_count_dense_fallback_is_size_guarded(monkeypatch):
+    # SuperLU's diagonal pivots grow on the ring; the band's Bunch-Kaufman factor does not
+    count_on_superlu(monkeypatch)
     monkeypatch.setattr(eigensolver, "_DENSE_MAX_N", 4)
     with pytest.raises(np.linalg.LinAlgError, match="exceeds"):
         inertia_count(SparseHermitian(3 * sp.identity(5)), 3.0)  # singular factor
@@ -339,20 +457,26 @@ def test_lanczos_reports_an_uncertifiable_count_as_no_convergence(monkeypatch):
 
 
 def record_factorizations(monkeypatch) -> list:
-    """The list lanczos_lowest's factorizations go to: each SuperLU factor's sigma, and
-    "cholesky" for each banded Cholesky."""
-    factor, cholesky = eigensolver._superlu, eigensolver._BandCholesky
+    """The list lanczos_lowest's factorizations go to: each SuperLU factor's sigma, each band
+    count's cut, and "cholesky" for each banded Cholesky."""
+    factor, count, cholesky = (eigensolver._superlu, eigensolver._band_count,
+                               eigensolver._BandCholesky)
     calls = []
 
     def superlu(h, sigma):
         calls.append(sigma)
         return factor(h, sigma)
 
+    def band_count(h, layout, cut, norm):
+        calls.append(cut)
+        return count(h, layout, cut, norm)
+
     def banded(*args):
         calls.append("cholesky")
         return cholesky(*args)
 
     monkeypatch.setattr(eigensolver, "_superlu", superlu)
+    monkeypatch.setattr(eigensolver, "_band_count", band_count)
     monkeypatch.setattr(eigensolver, "_BandCholesky", banded)
     return calls
 
@@ -432,6 +556,7 @@ def test_an_untrusted_count_is_retried_at_a_higher_cut(monkeypatch):
     def no_dense_count(h, sigma):
         raise AssertionError("dense count")
 
+    count_on_superlu(monkeypatch)
     h, exact = annulus_operator(48, 25, 0.3627)
     assert sparse_count(h, 0.06507162284233749) is None
     assert sparse_count(h, 0.0650835437714702) == 6
@@ -455,6 +580,7 @@ def test_an_untrusted_factor_above_the_dense_limit_certifies_at_the_retried_cut(
         lu = factor(h, sigma)
         return OffDiagonal(lu) if len(calls) == 1 else lu  # the banded Cholesky is not SuperLU's
 
+    count_on_superlu(monkeypatch)
     h = moebius_operator(12, 5, 0.3)
     exact = dense_eigh(h, 4).values
     monkeypatch.setattr(eigensolver, "_superlu", first_count_off_diagonal)
