@@ -5,10 +5,9 @@ solved in real arithmetic: ``dense_eigh``, a direct LAPACK solve, the
 reference at small dimension, and ``lanczos_lowest``, shift-invert
 Lanczos on a banded Cholesky factor (SuperLU past a half-bandwidth of
 120), certified complete by an inertia count on the same band, a block
-L D L^H (SuperLU's sparse one past a half-bandwidth of 96); ``solve``
-picks.  Both read one reverse Cuthill-McKee layout per sparsity pattern
-(``_layout``).  Each SuperLU factor is of the plain sparse difference
-H - sigma I.
+L D L^H at every half-bandwidth; ``solve`` picks.  Both read one reverse
+Cuthill-McKee layout per sparsity pattern (``_layout``).  SuperLU's
+factor is of the plain sparse difference H - sigma I.
 Residuals ||H v - lambda v|| are always recomputed from the returned
 pairs; eigenvectors of degenerate eigenvalues are ambiguous beyond
 orthonormality.
@@ -32,17 +31,12 @@ _AUTO_DENSE_N = 1024
 # to b = 118, tied at 122-134 and mostly lost from 138 (1.44 at 202).  In the tie SuperLU
 # holds half the band's (b + 1) n entries, a gap that widens with b
 _MAX_BAND = 120
-# the widest half-bandwidth the inertia count takes as a band, from counts just above the seventh
-# eigenvalue of Moebius full-sector bands (one BLAS thread), medians of three runs, ms of band /
-# SuperLU: 1.34 / 2.70 at b = 52, 2.73 / 4.16 at 72, 4.38 / 4.67 at 92, 4.62 / 5.11 at 96,
-# 5.30 / 5.27 at 97, 9.23 / 8.94 at 104, 9.76 / 7.96 at 116 and 14.9 / 10.6 at 128
-_MAX_COUNT_BAND = 96
 # the count's narrowest block: blocks as narrow as a narrow band are too many calls (1,200-site
 # ring, b = 3: 1.51 ms in blocks of 3, 0.79 in blocks of 16, SuperLU 0.69), while wider blocks
 # cost more flops (1.14 ms in blocks of 24; b = 8: 0.60 in blocks of 8, 0.51 of 16, 0.58 of 24)
 _MIN_BLOCK = 16
 # half the digits of a double: the relative margin of the shift below the
-# spectrum, and the pivot imaginary part and growth an inertia count tolerates
+# spectrum, and the growth an inertia count tolerates
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
 METHODS = ("dense", "lanczos", "auto")
@@ -166,7 +160,7 @@ class _Layout(NamedTuple):
     (slots, positions): entry slots[k] of the CSR data goes to flat
     position positions[k].  ``upper`` fills LAPACK's upper band storage,
     (width + 1) x n column-major (``_BandCholesky``).  ``pieces`` fills the
-    count's blocks (``_band_count``): the band cut into block x block
+    count's blocks (``_count_below``): the band cut into block x block
     pieces, the last block padded, and block >= width, so the matrix is
     block tridiagonal; piece 2j is diagonal block j, piece 2j + 1 the
     block below it, each column-major.
@@ -212,11 +206,12 @@ def _pattern_layout(n: int, index: str, indptr: bytes, indices: bytes) -> _Layou
 def _superlu(h: SparseHermitian, sigma: float):
     """Sparse LU of H - sigma I by SuperLU in symmetric mode with diagonal pivots.
 
-    It factors the sparse difference H - sigma I, which drops H's explicit
-    zeros and any diagonal entry sigma cancels.  When the pivots stay
-    diagonal (perm_r == perm_c) it is the congruence
-    P (H - sigma I) P^T = L D L^H with D the diagonal of U, which the
-    inertia count reads on a band wider than ``_MAX_COUNT_BAND``.
+    The shift-invert factor of a band wider than ``_MAX_BAND``
+    (``_definite_factor``), where H - sigma I is positive definite and
+    diagonal pivots are stable.  It factors the sparse difference
+    H - sigma I, which drops H's explicit zeros.  The symmetric-mode,
+    diagonal-pivot options are kept as they are: they fix the rounding,
+    and so the printed digits, of every solve on a wide band.
     """
     from scipy.sparse.linalg import splu
 
@@ -239,10 +234,11 @@ def _block_routines(dtype: np.dtype, block: int) -> tuple:
             _compute_lwork(lapack[3], block, lower=1))
 
 
-def _band_count(h: SparseHermitian, layout: _Layout, cut: float, norm: float) -> Optional[int]:
-    """Eigenvalues of H below cut from a block L D L^H on the band; None if untrusted.
+def _count_below(h: SparseHermitian, cut: float, norm: float) -> Optional[int]:
+    """Number of eigenvalues of H below cut, by Sylvester's law of inertia; None if untrusted.
 
-    The band of A = P (H - cut I) P^T is block tridiagonal, with diagonal
+    norm bounds ||H - cut I||.  The count is read off a block L D L^H on
+    the band: A = P (H - cut I) P^T is block tridiagonal, with diagonal
     blocks A_j and blocks C_j below them (``_Layout``); the padded rows
     hold norm on the diagonal, which adds no negative eigenvalue.  Its
     inertia is the sum of the inertias of S_1 = A_1 and
@@ -255,10 +251,13 @@ def _band_count(h: SparseHermitian, layout: _Layout, cut: float, norm: float) ->
     an explicit inverse: its rounding reaches beyond S_j's near null space,
     which C_j annihilates at a degenerate level, and there it flipped signs
     in the next block.  The count is not trusted where a
-    Bunch-Kaufman factor is exactly singular (info != 0) or an entry of a
-    Schur complement or of a factor exceeds norm / sqrt(eps), the growth
-    bound ``_count_below`` puts on SuperLU's U.
+    Bunch-Kaufman factor is exactly singular (info != 0), as at a cut on an
+    eigenvalue, or an entry of a Schur complement or of a factor exceeds
+    norm / sqrt(eps): a pivot near zero makes later entries grow until
+    rounding swamps the signs of later pivots.  Where it returns None the
+    caller may count the dense spectrum (``_dense_count``).
     """
+    layout = _layout(h.csr)
     csr, s = h.csr, layout.block
     m = -(-h.n // s)
     slots, positions = layout.pieces
@@ -316,37 +315,6 @@ def _pivot_inertia(factors: np.ndarray, pivots: np.ndarray) -> Optional[int]:
     singles = np.diagonal(factors, axis1=1, axis2=2).real.reshape(-1)[~paired]
     return int(np.count_nonzero(singles < 0) + np.count_nonzero(det < 0)
                + 2 * np.count_nonzero((det > 0) & (a < 0)))
-
-
-def _count_below(h: SparseHermitian, cut: float, norm: float) -> Optional[int]:
-    """Number of eigenvalues of H below cut, by Sylvester's law of inertia; None if untrusted.
-
-    norm bounds ||H - cut I||.  Up to a half-bandwidth of ``_MAX_COUNT_BAND``
-    the count is the band's block L D L^H (``_band_count``).  On a wider
-    band it is the negative entries of D in SuperLU's factor L D L^H of
-    H - cut I (``_superlu``).  Diagonal pivots are not stable on an
-    indefinite matrix: a pivot near zero makes later entries grow until
-    rounding swamps the signs of later pivots.  So SuperLU's count is
-    trusted only if the pivots stayed on the diagonal, are real to within
-    sqrt(eps) norm (exactly real in exact arithmetic) and no entry of U
-    exceeds norm / sqrt(eps).  Where a count is not trusted, or cut is an
-    eigenvalue so the factor is exactly singular, it returns None, and the
-    caller may count the dense spectrum (``_dense_count``).
-    """
-    layout = _layout(h.csr)
-    if layout.width <= _MAX_COUNT_BAND:
-        return _band_count(h, layout, cut, norm)
-    try:
-        lu = _superlu(h, cut)
-    except RuntimeError:  # SuperLU's "Factor is exactly singular": cut is an eigenvalue
-        return None
-    u = lu.U
-    pivots = u.diagonal()
-    if (np.array_equal(lu.perm_r, lu.perm_c)
-            and np.max(np.abs(pivots.imag)) <= _SQRT_EPS * norm
-            and np.max(np.abs(u.data)) * _SQRT_EPS <= norm):
-        return int(np.count_nonzero(pivots.real < 0))
-    return None
 
 
 class _BandCholesky:
@@ -423,9 +391,9 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
     SuperLU above, where it is no slower (``_definite_factor``).  H - cut I
     is indefinite, so each count factors it anew (``_count_below``), its
     norm bounded by the Gershgorin interval: a block L D L^H of Cholesky and
-    Bunch-Kaufman factors on the same band up to a half-bandwidth of 96,
-    SuperLU's sparse L D L^H above; the order and the band's index arrays
-    are built once per sparsity pattern (``_layout``).
+    Bunch-Kaufman factors on the same band, at every half-bandwidth; the
+    order and the band's index arrays are built once per sparsity pattern
+    (``_layout``).
     ARPACK (scipy's eigsh) runs on its inverse, whose largest, best separated
     eigenvalues are the lowest of H, from a seeded start vector (its real
     part on a real operator, which keeps the whole solve real).  ARPACK's

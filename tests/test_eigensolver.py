@@ -228,19 +228,6 @@ def test_lanczos_returns_complete_degenerate_spectrum(nx, ny, f, ty, seed):
     assert_allclose(res.values, dense_eigh(h).values[:6], rtol=0, atol=1e-8)
 
 
-def count_on_superlu(monkeypatch):
-    """Send every inertia count to SuperLU, the route of a band wider than _MAX_COUNT_BAND."""
-    monkeypatch.setattr(eigensolver, "_MAX_COUNT_BAND", -1)
-
-
-@pytest.fixture(params=["band", "superlu"])
-def count_route(request, monkeypatch):
-    """Each route of the sparse inertia count: the band's block L D L^H, or SuperLU's."""
-    if request.param == "superlu":
-        count_on_superlu(monkeypatch)
-    return request.param
-
-
 def sparse_count(h, sigma):
     """The sparse count, or None, with the norm bound the solver gives it."""
     lo, hi = eigensolver._gershgorin(h)
@@ -282,7 +269,7 @@ def pencil_at_cos_phi_zero():
     # a zero diagonal entry in the last row: the store holds its slot, the last of all
     SparseHermitian(np.diag([1.0, 2.0, 0.0]) + np.eye(3, k=1) + np.eye(3, k=-1)),
 ])
-def test_inertia_count_matches_dense_count(h, count_route):
+def test_inertia_count_matches_dense_count(h):
     values = dense_eigh(h).values
     gaps = np.flatnonzero(np.diff(values) > 1e-9)
     sigmas = [values[0] - 1.0, values[-1] + 1.0, *(0.5 * (values[gaps] + values[gaps + 1]))]
@@ -299,14 +286,23 @@ def near_zero_pivot_ring():
     return SparseHermitian(sp.csr_matrix(m)), diag[1] - 1e-15
 
 
-def test_inertia_count_survives_a_near_zero_pivot(count_route):
+def test_inertia_count_survives_a_near_zero_pivot():
     h, sigma = near_zero_pivot_ring()
     values = np.linalg.eigvalsh(h.toarray())
     assert np.min(np.abs(values - sigma)) > 0.05
     assert inertia_count(h, sigma) == np.count_nonzero(values < sigma) == 3
 
 
-def test_inertia_count_at_an_eigenvalue(count_route):
+def test_the_count_is_not_trusted_where_its_entries_outgrow_the_norm():
+    # a norm below max|entry| sqrt(eps) makes the ring's own entries count as grown; the
+    # solver's norm bound leaves the count trusted, and right
+    h, sigma = near_zero_pivot_ring()
+    assert np.max(np.abs(h.csr.data)) * eigensolver._SQRT_EPS > 1e-9
+    assert eigensolver._count_below(h, sigma, 1e-9) is None
+    assert sparse_count(h, sigma) == 3
+
+
+def test_inertia_count_at_an_eigenvalue():
     # sigma = 3 makes the factor of 3 I - sigma I exactly singular
     h = SparseHermitian(3 * sp.identity(5))
     assert inertia_count(h, 3.0) == 0
@@ -320,9 +316,9 @@ def test_inertia_count_at_an_eigenvalue(count_route):
              HoppingParams(), pot=np.where(np.isin(np.arange(18), [4, 17]), -4.0, 0.0)),
     SparseHermitian(sp.csr_matrix(np.diag([1.0, 0.0, 2.0, 3.0]) + np.eye(4, k=1) + np.eye(4, k=-1))),
 ])
-def test_a_cut_on_a_diagonal_entry_is_counted_right_or_not_trusted(h, count_route):
-    # there the sparse difference H - cut I holds no entry in that diagonal slot: each route's
-    # count is the dense one or None (untrusted, or the factor is exactly singular)
+def test_a_cut_on_a_diagonal_entry_is_counted_right_or_not_trusted(h):
+    # there the sparse difference H - cut I holds no entry in that diagonal slot: the count is
+    # the dense one or None (untrusted, or a factor is exactly singular)
     values = np.linalg.eigvalsh(h.toarray())
     for cut in map(float, np.unique(h.csr.diagonal().real)):
         coo = (h.csr - cut * sp.identity(h.n, dtype=h.csr.dtype, format="csr")).tocoo()
@@ -357,6 +353,8 @@ BAND_COUNTED = {
     # explicit inverse miscounted by two at a cut 1.7e-10 above one, with no entry grown
     **{f"{top}-site-7x7-ty0": (top, 7, 7, "ty0") for top in (MOEBIUS, ANNULUS)},
     "zero-diagonal-path": None,
+    # half-bandwidth 97, n = 2352: its last block is padded (2352 = 24 x 97 + 24)
+    "moebius-48x49-full": (MOEBIUS, 48, 49, "full"),
 }
 
 
@@ -374,14 +372,12 @@ def band_counted(name):
 @pytest.mark.parametrize("name", list(BAND_COUNTED))
 def test_a_trusted_band_count_is_never_wrong(name):
     h = band_counted(name)
-    layout = eigensolver._layout(h.csr)
-    assert layout.width <= eigensolver._MAX_COUNT_BAND
     assert (h.csr.dtype == complex) == ("site" in name)
     values = np.linalg.eigvalsh(h.toarray())
     lo, hi = eigensolver._gershgorin(h)
 
     def count(cut):
-        return eigensolver._band_count(h, layout, cut, max(hi - cut, cut - lo))
+        return eigensolver._count_below(h, cut, max(hi - cut, cut - lo))
 
     # a random cut lies far from every eigenvalue on the scale of the count's rounding: the
     # count is trusted there, and right
@@ -395,10 +391,9 @@ def test_a_trusted_band_count_is_never_wrong(name):
 
 def test_an_exactly_singular_band_count_is_not_trusted():
     h = SparseHermitian(3 * sp.identity(5))  # 3 I - 3 I is exactly singular
-    layout = eigensolver._layout(h.csr)
-    assert layout.width == 0 and eigensolver._count_below(h, 3.0, 3.0) is None
-    assert eigensolver._band_count(h, layout, 3.0, 3.0) is None
-    assert eigensolver._band_count(h, layout, 3.0 + 1e-9, 3.0) == 5
+    assert eigensolver._layout(h.csr).width == 0
+    assert eigensolver._count_below(h, 3.0, 3.0) is None
+    assert eigensolver._count_below(h, 3.0 + 1e-9, 3.0) == 5
 
 
 def test_each_2x2_pivot_is_counted_by_the_sign_of_its_determinant():
@@ -416,31 +411,42 @@ def test_each_2x2_pivot_is_counted_by_the_sign_of_its_determinant():
     assert eigensolver._pivot_inertia(factors, pivots) is None
 
 
-@pytest.mark.parametrize("ny, width, route", [
-    (48, 96, "band"),  # 96: the widest band the count takes
-    (49, 97, "superlu"),
+def no_dense_count(h, sigma):
+    raise AssertionError("dense count")
+
+
+@pytest.mark.parametrize("nx, ny, width", [
+    (48, 48, 96),
+    (48, 49, 97),
+    (64, 64, 128),  # past _MAX_BAND: SuperLU factors H - sigma I
 ])
-def test_the_count_is_banded_up_to_a_half_bandwidth_of_96(monkeypatch, ny, width, route):
-    h = sector_pencil(build_lattice(48, ny, MOEBIUS), "full", HoppingParams()).at(0.3)
+def test_the_count_is_the_bands_at_every_half_bandwidth(monkeypatch, nx, ny, width):
+    h = sector_pencil(build_lattice(nx, ny, MOEBIUS), "full", HoppingParams()).at(0.3)
     assert eigensolver._layout(h.csr).width == width
-    routes, band_count, superlu = [], eigensolver._band_count, eigensolver._superlu
-    monkeypatch.setattr(eigensolver, "_band_count",
-                        lambda *args: routes.append("band") or band_count(*args))
-    monkeypatch.setattr(eigensolver, "_superlu",
-                        lambda *args: routes.append("superlu") or superlu(*args))
+    blocks, routines = [], eigensolver._block_routines
+    monkeypatch.setattr(eigensolver, "_block_routines",
+                        lambda dtype, block: blocks.append(block) or routines(dtype, block))
     lo, hi = eigensolver._gershgorin(h)
     assert sparse_count(h, lo + 0.05 * (hi - lo)) > 0
-    assert routes == [route]
+    assert blocks == [width]
+    # a whole solve: each count is the band's and trusted, and SuperLU factors only the
+    # definite H - sigma I, below the spectrum, on a band wider than _MAX_BAND
+    calls = record_factorizations(monkeypatch)
+    monkeypatch.setattr(eigensolver, "_dense_count", no_dense_count)
+    res = lanczos_lowest(h, SolverConfig(k=6, seed=1, method="lanczos"))
+    factor, counts = calls[0], calls[1:]
+    assert counts and all(cut > res.values[-1] for cut in counts)
+    assert len(blocks) == 1 + len(counts)
+    if width <= eigensolver._MAX_BAND:
+        assert factor == "cholesky"
+    else:
+        assert factor < res.values[0]
 
 
 def test_inertia_count_dense_fallback_is_size_guarded(monkeypatch):
-    # SuperLU's diagonal pivots grow on the ring; the band's Bunch-Kaufman factor does not
-    count_on_superlu(monkeypatch)
     monkeypatch.setattr(eigensolver, "_DENSE_MAX_N", 4)
     with pytest.raises(np.linalg.LinAlgError, match="exceeds"):
         inertia_count(SparseHermitian(3 * sp.identity(5)), 3.0)  # singular factor
-    with pytest.raises(np.linalg.LinAlgError, match="exceeds"):
-        inertia_count(*near_zero_pivot_ring())  # grown pivots
     assert inertia_count(SparseHermitian(3 * sp.identity(5)), 2.0) == 0  # a sound factor counts
 
 
@@ -457,9 +463,9 @@ def test_lanczos_reports_an_uncertifiable_count_as_no_convergence(monkeypatch):
 
 
 def record_factorizations(monkeypatch) -> list:
-    """The list lanczos_lowest's factorizations go to: each SuperLU factor's sigma, each band
-    count's cut, and "cholesky" for each banded Cholesky."""
-    factor, count, cholesky = (eigensolver._superlu, eigensolver._band_count,
+    """The list lanczos_lowest's factorizations go to: each inertia count's cut, the sigma of
+    each SuperLU factor, and "cholesky" for each banded Cholesky."""
+    factor, count, cholesky = (eigensolver._superlu, eigensolver._count_below,
                                eigensolver._BandCholesky)
     calls = []
 
@@ -467,16 +473,16 @@ def record_factorizations(monkeypatch) -> list:
         calls.append(sigma)
         return factor(h, sigma)
 
-    def band_count(h, layout, cut, norm):
+    def count_below(h, cut, norm):
         calls.append(cut)
-        return count(h, layout, cut, norm)
+        return count(h, cut, norm)
 
     def banded(*args):
         calls.append("cholesky")
         return cholesky(*args)
 
     monkeypatch.setattr(eigensolver, "_superlu", superlu)
-    monkeypatch.setattr(eigensolver, "_band_count", band_count)
+    monkeypatch.setattr(eigensolver, "_count_below", count_below)
     monkeypatch.setattr(eigensolver, "_BandCholesky", banded)
     return calls
 
@@ -549,45 +555,43 @@ def test_the_shift_invert_factor_is_banded_up_to_a_half_bandwidth_of_120(monkeyp
     assert calls.count("cholesky") == banded
 
 
-def test_an_untrusted_count_is_retried_at_a_higher_cut(monkeypatch):
-    # annulus 48 x 25 at f = 0.3627: the pivots at the cut the SuperLU-factored solve first
-    # counted at are imaginary to 1.6e-7, over their 1.2e-7 bound, which sent the count to a
-    # dense eigvalsh at n = 1200; the retried cut, 100 sqrt(eps) (hi - sigma) higher, is trusted
-    def no_dense_count(h, sigma):
-        raise AssertionError("dense count")
+def first_count_untrusted(monkeypatch, h) -> tuple:
+    """Make the first inertia count return None; the retry step lanczos_lowest takes on h, and
+    the list each count's (cut, count) goes to."""
+    count, calls = eigensolver._count_below, []
 
-    count_on_superlu(monkeypatch)
+    def count_below(h, cut, norm):
+        calls.append((cut, None if not calls else count(h, cut, norm)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(eigensolver, "_count_below", count_below)
+    lo, hi = eigensolver._gershgorin(h)
+    sigma = lo - eigensolver._SQRT_EPS * max(hi - lo, 1.0, 4.0 * eigensolver._SQRT_EPS * abs(lo))
+    return 100.0 * eigensolver._SQRT_EPS * (hi - sigma), calls
+
+
+def test_an_untrusted_count_is_retried_at_a_higher_cut(monkeypatch):
+    # the next cut, 100 sqrt(eps) (hi - sigma) higher, is counted on the band and trusted, so
+    # no dense eigvalsh runs at n = 1200
     h, exact = annulus_operator(48, 25, 0.3627)
-    assert sparse_count(h, 0.06507162284233749) is None
-    assert sparse_count(h, 0.0650835437714702) == 6
-    # the banded factor's Ritz values lie ~1e-15 off, and its first cut is trusted
+    retry, calls = first_count_untrusted(monkeypatch, h)
     monkeypatch.setattr(eigensolver, "_dense_count", no_dense_count)
     res = lanczos_lowest(h, SolverConfig(k=6, seed=12345, method="lanczos"))
     assert_allclose(res.values, exact[:6], rtol=0, atol=1e-10)
+    (cut, first), (retried, count) = calls
+    assert first is None and retried == cut + retry and count == 6
 
 
 def test_an_untrusted_factor_above_the_dense_limit_certifies_at_the_retried_cut(monkeypatch):
-    # the first count's factor leaves the diagonal: untrusted, and no dense count may stand in
-    factor = eigensolver._superlu
-    calls = []
-
-    class OffDiagonal:
-        def __init__(self, lu):
-            self.U, self.perm_c, self.perm_r = lu.U, lu.perm_c, lu.perm_c[::-1]
-
-    def first_count_off_diagonal(h, sigma):
-        calls.append(sigma)
-        lu = factor(h, sigma)
-        return OffDiagonal(lu) if len(calls) == 1 else lu  # the banded Cholesky is not SuperLU's
-
-    count_on_superlu(monkeypatch)
+    # the first count is untrusted, and no dense count may stand in
     h = moebius_operator(12, 5, 0.3)
     exact = dense_eigh(h, 4).values
-    monkeypatch.setattr(eigensolver, "_superlu", first_count_off_diagonal)
+    retry, calls = first_count_untrusted(monkeypatch, h)
     monkeypatch.setattr(eigensolver, "_DENSE_MAX_N", 4)
     res = lanczos_lowest(h, SolverConfig(k=4, seed=1, method="lanczos"))
     assert_allclose(res.values, exact, rtol=0, atol=1e-10)
-    assert len(calls) == 2 and calls[1] > calls[0] > res.values[-1]
+    (cut, first), (retried, count) = calls
+    assert first is None and retried == cut + retry and count == 4 and cut > res.values[-1]
 
 
 @pytest.mark.parametrize("topology, f, seed", [
