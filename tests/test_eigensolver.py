@@ -228,6 +228,18 @@ def test_lanczos_returns_complete_degenerate_spectrum(nx, ny, f, ty, seed):
     assert_allclose(res.values, dense_eigh(h).values[:6], rtol=0, atol=1e-8)
 
 
+@pytest.fixture(params=["solver-blocks", "narrowest-blocks"])
+def block_partition(request, monkeypatch):
+    """Each partition of the band into blocks: the solver's, at least _MIN_BLOCK rows, or blocks
+    as narrow as the half-bandwidth, which put even a small operator's rows in several blocks and
+    so drive the Schur complements between them."""
+    if request.param == "narrowest-blocks":
+        monkeypatch.setattr(eigensolver, "_MIN_BLOCK", 1)
+    eigensolver._pattern_layout.cache_clear()  # its layouts hold the block
+    yield request.param
+    eigensolver._pattern_layout.cache_clear()
+
+
 def sparse_count(h, sigma):
     """The sparse count, or None, with the norm bound the solver gives it."""
     lo, hi = eigensolver._gershgorin(h)
@@ -269,7 +281,7 @@ def pencil_at_cos_phi_zero():
     # a zero diagonal entry in the last row: the store holds its slot, the last of all
     SparseHermitian(np.diag([1.0, 2.0, 0.0]) + np.eye(3, k=1) + np.eye(3, k=-1)),
 ])
-def test_inertia_count_matches_dense_count(h):
+def test_inertia_count_matches_dense_count(h, block_partition):
     values = dense_eigh(h).values
     gaps = np.flatnonzero(np.diff(values) > 1e-9)
     sigmas = [values[0] - 1.0, values[-1] + 1.0, *(0.5 * (values[gaps] + values[gaps + 1]))]
@@ -286,7 +298,7 @@ def near_zero_pivot_ring():
     return SparseHermitian(sp.csr_matrix(m)), diag[1] - 1e-15
 
 
-def test_inertia_count_survives_a_near_zero_pivot():
+def test_inertia_count_survives_a_near_zero_pivot(block_partition):
     h, sigma = near_zero_pivot_ring()
     values = np.linalg.eigvalsh(h.toarray())
     assert np.min(np.abs(values - sigma)) > 0.05
@@ -302,7 +314,7 @@ def test_the_count_is_not_trusted_where_its_entries_outgrow_the_norm():
     assert sparse_count(h, sigma) == 3
 
 
-def test_inertia_count_at_an_eigenvalue():
+def test_inertia_count_at_an_eigenvalue(block_partition):
     # sigma = 3 makes the factor of 3 I - sigma I exactly singular
     h = SparseHermitian(3 * sp.identity(5))
     assert inertia_count(h, 3.0) == 0
@@ -316,7 +328,7 @@ def test_inertia_count_at_an_eigenvalue():
              HoppingParams(), pot=np.where(np.isin(np.arange(18), [4, 17]), -4.0, 0.0)),
     SparseHermitian(sp.csr_matrix(np.diag([1.0, 0.0, 2.0, 3.0]) + np.eye(4, k=1) + np.eye(4, k=-1))),
 ])
-def test_a_cut_on_a_diagonal_entry_is_counted_right_or_not_trusted(h):
+def test_a_cut_on_a_diagonal_entry_is_counted_right_or_not_trusted(h, block_partition):
     # there the sparse difference H - cut I holds no entry in that diagonal slot: the count is
     # the dense one or None (untrusted, or a factor is exactly singular)
     values = np.linalg.eigvalsh(h.toarray())
