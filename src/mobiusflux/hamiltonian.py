@@ -4,9 +4,10 @@ Units: hbar = 1, lattice spacing 1, energies in units of the x hopping.
 ``SparseHermitian`` is every operator's type and ``_Pattern`` its one
 store; ``assemble`` builds the site-basis operator on a link layout held
 per lattice, ``sector_isometry`` gives the real mirror basis of a
-reflection-parity sector as one CSC matrix, ``restrict`` projects onto
-it, and ``FluxPencil`` evaluates a sector's uniform-flux operator at any
-flux.
+reflection-parity sector as one CSC matrix, from one pair rule applied to
+the reflection R and then to the ring mirror M, ``restrict`` projects
+onto it, and ``FluxPencil`` evaluates a sector's uniform-flux operator at
+any flux.
 ``sector_isometry`` and ``sector_pencil`` keep what they build in a cache
 per process, read-only, so a band's bases and pencils are built once.
 """
@@ -272,8 +273,9 @@ class SectorIsometry:
 
     ``parity`` is "full", "even" or "odd".  The columns are those of the
     parity basis B, the identity for "full" and otherwise
-    (e(i,j) -/+ e(i,ny-1-j))/sqrt(2) over rows below center plus, for the
-    even sector, the bare center-row sites, recombined in mirror pairs so
+    (e(i,j) +/- e(i,ny-1-j))/sqrt(2), even or odd, over the pairs of the
+    reflection R, j < ny-1-j, plus, for the even sector, R's fixed points,
+    the bare center-row sites; they are recombined in mirror pairs so
     that Theta = M K fixes each one.  Each column touches at most four
     sites, so orthonormality holds to round-off.  ``matrix`` is B W's
     one stored form, CSC, which ``embed`` and the sector projection
@@ -308,16 +310,26 @@ def _per_process(build):
     return checked
 
 
+def _pairs(perm: np.ndarray) -> tuple:
+    """An involution's pairs, each as its smaller point lo and larger one hi = perm[lo],
+    ordered by lo, and its fixed points, ascending."""
+    p = np.arange(perm.size)
+    return p[p < perm], perm[p < perm], p[p == perm]
+
+
 @_per_process
 def sector_isometry(lat: StripLattice, sector: str) -> SectorIsometry:
     """Isometry onto a sector ("full", "even" or "odd") whose columns Theta = M K fixes.
 
     It is the product B W of the parity basis B and Theta's real basis W
-    on B's coordinates: M maps B's column at (i, j) to the one at
-    (nx-1-i, j), M b_p = b_q, and W turns a pair p < q into
-    (b_p + b_q)/sqrt(2) in column p and i (b_p - b_q)/sqrt(2) in column q;
-    a column M fixes stays.  A uniform flux is odd under complex
-    conjugation K and under the mirror M along the ring, so Theta commutes
+    on B's coordinates, one pair rule (``_pairs``) giving B from the
+    reflection R and W from the ring mirror M.  B has a column per pair of
+    R, (i, j) -> (i, ny-1-j), then, if even, one per R's fixed point, a
+    center-row site; the full sector's B is the identity.  M maps B's
+    column at (i, j) to the one at (nx-1-i, j), M b_p = b_q, and W turns a
+    pair p < q into (b_p + b_q)/sqrt(2) in column p and
+    i (b_p - b_q)/sqrt(2) in column q; a column M fixes stays.  A uniform
+    flux is odd under complex conjugation K and under M, so Theta commutes
     with H and H restricts to a real symmetric block; an operator without
     that symmetry keeps its exact spectrum and merely stays complex.
     Odd-sector states vanish on the center row: the nodal states on the
@@ -328,35 +340,29 @@ def sector_isometry(lat: StripLattice, sector: str) -> SectorIsometry:
     odd sector of a one-row strip, which is empty.  The basis is built once
     per lattice and sector in a process, and shared read-only.
     """
-    nx, n = lat.nx, lat.n_sites
-    grid = np.arange(n).reshape(nx, lat.ny)
+    n = lat.n_sites
+    grid = np.arange(n).reshape(lat.nx, lat.ny)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    # B as (columns, their sites, the entry there); each block of columns is an (nx, width)
-    # grid of column coordinates (i, j), numbered row-major after the blocks before it
-    if sector == FULL:
-        parts = [(grid, grid, 1.0)]
-    else:
-        c = lat.center_row
-        if sector == ODD and c == 0:
-            raise LatticeError("the odd sector of a one-row strip is empty")
-        pairs = np.arange(nx * c).reshape(nx, c)
-        parts = [(pairs, grid[:, :c], inv_sqrt2),
-                 (pairs, grid[:, ::-1][:, :c], inv_sqrt2 if sector == EVEN else -inv_sqrt2)]
-        if sector == EVEN:
-            parts.append((nx * c + np.arange(nx)[:, None], grid[:, c, None], 1.0))
-    cols = np.concatenate([block.reshape(-1) for block, _, _ in parts])
-    rows = np.concatenate([sites.reshape(-1) for _, sites, _ in parts])
-    vals = np.concatenate([np.full(block.size, val) for block, _, val in parts])
-    b = sp.coo_matrix((vals, (rows, cols)), shape=(n, cols.max() + 1)).tocsc()
-    partner = np.empty(b.shape[1], dtype=np.intp)
-    for block, _, _ in parts:
-        partner[block] = block[::-1]  # the column at (nx-1-i, j)
-    p = np.arange(partner.size)
-    lower, fixed = p < partner, p == partner
-    lo, hi, s = p[lower], partner[lower], np.full(np.count_nonzero(lower), inv_sqrt2)
-    w = sp.coo_matrix((np.concatenate([s, s, 1j * s, -1j * s, np.ones(np.count_nonzero(fixed))]),
-                       (np.concatenate([lo, hi, lo, hi, p[fixed]]),
-                        np.concatenate([lo, lo, hi, hi, p[fixed]]))), shape=(p.size, p.size))
+    if sector != FULL and lat.center_row == 0 and sector == ODD:  # center_row refuses even ny
+        raise LatticeError("the odd sector of a one-row strip is empty")
+    # B: (e_lo +/- e_hi)/sqrt(2) for each pair of R, then R's fixed points, the center row, if
+    # even; the full sector's involution is the identity, whose fixed points are every site
+    lo, hi, fixed = _pairs((grid if sector == FULL else grid[:, ::-1]).reshape(-1))
+    fixed = fixed[:0] if sector == ODD else fixed
+    kept = np.concatenate([lo, fixed])  # each column's first site
+    p = np.arange(kept.size)  # a pair's two sites share its column
+    r = np.full(lo.size, inv_sqrt2)
+    b = sp.coo_matrix((np.concatenate([r, -r if sector == ODD else r, np.ones(fixed.size)]),
+                       (np.concatenate([lo, hi, fixed]), np.concatenate([p[:lo.size], p]))),
+                      shape=(n, p.size)).tocsc()
+    # W: the pairs of M on B's columns, which M maps among themselves, through the column map
+    column = np.empty(n, dtype=np.intp)
+    column[kept] = p
+    lo, hi, fixed = _pairs(column[grid[::-1].reshape(-1)[kept]])
+    s = np.full(lo.size, inv_sqrt2)
+    w = sp.coo_matrix((np.concatenate([s, s, 1j * s, -1j * s, np.ones(fixed.size)]),
+                       (np.concatenate([lo, hi, lo, hi, fixed]),
+                        np.concatenate([lo, lo, hi, hi, fixed]))), shape=(p.size, p.size))
     return SectorIsometry(lattice=lat, parity=sector, matrix=_frozen(b @ w.tocsc()))
 
 

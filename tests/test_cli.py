@@ -1,6 +1,7 @@
 """CLI contract: exit codes, CSV schema and round trip, SVG, verify."""
 
 import ctypes
+import itertools
 import math
 import os
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
+import scipy.linalg  # loads scipy's own OpenBLAS, which blas_build reads
 from numpy.testing import assert_allclose
 
 from mobiusflux import cli, experiments
@@ -488,24 +489,28 @@ def test_python_dash_m_runs_the_cli(tmp_path):
 
 ACCEPTANCE_CSV_SHA256 = "77a0d90b11dd018362addb878194135fc464c8422554f647c77dbb1aaa37e9fc"
 RECORDED_BUILD = ("numpy 2.4.6", "scipy 1.17.1",
-                  "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64")
+                  "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64",
+                  "OpenBLAS 0.3.30 DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64")
+# the exports by which numpy's OpenBLAS (64-bit ints) and scipy's own, whose LAPACK
+# computes the printed digits, report their configurations
+BLAS_CONFIGS = ("scipy_openblas_get_config64_", "scipy_openblas_get_config")
 
 
 def blas_build() -> tuple:
-    """numpy's and scipy's versions, and the configuration numpy's OpenBLAS reports at run time."""
-    config = "unknown"
+    """numpy's and scipy's versions, and the configurations their OpenBLAS libraries report
+    at run time, "unknown" for one that no loaded library reports."""
+    configs = dict.fromkeys(BLAS_CONFIGS, "unknown")
     try:
         with open("/proc/self/maps", encoding="utf-8") as maps:
             libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
     except OSError:
         libs = []
-    for path in libs:
-        fn = getattr(ctypes.CDLL(path), "scipy_openblas_get_config64_", None)
-        if fn is not None:
+    for path, name in itertools.product(libs, BLAS_CONFIGS):
+        fn = getattr(ctypes.CDLL(path), name, None)
+        if fn is not None and configs[name] == "unknown":
             fn.restype = ctypes.c_char_p
-            config = fn().decode()
-            break
-    return f"numpy {np.__version__}", f"scipy {scipy.__version__}", config
+            configs[name] = fn().decode()
+    return f"numpy {np.__version__}", f"scipy {scipy.__version__}", *configs.values()
 
 
 # the golden subset of tools/output_digest.py, run on the checkout at sys.argv[1]; it prints
@@ -521,12 +526,15 @@ def test_the_golden_digest_is_pinned_line_for_line(tmp_path):
     (``sweep --ty 0.01 --solver dense``): every edge and refused input,
     every ``verify`` run, both factor routes of the Lanczos solver and the
     8 x 3 spectra, holonomies and plot sweeps; a moved line names its
-    command.  Recorded with numpy 2.4.6, scipy 1.17.1 and numpy's OpenBLAS
+    command.  Recorded with numpy 2.4.6, scipy 1.17.1, numpy's OpenBLAS
     reporting "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY
-    SkylakeX MAX_THREADS=64" from ``scipy_openblas_get_config64_``: the
-    kernels that run, where ``numpy.show_config()`` names the build's
-    Haswell.  The last printed digits depend on the build, the core and
-    the thread count: with two BLAS threads the acceptance CSV hashed to
+    SkylakeX MAX_THREADS=64" from ``scipy_openblas_get_config64_`` and
+    scipy's own reporting "OpenBLAS 0.3.30 DYNAMIC_ARCH NO_AFFINITY SkylakeX
+    MAX_THREADS=64" from ``scipy_openblas_get_config``: the kernels that
+    run, where ``numpy.show_config()`` names the build's Haswell.  The
+    printed digits come from scipy's library.  Their last digits depend on
+    the build, the core and the thread count: with two BLAS threads the
+    acceptance CSV hashed to
     de645fd65f0aada769675fe5353475779330c56d560e6865c8be9c3d3024ede5, so
     the subprocess pins one.  On another build the test skips and names
     both; the file is regenerated only by a change that moves outputs on

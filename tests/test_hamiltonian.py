@@ -1,5 +1,6 @@
 """Operator assembly, the ring oracle, parity sectors and restriction."""
 
+import itertools
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from mobiusflux.hamiltonian import (
     ring_spectrum_oracle,
     sector_isometry,
 )
-from mobiusflux.lattice import ANNULUS, MOEBIUS, LatticeError, Site, build_lattice
+from mobiusflux.lattice import ANNULUS, MOEBIUS, LatticeError, Site, StripLattice, build_lattice
 from mobiusflux.verify import random_gauge_transform
 
 
@@ -357,16 +358,19 @@ def _product_isometry(lat, sector):
 @pytest.mark.parametrize("ny", [1, 2, 3, 5, 9])
 def test_sector_isometry_is_the_sparse_product_bit_for_bit(topology, nx, ny):
     # the columns written by index arithmetic are the product's, rows in its order, down to
-    # the sign of every zero part, so every projection through them sums the same way
-    lat = build_lattice(nx, ny, topology)
-    for sector in SECTORS:
+    # the sign of every zero part, so every projection through them sums the same way; the
+    # broken-seam Moebius lattices of ``verify --broken-seam`` are checked with the others
+    lats = [build_lattice(nx, ny, topology)]
+    if topology == MOEBIUS:
+        lats.append(StripLattice(nx, ny, MOEBIUS, seam_flip=False))
+    for lat, sector in itertools.product(lats, SECTORS):
         if sector != FULL and (ny % 2 == 0 or (sector == ODD and ny == 1)):
             with pytest.raises(LatticeError):
                 sector_isometry(lat, sector)
             continue
         iso = sector_isometry(lat, sector)
         want = _product_isometry(lat, sector)
-        assert iso.matrix.format == "csc" and iso.matrix.shape == want.shape
+        assert iso.lattice == lat and iso.matrix.format == "csc" and iso.matrix.shape == want.shape
         for name in ("data", "indices", "indptr"):
             a, c = getattr(iso.matrix, name), getattr(want, name)
             assert a.dtype == c.dtype and a.tobytes() == c.tobytes()

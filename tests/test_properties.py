@@ -9,8 +9,9 @@ rounded terms, agrees to round-off.  A loop built from its sites takes
 the direction codes ``neighbor`` gives; loops are walked again through
 ``neighbor`` for their Wilson angle and seam crossings, and lifted to
 the cut-open band.  The sector bases are checked against their defining
-symmetries and against the plain operator's spectrum, and the sweep's
-flux pencil against ``restrict`` of the assembled operator.
+symmetries and against the plain operator's spectrum, the pair rule that
+orders their columns on random involutions, and the sweep's flux pencil
+against ``restrict`` of the assembled operator.
 """
 
 import itertools
@@ -199,6 +200,29 @@ def test_sector_isometry_is_an_orthonormal_reflection_eigenbasis(lat, sector):
     if sector != FULL:
         sign = 1.0 if sector == EVEN else -1.0
         assert np.array_equal(b[reflection(lat)], sign * b)
+
+
+@st.composite
+def involutions(draw):
+    """An involution of 0..n-1, n <= 40: disjoint transpositions of shuffled points, whose
+    orbits interleave as neither the reflection nor the mirror of a lattice makes them."""
+    points = draw(st.permutations(range(draw(st.integers(0, 40)))))
+    pairs = np.array(points[:2 * draw(st.integers(0, len(points) // 2))], dtype=np.intp)
+    perm = np.arange(len(points))
+    perm[pairs[0::2]], perm[pairs[1::2]] = pairs[1::2], pairs[0::2]
+    return perm
+
+
+@SMALL
+@given(involutions())
+def test_pairs_are_ordered_by_their_smaller_point_then_the_fixed_points(perm):
+    # the order the sector bases' columns, and so their bytes, rest on
+    lo, hi, fixed = hamiltonian._pairs(perm)
+    points = np.arange(perm.size)
+    assert np.array_equal(np.sort(np.concatenate([lo, hi, fixed])), points)
+    assert np.all(np.diff(lo) > 0)
+    assert np.array_equal(perm[lo], hi) and np.all(hi > lo)
+    assert np.array_equal(fixed, points[perm == points])
 
 
 def _sectors(lat):
