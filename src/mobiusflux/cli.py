@@ -270,8 +270,7 @@ def cmd_holonomy(run: Run, args: argparse.Namespace) -> int:
     else:
         raise ConfigError(f"loop selector must be 'center' or 'offset=<j>', got {loop_spec!r}")
     result = wilson_loop(uniform_flux_field(lat, run.config.f), loop)
-    cls = homology_class(lat, loop)
-    print(f"homology_class {cls}")
+    print(f"homology_class {homology_class(lat, loop)}")
     print(f"wilson_angle {_fmt(result.angle)}")
     print(f"holonomy_re {_fmt(result.holonomy.real)}")
     print(f"holonomy_im {_fmt(result.holonomy.imag)}")

@@ -223,15 +223,15 @@ def _superlu(h: SparseHermitian, sigma: float):
 @functools.lru_cache(maxsize=16)
 def _block_routines(dtype: np.dtype, block: int) -> tuple:
     """The routines of the band count for dtype: LAPACK's Cholesky (?potrf) and Bunch-Kaufman
-    factor and solve (?sytrf, ?sysv, or ?hetrf, ?hesv), BLAS's ?trsm, ?syrk or ?herk, and ?gemm,
-    and the Bunch-Kaufman workspace at block."""
+    factor-and-solve (?sysv or ?hesv), BLAS's ?trsm, ?syrk or ?herk, and ?gemm, and the
+    Bunch-Kaufman workspace at block."""
     from scipy.linalg.blas import get_blas_funcs
     from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
 
     name = "sy" if dtype == np.float64 else "he"
-    lapack = get_lapack_funcs(("potrf", name + "trf", name + "sv", name + "sv_lwork"), dtype=dtype)
-    return (*lapack[:3], *get_blas_funcs(("trsm", name + "rk", "gemm"), dtype=dtype),
-            _compute_lwork(lapack[3], block, lower=1))
+    lapack = get_lapack_funcs(("potrf", name + "sv", name + "sv_lwork"), dtype=dtype)
+    return (*lapack[:2], *get_blas_funcs(("trsm", name + "rk", "gemm"), dtype=dtype),
+            _compute_lwork(lapack[2], block, lower=1))
 
 
 def _count_below(h: SparseHermitian, cut: float, norm: float) -> Optional[int]:
@@ -250,7 +250,11 @@ def _count_below(h: SparseHermitian, cut: float, norm: float) -> Optional[int]:
     (``_pivot_inertia``), on which S_j^{-1} C_j^H is solved.  Neither forms
     an explicit inverse: its rounding reaches beyond S_j's near null space,
     which C_j annihilates at a degenerate level, and there it flipped signs
-    in the next block.  The count is not trusted where a
+    in the next block.  Every block, the last one too, is factored by
+    this one rule, Cholesky where it is definite: past the last block the
+    buffer holds two zero pieces, its C_m and the S_{m+1} that C_m would
+    update, so the last step's solve and update leave zeros, counted by
+    no factor.  The count is not trusted where a
     Bunch-Kaufman factor is exactly singular (info != 0), as at a cut on an
     eigenvalue, or an entry of a Schur complement or of a factor exceeds
     norm / sqrt(eps): a pivot near zero makes later entries grow until
@@ -261,17 +265,17 @@ def _count_below(h: SparseHermitian, cut: float, norm: float) -> Optional[int]:
     csr, s = h.csr, layout.block
     m = -(-h.n // s)
     slots, positions = layout.pieces
-    data = np.zeros((2 * m - 1) * s * s, dtype=csr.dtype)
+    data = np.zeros((2 * m + 1) * s * s, dtype=csr.dtype)
     data[positions] = csr.data[slots]
-    diagonal = data.reshape(-1, s * s)[::2, ::s + 1]
+    diagonal = data.reshape(-1, s * s)[:2 * m:2, ::s + 1]
     diagonal -= cut
     diagonal[-1, h.n - (m - 1) * s:] = norm
     pieces = data.reshape(-1, s, s).transpose(0, 2, 1)  # each piece in Fortran order
-    potrf, trf, sv, trsm, rk, gemm, lwork = _block_routines(csr.dtype, s)
+    potrf, sv, trsm, rk, gemm, lwork = _block_routines(csr.dtype, s)
     adjoint = 1 if csr.dtype == np.float64 else 2
     # a Cholesky factor's rows keep pivot 1, and its positive diagonal counts no negative
     factors, pivots = np.empty((m, s, s), dtype=csr.dtype), np.ones((m, s), dtype=np.int32)
-    for j in range(m - 1):
+    for j in range(m):
         below, after = pieces[2 * j + 1], pieces[2 * j + 2]
         cholesky, info = potrf(pieces[2 * j], lower=1, clean=0)
         if info == 0:  # S_{j+1} -= W^H W, in place on its lower triangle, the one read
@@ -284,18 +288,15 @@ def _count_below(h: SparseHermitian, cut: float, norm: float) -> Optional[int]:
         if info != 0:
             return None
         gemm(-1.0, below, solved, 1.0, after, overwrite_c=1)  # S_{j+1}, in place
-    factors[-1], pivots[-1], info = trf(pieces[-1], lower=1, lwork=lwork)
-    if info != 0:
-        return None
     if not max(np.max(np.abs(data)), np.max(np.abs(factors))) * _SQRT_EPS <= norm:
         return None
     return _pivot_inertia(factors, pivots)
 
 
 def _pivot_inertia(factors: np.ndarray, pivots: np.ndarray) -> Optional[int]:
-    """Negative eigenvalues of the block diagonal D of lower Bunch-Kaufman factors (LAPACK's
-    ?sytrf or ?hetrf, each row of factors with its row of pivots); None if a 2 x 2 block of D
-    is singular.
+    """Negative eigenvalues of the block diagonal D of lower Bunch-Kaufman factors (those that
+    LAPACK's ?sysv or ?hesv returns, each row of factors with its row of pivots); None if a
+    2 x 2 block of D is singular.
 
     A 1 x 1 block counts by its sign.  The rows of a 2 x 2 block are
     consecutive and carry negative pivots, so every other row with a

@@ -34,7 +34,6 @@ from .lattice import (
     Site,
     StripLattice,
     cut_complement_of_center,
-    homology_class,
 )
 
 TAU = 2.0 * math.pi
@@ -222,9 +221,12 @@ def _bounding_face_weights(lat: StripLattice, links1: tuple, links2: tuple) -> n
     """Integer face weights m with boundary(m) = loop1 - loop2 on an annulus.
 
     m has theta_y's shape, one weight per face.  Column prefix sums of
-    the x-link chain give the unique solution; the full boundary
-    condition is then verified link by link, which catches
-    non-homologous input (and deliberately broken seam rules).
+    the x-link chain give the unique solution.  This solve is the one
+    homology test of ``stokes_defect``: the loops bound a region only
+    where every column's x-link chain sums to 0, that is where they wind
+    alike around the annulus, and otherwise they are refused as not
+    homologous.  The full boundary condition is then verified link by
+    link, which catches deliberately broken seam rules.
     """
     (link1, sign1), (link2, sign2) = links1, links2
     n = lat.n_sites
@@ -245,14 +247,15 @@ def stokes_defect(field: GaugeField, loop1: LoopPath, loop2: LoopPath) -> float:
 
     The two loops must be homologous, and on a moebius lattice must avoid
     the center row so they lift to the orientable cut-open annulus where
-    the surface integral is well defined.  The returned defect vanishes
-    for every gauge field; it is the discrete Stokes identity.
+    the surface integral is well defined.  Homology is tested once, on
+    that working lattice, by the face-weight solve
+    (``_bounding_face_weights``): a pair that bounds no region raises
+    GaugeError.  The returned defect vanishes for every gauge field; it is
+    the discrete Stokes identity.
     """
     lat = field.lattice
     if loop1.lattice != lat or loop2.lattice != lat:
         raise GaugeError("loops and field live on different lattices")
-    if homology_class(lat, loop1) != homology_class(lat, loop2):
-        raise GaugeError("loops are not homologous")
     if lat.is_moebius:
         corr = cut_complement_of_center(lat)  # raises where no admissible cut exists
         try:

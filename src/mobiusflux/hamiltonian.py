@@ -241,11 +241,13 @@ def _link_layout(lat: StripLattice) -> tuple:
     """``assemble``'s pattern on lat, once per lattice, and the order that sorts its entries into it.
 
     nx >= 3 keeps every link distinct, so the entries fill the pattern one to one.
+    Both are read-only: every operator on lat is gathered through the order.
     """
     n = lat.n_sites
     rows, cols = _link_coords(lat)
     keys = rows.astype(np.int64) * n + cols
     order = np.argsort(keys)
+    order.setflags(write=False)
     return _Pattern.of(keys[order], n), order
 
 

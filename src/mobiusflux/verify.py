@@ -114,10 +114,6 @@ def _random_flat_field(lat: StripLattice, rng: np.random.Generator) -> GaugeFiel
                                  random_gauge_transform(lat, rng))
 
 
-def _angles_equal_mod(a: float, b: float) -> float:
-    return abs(reduce_angle(a - b))
-
-
 def _verdict(what: str, worst: float, tol: float) -> tuple:
     """A check's verdict and detail: its worst deviation against its tolerance."""
     return worst <= tol, f"{what} = {worst:.2e} (tol {tol:g})"
@@ -143,8 +139,8 @@ def check_gauge_invariance(rng, broken_seam) -> tuple:
         field = uniform_flux_field(lat, float(rng.uniform(-2, 2)))
         transformed = apply_gauge_transform(field, random_gauge_transform(lat, rng))
         for loop in (center_loop(lat), offset_loop(lat, 0), random_class2_loop(lat, rng)):
-            worst = max(worst, _angles_equal_mod(wilson_loop(field, loop).angle,
-                                                 wilson_loop(transformed, loop).angle))
+            worst = max(worst, abs(reduce_angle(wilson_loop(field, loop).angle
+                                                - wilson_loop(transformed, loop).angle)))
     return _verdict("max angle shift mod 2pi", worst, ANGLE_TOL)
 
 
@@ -157,7 +153,7 @@ def check_homology_invariance(rng, broken_seam) -> tuple:
         l2 = random_class2_loop(lat, rng)
         if homology_class(lat, l1) != homology_class(lat, l2):
             return False, "generated loops disagree in homology class"
-        dev = _angles_equal_mod(wilson_loop(field, l1).angle, wilson_loop(field, l2).angle)
+        dev = abs(reduce_angle(wilson_loop(field, l1).angle - wilson_loop(field, l2).angle))
         worst = max(worst, dev)
     return _verdict("max homologous angle gap", worst, ANGLE_TOL)
 

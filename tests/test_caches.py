@@ -1,12 +1,12 @@
-"""The per-process caches of sector bases, flux pencils and band layouts: same bytes,
-read-only, bounded."""
+"""The per-process caches of sector bases, flux pencils, link layouts and band layouts: same
+bytes, read-only, bounded."""
 
 import re
 
 import numpy as np
 import pytest
 
-from mobiusflux import cli, eigensolver
+from mobiusflux import cli, eigensolver, hamiltonian
 from mobiusflux.eigensolver import SolverConfig, lanczos_lowest
 from mobiusflux.experiments import SweepConfig, flux_sweep
 from mobiusflux.hamiltonian import (
@@ -80,6 +80,16 @@ def test_cached_bases_and_pencils_are_read_only():
     own = FluxPencil(iso, hop)
     own._data[1] = 0.0
     assert sector_pencil(lat, ODD, hop) is pencil and (pencil.at(0.3).csr.toarray() == before).all()
+
+
+def test_the_link_layout_is_read_only():
+    # assemble and FluxPencil gather every operator on a lattice through the cached order:
+    # a stray write to it would corrupt each later one in the process
+    pattern, order = hamiltonian._link_layout(build_lattice(6, 3, MOEBIUS))
+    assert hamiltonian._link_layout(build_lattice(6, 3, MOEBIUS))[1] is order
+    for arr in (order, pattern.transpose, pattern.template.indices, pattern.template.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
 
 
 def test_the_band_layout_is_built_once_per_pattern():

@@ -705,3 +705,51 @@ def test_sweep_strict_exit_on_unreachable_tolerance(capsys):
     code, _, err = run_cli(capsys, *args, "--strict")
     assert code == 1
     assert "failed" in err
+
+
+# a config-file sweep whose every point fails: no Lanczos residual meets tol = 1e-300
+FAILING_SWEEP = "nx = 8\nny = 3\nf_steps = 5\nsolver = lanczos\ntol = 1e-300\n"
+
+
+@pytest.mark.parametrize("spelling", [
+    *("1", "0", "true", "false", "yes", "no", "on", "off"),
+    *("TRUE", "False", "YES", "No", "oN", "OFF"),
+])
+def test_every_boolean_spelling_of_strict_sets_the_exit_code(capsys, tmp_path, spelling):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{FAILING_SWEEP}strict = {spelling}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    header, *rows = out.strip().split("\n")
+    assert header.startswith("f,") and len(rows) == 5
+    assert all(row.endswith(",failed") for row in rows)
+    if spelling.lower() in ("1", "true", "yes", "on"):
+        assert (code, err) == (1, "5 of 5 sweep points failed to converge\n")
+    else:
+        assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("argv, lines, message", [
+    (("sweep",), f"{FAILING_SWEEP}strict = maybe\n",
+     "bad value for key 'strict': not a boolean: 'maybe'"),
+    (("spectrum",), "nx = 1.5\n", "bad value for key 'nx': "),
+    (("spectrum",), "nx 8\n", ":1: expected key = value, got 'nx 8'"),
+    (("spectrum",), None, "cannot read config file "),
+    (("spectrum", "--nx", "6", "--ny", "3", "--seed", "-1"), "",
+     "seed must fit in 64 unsigned bits"),
+    (("spectrum", "--nx", "6", "--ny", "3", "--seed", str(2**64)), "",
+     "seed must fit in 64 unsigned bits"),
+    (("holonomy", "--loop", "offset=x"), "", "bad loop selector 'offset=x'"),
+])
+def test_each_documented_refusal_exits_2(capsys, tmp_path, argv, lines, message):
+    cfg = tmp_path / "run.cfg"  # not written where lines is None: unreadable
+    if lines is not None:
+        cfg.write_text(lines, encoding="utf-8")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: ") and message in err
+
+
+def test_parse_sweep_csv_rejects_a_wrong_header():
+    with pytest.raises(ConfigError, match="unexpected CSV header"):
+        parse_sweep_csv("f,e0_full,status\n0,1,ok\n")

@@ -53,6 +53,13 @@ def test_solver_config_validation():
         SolverConfig(method="arnoldi")
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_a_seed_outside_64_unsigned_bits_is_refused(seed):
+    with pytest.raises(ValueError, match="seed must fit in 64 unsigned bits"):
+        SolverConfig(seed=seed)
+    assert SolverConfig(seed=seed % 2**64).seed == seed % 2**64
+
+
 def test_dense_one_by_one():
     res = dense_eigh(SparseHermitian(sp.csr_matrix(np.array([[4.2]]))))
     assert_allclose(res.values, [4.2])
@@ -287,6 +294,51 @@ def test_inertia_count_matches_dense_count(h, block_partition):
     sigmas = [values[0] - 1.0, values[-1] + 1.0, *(0.5 * (values[gaps] + values[gaps + 1]))]
     for sigma in sigmas:
         assert inertia_count(h, sigma) == np.count_nonzero(values < sigma)
+
+
+def record_block_factors(monkeypatch):
+    """Wrap the count's Cholesky (?potrf) and Bunch-Kaufman (?sysv, ?hesv) routines; the list
+    returned gets, for each block a count factors, the factor that took it."""
+    routes, routines = [], eigensolver._block_routines
+
+    def recorded(dtype, block):
+        potrf, sv, *rest = routines(dtype, block)
+
+        def cholesky(a, **kwargs):
+            factor, info = potrf(a, **kwargs)
+            if info == 0:
+                routes.append("cholesky")
+            return factor, info
+
+        def bunch_kaufman(*args, **kwargs):
+            routes.append("bunch-kaufman")
+            return sv(*args, **kwargs)
+
+        return (cholesky, bunch_kaufman, *rest)
+
+    monkeypatch.setattr(eigensolver, "_block_routines", recorded)
+    return routes
+
+
+# test_inertia_count_matches_dense_count's operators, read off its parametrize mark
+DENSE_COUNTED = next(mark.args[1] for mark in test_inertia_count_matches_dense_count.pytestmark
+                     if mark.name == "parametrize")
+
+
+@pytest.mark.parametrize("h", [moebius_operator(20, 7, 0.3), *DENSE_COUNTED])
+def test_the_last_block_is_factored_by_the_rule_of_every_block(h, block_partition, monkeypatch):
+    # below the spectrum every block is definite, and Cholesky takes each, the last one too;
+    # above it none is (a padded last block is indefinite: its padded rows hold +norm), and
+    # Bunch-Kaufman takes each
+    routes = record_block_factors(monkeypatch)
+    values = dense_eigh(h).values
+    blocks = -(-h.n // eigensolver._layout(h.csr).block)
+    assert block_partition == "solver-blocks" or blocks > 1
+    for cut, route, count in ((values[0] - 1.0, "cholesky", 0),
+                              (values[-1] + 1.0, "bunch-kaufman", h.n)):
+        routes.clear()
+        assert sparse_count(h, cut) == count == np.count_nonzero(values < cut)
+        assert routes == [route] * blocks
 
 
 def near_zero_pivot_ring():

@@ -298,6 +298,20 @@ def test_persistent_current_zero_for_constant_energy():
     assert all(c == 0.0 for c in currents[1:-1])
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_persistent_current_needs_three_records(n):
+    records = [SweepRecord(f=0.1 * i, e0_full=1.0) for i in range(n)]
+    with pytest.raises(ValueError, match="need at least 3 records for a central difference"):
+        persistent_current(records)
+
+
+def test_detect_minima_refuses_an_unknown_column():
+    records = [SweepRecord(f=0.1 * i, e0_full=1.0) for i in range(5)]
+    for column in ("e0", "current", "node_amp", "status"):
+        with pytest.raises(ValueError, match="column must be one of"):
+            detect_minima(records, column)
+
+
 def test_persistent_current_rejects_nonuniform_grid():
     records = [SweepRecord(f=f, e0_full=f * f) for f in (0.0, 0.1, 0.3)]
     with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from mobiusflux.lattice import (
     MOEBIUS,
     LatticeError,
     LoopError,
+    LoopPath,
     Site,
     StripLattice,
     build_lattice,
@@ -353,6 +354,41 @@ def test_stokes_defect_rejects_center_touching_loop():
     assert homology_class(lat, through) == 2
     with pytest.raises(GaugeError):
         stokes_defect(field, through, offset_loop(lat, 0))
+
+
+def test_stokes_refuses_loops_that_wind_apart_on_the_working_lattice():
+    # the face-weight solve is stokes_defect's one homology test: on the band it runs on the
+    # cut-open annulus, where a class 2 loop winds once and a class -2 loop once backward
+    mob, rng = build_lattice(6, 5, MOEBIUS), np.random.default_rng(5)
+    loop, other = random_class2_loop(mob, rng), random_class2_loop(mob, rng)
+    backward = LoopPath(mob, other.sites[::-1])
+    assert (homology_class(mob, loop), homology_class(mob, backward)) == (2, -2)
+    ann = build_lattice(6, 4, ANNULUS)
+    row = offset_loop(ann, 0)
+    twice = LoopPath(ann, np.concatenate([row.sites, row.sites[1:]]))
+    assert (homology_class(ann, row), homology_class(ann, twice)) == (1, 2)
+    for lat, pair in ((mob, (loop, backward)), (ann, (row, twice))):
+        field = uniform_flux_field(lat, 0.3)
+        for l1, l2 in (pair, pair[::-1]):
+            with pytest.raises(GaugeError, match="not homologous on the working lattice"):
+                stokes_defect(field, l1, l2)
+
+
+def test_stokes_and_the_lift_refuse_another_lattices_loops_and_fields():
+    lat, other = build_lattice(6, 5, MOEBIUS), build_lattice(8, 5, MOEBIUS)
+    field = uniform_flux_field(lat, 0.3)
+    with pytest.raises(GaugeError, match="loops and field live on different lattices"):
+        stokes_defect(field, offset_loop(other, 0), offset_loop(other, 1))
+    with pytest.raises(GaugeError, match="loops and field live on different lattices"):
+        stokes_defect(field, offset_loop(lat, 0), offset_loop(other, 1))
+    with pytest.raises(GaugeError, match="field lives on a different lattice than the cut"):
+        lift_field(cut_complement_of_center(lat), uniform_flux_field(other, 0.3))
+
+
+def test_a_class2_loop_needs_a_row_off_the_center():
+    # a one-row band is its center row: no walk avoids it
+    with pytest.raises(ValueError, match="need ny >= 3 for center-avoiding loops"):
+        random_class2_loop(build_lattice(6, 1, MOEBIUS), np.random.default_rng(0))
 
 
 def random_annulus_loop(lat, rng, wraps):

@@ -102,6 +102,12 @@ def test_assemble_input_validation():
             assemble(lat, uniform_flux_field(lat, 0.0), HoppingParams(), pot=pot)
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (0, 1)])
+def test_sparse_hermitian_rejects_a_non_square_matrix(shape):
+    with pytest.raises(ValueError, match=rf"matrix is \({shape[0]}, {shape[1]}\), not square"):
+        SparseHermitian(sp.csr_matrix(shape))
+
+
 def test_sparse_hermitian_rejects_asymmetric():
     bad = np.array([[0.0, 1.0], [0.5, 0.0]])
     with pytest.raises(ValueError):

@@ -237,6 +237,13 @@ def test_lift_loop_round_trip():
         corr.lift_loop(center_loop(lat))
 
 
+def test_lift_loop_refuses_another_lattices_loop():
+    corr = cut_complement_of_center(build_lattice(6, 5, MOEBIUS))
+    for other in (build_lattice(8, 5, MOEBIUS), build_lattice(6, 5, ANNULUS), corr.cut):
+        with pytest.raises(LoopError, match="loop belongs to a different lattice"):
+            corr.lift_loop(offset_loop(other, 0))
+
+
 def test_site_id_round_trip():
     lat = build_lattice(5, 4, ANNULUS)
     ids = [lat.site_id(s) for s in sites(lat)]
