@@ -1,11 +1,12 @@
 """Lowest eigenpairs of sparse Hermitian operators, with certification.
 
 Two routes, both in the operator's own dtype, so a real operator is
-solved in real arithmetic: ``dense_eigh``, a direct LAPACK solve, the
-reference at small dimension, and ``lanczos_lowest``, shift-invert
-Lanczos on a banded Cholesky factor (SuperLU past a half-bandwidth of
-120), certified complete by an inertia count on the same band, a block
-L D L^H at every half-bandwidth; ``solve`` picks.  Both read one reverse
+solved in real arithmetic: ``dense_eigh``, scipy's ``eigh`` on a
+column-major copy it may overwrite, the reference at small dimension,
+and ``lanczos_lowest``, shift-invert Lanczos on a banded Cholesky factor
+(SuperLU past a half-bandwidth of 120), certified complete by an inertia
+count on the same band, a block L D L^H at every half-bandwidth;
+``solve`` picks.  Both read one reverse
 Cuthill-McKee layout per sparsity pattern (``_layout``).  SuperLU's
 factor is of the plain sparse difference H - sigma I.
 Residuals ||H v - lambda v|| are always recomputed from the returned
@@ -97,32 +98,23 @@ def _finalize(h: SparseHermitian, values: np.ndarray, vectors: np.ndarray) -> Ei
     return EigenResult(values=values, vectors=vectors, residuals=residuals)
 
 
-@functools.lru_cache(maxsize=16)
-def _evr(dtype: np.dtype, n: int) -> tuple:
-    """LAPACK's index-range driver for dtype, dsyevr or zheevr, and its workspace sizes at n."""
-    from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
-
-    name, sizes = (("syevr", ("lwork", "liwork")) if dtype == np.float64
-                   else ("heevr", ("lwork", "lrwork", "liwork")))
-    driver, query = get_lapack_funcs((name, name + "_lwork"), dtype=dtype)
-    return driver, dict(zip(sizes, _compute_lwork(query, n=n, lower=1)))
-
-
 def dense_eigh(h: SparseHermitian, k: Optional[int] = None, *,
                values_only: bool = False) -> EigenResult:
     """k lowest eigenpairs (None: all n) by a dense direct solve; n <= 4096.
 
-    The reference path; only the requested pairs and their residuals are computed.
-    For k < n LAPACK's index-range driver finds the values by bisection
-    (stebz) and only then, if asked, the vectors by inverse iteration
-    (stein), so with values_only only the k values are solved, bit for bit
-    those of the vector solve; for k = n it takes other routes, whose values
-    differ in the last bits, so there the pairs are solved.
-    dsyevr or zheevr, called directly with ``scipy.linalg.eigh``'s arguments
-    (so its values and vectors bit for bit), overwrites the one column-major
-    copy it is handed, unscanned: every ``SparseHermitian`` is checked
-    finite when it is built.  A nonzero info raises LinAlgError.
+    The reference path: scipy's ``eigh`` with LAPACK's index-range driver
+    (dsyevr or zheevr) on a column-major copy of the operator, which it may
+    overwrite, unscanned: every ``SparseHermitian`` is checked finite when
+    it is built.  Only the requested pairs and their residuals are computed.
+    For k < n the driver finds the values by bisection (stebz) and only
+    then, if asked, the vectors by inverse iteration (stein), so with
+    values_only only the k values are solved, bit for bit those of the
+    vector solve; for k = n it takes other routes, whose values differ in
+    the last bits, so there the pairs are solved.  A failed solve raises
+    eigh's LinAlgError.
     """
+    from scipy.linalg import eigh
+
     if h.n > _DENSE_MAX_N:
         raise ValueError(f"dense path limited to n <= {_DENSE_MAX_N}, got {h.n}")
     k = h.n if k is None else k
@@ -133,16 +125,12 @@ def dense_eigh(h: SparseHermitian, k: Optional[int] = None, *,
     # a real store is symmetric entry by entry, so its row-major array is its column-major
     # one, with no CSC conversion; a complex one's would be its conjugate
     a = csr.toarray().T if csr.dtype == np.float64 else csr.toarray(order="F")
-    driver, lwork = _evr(csr.dtype, h.n)
-    values, vectors, m, _, info = driver(a, compute_v=0 if values_only else 1, range="I",
-                                         lower=1, il=1, iu=k, overwrite_a=1, **lwork)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dense eigensolver failed: LAPACK info = {info}")
-    values = values[:m]
+    result = eigh(a, subset_by_index=[0, k - 1], driver="evr", eigvals_only=values_only,
+                  overwrite_a=True, check_finite=False)
     if values_only:
-        values.setflags(write=False)
-        return EigenResult(values=values, vectors=None, residuals=None)
-    return _finalize(h, values, vectors[:, :m])
+        result.setflags(write=False)
+        return EigenResult(values=result, vectors=None, residuals=None)
+    return _finalize(h, *result)
 
 
 def _gershgorin(h: SparseHermitian) -> tuple:
@@ -226,12 +214,12 @@ def _block_routines(dtype: np.dtype, block: int) -> tuple:
     factor-and-solve (?sysv or ?hesv), BLAS's ?trsm, ?syrk or ?herk, and ?gemm, and the
     Bunch-Kaufman workspace at block."""
     from scipy.linalg.blas import get_blas_funcs
-    from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
+    from scipy.linalg.lapack import get_lapack_funcs
 
     name = "sy" if dtype == np.float64 else "he"
-    lapack = get_lapack_funcs(("potrf", name + "sv", name + "sv_lwork"), dtype=dtype)
-    return (*lapack[:2], *get_blas_funcs(("trsm", name + "rk", "gemm"), dtype=dtype),
-            _compute_lwork(lapack[2], block, lower=1))
+    potrf, sv, query = get_lapack_funcs(("potrf", name + "sv", name + "sv_lwork"), dtype=dtype)
+    return (potrf, sv, *get_blas_funcs(("trsm", name + "rk", "gemm"), dtype=dtype),
+            int(query(block, lower=1)[0].real))
 
 
 def _count_below(h: SparseHermitian, cut: float, norm: float) -> Optional[int]:

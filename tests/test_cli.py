@@ -309,12 +309,17 @@ def test_invalid_config_exits_2(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize("command", ["spectrum", "sweep"])
-def test_linear_algebra_failure_exits_1(capsys, monkeypatch, tmp_path, command):
-    def failing_solve(h, cfg, values_only=False):
+@pytest.mark.parametrize("failing", ["solve", "eigh"])
+def test_linear_algebra_failure_exits_1(capsys, monkeypatch, tmp_path, command, failing):
+    # "eigh": the small inputs take the dense route, whose failure is scipy's eigh raising
+    def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("factorization failed")
 
-    monkeypatch.setattr(cli, "solve", failing_solve)
-    monkeypatch.setattr(experiments, "solve", failing_solve)
+    if failing == "eigh":
+        monkeypatch.setattr(scipy.linalg, "eigh", fail)
+    else:
+        monkeypatch.setattr(cli, "solve", fail)
+        monkeypatch.setattr(experiments, "solve", fail)
     code, out, err = run_cli(capsys, command, *SMALL[command])
     assert code == 1
     assert out == ""

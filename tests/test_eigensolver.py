@@ -127,9 +127,9 @@ def dense_cases():
 @pytest.mark.parametrize("k", [1, 2, 6, "n-1", "n"])
 @pytest.mark.parametrize("values_only", [False, True])
 def test_dense_eigh_is_scipys_eigh_on_a_copy_it_may_overwrite(h, k, values_only):
-    # LAPACK overwrites the one dense copy it is handed: never the operator, and no bit moves.
-    # dsyevr or zheevr is called directly, with eigh's arguments, and returns eigh's values
-    # and vectors; at k = n values_only solves the pairs, as eigh's eigvals_only would not
+    # eigh may overwrite the one dense copy it is handed: never the operator, and no bit moves.
+    # Its values and vectors are those of eigh on the operator's dense array; at k = n
+    # values_only solves the pairs, as eigh's eigvals_only would not
     from scipy.linalg import eigh
 
     k = {"n-1": h.n - 1, "n": h.n}.get(k, k)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mobiusflux import gauge
 from mobiusflux.eigensolver import dense_eigh
 from mobiusflux.gauge import (
     GaugeError,
@@ -257,19 +258,34 @@ def test_stokes_defect_with_injected_curvature():
     assert abs(stokes_defect(field, l0, l1)) < 1e-12
 
 
-def test_stokes_defect_random_fields_and_loops():
-    lat = build_lattice(6, 5, MOEBIUS)
+def random_link_field(lat, rng):
+    """Independent random angles on every link, so that every face carries curvature."""
+    return GaugeField(lattice=lat, theta_x=rng.uniform(-math.pi, math.pi, (lat.nx, lat.ny)),
+                      theta_y=rng.uniform(-math.pi, math.pi, (lat.nx, lat.ny - 1)))
+
+
+def test_stokes_defect_random_fields_and_loops(monkeypatch):
+    # with curvature on every face the defect is 0 only where every face weight is right, and
+    # one weight off by one moves it off 0: so this pins the weights of class-2 band loops and
+    # of wandering annulus loops that wind alike, once or twice
     rng = np.random.default_rng(17)
-    for _ in range(8):
-        field = apply_gauge_transform(
-            uniform_flux_field(lat, float(rng.uniform(-2, 2))),
-            random_gauge_transform(lat, rng),
-        )
-        field = add_face_flux(
-            field, Site(int(rng.integers(0, 6)), int(rng.integers(0, 4))), float(rng.normal())
-        )
-        l1, l2 = random_class2_loop(lat, rng), random_class2_loop(lat, rng)
-        assert abs(stokes_defect(field, l1, l2)) < 1e-12
+    mob, ann = build_lattice(6, 5, MOEBIUS), build_lattice(7, 4, ANNULUS)
+    weights = gauge._bounding_face_weights
+    for trial in range(8):
+        for lat, working, draw in (
+                (mob, cut_complement_of_center(mob).cut, random_class2_loop),
+                (ann, ann, lambda lat, rng: random_annulus_loop(lat, rng, wraps=1 + trial % 2))):
+            field, l1, l2 = random_link_field(lat, rng), draw(lat, rng), draw(lat, rng)
+            assert abs(stokes_defect(field, l1, l2)) < 1e-12
+            for face in np.ndindex(working.nx, working.ny - 1):
+                def one_off(*args, face=face):
+                    m = weights(*args).copy()
+                    m[face] += 1
+                    return m
+
+                monkeypatch.setattr(gauge, "_bounding_face_weights", one_off)
+                assert abs(stokes_defect(field, l1, l2)) > 1e-12
+            monkeypatch.undo()
 
 
 def test_the_center_cut_is_built_once_per_lattice():
