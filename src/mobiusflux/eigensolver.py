@@ -234,17 +234,24 @@ def _count_below(h: SparseHermitian, cut: float, norm: float) -> Optional[int]:
     Cholesky factor L L^H it has no negative eigenvalue, and
     C_j S_j^{-1} C_j^H = W^H W with W = L^{-1} C_j^H: at a cut low in the
     spectrum most blocks are so (17 of 23 at 48 x 25).  Any other S_j's
-    inertia is that of the D of its Bunch-Kaufman factor
-    (``_pivot_inertia``), on which S_j^{-1} C_j^H is solved.  Neither forms
+    inertia is that of the block diagonal D of its Bunch-Kaufman factor
+    L D L^H, on which S_j^{-1} C_j^H is solved, and is read off its pivots:
+    a 1 x 1 pivot counts by its sign, and a 2 x 2 pivot, whose two rows
+    LAPACK marks with negative ipiv, has exactly one negative eigenvalue.
+    The pivot rule takes a 2 x 2 pivot [[a, b*], [b, c]] only where
+    |a c| < alpha^2 omega^2 with alpha = (1 + sqrt(17)) / 8, omega its
+    column's largest entry |b|, so its determinant a c - |b|^2 < 0 (Bunch
+    & Kaufman, Math. Comp. 31, 163-179 (1977); ?hetrf measures omega by
+    |Re b| + |Im b|, and there |a c| < 0.82 |b|^2).  Neither forms
     an explicit inverse: its rounding reaches beyond S_j's near null space,
     which C_j annihilates at a degenerate level, and there it flipped signs
     in the next block.  Every block, the last one too, is factored by
     this one rule, Cholesky where it is definite: past the last block the
     buffer holds two zero pieces, its C_m and the S_{m+1} that C_m would
     update, so the last step's solve and update leave zeros, counted by
-    no factor.  The count is not trusted where a
-    Bunch-Kaufman factor is exactly singular (info != 0), as at a cut on an
-    eigenvalue, or an entry of a Schur complement or of a factor exceeds
+    no factor.  The count is not trusted where a Bunch-Kaufman factor is
+    exactly singular (info != 0), as at a cut on an eigenvalue, or an
+    entry of a Schur complement or of a factor exceeds
     norm / sqrt(eps): a pivot near zero makes later entries grow until
     rounding swamps the signs of later pivots.  Where it returns None the
     caller may count the dense spectrum (``_dense_count``).
@@ -261,49 +268,26 @@ def _count_below(h: SparseHermitian, cut: float, norm: float) -> Optional[int]:
     pieces = data.reshape(-1, s, s).transpose(0, 2, 1)  # each piece in Fortran order
     potrf, sv, trsm, rk, gemm, lwork = _block_routines(csr.dtype, s)
     adjoint = 1 if csr.dtype == np.float64 else 2
-    # a Cholesky factor's rows keep pivot 1, and its positive diagonal counts no negative
-    factors, pivots = np.empty((m, s, s), dtype=csr.dtype), np.ones((m, s), dtype=np.int32)
+    negatives, growth = 0, 0.0
     for j in range(m):
         below, after = pieces[2 * j + 1], pieces[2 * j + 2]
-        cholesky, info = potrf(pieces[2 * j], lower=1, clean=0)
+        factor, info = potrf(pieces[2 * j], lower=1, clean=0)
         if info == 0:  # S_{j+1} -= W^H W, in place on its lower triangle, the one read
-            factors[j] = cholesky
-            rk(-1.0, trsm(1.0, cholesky, below.conj().T, lower=1), 1.0, after, trans=adjoint,
+            rk(-1.0, trsm(1.0, factor, below.conj().T, lower=1), 1.0, after, trans=adjoint,
                lower=1, overwrite_c=1)
-            continue
-        factors[j], pivots[j], solved, info = sv(pieces[2 * j], below.conj().T, lower=1,
-                                                 lwork=lwork)
-        if info != 0:
-            return None
-        gemm(-1.0, below, solved, 1.0, after, overwrite_c=1)  # S_{j+1}, in place
-    if not max(np.max(np.abs(data)), np.max(np.abs(factors))) * _SQRT_EPS <= norm:
+        else:
+            factor, pivots, solved, info = sv(pieces[2 * j], below.conj().T, lower=1,
+                                              lwork=lwork)
+            if info != 0:
+                return None
+            gemm(-1.0, below, solved, 1.0, after, overwrite_c=1)  # S_{j+1}, in place
+            # a 1 x 1 pivot counts by its sign; a 2 x 2 one, on two rows of negative ipiv, as one
+            singles = factor.diagonal().real[pivots > 0]
+            negatives += np.count_nonzero(singles < 0) + np.count_nonzero(pivots < 0) // 2
+        growth = np.maximum(growth, np.max(np.abs(factor)))
+    if not max(np.max(np.abs(data)), growth) * _SQRT_EPS <= norm:
         return None
-    return _pivot_inertia(factors, pivots)
-
-
-def _pivot_inertia(factors: np.ndarray, pivots: np.ndarray) -> Optional[int]:
-    """Negative eigenvalues of the block diagonal D of lower Bunch-Kaufman factors (those that
-    LAPACK's ?sysv or ?hesv returns, each row of factors with its row of pivots); None if a
-    2 x 2 block of D is singular.
-
-    A 1 x 1 block counts by its sign.  The rows of a 2 x 2 block are
-    consecutive and carry negative pivots, so every other row with a
-    negative pivot starts one.  [[a, b*], [b, c]] has one
-    negative eigenvalue where its determinant a c - |b|^2 is negative, and
-    two where that is positive and a is; the determinant's sign is taken
-    after scaling by the block's largest entry, so it cannot overflow.
-    """
-    paired = pivots.reshape(-1) < 0
-    j, k = np.divmod(np.flatnonzero(paired)[::2], pivots.shape[1])
-    a, c = factors[j, k, k].real, factors[j, k + 1, k + 1].real
-    b = np.abs(factors[j, k + 1, k])
-    scale = np.maximum(np.maximum(np.abs(a), np.abs(c)), b)
-    det = (a / scale) * (c / scale) - (b / scale) ** 2
-    if np.any(det == 0):
-        return None
-    singles = np.diagonal(factors, axis1=1, axis2=2).real.reshape(-1)[~paired]
-    return int(np.count_nonzero(singles < 0) + np.count_nonzero(det < 0)
-               + 2 * np.count_nonzero((det > 0) & (a < 0)))
+    return int(negatives)
 
 
 class _BandCholesky:

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mobiusflux import eigensolver
@@ -248,9 +250,11 @@ def block_partition(request, monkeypatch):
 
 
 def sparse_count(h, sigma):
-    """The sparse count, or None, with the norm bound the solver gives it."""
+    """The sparse count, a Python int, or None, with the norm bound the solver gives it."""
     lo, hi = eigensolver._gershgorin(h)
-    return eigensolver._count_below(h, sigma, max(hi - sigma, sigma - lo))
+    count = eigensolver._count_below(h, sigma, max(hi - sigma, sigma - lo))
+    assert count is None or type(count) is int
+    return count
 
 
 def inertia_count(h, sigma):
@@ -460,19 +464,49 @@ def test_an_exactly_singular_band_count_is_not_trusted():
     assert eigensolver._count_below(h, 3.0 + 1e-9, 3.0) == 5
 
 
-def test_each_2x2_pivot_is_counted_by_the_sign_of_its_determinant():
-    # block 0: 1 x 1 pivots -1 (one negative) and 2, then [[2, 4], [4, 3]], determinant < 0
-    # (one); block 1: [[-2, 1], [1, -3]], determinant > 0 with a < 0 (two), then
-    # [[2, 1], [1, 3]] (none).  The last three pairs make one run of negative pivots
-    factors = np.zeros((2, 4, 4))
-    factors[0, 0, 0], factors[0, 1, 1] = -1.0, 2.0
-    pairs = {(0, 2): (2.0, 4.0, 3.0), (1, 0): (-2.0, 1.0, -3.0), (1, 2): (2.0, 1.0, 3.0)}
-    for (j, k), (a, b, c) in pairs.items():
-        factors[j, k, k], factors[j, k + 1, k], factors[j, k + 1, k + 1] = a, b, c
-    pivots = np.array([[1, 2, -3, -3], [-1, -1, -4, -4]], dtype=np.int32)
-    assert eigensolver._pivot_inertia(factors, pivots) == 1 + 1 + 2
-    factors[1, :2, :2] = [[-2.0, 0.0], [4.0, -8.0]]  # determinant 16 - 16 = 0: singular
-    assert eigensolver._pivot_inertia(factors, pivots) is None
+@st.composite
+def pivoted_blocks(draw):
+    """(dtype, Q diag(lam) Q^H, lam) for an s x s block, s in 2-60: lam mixes signs and up to
+    three exact zeros, its other entries at one scale 10^e per block, e in -150..150, within
+    1e3 either way.  The zeros' eigenvectors are unit vectors, so their rows are exactly zero,
+    and the rest of Q is a seeded random unitary."""
+    dtype = draw(st.sampled_from((np.float64, np.complex128)))
+    s = draw(st.integers(2, 60))
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    lam = np.array(draw(st.lists(st.builds(lambda sign, m: sign * m * scale, st.sampled_from(
+        (-1.0, 1.0)), st.floats(1e-3, 1e3)), min_size=s, max_size=s)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zero, live = np.split(rng.permutation(s), [draw(st.integers(0, 3))])
+    lam[zero] = 0.0
+    g = rng.standard_normal((live.size, live.size))
+    if dtype == np.complex128:
+        g = g + 1j * rng.standard_normal(g.shape)
+    q = np.linalg.qr(g)[0]
+    a = np.zeros((s, s), dtype=dtype)
+    a[np.ix_(live, live)] = (q * lam[live]) @ q.conj().T
+    return dtype, (a + a.conj().T) / 2, lam
+
+
+@settings(max_examples=60, deadline=None)
+@given(pivoted_blocks())
+def test_bunch_kaufman_takes_a_2x2_pivot_only_where_it_is_indefinite(block):
+    # the rule that ``_count_below`` reads inertia by: LAPACK's ?sysv or ?hesv takes a 2 x 2
+    # pivot, on two rows of negative ipiv, only where its determinant is negative, so it has
+    # one negative eigenvalue; a singular block shows as a zero 1 x 1 pivot (info != 0)
+    dtype, a, lam = block
+    sv, lwork = eigensolver._block_routines(np.dtype(dtype), a.shape[0])[1::4]
+    factor, ipiv, _, info = sv(np.asfortranarray(a), np.ones((a.shape[0], 1), dtype), lower=1,
+                               lwork=lwork)
+    assert (info != 0) == np.any(lam == 0)
+    paired = ipiv < 0
+    k = np.flatnonzero(paired)[::2]
+    assert np.array_equal(ipiv[k], ipiv[k + 1])
+    d = factor / (np.max(np.abs(a)) or 1.0)  # scaled, so that no product under- or overflows
+    det = d[k, k].real * d[k + 1, k + 1].real - np.abs(d[k + 1, k]) ** 2
+    assert np.all(det < 0)
+    singles = factor.diagonal().real[~paired]
+    assert (np.count_nonzero(singles < 0) + np.count_nonzero(paired) // 2
+            == np.count_nonzero(lam < 0))
 
 
 def no_dense_count(h, sigma):
