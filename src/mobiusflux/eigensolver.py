@@ -4,11 +4,12 @@ Two routes, both in the operator's own dtype, so a real operator is
 solved in real arithmetic: ``dense_eigh``, scipy's ``eigh`` on a
 column-major copy it may overwrite, the reference at small dimension,
 and ``lanczos_lowest``, shift-invert Lanczos on a banded Cholesky factor
-(SuperLU past a half-bandwidth of 120), certified complete by an inertia
-count on the same band, a block L D L^H at every half-bandwidth;
-``solve`` picks.  Both read one reverse
-Cuthill-McKee layout per sparsity pattern (``_layout``).  SuperLU's
-factor is of the plain sparse difference H - sigma I.
+(SuperLU past a half-bandwidth of 120; ``_definite_factor``), certified
+complete by an inertia count on the same band, a block L D L^H at every
+half-bandwidth; ``solve`` picks.  The shift-invert factor and the count
+read one reverse Cuthill-McKee layout per sparsity pattern (``_layout``);
+``dense_eigh`` reads none.  SuperLU's factor is of the plain sparse
+difference H - sigma I.
 Residuals ||H v - lambda v|| are always recomputed from the returned
 pairs; eigenvectors of degenerate eigenvalues are ambiguous beyond
 orthonormality.
@@ -147,8 +148,8 @@ class _Layout(NamedTuple):
     the band, and width is the band's half-bandwidth.  A scatter is a pair
     (slots, positions): entry slots[k] of the CSR data goes to flat
     position positions[k].  ``upper`` fills LAPACK's upper band storage,
-    (width + 1) x n column-major (``_BandCholesky``).  ``pieces`` fills the
-    count's blocks (``_count_below``): the band cut into block x block
+    (width + 1) x n column-major (``_definite_factor``).  ``pieces`` fills
+    the count's blocks (``_count_below``): the band cut into block x block
     pieces, the last block padded, and block >= width, so the matrix is
     block tridiagonal; piece 2j is diagonal block j, piece 2j + 1 the
     block below it, each column-major.
@@ -189,23 +190,6 @@ def _pattern_layout(n: int, index: str, indptr: bytes, indices: bytes) -> _Layou
     for arr in arrays:
         arr.setflags(write=False)
     return _Layout(perm, order, width, arrays[2:4], block, arrays[4:])
-
-
-def _superlu(h: SparseHermitian, sigma: float):
-    """Sparse LU of H - sigma I by SuperLU in symmetric mode with diagonal pivots.
-
-    The shift-invert factor of a band wider than ``_MAX_BAND``
-    (``_definite_factor``), where H - sigma I is positive definite and
-    diagonal pivots are stable.  It factors the sparse difference
-    H - sigma I, which drops H's explicit zeros.  The symmetric-mode,
-    diagonal-pivot options are kept as they are: they fix the rounding,
-    and so the printed digits, of every solve on a wide band.
-    """
-    from scipy.sparse.linalg import splu
-
-    a = (h.csr - sigma * sp.identity(h.n, dtype=h.csr.dtype, format="csr")).tocsc()
-    return splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                options={"SymmetricMode": True})
 
 
 @functools.lru_cache(maxsize=16)
@@ -290,48 +274,42 @@ def _count_below(h: SparseHermitian, cut: float, norm: float) -> Optional[int]:
     return int(negatives)
 
 
-class _BandCholesky:
-    """LAPACK's banded Cholesky (?pbtrf, ?pbtrs) of a positive definite P (H - sigma I) P^T.
-
-    ab holds the permuted matrix's upper band, ab[b + i - j, j] = A[i, j]
-    for a half-bandwidth b: LAPACK's default, whose two triangular solves
-    took 44 us against the lower band's 62 at b = 52 (OpenBLAS, one thread).
-    Row i of the band is row perm[i] of H, and row j of H is row order[j]
-    of the band.  ``solve`` permutes its right-hand side in and the answer
-    out, so it takes a vector or a block of columns.  A nonzero info raises
-    NoConvergenceError.
-    """
-
-    def __init__(self, ab: np.ndarray, perm: np.ndarray, order: np.ndarray):
-        from scipy.linalg.lapack import get_lapack_funcs
-
-        pbtrf, self._pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=ab.dtype)
-        self._factor, info = pbtrf(ab, overwrite_ab=1)
-        if info != 0:
-            raise NoConvergenceError(f"banded Cholesky failed: LAPACK info = {info}")
-        self._perm, self._order = perm, order
-
-    def solve(self, v: np.ndarray) -> np.ndarray:
-        return self._pbtrs(self._factor, v[self._perm])[0][self._order]
-
-
 def _definite_factor(h: SparseHermitian, sigma: float):
-    """A factor of the positive definite H - sigma I, with a ``solve``.
+    """The solve x = (H - sigma I)^{-1} v of a factor of the positive definite H - sigma I,
+    for a vector or a block of columns.
 
-    LAPACK's banded Cholesky on H's reverse Cuthill-McKee band (``_layout``)
-    where its half-bandwidth is at most ``_MAX_BAND`` (a strip's is about
-    twice its short side); ``_superlu`` on a wider band, where it is no
-    slower and holds less, its diagonal pivots stable on a definite matrix.
+    LAPACK's banded Cholesky (?pbtrf, ?pbtrs) on H's reverse Cuthill-McKee
+    band (``_layout``) where its half-bandwidth b is at most ``_MAX_BAND``
+    (a strip's is about twice its short side).  It factors the permuted
+    matrix's upper band, ab[b + i - j, j] = A[i, j]: LAPACK's default,
+    whose two triangular solves took 44 us against the lower band's 62 at
+    b = 52 (OpenBLAS, one thread); a nonzero info raises
+    NoConvergenceError.  The solve permutes its right-hand side in and the
+    answer out.  On a wider band SuperLU, no slower there and holding
+    less, factors the sparse difference H - sigma I, which drops H's
+    explicit zeros, in symmetric mode with diagonal pivots, stable on a
+    definite matrix.  Those options are kept as they are: they fix the
+    rounding, and so the printed digits, of every solve on a wide band.
     """
     layout = _layout(h.csr)
     if layout.width > _MAX_BAND:
-        return _superlu(h, sigma)
+        from scipy.sparse.linalg import splu
+
+        a = (h.csr - sigma * sp.identity(h.n, dtype=h.csr.dtype, format="csr")).tocsc()
+        return splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                    options={"SymmetricMode": True}).solve
+    from scipy.linalg.lapack import get_lapack_funcs
+
     slots, positions = layout.upper
     ab = np.zeros((h.n, layout.width + 1), dtype=h.csr.dtype)
     ab.reshape(-1)[positions] = h.csr.data[slots]
     ab = ab.T  # (width + 1) x n in Fortran order
     ab[layout.width] -= sigma
-    return _BandCholesky(ab, layout.perm, layout.order)
+    pbtrf, pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=ab.dtype)
+    factor, info = pbtrf(ab, overwrite_ab=1)
+    if info != 0:
+        raise NoConvergenceError(f"banded Cholesky failed: LAPACK info = {info}")
+    return lambda v: pbtrs(factor, v[layout.perm])[0][layout.order]
 
 
 def _dense_count(h: SparseHermitian, sigma: float) -> int:
@@ -358,15 +336,15 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
     answer counts only once a Sylvester inertia count shows that no
     eigenvalue below its top value was missed.
     sigma sits a sqrt(eps) * (hi - lo) step below h's Gershgorin interval
-    [lo, hi], so H - sigma I is positive definite and is factored once: by
-    LAPACK's banded Cholesky on H's reverse Cuthill-McKee order, where that
-    half-bandwidth is at most 120, as a strip's short side keeps it, and by
-    SuperLU above, where it is no slower (``_definite_factor``).  H - cut I
-    is indefinite, so each count factors it anew (``_count_below``), its
-    norm bounded by the Gershgorin interval: a block L D L^H of Cholesky and
-    Bunch-Kaufman factors on the same band, at every half-bandwidth; the
-    order and the band's index arrays are built once per sparsity pattern
-    (``_layout``).
+    [lo, hi], so H - sigma I is positive definite and is factored once, by
+    one function with two routes (``_definite_factor``): LAPACK's banded
+    Cholesky on H's reverse Cuthill-McKee order, where that half-bandwidth
+    is at most 120, as a strip's short side keeps it, and SuperLU above,
+    where it is no slower.  H - cut I is indefinite, so each count factors
+    it anew (``_count_below``), its norm bounded by the Gershgorin
+    interval: a block L D L^H of Cholesky and Bunch-Kaufman factors on the
+    same band, at every half-bandwidth; the order and the band's index
+    arrays are built once per sparsity pattern (``_layout``).
     ARPACK (scipy's eigsh) runs on its inverse, whose largest, best separated
     eigenvalues are the lowest of H, from a seeded start vector (its real
     part on a real operator, which keeps the whole solve real).  ARPACK's
@@ -405,7 +383,7 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
     # the floors keep a multiple of the identity (lo == hi) off its eigenvalue, and sigma
     # a few units in the last place of lo below it where the diagonal dwarfs the width
     sigma = lo - _SQRT_EPS * max(hi - lo, 1.0, 4.0 * _SQRT_EPS * abs(lo))
-    factor = _definite_factor(h, sigma)
+    factor_solve = _definite_factor(h, sigma)
     # a pivot's rounding grows as eps ||H||^2 / d at a distance d from an eigenvalue, and the
     # first cut sits within ~||R|| of one: 100 sqrt(eps) ||H|| higher it is ~1% of the bound
     retry = 100.0 * _SQRT_EPS * (hi - sigma)
@@ -418,7 +396,7 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
         if solves >= budget:
             raise NoConvergenceError("factor-solve budget exhausted")
         solves += 1
-        return factor.solve(v)
+        return factor_solve(v)
 
     op = LinearOperator((n, n), matvec=inverse, dtype=h.csr.dtype)
 
@@ -471,7 +449,7 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
         # the budget lasts and the worst residual still falls
         if solves + want <= budget:
             solves += want
-            refined = _rayleigh_ritz(h, factor.solve(res.vectors), want)
+            refined = _rayleigh_ritz(h, factor_solve(res.vectors), want)
             if np.max(refined.residuals) < np.max(res.residuals):
                 res = refined
                 continue

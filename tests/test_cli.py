@@ -477,9 +477,14 @@ def test_a_sweep_builds_its_lattice_and_hopping_once(capsys, monkeypatch):
     assert sorted(built) == ["HoppingParams", "StripLattice"]
 
 
-def test_python_dash_m_runs_the_cli(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def src_env() -> dict:
+    """This environment, with the package's source first on PYTHONPATH, for a subprocess."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    env = src_env()
     ok = subprocess.run([sys.executable, "-m", "mobiusflux", "spectrum", "--topology", "annulus",
                          "--nx", "4", "--ny", "1", "--ty", "0", "--k", "2"],
                         capture_output=True, text=True, env=env, cwd=tmp_path)
@@ -490,6 +495,21 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert bad.returncode == 2
     assert bad.stdout == ""
     assert bad.stderr.startswith("config error:")
+
+
+# the scipy modules only a solve or a band layout reads: the functions that call them import
+# them, so that a command that solves nothing starts without them (~0.14 s of imports)
+SOLVER_MODULES = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+
+
+def test_a_command_that_solves_nothing_loads_no_solver_module(tmp_path):
+    probe = ("import sys; from mobiusflux.cli import main; "
+             "code = main(['holonomy', '--loop', 'offset=0']); "
+             f"print(code, *(name for name in {SOLVER_MODULES!r} if name in sys.modules))")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=src_env(), cwd=tmp_path)
+    assert run.returncode == 0 and run.stderr == ""
+    assert run.stdout.splitlines()[-1] == "0"
 
 
 ACCEPTANCE_CSV_SHA256 = "77a0d90b11dd018362addb878194135fc464c8422554f647c77dbb1aaa37e9fc"
@@ -527,13 +547,13 @@ GOLDEN_RUN = ("import sys; sys.path.insert(0, sys.argv[1] + '/tools'); import ou
 def test_the_golden_digest_is_pinned_line_for_line(tmp_path):
     """The digest tool's golden subset prints ``tests/golden_digest.txt``, on one BLAS thread.
 
-    That is 462 commands' sha256 lines and the default acceptance CSV's
-    (``sweep --ty 0.01 --solver dense``): every edge and refused input,
-    every ``verify`` run, both factor routes of the Lanczos solver and the
-    8 x 3 spectra, holonomies and plot sweeps; a moved line names its
-    command.  Recorded with numpy 2.4.6, scipy 1.17.1, numpy's OpenBLAS
-    reporting "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY
-    SkylakeX MAX_THREADS=64" from ``scipy_openblas_get_config64_`` and
+    That is 476 commands' sha256 lines and the default acceptance CSV's
+    (``sweep --ty 0.01 --solver dense``): every edge, refused input and
+    exit path, every ``verify`` run, both factor routes of the Lanczos
+    solver and the 8 x 3 spectra, holonomies and plot sweeps; a moved line
+    names its command.  Recorded with numpy 2.4.6, scipy 1.17.1, numpy's
+    OpenBLAS reporting "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH
+    NO_AFFINITY SkylakeX MAX_THREADS=64" from ``scipy_openblas_get_config64_`` and
     scipy's own reporting "OpenBLAS 0.3.30 DYNAMIC_ARCH NO_AFFINITY SkylakeX
     MAX_THREADS=64" from ``scipy_openblas_get_config``: the kernels that
     run, where ``numpy.show_config()`` names the build's Haswell.  The

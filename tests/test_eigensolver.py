@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import SuperLU
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -560,28 +561,28 @@ def test_lanczos_reports_an_uncertifiable_count_as_no_convergence(monkeypatch):
     assert [rec.status for rec in records] == ["failed"] * 3
 
 
+def is_superlu(solve) -> bool:
+    """Whether this solve of ``_definite_factor`` is a SuperLU factor's."""
+    return isinstance(getattr(solve, "__self__", None), SuperLU)
+
+
 def record_factorizations(monkeypatch) -> list:
-    """The list lanczos_lowest's factorizations go to: each inertia count's cut, the sigma of
-    each SuperLU factor, and "cholesky" for each banded Cholesky."""
-    factor, count, cholesky = (eigensolver._superlu, eigensolver._count_below,
-                               eigensolver._BandCholesky)
+    """The list lanczos_lowest's factorizations go to: each inertia count's cut, and for each
+    shift-invert factor its sigma if it is SuperLU's, else "cholesky"."""
+    factor, count = eigensolver._definite_factor, eigensolver._count_below
     calls = []
 
-    def superlu(h, sigma):
-        calls.append(sigma)
-        return factor(h, sigma)
+    def definite_factor(h, sigma):
+        solve = factor(h, sigma)
+        calls.append(sigma if is_superlu(solve) else "cholesky")
+        return solve
 
     def count_below(h, cut, norm):
         calls.append(cut)
         return count(h, cut, norm)
 
-    def banded(*args):
-        calls.append("cholesky")
-        return cholesky(*args)
-
-    monkeypatch.setattr(eigensolver, "_superlu", superlu)
+    monkeypatch.setattr(eigensolver, "_definite_factor", definite_factor)
     monkeypatch.setattr(eigensolver, "_count_below", count_below)
-    monkeypatch.setattr(eigensolver, "_BandCholesky", banded)
     return calls
 
 
@@ -600,20 +601,24 @@ def ty_zero_operator():
     ty_zero_operator(),
 ])
 @pytest.mark.parametrize("columns", [None, 3])
-def test_the_band_cholesky_solves_as_superlu(h, columns):
+def test_the_two_factor_routes_solve_alike(monkeypatch, h, columns):
     sigma = eigensolver._gershgorin(h)[0] - 0.01
-    factor = eigensolver._definite_factor(h, sigma)
-    assert isinstance(factor, eigensolver._BandCholesky)
+    assert eigensolver._layout(h.csr).width <= eigensolver._MAX_BAND
+    band = eigensolver._definite_factor(h, sigma)
+    assert not is_superlu(band)
+    monkeypatch.setattr(eigensolver, "_MAX_BAND", -1)  # every band is too wide: SuperLU
+    superlu = eigensolver._definite_factor(h, sigma)
+    assert is_superlu(superlu)
     rng = np.random.default_rng(7)
     shape = h.n if columns is None else (h.n, columns)
     v = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if h.csr.dtype == complex
                                       else 0.0)
-    x = factor.solve(v)
-    assert x.shape == v.shape and x.dtype == h.csr.dtype
-    want = eigensolver._superlu(h, sigma).solve(v)
+    x, want = band(v), superlu(v)
+    assert x.shape == want.shape == v.shape and x.dtype == want.dtype == h.csr.dtype
     assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
-    # and it solves the system itself: the residual of H - sigma I on x
-    assert np.max(np.abs(h.csr @ x - sigma * x - v)) <= 1e-12 * np.max(np.abs(v))
+    # and each solves the system itself: the residual of H - sigma I on its answer
+    for y in (x, want):
+        assert np.max(np.abs(h.csr @ y - sigma * y - v)) <= 1e-12 * np.max(np.abs(v))
 
 
 def test_a_band_that_is_not_positive_definite_is_no_convergence():

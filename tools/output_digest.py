@@ -4,12 +4,13 @@
 
 Imports ``mobiusflux`` from ``ROOT/src`` and runs a fixed command set
 in-process, with one BLAS thread, in a temporary directory that holds
-the one config file the set reads.  Each line is the sha256 of a
-command's exit code, stdout and stderr, with ``verify``'s ``[...s]``
-timings stripped, and of the SVG file a ``--plot`` command writes, then
-the command; the last line is the sha256 of the default acceptance
+the config files and the existing CSV file the set reads (``FILES``).
+Each line is the sha256 of a command's exit code, stdout and stderr,
+with ``verify``'s ``[...s]`` timings stripped, and of the SVG file a
+``--plot`` command writes and the CSV file a sweep's ``--out`` names,
+then the command; the last line is the sha256 of the default acceptance
 sweep's CSV.  Two checkouts give the same outputs when their digests
-match line for line.  As one process runs all 2,616 commands, on
+match line for line.  As one process runs all 2,630 commands, on
 interleaved lattices, sectors and hoppings, the run also checks that the
 per-process caches of sector bases and flux pencils (``sector_isometry``,
 ``sector_pencil``) leave every output as a fresh process would print it.
@@ -38,7 +39,15 @@ LATTICES = ((8, 3), (6, 5), (12, 1), (48, 9), (10, 2), (7, 7))
 FLUXES = ("0", "0.5", "0.13", "-0.37")
 ACCEPTANCE = ("sweep", "--ty", "0.01", "--solver", "dense")
 PLOT = "p.svg"
-BOM_CONFIG = ("bom.cfg", "\ufeffnx = 8\nny = 3\nf_steps = 5\n")  # a config file saved with a BOM
+FILES = {
+    "bom.cfg": "\ufeffnx = 8\nny = 3\nf_steps = 5\n",  # a config file saved with a BOM
+    "strict.cfg": ("# every point fails\nnx = 8\nny = 3\nf_steps = 5\nsolver = lanczos\n"
+                   "tol = 1e-300\n\nstrict = yes\n"),
+    "old.csv": "an existing file\n",  # a sweep's --out overwrites it
+    "noeq.cfg": "nx 8\n",
+    "badval.cfg": "nx = eight\n",
+    "foreign.cfg": "f_min = 0\n",  # a key spectrum does not read
+}
 
 
 def commands():
@@ -48,8 +57,13 @@ def commands():
     loop layer), 144 holonomy runs, four commands given a key they do not read, three
     negative float values in exponent form, a config file with a byte-order mark, 38 plot
     sweeps (the acceptance sweep and one whose every point fails among them), two flux
-    grids too narrow for their f_steps, an abbreviated float flag with a negative value, and
-    negative values for a key the command does not read and for an int key."""
+    grids too narrow for their f_steps, an abbreviated float flag with a negative value,
+    negative values for a key the command does not read and for an int key, and the exit
+    paths no other command reaches: unconverged solves (exit 1, a sweep's under ``--strict``,
+    by flag and by config file), sweeps to a new and to an existing ``--out`` file, and the
+    refusals of clashing and unwritable paths, of bad loop selectors, of several sectors
+    without the full one, and of config files that are malformed, hold a bad value or a key
+    the command does not read, or are missing."""
     for ty, top, (nx, ny), f, solver, sector, k in itertools.product(
             TYS, TOPOLOGIES, LATTICES, FLUXES, ("dense", "lanczos"),
             ("full", "even", "odd"), ("1", "4")):
@@ -82,7 +96,7 @@ def commands():
     yield ("sweep", "--nx", "8", "--ny", "3", "--f-min", "-1e-05", "--f-max", "0.5",
            "--f-steps", "5")
     yield ("spectrum", "--f", "-inf")
-    yield ("sweep", "--config", BOM_CONFIG[0])
+    yield ("sweep", "--config", "bom.cfg")
     for top, (nx, ny), sectors, ty in itertools.product(
             TOPOLOGIES, ((8, 3), (48, 9)), ("full,even,odd", "full", "odd"), ("0", "0.01", "1")):
         yield ("sweep", "--topology", top, "--nx", str(nx), "--ny", str(ny), "--ty", ty,
@@ -96,12 +110,26 @@ def commands():
     yield ("sweep", "--nx", "6", "--ny", "3", "--f-steps", "3", "--f-mi", "-1e-05")
     yield ("holonomy", "--tx", "-2e-1")
     yield ("sweep", "--nx", "-1e5")
+    yield ("spectrum", "--nx", "8", "--ny", "3", "--solver", "lanczos", "--tol", "1e-300")
+    yield ("sweep", "--nx", "8", "--ny", "3", "--f-steps", "5", "--solver", "lanczos", "--tol",
+           "1e-300", "--strict")
+    yield ("sweep", "--config", "strict.cfg")
+    for out in ("new.csv", "old.csv"):
+        yield ("sweep", "--nx", "8", "--ny", "3", "--f-steps", "3", "--out", out)
+    yield ("sweep", "--out", "a.csv", "--plot", "./a.csv")
+    yield ("sweep", "--out", "missing/x.csv")
+    yield ("holonomy", "--loop", "diag")
+    yield ("holonomy", "--loop", "offset=x")
+    yield ("spectrum", "--sectors", "even,odd")
+    for config in ("noeq.cfg", "badval.cfg", "foreign.cfg", "missing.cfg"):
+        yield ("spectrum", "--config", config)
 
 
 def golden(argv) -> bool:
     """Whether the golden digest pins this command: every one on the default topology (the
-    acceptance sweep, the 64 x 64 spectrum, every verify run and every edge or refused input),
-    the 8 x 3 spectra, holonomies and plot sweeps, and the spectra at n = 1200 (48 x 25)."""
+    acceptance sweep, the 64 x 64 spectrum, every verify run and every edge, refused input and
+    exit path), the 8 x 3 spectra, holonomies and plot sweeps, and the spectra at n = 1200
+    (48 x 25)."""
     if "--topology" not in argv:
         return True
     band = argv[argv.index("--nx") + 1], argv[argv.index("--ny") + 1]
@@ -125,16 +153,20 @@ def main(root: str, argvs) -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        Path(BOM_CONFIG[0]).write_text(BOM_CONFIG[1], encoding="utf-8")
+        for name, text in FILES.items():
+            Path(name).write_text(text, encoding="utf-8")
         for argv in argvs:
             Path(PLOT).unlink(missing_ok=True)
             code, out, err = run(cli_main, argv)
             if argv[0] == "verify":
                 out = re.sub(r"\[[0-9.]+s\]", "[s]", out)
             text = f"{code}\n{out}\n{err}"
-            if PLOT in argv:
-                text += "\n" + (Path(PLOT).read_text(encoding="utf-8") if Path(PLOT).exists()
-                                else "no plot file")
+            written = {PLOT: "no plot file"} if PLOT in argv else {}
+            if argv[0] == "sweep" and "--out" in argv:
+                written[argv[argv.index("--out") + 1]] = "no out file"
+            for path, missing in written.items():
+                path = Path(path)
+                text += "\n" + (path.read_text(encoding="utf-8") if path.exists() else missing)
             digest = hashlib.sha256(text.encode()).hexdigest()
             print(digest, " ".join(argv), flush=True)
             if argv == ACCEPTANCE:
