@@ -7,9 +7,9 @@ and ``lanczos_lowest``, shift-invert Lanczos on a banded Cholesky factor
 (SuperLU past a half-bandwidth of 120; ``_definite_factor``), certified
 complete by an inertia count on the same band, a block L D L^H at every
 half-bandwidth; ``solve`` picks.  The shift-invert factor and the count
-read one reverse Cuthill-McKee layout per sparsity pattern (``_layout``);
-``dense_eigh`` reads none.  SuperLU's factor is of the plain sparse
-difference H - sigma I.
+read one reverse Cuthill-McKee layout per sparsity pattern, cached on the
+operator's own pattern (``_layout(h.pattern)``); ``dense_eigh`` reads
+none.  SuperLU's factor is of the plain sparse difference H - sigma I.
 Residuals ||H v - lambda v|| are always recomputed from the returned
 pairs; eigenvectors of degenerate eigenvalues are ambiguous beyond
 orthonormality.
@@ -163,23 +163,17 @@ class _Layout(NamedTuple):
     pieces: tuple
 
 
-def _layout(csr) -> _Layout:
-    """The band layout of csr's pattern, built once per pattern: cached on its index arrays."""
-    return _pattern_layout(csr.shape[0], csr.indices.dtype.str, csr.indptr.tobytes(),
-                           csr.indices.tobytes())
-
-
 @functools.lru_cache(maxsize=16)
-def _pattern_layout(n: int, index: str, indptr: bytes, indices: bytes) -> _Layout:
-    """The layout of the n x n pattern with these CSR index arrays, bytes of dtype index."""
+def _layout(pattern) -> _Layout:
+    """The band layout of an operator's pattern (``SparseHermitian.pattern``), built once per
+    pattern: the cache holds the pattern itself, which hashes by identity."""
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    indptr, indices = np.frombuffer(indptr, index), np.frombuffer(indices, index)
-    pattern = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
-    perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+    csr, n = pattern.template, pattern.template.shape[0]
+    perm = reverse_cuthill_mckee(csr, symmetric_mode=True)  # reads the index arrays only
     order = np.argsort(perm)
-    rows = order[np.repeat(np.arange(n), np.diff(indptr))]
-    cols = order[indices]
+    rows = order[np.repeat(np.arange(n), np.diff(csr.indptr))]
+    cols = order[csr.indices]
     width = int(np.max(cols - rows, initial=0))  # H's pattern is closed under transposition
     upper = np.flatnonzero(rows <= cols)
     block = max(width, _MIN_BLOCK)
@@ -240,7 +234,7 @@ def _count_below(h: SparseHermitian, cut: float, norm: float) -> Optional[int]:
     rounding swamps the signs of later pivots.  Where it returns None the
     caller may count the dense spectrum (``_dense_count``).
     """
-    layout = _layout(h.csr)
+    layout = _layout(h.pattern)
     csr, s = h.csr, layout.block
     m = -(-h.n // s)
     slots, positions = layout.pieces
@@ -291,7 +285,7 @@ def _definite_factor(h: SparseHermitian, sigma: float):
     definite matrix.  Those options are kept as they are: they fix the
     rounding, and so the printed digits, of every solve on a wide band.
     """
-    layout = _layout(h.csr)
+    layout = _layout(h.pattern)
     if layout.width > _MAX_BAND:
         from scipy.sparse.linalg import splu
 
@@ -344,7 +338,8 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
     it anew (``_count_below``), its norm bounded by the Gershgorin
     interval: a block L D L^H of Cholesky and Bunch-Kaufman factors on the
     same band, at every half-bandwidth; the order and the band's index
-    arrays are built once per sparsity pattern (``_layout``).
+    arrays are built once per sparsity pattern, cached on the operator's
+    pattern (``_layout(h.pattern)``).
     ARPACK (scipy's eigsh) runs on its inverse, whose largest, best separated
     eigenvalues are the lowest of H, from a seeded start vector (its real
     part on a real operator, which keeps the whole solve real).  ARPACK's

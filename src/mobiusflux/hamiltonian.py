@@ -2,12 +2,12 @@
 
 Units: hbar = 1, lattice spacing 1, energies in units of the x hopping.
 ``SparseHermitian`` is every operator's type and ``_Pattern`` its one
-store; ``assemble`` builds the site-basis operator on a link layout held
-per lattice, ``sector_isometry`` gives the real mirror basis of a
-reflection-parity sector as one CSC matrix, from one pair rule applied to
-the reflection R and then to the ring mirror M, ``restrict`` projects
-onto it, and ``FluxPencil`` evaluates a sector's uniform-flux operator at
-any flux.
+store, which each operator carries as its ``pattern``; ``assemble``
+builds the site-basis operator on a link layout held per lattice,
+``sector_isometry`` gives the real mirror basis of a reflection-parity
+sector as one CSC matrix, from one pair rule applied to the reflection R
+and then to the ring mirror M, ``restrict`` projects onto it, and
+``FluxPencil`` evaluates a sector's uniform-flux operator at any flux.
 ``sector_isometry`` and ``sector_pencil`` keep what they build in a cache
 per process, read-only, so a band's bases and pencils are built once.
 """
@@ -18,7 +18,7 @@ import copy
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -78,7 +78,9 @@ class SparseHermitian:
 
     Construction checks the matrix and stores (H + H^dagger)/2, as
     ``_Pattern.hermitian`` does, on the pattern of the matrix and its
-    transpose.
+    transpose.  ``pattern`` is the ``_Pattern`` an operator is stored on,
+    one object for every operator on it, keyed by identity: the
+    eigensolver caches its band layout there.
     """
 
     def __init__(self, matrix):
@@ -86,8 +88,8 @@ class SparseHermitian:
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix is {m.shape}, not square")
         m.sum_duplicates()
-        pattern, (data,) = _Pattern.of_matrices([m], m.shape[0])
-        self._csr = pattern.hermitian(data).csr
+        self.pattern, (data,) = _Pattern.of_matrices([m], m.shape[0])
+        self._csr = self.pattern.hermitian(data).csr
 
     @property
     def n(self) -> int:
@@ -104,7 +106,8 @@ class SparseHermitian:
         return self._csr @ v
 
 
-class _Pattern(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class _Pattern:
     """A square CSR pattern closed under transposition: the one store of every operator.
 
     ``template`` is the pattern's CSR, its index arrays validated once,
@@ -114,7 +117,8 @@ class _Pattern(NamedTuple):
     data laid on the pattern is checked and symmetrized entry by entry,
     with no sparse round trip.  A pattern holds the slots of its matrices
     and their transposes, no other, and an operator keeps every slot,
-    explicit zeros included.
+    explicit zeros included.  A pattern hashes and compares by identity:
+    one built anew is a new key, however equal its arrays.
     """
 
     template: sp.csr_matrix
@@ -178,7 +182,7 @@ class _Pattern(NamedTuple):
     def store(self, data: np.ndarray) -> SparseHermitian:
         """The operator with these entries, exactly Hermitian and checked finite by the caller."""
         h = SparseHermitian.__new__(SparseHermitian)
-        h._csr = self.csr(data)
+        h._csr, h.pattern = self.csr(data), self
         return h
 
     def hermitian(self, data: np.ndarray) -> SparseHermitian:

@@ -33,6 +33,7 @@ from mobiusflux.gauge import (
 )
 from mobiusflux.hamiltonian import (
     EVEN,
+    FULL,
     ODD,
     HoppingParams,
     assemble,
@@ -149,6 +150,56 @@ def test_criterion_3_half_integer_quantization(nodal_sweep):
         3, "odd-sector minimum at half flux and nodal ground state", ok,
         f"(minimum at {report.minima_f[0]:.6f}, node amplitude {at_half.node_amp:.1e})",
     )
+
+
+def moebius_levels(nx: int, ny: int, hop: HoppingParams, f: float, sector: str) -> np.ndarray:
+    """The levels of a sector of the uniform-flux Moebius band, no potential, Dirichlet walls.
+
+    A wall mode sin(pi n j / (ny + 1)) is even under the reflection for odd
+    n and odd for even n; the seam's twist keeps the even modes periodic,
+    q = 2 pi (k + f) / nx, and makes the odd ones antiperiodic,
+    q = 2 pi (k + f + 1/2) / nx, and the full sector holds both:
+    E = 4 tx sin^2(q/2) + 4 ty sin^2(pi n / (2 (ny + 1))), ascending.  The
+    sin^2 form has no cancellation, so each level is good to a few ulps.
+    """
+    n = np.arange(1, ny + 1)
+    n = n[{FULL: n > 0, EVEN: n % 2 == 1, ODD: n % 2 == 0}[sector]]
+    q = 2.0 * np.pi * (np.arange(nx)[:, None] + f + 0.5 * (n % 2 == 0)) / nx
+    return np.sort((4.0 * hop.tx * np.sin(q / 2) ** 2
+                    + 4.0 * hop.ty * np.sin(np.pi * n / (2 * (ny + 1))) ** 2).ravel())
+
+
+def test_the_nodal_sweep_lies_within_4_eps_norm_of_its_closed_form(nodal_sweep):
+    """Every energy the sweep prints is the closed form's to 4 eps ||H||, on any BLAS.
+
+    A backward-stable symmetric eigensolver returns each eigenvalue within
+    a small multiple of eps ||H|| of the exact one; ||H|| <= 4 tx + 4 ty =
+    4.04 by Gershgorin, so eps ||H|| = 8.97e-16 and the bound is 3.59e-15
+    for e0_full, e0_even, e0_odd and the gap (measured worst 0.89, 0.96,
+    0.73 and 1.43 eps ||H|| on one OpenBLAS thread, 0.87, 1.04, 1.07 and
+    1.39 on two).  The current -(E0(f + df) - E0(f - df)) / (2 df) then
+    lies within 4 eps ||H|| / df of the closed form's central difference
+    (two errors of 4 eps ||H|| over 2 df; measured worst 0.77 and 0.76
+    eps ||H|| / df).  The bytes themselves are pinned only by the golden
+    digest, which skips on another BLAS build; this bound holds on every
+    one.
+    """
+    records, _ = nodal_sweep
+    hop = HoppingParams(tx=1.0, ty=0.01)  # the fixture's 48 x 9 band
+    eps_norm = np.finfo(float).eps * (4.0 * hop.tx + 4.0 * hop.ty)
+    df = records[1].f - records[0].f
+    exact = {sector: np.array([moebius_levels(48, 9, hop, rec.f, sector)[:2]
+                               for rec in records]) for sector in (FULL, EVEN, ODD)}
+    columns = {"e0_full": exact[FULL][:, 0], "e0_even": exact[EVEN][:, 0],
+               "e0_odd": exact[ODD][:, 0], "gap": exact[FULL][:, 1] - exact[FULL][:, 0]}
+    for column, want in columns.items():
+        got = np.array([getattr(rec, column) for rec in records], dtype=float)
+        worst = np.max(np.abs(got - want)) / eps_norm
+        assert worst <= 4.0, f"{column} lies {worst:.2f} eps ||H|| from the closed form"
+    e0 = columns["e0_full"]
+    got = np.array([rec.current for rec in records[1:-1]], dtype=float)
+    worst = np.max(np.abs(got + (e0[2:] - e0[:-2]) / (2.0 * df))) * df / eps_norm
+    assert worst <= 4.0, f"current lies {worst:.2f} eps ||H|| / df from the closed form"
 
 
 def test_criterion_4_offset_loop_doubling():

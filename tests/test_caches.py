@@ -14,6 +14,7 @@ from mobiusflux.hamiltonian import (
     ODD,
     FluxPencil,
     HoppingParams,
+    SparseHermitian,
     sector_isometry,
     sector_pencil,
 )
@@ -42,7 +43,7 @@ COMMANDS = [
 def clear_caches():
     sector_isometry.cache_clear()
     sector_pencil.cache_clear()
-    eigensolver._pattern_layout.cache_clear()
+    eigensolver._layout.cache_clear()
 
 
 def run(capsys, argv):
@@ -98,19 +99,33 @@ def test_the_band_layout_is_built_once_per_pattern():
     pencil = sector_pencil(lat, "full", hop)
     for f in (0.1, 0.3, 0.5):
         lanczos_lowest(pencil.at(f), cfg)
-    info = eigensolver._pattern_layout.cache_info()
+    info = eigensolver._layout.cache_info()
     # one build for every factor and count of the three solves
     assert info.misses == 1 and info.hits >= 5
-    layout = eigensolver._layout(pencil.at(0.7).csr)
+    layout = eigensolver._layout(pencil.at(0.7).pattern)
     # the annulus of the same n has a pattern, and so a layout, of its own
     other = eigensolver._layout(sector_pencil(build_lattice(48, 25, ANNULUS), "full", hop)
-                                .at(0.3).csr)
-    assert eigensolver._pattern_layout.cache_info().misses == 2
+                                .at(0.3).pattern)
+    assert eigensolver._layout.cache_info().misses == 2
     assert (layout.width, other.width) == (52, 51)
     assert not np.array_equal(layout.perm, other.perm)
     for arr in (layout.perm, layout.order, *layout.upper, *layout.pieces):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
+
+
+def test_a_pattern_built_anew_gets_a_layout_of_its_own_equal_to_the_first():
+    # the cache is keyed on the pattern object, not its arrays: an operator built from a pencil
+    # point's matrix stores a new pattern of the same structure, and the key changes no layout
+    point = sector_pencil(build_lattice(48, 25, MOEBIUS), "full", HoppingParams()).at(0.3)
+    rebuilt = SparseHermitian(point.csr)
+    assert rebuilt.pattern is not point.pattern
+    layout, anew = eigensolver._layout(point.pattern), eigensolver._layout(rebuilt.pattern)
+    assert anew is not layout
+    assert (anew.width, anew.block) == (layout.width, layout.block)
+    for mine, theirs in ((anew.perm, layout.perm), (anew.order, layout.order),
+                         *zip(anew.upper, layout.upper), *zip(anew.pieces, layout.pieces)):
+        assert np.array_equal(mine, theirs)
 
 
 def test_caches_hold_at_most_their_maxsize_entries():

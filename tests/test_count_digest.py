@@ -39,7 +39,7 @@ def test_each_line_is_the_data_hash_the_dimension_the_cut_and_the_count(monkeypa
     monkeypatch.setattr(eigensolver, "_MIN_BLOCK", block)  # main sets it
     tool, family = _tool(), small_operators()
     tool.main(str(ROOT), family)
-    eigensolver._pattern_layout.cache_clear()  # its layouts hold the block
+    eigensolver._layout.cache_clear()  # its layouts hold the block
     want = []
     for h in family:
         values = np.linalg.eigvalsh(h.toarray())

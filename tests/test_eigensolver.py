@@ -245,9 +245,9 @@ def block_partition(request, monkeypatch):
     so drive the Schur complements between them."""
     if request.param == "narrowest-blocks":
         monkeypatch.setattr(eigensolver, "_MIN_BLOCK", 1)
-    eigensolver._pattern_layout.cache_clear()  # its layouts hold the block
+    eigensolver._layout.cache_clear()  # its layouts hold the block
     yield request.param
-    eigensolver._pattern_layout.cache_clear()
+    eigensolver._layout.cache_clear()
 
 
 def sparse_count(h, sigma):
@@ -337,7 +337,7 @@ def test_the_last_block_is_factored_by_the_rule_of_every_block(h, block_partitio
     # Bunch-Kaufman takes each
     routes = record_block_factors(monkeypatch)
     values = dense_eigh(h).values
-    blocks = -(-h.n // eigensolver._layout(h.csr).block)
+    blocks = -(-h.n // eigensolver._layout(h.pattern).block)
     assert block_partition == "solver-blocks" or blocks > 1
     for cut, route, count in ((values[0] - 1.0, "cholesky", 0),
                               (values[-1] + 1.0, "bunch-kaufman", h.n)):
@@ -460,7 +460,7 @@ def test_a_trusted_band_count_is_never_wrong(name):
 
 def test_an_exactly_singular_band_count_is_not_trusted():
     h = SparseHermitian(3 * sp.identity(5))  # 3 I - 3 I is exactly singular
-    assert eigensolver._layout(h.csr).width == 0
+    assert eigensolver._layout(h.pattern).width == 0
     assert eigensolver._count_below(h, 3.0, 3.0) is None
     assert eigensolver._count_below(h, 3.0 + 1e-9, 3.0) == 5
 
@@ -521,7 +521,7 @@ def no_dense_count(h, sigma):
 ])
 def test_the_count_is_the_bands_at_every_half_bandwidth(monkeypatch, nx, ny, width):
     h = sector_pencil(build_lattice(nx, ny, MOEBIUS), "full", HoppingParams()).at(0.3)
-    assert eigensolver._layout(h.csr).width == width
+    assert eigensolver._layout(h.pattern).width == width
     blocks, routines = [], eigensolver._block_routines
     monkeypatch.setattr(eigensolver, "_block_routines",
                         lambda dtype, block: blocks.append(block) or routines(dtype, block))
@@ -603,7 +603,7 @@ def ty_zero_operator():
 @pytest.mark.parametrize("columns", [None, 3])
 def test_the_two_factor_routes_solve_alike(monkeypatch, h, columns):
     sigma = eigensolver._gershgorin(h)[0] - 0.01
-    assert eigensolver._layout(h.csr).width <= eigensolver._MAX_BAND
+    assert eigensolver._layout(h.pattern).width <= eigensolver._MAX_BAND
     band = eigensolver._definite_factor(h, sigma)
     assert not is_superlu(band)
     monkeypatch.setattr(eigensolver, "_MAX_BAND", -1)  # every band is too wide: SuperLU

@@ -80,7 +80,7 @@ def main(root: str, family) -> None:
     plan = [(h, cuts(h)) for h in family]
     for block in (eigensolver._MIN_BLOCK, 1):
         eigensolver._MIN_BLOCK = block
-        eigensolver._pattern_layout.cache_clear()  # its layouts hold the block
+        eigensolver._layout.cache_clear()  # its layouts hold the block
         print(f"_MIN_BLOCK = {block}")
         for h, at in plan:
             print("\n".join(lines(h, at)), flush=True)
