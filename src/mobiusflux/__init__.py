@@ -17,7 +17,6 @@ from .eigensolver import (
     solve,
 )
 from .experiments import (
-    LadderPeriodicity,
     QuantizationReport,
     SweepConfig,
     SweepRecord,

@@ -5,8 +5,10 @@ flux grid and records ground energies, the gap, the ground state's
 amplitude on the center row and the persistent current -dE0/df.
 ``detect_minima`` locates the quantization values: the even sector dips
 at integers, the odd (nodal) sector at half-odd integers.
-``annulus_equivalence_check`` and ``ladder_periodicity_test`` check them
-against exact identities.
+``annulus_equivalence_check`` and ``ladder_periodicity_test`` hold them
+against exact identities; each returns its worst spectral deviation.
+Period 1 in f, which every strip has, is ``verify``'s ``flux_periodicity``
+check.
 """
 
 from __future__ import annotations
@@ -236,34 +238,20 @@ def max_deviation(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)))
 
 
-@dataclass(frozen=True)
-class LadderPeriodicity:
-    """Spectral periodicity of the two-row moebius ladder in flux."""
-
-    max_dev_half_period: float
-    max_dev_full_period: float
-    period: float  # 0.5 or 1.0, the smallest period matched to tolerance
-
-
 def ladder_periodicity_test(lat: StripLattice, f_values: Sequence[float],
-                            ty: float = 0.0) -> LadderPeriodicity:
-    """Period of the ny=2 moebius ladder spectrum as a function of flux, at tx = 1.
+                            ty: float = 0.0) -> float:
+    """Max deviation of the ny=2 moebius ladder spectrum under f -> f+1/2, at tx = 1.
 
     With ty = 0 the two rows chain into one ring of twice the length, so
-    the spectrum has period 1/2 in f; any rung coupling breaks the half
-    period and leaves period 1.  A period matches to 1e-10 in every eigenvalue.
+    the spectrum has period 1/2 in f and the deviation is round-off; any
+    rung coupling breaks the half period.  Period 1 is ``verify``'s
+    ``flux_periodicity`` check.
     """
     if not lat.is_moebius or lat.ny != 2:
         raise ValueError(f"need a two-row moebius ladder, got ny={lat.ny} {lat.topology}")
     hop = HoppingParams(ty=ty)
-    dev_half = dev_full = 0.0
-    for f in map(float, f_values):
-        base = uniform_spectrum(lat, f, hop)
-        dev_half = max(dev_half, max_deviation(uniform_spectrum(lat, f + 0.5, hop), base))
-        dev_full = max(dev_full, max_deviation(uniform_spectrum(lat, f + 1.0, hop), base))
-    period = 0.5 if dev_half <= 1e-10 else (1.0 if dev_full <= 1e-10 else float("inf"))
-    return LadderPeriodicity(max_dev_half_period=dev_half, max_dev_full_period=dev_full,
-                             period=period)
+    return max((max_deviation(uniform_spectrum(lat, f + 0.5, hop), uniform_spectrum(lat, f, hop))
+                for f in map(float, f_values)), default=0.0)
 
 
 def annulus_equivalence_check(band: StripLattice, f_values: Sequence[float]) -> float:

@@ -202,10 +202,10 @@ def check_ladder_periodicity(rng, broken_seam) -> tuple:
     lat = _moebius(12, 2, broken_seam)
     decoupled = ladder_periodicity_test(lat, np.linspace(0.0, 1.0, 5), ty=0.0)
     coupled = ladder_periodicity_test(lat, (0.0,), ty=1.0)
-    ok = decoupled.max_dev_half_period <= SPECTRUM_TOL and coupled.max_dev_half_period > 0.01
+    ok = decoupled <= SPECTRUM_TOL and coupled > 0.01
     return ok, (
-        f"ty=0 half-period dev = {decoupled.max_dev_half_period:.2e}, "
-        f"ty=1 half-period dev = {coupled.max_dev_half_period:.2e}"
+        f"ty=0 half-period dev = {decoupled:.2e}, "
+        f"ty=1 half-period dev = {coupled:.2e}"
     )
 
 

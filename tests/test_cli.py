@@ -14,7 +14,7 @@ import pytest
 import scipy.linalg  # loads scipy's own OpenBLAS, which blas_build reads
 from numpy.testing import assert_allclose
 
-from mobiusflux import cli, experiments
+from mobiusflux import cli, eigensolver, experiments, verify
 from mobiusflux.cli import ConfigError, main, parse_sweep_csv, render_sweep_csv
 from mobiusflux.hamiltonian import ring_spectrum_oracle
 
@@ -336,6 +336,16 @@ def test_linear_algebra_failure_exits_1(capsys, monkeypatch, tmp_path, command, 
             assert old.read_bytes() == b"earlier run\n"
 
 
+def test_a_short_inertia_count_exits_1(capsys, monkeypatch):
+    # a count below the Ritz values found is a refused solve, never a printed spectrum
+    monkeypatch.setattr(eigensolver, "_count_below", lambda h, cut, norm: 0)
+    code, out, err = run_cli(capsys, "spectrum", "--nx", "8", "--ny", "3", "--solver", "lanczos",
+                             "--k", "2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: inertia count 0 < 2 values\n"
+
+
 @pytest.mark.parametrize("command", ["spectrum", "sweep"])
 @pytest.mark.parametrize("solver", ["dense", "lanczos", "auto"])
 @pytest.mark.parametrize("key", ["--tx", "--ty"])
@@ -547,7 +557,7 @@ GOLDEN_RUN = ("import sys; sys.path.insert(0, sys.argv[1] + '/tools'); import ou
 def test_the_golden_digest_is_pinned_line_for_line(tmp_path):
     """The digest tool's golden subset prints ``tests/golden_digest.txt``, on one BLAS thread.
 
-    That is 476 commands' sha256 lines and the default acceptance CSV's
+    That is 496 commands' sha256 lines and the default acceptance CSV's
     (``sweep --ty 0.01 --solver dense``): every edge, refused input and
     exit path, every ``verify`` run, both factor routes of the Lanczos
     solver and the 8 x 3 spectra, holonomies and plot sweeps; a moved line
@@ -685,6 +695,13 @@ def test_verify_broken_seam_fails(capsys):
     assert failing == {"gauge_invariance", "homology_invariance", "annulus_equivalence",
                        "ladder_periodicity", "stokes_defect"}
     assert lines[0].startswith("PASS flatness")
+
+
+def test_homology_invariance_fails_on_loops_of_different_classes(monkeypatch):
+    classes = itertools.count()
+    monkeypatch.setattr(verify, "homology_class", lambda lat, loop: next(classes))
+    assert verify.check_homology_invariance(np.random.default_rng(12345), False) == (
+        False, "generated loops disagree in homology class")
 
 
 def test_repeated_main_calls_share_no_state(capsys):

@@ -11,7 +11,8 @@ the direction codes ``neighbor`` gives; loops are walked again through
 the cut-open band.  The sector bases are checked against their defining
 symmetries and against the plain operator's spectrum, the pair rule that
 orders their columns on random involutions, and the sweep's flux pencil
-against ``restrict`` of the assembled operator.
+against ``restrict`` of the assembled operator.  The decoupled two-row
+ladder is held to the ring's closed form.
 """
 
 import itertools
@@ -26,6 +27,7 @@ from hypothesis.extra import numpy as hnp
 
 from mobiusflux import hamiltonian
 from mobiusflux.eigensolver import dense_eigh
+from mobiusflux.experiments import uniform_spectrum
 from mobiusflux.gauge import (
     GaugeField,
     GaugeTransform,
@@ -45,9 +47,11 @@ from mobiusflux.hamiltonian import (
     SparseHermitian,
     assemble,
     restrict,
+    ring_spectrum_oracle,
     sector_isometry,
 )
 from mobiusflux.lattice import (
+    ANNULUS,
     DIR_MX,
     DIR_MY,
     DIR_PX,
@@ -276,6 +280,18 @@ def test_sector_isometry_makes_uniform_flux_real_with_the_same_spectrum(lat, f, 
     for want, parts in zip(plain, parity_parts):
         if parts:
             assert np.max(np.abs(np.sort(np.concatenate(parts)) - want)) <= 1e-12
+
+
+@SMALL
+@given(st.integers(3, 24), st.floats(-2.0, 2.0))
+def test_the_decoupled_ladder_is_rings_of_its_rows(nx, f):
+    # at ty = 0 the seam chains the moebius ladder's two rows into one ring of 2 nx
+    # sites that winds twice, so it sees flux 2f; the annulus keeps two rings of nx
+    hop = HoppingParams(ty=0.0)
+    np.testing.assert_allclose(uniform_spectrum(StripLattice(nx, 2, MOEBIUS), f, hop),
+                               ring_spectrum_oracle(2 * nx, 2 * f), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(uniform_spectrum(StripLattice(nx, 2, ANNULUS), f, hop),
+                               np.repeat(ring_spectrum_oracle(nx, f), 2), rtol=0, atol=1e-12)
 
 
 def _link_angle(field, site, d):

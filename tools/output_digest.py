@@ -10,7 +10,7 @@ with ``verify``'s ``[...s]`` timings stripped, and of the SVG file a
 ``--plot`` command writes and the CSV file a sweep's ``--out`` names,
 then the command; the last line is the sha256 of the default acceptance
 sweep's CSV.  Two checkouts give the same outputs when their digests
-match line for line.  As one process runs all 2,630 commands, on
+match line for line.  As one process runs all 2,650 commands, on
 interleaved lattices, sectors and hoppings, the run also checks that the
 per-process caches of sector bases and flux pencils (``sector_isometry``,
 ``sector_pencil``) leave every output as a fresh process would print it.
@@ -47,6 +47,9 @@ FILES = {
     "noeq.cfg": "nx 8\n",
     "badval.cfg": "nx = eight\n",
     "foreign.cfg": "f_min = 0\n",  # a key spectrum does not read
+    "bool.cfg": "nx = 8\nny = 3\nf_steps = 3\nstrict = maybe\n",
+    "nostrict.cfg": ("# every point fails\nnx = 8\nny = 3\nf_steps = 5\nsolver = lanczos\n"
+                     "tol = 1e-300\n\nstrict = no\n"),
 }
 
 
@@ -63,7 +66,9 @@ def commands():
     by flag and by config file), sweeps to a new and to an existing ``--out`` file, and the
     refusals of clashing and unwritable paths, of bad loop selectors, of several sectors
     without the full one, and of config files that are malformed, hold a bad value or a key
-    the command does not read, or are missing."""
+    the command does not read, or are missing; then 16 values each refused by the library's
+    own check (exit 2), a refused sweep that removes the ``--out`` file it created, a config
+    file's bad and false ``strict``, and a k above n, which the solver caps."""
     for ty, top, (nx, ny), f, solver, sector, k in itertools.product(
             TYS, TOPOLOGIES, LATTICES, FLUXES, ("dense", "lanczos"),
             ("full", "even", "odd"), ("1", "4")):
@@ -123,6 +128,18 @@ def commands():
     yield ("spectrum", "--sectors", "even,odd")
     for config in ("noeq.cfg", "badval.cfg", "foreign.cfg", "missing.cfg"):
         yield ("spectrum", "--config", config)
+    for flags in (("--k", "0"), ("--tol", "0"), ("--solver", "fast"), ("--seed", "-1"),
+                  ("--tx", "0"), ("--ty", "-1"), ("--tx", "1e200"),
+                  ("--topology", "torus", "--nx", "8", "--ny", "3"), ("--nx", "2"), ("--ny", "0"),
+                  ("--sectors", "left"), ("--nx", "100", "--ny", "41", "--solver", "dense")):
+        yield ("spectrum", *flags)
+    for flags in (("--f-min", "1", "--f-max", "0"), ("--f-steps", "1"), ("--sectors", ",")):
+        yield ("sweep", *flags)
+    yield ("holonomy", "--f", "2e307", "--loop", "offset=0")
+    yield ("sweep", "--nx", "8", "--ny", "3", "--tx", "1e200", "--out", "gone.csv")
+    for config in ("bool.cfg", "nostrict.cfg"):
+        yield ("sweep", "--config", config)
+    yield ("spectrum", "--nx", "3", "--ny", "1", "--k", "6")
 
 
 def golden(argv) -> bool:
