@@ -1,7 +1,8 @@
 """Flux-sweep experiments: quantization minima, nodal states, currents.
 
 ``flux_sweep`` solves each requested sector's ``sector_pencil`` on a
-flux grid and records ground energies, the gap, the ground state's
+flux grid, the full sector's read off the even and odd ones when both
+are requested, and records ground energies, the gap, the ground state's
 amplitude on the center row and the persistent current -dE0/df.
 ``detect_minima`` locates the quantization values: the even sector dips
 at integers, the odd (nodal) sector at half-odd integers.
@@ -94,33 +95,48 @@ def flux_sweep(cfg: SweepConfig) -> list:
     Each sector's pencil is ``sector_pencil``'s, cached per process, so a
     sweep builds none that an earlier sweep of the band and hopping built:
     a repeated sweep pays only for ``at(f)`` and the solves.
-    The full sector asks the solver for min(k, 2) pairs, all that its
-    columns read (e0, the gap and the ground vector); a parity sector asks
-    for k values and no vectors, so that its e0 is bit for bit the one
-    ``spectrum`` prints: the dense driver's bisection finds the same values
-    with or without vectors, but its lowest value depends on how many it is
-    asked for (see ``dense_eigh``).
+    A parity sector is asked for k values, so that its e0 is bit for bit
+    the one ``spectrum`` prints: the dense driver's bisection finds the same
+    values with or without vectors, but its lowest value depends on how
+    many it is asked for (see ``dense_eigh``).
+    With full, even and odd all requested, the full spectrum is exactly
+    the even one's and the odd one's, so no full pencil is built: the
+    parity sectors are solved with vectors, the full columns' values are
+    the lowest min(k, 2) of both lists and the ground vector is the ground
+    sector's, which for the odd sector vanishes on the center row.
+    Otherwise the full sector is solved for min(k, 2) pairs, all that its
+    columns read (e0, the gap and the ground vector), and a parity sector
+    for values only.
     ``node_amp`` is left empty unless the full-sector gap shows a unique
     ground state: a degenerate one has no basis-free center-row amplitude,
     only whatever vector LAPACK returns, and with k = 1 the gap is unknown.
     """
     lat = cfg.lattice
-    pencils = {sector: sector_pencil(lat, sector, cfg.hop) for sector in dict.fromkeys(cfg.sectors)}
+    split = {FULL, EVEN, ODD} <= set(cfg.sectors)
+    pencils = {sector: sector_pencil(lat, sector, cfg.hop)
+               for sector in dict.fromkeys(cfg.sectors) if not (split and sector == FULL)}
     full_solver = dataclasses.replace(cfg.solver, k=min(cfg.solver.k, 2))
     records = []
     for f in cfg.f_values():
         f = float(f)
         try:
-            fields = {}
-            for sector, pencil in pencils.items():
-                res = solve(pencil.at(f), full_solver if sector == FULL else cfg.solver,
-                            values_only=sector != FULL)
-                fields[f"e0_{sector}"] = float(res.values[0])
-                if sector == FULL and res.k >= 2:
-                    fields["gap"] = float(res.values[1] - res.values[0])
+            solved = {sector: solve(pencil.at(f), full_solver if sector == FULL else cfg.solver,
+                                    values_only=not split and sector != FULL)
+                      for sector, pencil in pencils.items()}
+            fields = {f"e0_{sector}": float(res.values[0]) for sector, res in solved.items()}
+            if FULL in cfg.sectors:
+                if split:
+                    ground = min((EVEN, ODD), key=lambda sector: solved[sector].values[0])
+                    values = np.sort(np.concatenate([solved[EVEN].values, solved[ODD].values]))
+                else:
+                    ground, values = FULL, solved[FULL].values
+                values = values[:full_solver.k]
+                fields["e0_full"] = float(values[0])
+                if len(values) >= 2:
+                    fields["gap"] = float(values[1] - values[0])
                     if lat.ny % 2 == 1 and fields["gap"] > _UNIQUE_GAP:
                         fields["node_amp"] = nodal_amplitude(
-                            pencil.iso.embed(res.vectors[:, 0]), lat)
+                            pencils[ground].iso.embed(solved[ground].vectors[:, 0]), lat)
             records.append(SweepRecord(f=f, **fields))
         except NoConvergenceError:
             records.append(SweepRecord(f=f, status="failed"))

@@ -60,25 +60,34 @@ def test_spectrum_matches_ring_oracle(capsys):
 def test_sector_spectrum_is_the_sweep_bit_for_bit(capsys):
     # the spectrum command and the sweep solve a sector in one and the same basis; on the
     # 3 x 3 band k = 6 reaches both sectors' dimensions (odd 3, even 6), where LAPACK's
-    # driver takes other routes.  The full sector is asked for the two pairs the sweep asks
-    # of it, so its two values also give the sweep's gap
+    # driver takes other routes.  Beside both parity sectors the sweep's full columns are
+    # read off them: e0 is the lower of the two sectors' printed lowest values, and the
+    # gap the next value up, at the same k.  A sweep without both solves the full sector
+    # for the two pairs its columns read
     for size in (["--nx", "48", "--ny", "9", "--ty", "0.01"], ["--nx", "3", "--ny", "3", "--k", "6"],
                  ["--topology", "annulus", "--nx", "8", "--ny", "3"]):
         size = [*size, "--solver", "dense"]
-        code, out, _ = run_cli(capsys, "sweep", *size, "--f-min", "0.3", "--f-max", "0.5",
-                               "--f-steps", "2")
-        assert code == 0
-        for sector in ("full", "even", "odd"):
-            k = ["--k", "2"] if sector == "full" else []
+        for sectors in ("full,even,odd", "full,even", "full"):
+            code, out, _ = run_cli(capsys, "sweep", *size, "--f-min", "0.3", "--f-max", "0.5",
+                                   "--f-steps", "2", "--sectors", sectors)
+            assert code == 0
             for row, f in enumerate(read_csv_column(out, "f")):
-                code, spectrum, _ = run_cli(capsys, "spectrum", *size, *k, "--f", f,
-                                            "--sectors", sector)
-                assert code == 0
-                values = read_csv_column(spectrum, "eigenvalue")
-                assert values[0] == read_csv_column(out, f"e0_{sector}")[row]
-                if sector == "full":
-                    gap = float(read_csv_column(out, "gap")[row])
-                    assert float(values[1]) - float(values[0]) == gap
+                spectra = {}
+                for sector in ("full", "even", "odd"):
+                    k = ["--k", "2"] if sector == "full" else []
+                    code, spectrum, _ = run_cli(capsys, "spectrum", *size, *k, "--f", f,
+                                                "--sectors", sector)
+                    assert code == 0
+                    spectra[sector] = read_csv_column(spectrum, "eigenvalue")
+                    if sector in sectors.split(",") and sector != "full":
+                        assert spectra[sector][0] == read_csv_column(out, f"e0_{sector}")[row]
+                full = spectra["full"]
+                if sectors == "full,even,odd":
+                    full = sorted(spectra["even"] + spectra["odd"], key=float)
+                    assert full[0] == min(spectra["even"][0], spectra["odd"][0], key=float)
+                assert full[0] == read_csv_column(out, "e0_full")[row]
+                gap = float(read_csv_column(out, "gap")[row])
+                assert float(full[1]) - float(full[0]) == gap
 
 
 def test_spectrum_flux_periodicity(capsys):
@@ -522,7 +531,7 @@ def test_a_command_that_solves_nothing_loads_no_solver_module(tmp_path):
     assert run.stdout.splitlines()[-1] == "0"
 
 
-ACCEPTANCE_CSV_SHA256 = "77a0d90b11dd018362addb878194135fc464c8422554f647c77dbb1aaa37e9fc"
+ACCEPTANCE_CSV_SHA256 = "8b66562c00d8d4d424666da70a1cca5ddc5eb2928e037f9a58ed02b8210da81c"
 RECORDED_BUILD = ("numpy 2.4.6", "scipy 1.17.1",
                   "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64",
                   "OpenBLAS 0.3.30 DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64")
@@ -570,7 +579,7 @@ def test_the_golden_digest_is_pinned_line_for_line(tmp_path):
     printed digits come from scipy's library.  Their last digits depend on
     the build, the core and the thread count: with two BLAS threads the
     acceptance CSV hashed to
-    de645fd65f0aada769675fe5353475779330c56d560e6865c8be9c3d3024ede5, so
+    e0475cbbb4d7635a00c468822c92272da65b7f5a7dcdf8ecd8e00e76fd1caa29, so
     the subprocess pins one.  On another build the test skips and names
     both; the file is regenerated only by a change that moves outputs on
     purpose, never to make a run pass.

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mobiusflux import eigensolver, experiments
-from mobiusflux.eigensolver import SolverConfig, dense_eigh
+from mobiusflux.eigensolver import SolverConfig, dense_eigh, solve
 from mobiusflux.experiments import (
     EVEN,
     FULL,
@@ -74,17 +74,20 @@ def test_sweep_config_validation():
     assert len(set(small_sweep(f_min=1.0, f_max=1.0000000000000004, f_steps=3).f_values())) == 3
 
 
-@pytest.mark.parametrize("sectors", [(FULL, EVEN, ODD), (ODD, EVEN, ODD), (EVEN,)])
+@pytest.mark.parametrize("sectors", [(FULL, EVEN, ODD), (ODD, EVEN, ODD), (EVEN,), (FULL, EVEN)])
 def test_sweep_builds_each_sector_basis_once(sectors):
     # each (lattice, sector) basis and pencil is built at most once per process: counted
-    # as the caches' misses over two sweeps of one band
+    # as the caches' misses over two sweeps of one band.  Beside both parity sectors the
+    # full sector's pencil is never built, its columns read off theirs; its basis is, by
+    # the config's sector check
     sector_isometry.cache_clear()
     sector_pencil.cache_clear()
     for _ in range(2):
         records = flux_sweep(small_sweep(f_steps=5, sectors=sectors))
         assert len(records) == 5
+    pencils = set(sectors) - {FULL} if {FULL, EVEN, ODD} <= set(sectors) else set(sectors)
     assert sector_isometry.cache_info().misses == len(set(sectors))
-    assert sector_pencil.cache_info().misses == len(set(sectors))
+    assert sector_pencil.cache_info().misses == len(pencils)
 
 
 def test_sweep_config_rejects_empty_odd_sector():
@@ -172,6 +175,15 @@ def test_detect_minima_plateau_midpoint():
     assert report.minima_f == (2.0,)
 
 
+def test_detect_minima_out_of_flux_order_keeps_the_middle_point():
+    # records out of flux order, which no sweep writes: the parabola through (0, 3), (2, 1)
+    # and (1, 2) is a line, with no vertex to refine to, so the minimum stays at f = 2
+    records = [SweepRecord(f=f, e0_full=y) for f, y in ((0.0, 3.0), (2.0, 1.0), (1.0, 2.0))]
+    report = detect_minima(records, "e0_full", mode="integer")
+    assert report == experiments.QuantizationReport(
+        minima_f=(2.0,), nearest_allowed=(2.0,), distances=(0.0,), skipped=())
+
+
 def test_detect_minima_input_validation():
     records = [SweepRecord(f=0.0, e0_full=1.0), SweepRecord(f=0.1, e0_full=2.0)]
     with pytest.raises(ValueError):
@@ -224,38 +236,131 @@ def test_node_amp_is_empty_where_the_ground_state_is_degenerate():
     assert [(rec.gap, rec.node_amp) for rec in lone] == [(None, None)] * 2
 
 
+def merged_full_columns(cfg, f):
+    """(e0_full, gap, node_amp) read off both parity sectors' solves at the sweep's k: the
+    lowest value, the next one up and the center-row amplitude of the ground sector's
+    ground vector, embedded by that sector's isometry."""
+    lat = cfg.lattice
+    solved = {sector: solve(sector_pencil(lat, sector, cfg.hop).at(f), cfg.solver)
+              for sector in (EVEN, ODD)}
+    values = np.sort(np.concatenate([res.values for res in solved.values()]))
+    e0, gap = float(values[0]), float(values[1] - values[0])
+    if cfg.solver.k == 1:
+        return e0, None, None
+    if gap <= 1e-8:
+        return e0, gap, None
+    ground = min(solved, key=lambda sector: solved[sector].values[0])
+    state = sector_isometry(lat, ground).embed(solved[ground].vectors[:, 0])
+    return e0, gap, nodal_amplitude(state, lat)
+
+
 @pytest.mark.parametrize("topology", [MOEBIUS, ANNULUS])
 def test_full_sector_asks_for_two_pairs_whatever_k(topology):
-    # the full sector's columns read only e0, the gap and the ground vector: a k = 6 sweep
-    # solves it for two pairs, and agrees with the six-pair solve it once made
+    # the full columns read only e0, the gap and the ground vector; beside both parity
+    # sectors they are the merge of the parity solves at the sweep's own k, and agree with
+    # the six-pair solve of the full pencil the sweep once made
     cfg = small_sweep(nx=48, ny=9, topology=topology, ty=0.01, f_min=0.3, f_max=0.6, f_steps=7)
-    six, two, one = (flux_sweep(dataclasses.replace(cfg, solver=SolverConfig(k=k, method="dense")))
-                     for k in (6, 2, 1))
     iso = sector_isometry(cfg.lattice, FULL)
     pencil = FluxPencil(iso, cfg.hop)
     both = 0
-    for a, b, c in zip(six, two, one):
-        assert (a.e0_full, a.gap, a.node_amp) == (b.e0_full, b.gap, b.node_amp)
-        ref = dense_eigh(pencil.at(a.f), 6)
-        assert abs(a.e0_full - ref.values[0]) <= 1e-12
-        assert abs(a.gap - (ref.values[1] - ref.values[0])) <= 1e-12
-        if a.node_amp is not None:
-            amp = nodal_amplitude(iso.embed(ref.vectors[:, 0]), iso.lattice)
-            assert abs(a.node_amp - amp) <= 1e-10
-            both += 1
-        # with one pair the gap is unknown, and so is whether node_amp means anything
-        assert c.e0_full is not None and (c.gap, c.node_amp) == (None, None)
-    assert both >= 5
+    for k in (6, 2, 1):
+        at_k = dataclasses.replace(cfg, solver=SolverConfig(k=k, method="dense"))
+        for rec in flux_sweep(at_k):
+            assert (rec.e0_full, rec.gap, rec.node_amp) == merged_full_columns(at_k, rec.f)
+            ref = dense_eigh(pencil.at(rec.f), 6)
+            assert abs(rec.e0_full - ref.values[0]) <= 1e-12
+            if k == 1:
+                # with one value a sector the gap is unknown, and so is whether node_amp
+                # means anything
+                assert (rec.gap, rec.node_amp) == (None, None)
+                continue
+            assert abs(rec.gap - (ref.values[1] - ref.values[0])) <= 1e-12
+            if rec.node_amp is not None:
+                amp = nodal_amplitude(iso.embed(ref.vectors[:, 0]), iso.lattice)
+                assert abs(rec.node_amp - amp) <= 1e-10
+                both += 1
+    assert both >= 10
+
+
+# the acceptance band at k = 1, 2 and 6, and the 3 x 3 band, whose sectors (odd 3, even 6)
+# k = 6 reaches, where LAPACK's driver takes other routes
+MERGE_BANDS = [(48, 9, 0.01, 1), (48, 9, 0.01, 2), (48, 9, 0.01, 6), (3, 3, 1.0, 6)]
+
+
+@pytest.mark.parametrize("method", ["dense", "lanczos"])
+@pytest.mark.parametrize("topology", [MOEBIUS, ANNULUS])
+@pytest.mark.parametrize("nx, ny, ty, k", MERGE_BANDS)
+def test_the_full_columns_are_the_parity_solves_merged(method, topology, nx, ny, ty, k):
+    # at uniform flux the full spectrum is exactly the even one's and the odd one's: a sweep
+    # of all three sectors builds no full pencil, and its parity columns keep the bits of a
+    # sweep that solves them for values only
+    cfg = small_sweep(nx=nx, ny=ny, topology=topology, ty=ty, f_min=0.3, f_max=0.6, f_steps=7,
+                      solver=SolverConfig(k=k, method=method))
+    sector_pencil.cache_clear()
+    records = flux_sweep(cfg)
+    assert sector_pencil.cache_info().misses == 2
+    parity = flux_sweep(dataclasses.replace(cfg, sectors=(EVEN, ODD)))
+    full = sector_pencil(cfg.lattice, FULL, cfg.hop)
+    for rec, alone in zip(records, parity):
+        assert rec.status == "ok"
+        assert (rec.e0_even, rec.e0_odd) == (alone.e0_even, alone.e0_odd)
+        assert rec.e0_full == min(rec.e0_even, rec.e0_odd)
+        assert (rec.e0_full, rec.gap, rec.node_amp) == merged_full_columns(cfg, rec.f)
+        ref = dense_eigh(full.at(rec.f), 2)
+        assert abs(rec.e0_full - ref.values[0]) <= 1e-12
+        if k == 1:
+            assert (rec.gap, rec.node_amp) == (None, None)
+            continue
+        assert abs(rec.gap - (ref.values[1] - ref.values[0])) <= 1e-12
+        if rec.node_amp is not None:
+            amp = nodal_amplitude(full.iso.embed(ref.vectors[:, 0]), cfg.lattice)
+            assert abs(rec.node_amp - amp) <= 1e-10
+            # an odd ground state vanishes on the center row, exactly
+            assert rec.e0_even < rec.e0_odd or rec.node_amp == 0.0
+
+
+def test_an_odd_ground_state_has_exactly_zero_nodal_amplitude():
+    # near f = 1/2 the nodal sector holds the acceptance band's ground state
+    cfg = small_sweep(nx=48, ny=9, ty=0.01, f_min=0.45, f_max=0.55, f_steps=5,
+                      solver=SolverConfig(k=2, method="dense"))
+    odd = [rec for rec in flux_sweep(cfg) if rec.e0_odd < rec.e0_even]
+    assert odd and all(rec.node_amp == 0.0 for rec in odd)
+
+
+@pytest.mark.parametrize("method", ["dense", "lanczos"])
+@pytest.mark.parametrize("sectors", [(FULL,), (FULL, EVEN)])
+def test_the_full_sector_without_both_parity_sectors_is_solved_as_before(sectors, method):
+    # the full sector alone or beside one parity sector is solved on its own pencil for
+    # min(k, 2) pairs, whatever k, and the parity sector for k values only; the sweep's
+    # records are those solves' bits, so its CSV keeps its bytes
+    cfg = small_sweep(nx=48, ny=9, ty=0.01, f_min=0.3, f_max=0.6, f_steps=7, sectors=sectors,
+                      solver=SolverConfig(k=6, method=method))
+    lat, hop = cfg.lattice, cfg.hop
+    pairs = SolverConfig(k=2, method=method)
+    nodal = 0
+    for rec in flux_sweep(cfg):
+        res = solve(sector_pencil(lat, FULL, hop).at(rec.f), pairs)
+        want = {"e0_full": float(res.values[0]), "gap": float(res.values[1] - res.values[0])}
+        if want["gap"] > 1e-8:
+            want["node_amp"] = nodal_amplitude(sector_isometry(lat, FULL).embed(res.vectors[:, 0]), lat)
+            nodal += 1
+        if EVEN in sectors:
+            even = solve(sector_pencil(lat, EVEN, hop).at(rec.f), cfg.solver, values_only=True)
+            want["e0_even"] = float(even.values[0])
+        assert dataclasses.replace(rec, current=None) == SweepRecord(f=rec.f, **want)
+    assert nodal >= 5
 
 
 def test_values_only_sectors_keep_the_csv_bytes(monkeypatch):
-    # the parity sectors are solved for values only; forced through the vector solve,
-    # the acceptance band's sweep renders the same text
+    # a parity sector beside the full one alone is solved for values only, and beside both
+    # it and the other parity sector with vectors; forced through the vector solve, the
+    # acceptance band's sweeps render the same text
     from mobiusflux.cli import render_sweep_csv
 
     cfg = small_sweep(nx=48, ny=9, ty=0.01, f_min=0.0, f_max=0.5, f_steps=5,
                       solver=SolverConfig(k=6, method="dense"))
-    text = render_sweep_csv(flux_sweep(cfg))
+    sweeps = (cfg, dataclasses.replace(cfg, sectors=(FULL, EVEN)))
+    texts = [render_sweep_csv(flux_sweep(sweep)) for sweep in sweeps]
     solve = experiments.solve
     calls = []
 
@@ -264,8 +369,11 @@ def test_values_only_sectors_keep_the_csv_bytes(monkeypatch):
         return solve(h, cfg)
 
     monkeypatch.setattr(experiments, "solve", with_vectors)
-    assert render_sweep_csv(flux_sweep(cfg)) == text
-    assert calls.count(True) == 2 * 5 and calls.count(False) == 5
+    assert render_sweep_csv(flux_sweep(sweeps[0])) == texts[0]
+    assert calls.count(True) == 0 and calls.count(False) == 2 * 5
+    calls.clear()
+    assert render_sweep_csv(flux_sweep(sweeps[1])) == texts[1]
+    assert calls.count(True) == 5 and calls.count(False) == 5
 
 
 def test_nodal_amplitude_dimension_mismatch():
