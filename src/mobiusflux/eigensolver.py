@@ -74,21 +74,15 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Ascending eigenvalues, unit-norm eigenvectors (columns), residuals; a values-only
-    solve leaves vectors and residuals None."""
+    """Ascending eigenvalues, unit-norm eigenvectors (columns), residuals."""
 
     values: np.ndarray
-    vectors: Optional[np.ndarray]
-    residuals: Optional[np.ndarray]
-
-    @property
-    def k(self) -> int:
-        return len(self.values)
+    vectors: np.ndarray
+    residuals: np.ndarray
 
     def lowest(self, k: int) -> "EigenResult":
-        """The k lowest values, with their vectors and residuals where they were solved."""
-        return EigenResult(*(a if a is None else a[..., :k]
-                             for a in (self.values, self.vectors, self.residuals)))
+        """The k lowest values, with their vectors and residuals."""
+        return EigenResult(*(a[..., :k] for a in (self.values, self.vectors, self.residuals)))
 
 
 def _finalize(h: SparseHermitian, values: np.ndarray, vectors: np.ndarray) -> EigenResult:
@@ -99,20 +93,17 @@ def _finalize(h: SparseHermitian, values: np.ndarray, vectors: np.ndarray) -> Ei
     return EigenResult(values=values, vectors=vectors, residuals=residuals)
 
 
-def dense_eigh(h: SparseHermitian, k: Optional[int] = None, *,
-               values_only: bool = False) -> EigenResult:
+def dense_eigh(h: SparseHermitian, k: Optional[int] = None) -> EigenResult:
     """k lowest eigenpairs (None: all n) by a dense direct solve; n <= 4096.
 
     The reference path: scipy's ``eigh`` with LAPACK's index-range driver
     (dsyevr or zheevr) on a column-major copy of the operator, which it may
     overwrite, unscanned: every ``SparseHermitian`` is checked finite when
     it is built.  Only the requested pairs and their residuals are computed.
-    For k < n the driver finds the values by bisection (stebz) and only
-    then, if asked, the vectors by inverse iteration (stein), so with
-    values_only only the k values are solved, bit for bit those of the
-    vector solve; for k = n it takes other routes, whose values differ in
-    the last bits, so there the pairs are solved.  A failed solve raises
-    eigh's LinAlgError.
+    For k < n the driver finds the values by bisection (stebz) and the
+    vectors by inverse iteration (stein); for k = n it takes other routes,
+    whose values differ in the last bits.  A failed solve raises eigh's
+    LinAlgError.
     """
     from scipy.linalg import eigh
 
@@ -121,17 +112,12 @@ def dense_eigh(h: SparseHermitian, k: Optional[int] = None, *,
     k = h.n if k is None else k
     if not 1 <= k <= h.n:
         raise ValueError(f"k must lie in [1, n={h.n}], got {k}")
-    values_only = values_only and k < h.n
     csr = h.csr
     # a real store is symmetric entry by entry, so its row-major array is its column-major
     # one, with no CSC conversion; a complex one's would be its conjugate
     a = csr.toarray().T if csr.dtype == np.float64 else csr.toarray(order="F")
-    result = eigh(a, subset_by_index=[0, k - 1], driver="evr", eigvals_only=values_only,
-                  overwrite_a=True, check_finite=False)
-    if values_only:
-        result.setflags(write=False)
-        return EigenResult(values=result, vectors=None, residuals=None)
-    return _finalize(h, *result)
+    return _finalize(h, *eigh(a, subset_by_index=[0, k - 1], driver="evr", overwrite_a=True,
+                              check_finite=False))
 
 
 def _gershgorin(h: SparseHermitian) -> tuple:
@@ -451,16 +437,14 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
         raise NoConvergenceError(f"Lanczos residuals exceed tol={cfg.tol}")
 
 
-def solve(h: SparseHermitian, cfg: SolverConfig, *, values_only: bool = False) -> EigenResult:
+def solve(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
     """Dispatch on cfg.method; auto picks dense for n <= 1024.  A k above n is capped at n
-    here, so one k serves every sector; ``dense_eigh`` and ``lanczos_lowest`` refuse it.
-    values_only reaches the dense route only: Lanczos needs its vectors for the
-    Rayleigh-Ritz step, the residual gate and the certificate."""
+    here, so one k serves every sector; ``dense_eigh`` and ``lanczos_lowest`` refuse it."""
     if cfg.k > h.n:
         cfg = replace(cfg, k=h.n)
     method = cfg.method
     if method == "auto":
         method = "dense" if h.n <= _AUTO_DENSE_N else "lanczos"
     if method == "dense":
-        return dense_eigh(h, cfg.k, values_only=values_only)
+        return dense_eigh(h, cfg.k)
     return lanczos_lowest(h, cfg)

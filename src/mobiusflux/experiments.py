@@ -95,18 +95,16 @@ def flux_sweep(cfg: SweepConfig) -> list:
     Each sector's pencil is ``sector_pencil``'s, cached per process, so a
     sweep builds none that an earlier sweep of the band and hopping built:
     a repeated sweep pays only for ``at(f)`` and the solves.
-    A parity sector is asked for k values, so that its e0 is bit for bit
-    the one ``spectrum`` prints: the dense driver's bisection finds the same
-    values with or without vectors, but its lowest value depends on how
-    many it is asked for (see ``dense_eigh``).
+    Every sector is solved for its k lowest pairs, the full sector for
+    min(k, 2), all that its columns read (e0, the gap and the ground
+    vector).  A parity sector is solved at k, so that its e0 is bit for bit
+    the one ``spectrum`` prints: the dense driver's lowest value depends on
+    how many it is asked for (see ``dense_eigh``).
     With full, even and odd all requested, the full spectrum is exactly
-    the even one's and the odd one's, so no full pencil is built: the
-    parity sectors are solved with vectors, the full columns' values are
-    the lowest min(k, 2) of both lists and the ground vector is the ground
-    sector's, which for the odd sector vanishes on the center row.
-    Otherwise the full sector is solved for min(k, 2) pairs, all that its
-    columns read (e0, the gap and the ground vector), and a parity sector
-    for values only.
+    the even one's and the odd one's, so no full pencil is built and the
+    full columns are merged from the parity solves: the lowest min(k, 2)
+    of both value lists, and the ground sector's vector, which for the odd
+    sector vanishes on the center row.
     ``node_amp`` is left empty unless the full-sector gap shows a unique
     ground state: a degenerate one has no basis-free center-row amplitude,
     only whatever vector LAPACK returns, and with k = 1 the gap is unknown.
@@ -120,17 +118,13 @@ def flux_sweep(cfg: SweepConfig) -> list:
     for f in cfg.f_values():
         f = float(f)
         try:
-            solved = {sector: solve(pencil.at(f), full_solver if sector == FULL else cfg.solver,
-                                    values_only=not split and sector != FULL)
+            solved = {sector: solve(pencil.at(f), full_solver if sector == FULL else cfg.solver)
                       for sector, pencil in pencils.items()}
             fields = {f"e0_{sector}": float(res.values[0]) for sector, res in solved.items()}
             if FULL in cfg.sectors:
-                if split:
-                    ground = min((EVEN, ODD), key=lambda sector: solved[sector].values[0])
-                    values = np.sort(np.concatenate([solved[EVEN].values, solved[ODD].values]))
-                else:
-                    ground, values = FULL, solved[FULL].values
-                values = values[:full_solver.k]
+                parts = (EVEN, ODD) if split else (FULL,)
+                ground = min(parts, key=lambda sector: solved[sector].values[0])
+                values = np.sort(np.concatenate([solved[p].values for p in parts]))[:full_solver.k]
                 fields["e0_full"] = float(values[0])
                 if len(values) >= 2:
                     fields["gap"] = float(values[1] - values[0])

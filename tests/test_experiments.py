@@ -293,7 +293,7 @@ MERGE_BANDS = [(48, 9, 0.01, 1), (48, 9, 0.01, 2), (48, 9, 0.01, 6), (3, 3, 1.0,
 def test_the_full_columns_are_the_parity_solves_merged(method, topology, nx, ny, ty, k):
     # at uniform flux the full spectrum is exactly the even one's and the odd one's: a sweep
     # of all three sectors builds no full pencil, and its parity columns keep the bits of a
-    # sweep that solves them for values only
+    # sweep of the parity sectors alone
     cfg = small_sweep(nx=nx, ny=ny, topology=topology, ty=ty, f_min=0.3, f_max=0.6, f_steps=7,
                       solver=SolverConfig(k=k, method=method))
     sector_pencil.cache_clear()
@@ -328,11 +328,11 @@ def test_an_odd_ground_state_has_exactly_zero_nodal_amplitude():
 
 
 @pytest.mark.parametrize("method", ["dense", "lanczos"])
-@pytest.mark.parametrize("sectors", [(FULL,), (FULL, EVEN)])
+@pytest.mark.parametrize("sectors", [(FULL,), (FULL, EVEN), (FULL, ODD)])
 def test_the_full_sector_without_both_parity_sectors_is_solved_as_before(sectors, method):
     # the full sector alone or beside one parity sector is solved on its own pencil for
-    # min(k, 2) pairs, whatever k, and the parity sector for k values only; the sweep's
-    # records are those solves' bits, so its CSV keeps its bytes
+    # min(k, 2) pairs, whatever k, and the parity sector for k pairs; the sweep's records
+    # are those solves' bits, so its CSV keeps its bytes
     cfg = small_sweep(nx=48, ny=9, ty=0.01, f_min=0.3, f_max=0.6, f_steps=7, sectors=sectors,
                       solver=SolverConfig(k=6, method=method))
     lat, hop = cfg.lattice, cfg.hop
@@ -344,36 +344,11 @@ def test_the_full_sector_without_both_parity_sectors_is_solved_as_before(sectors
         if want["gap"] > 1e-8:
             want["node_amp"] = nodal_amplitude(sector_isometry(lat, FULL).embed(res.vectors[:, 0]), lat)
             nodal += 1
-        if EVEN in sectors:
-            even = solve(sector_pencil(lat, EVEN, hop).at(rec.f), cfg.solver, values_only=True)
-            want["e0_even"] = float(even.values[0])
+        for sector in sectors[1:]:
+            parity = solve(sector_pencil(lat, sector, hop).at(rec.f), cfg.solver)
+            want[f"e0_{sector}"] = float(parity.values[0])
         assert dataclasses.replace(rec, current=None) == SweepRecord(f=rec.f, **want)
     assert nodal >= 5
-
-
-def test_values_only_sectors_keep_the_csv_bytes(monkeypatch):
-    # a parity sector beside the full one alone is solved for values only, and beside both
-    # it and the other parity sector with vectors; forced through the vector solve, the
-    # acceptance band's sweeps render the same text
-    from mobiusflux.cli import render_sweep_csv
-
-    cfg = small_sweep(nx=48, ny=9, ty=0.01, f_min=0.0, f_max=0.5, f_steps=5,
-                      solver=SolverConfig(k=6, method="dense"))
-    sweeps = (cfg, dataclasses.replace(cfg, sectors=(FULL, EVEN)))
-    texts = [render_sweep_csv(flux_sweep(sweep)) for sweep in sweeps]
-    solve = experiments.solve
-    calls = []
-
-    def with_vectors(h, cfg, values_only=False):
-        calls.append(values_only)
-        return solve(h, cfg)
-
-    monkeypatch.setattr(experiments, "solve", with_vectors)
-    assert render_sweep_csv(flux_sweep(sweeps[0])) == texts[0]
-    assert calls.count(True) == 0 and calls.count(False) == 2 * 5
-    calls.clear()
-    assert render_sweep_csv(flux_sweep(sweeps[1])) == texts[1]
-    assert calls.count(True) == 5 and calls.count(False) == 5
 
 
 def test_nodal_amplitude_dimension_mismatch():

@@ -10,7 +10,7 @@ with ``verify``'s ``[...s]`` timings stripped, and of the SVG file a
 ``--plot`` command writes and the CSV file a sweep's ``--out`` names,
 then the command; the last line is the sha256 of the default acceptance
 sweep's CSV.  Two checkouts give the same outputs when their digests
-match line for line.  As one process runs all 2,650 commands, on
+match line for line.  As one process runs all 2,652 commands, on
 interleaved lattices, sectors and hoppings, the run also checks that the
 per-process caches of sector bases and flux pencils (``sector_isometry``,
 ``sector_pencil``) leave every output as a fresh process would print it.
@@ -68,7 +68,8 @@ def commands():
     without the full one, and of config files that are malformed, hold a bad value or a key
     the command does not read, or are missing; then 16 values each refused by the library's
     own check (exit 2), a refused sweep that removes the ``--out`` file it created, a config
-    file's bad and false ``strict``, and a k above n, which the solver caps."""
+    file's bad and false ``strict``, a k above n, which the solver caps, and the acceptance
+    band's sweeps of parity sectors beside at most one other sector."""
     for ty, top, (nx, ny), f, solver, sector, k in itertools.product(
             TYS, TOPOLOGIES, LATTICES, FLUXES, ("dense", "lanczos"),
             ("full", "even", "odd"), ("1", "4")):
@@ -140,6 +141,8 @@ def commands():
     for config in ("bool.cfg", "nostrict.cfg"):
         yield ("sweep", "--config", config)
     yield ("spectrum", "--nx", "3", "--ny", "1", "--k", "6")
+    for sectors in ("even,odd", "full,odd"):
+        yield (*ACCEPTANCE, "--sectors", sectors, "--f-steps", "13")
 
 
 def golden(argv) -> bool:
