@@ -171,7 +171,8 @@ def cmd_spectrum(run: Run, args: argparse.Namespace) -> int:
         raise ConfigError(f"spectrum needs a single sector, or 'full' among {SECTORS}, "
                           f"got {run.config.sectors!r}")
     sector = sectors[0] if len(sectors) == 1 else FULL
-    # the sweep's operator for every sector, so both print the same e0 and gap
+    # the sweep's operator for every sector: a parity sector's e0 is the sweep's at the same k,
+    # and the full sector's e0 and gap at k = 2 are those of a sweep without both parity sectors
     result = solve(sector_pencil(run.lattice, sector, run.hop).at(run.config.f), run.solver)
     print("index,eigenvalue,residual")
     for idx, (val, res) in enumerate(zip(result.values, result.residuals)):

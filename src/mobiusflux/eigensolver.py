@@ -218,7 +218,8 @@ def _count_below(h: SparseHermitian, cut: float, norm: float) -> Optional[int]:
     entry of a Schur complement or of a factor exceeds
     norm / sqrt(eps): a pivot near zero makes later entries grow until
     rounding swamps the signs of later pivots.  Where it returns None the
-    caller may count the dense spectrum (``_dense_count``).
+    solver counts at higher cuts, and where none is trusted it returns the
+    dense solve (``dense_eigh``).
     """
     layout = _layout(h.pattern)
     csr, s = h.csr, layout.block
@@ -292,15 +293,6 @@ def _definite_factor(h: SparseHermitian, sigma: float):
     return lambda v: pbtrs(factor, v[layout.perm])[0][layout.order]
 
 
-def _dense_count(h: SparseHermitian, sigma: float) -> int:
-    """Number of eigenvalues of h below sigma from the dense spectrum; n <= 4096."""
-    if h.n > _DENSE_MAX_N:
-        raise np.linalg.LinAlgError(
-            f"no trustworthy sparse factor of H - {sigma!r} I, and n={h.n} exceeds "
-            f"the dense count's limit {_DENSE_MAX_N}")
-    return int(np.count_nonzero(np.linalg.eigvalsh(h.toarray()) < sigma))
-
-
 def _rayleigh_ritz(h: SparseHermitian, basis: np.ndarray, k: int) -> EigenResult:
     """k lowest Ritz pairs of h on the span of the columns of basis."""
     q, _ = np.linalg.qr(basis)
@@ -340,7 +332,9 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
     the top value must equal the number of values; a larger count means skipped
     degenerate copies, so the solve is redone for that many.  Where the
     sparse count there is not trusted, it is taken at one or two higher
-    cuts before the dense count; a re-solve whose bound theta_max + ||R||
+    cuts; where none is trusted the answer is the dense solve
+    (``dense_eigh``), complete by construction, and past its size limit
+    NoConvergenceError.  A re-solve whose bound theta_max + ||R||
     lies below the cut counted before takes that count, with no new
     factorization.  The count comes before the gate, which the solve's
     values must then all meet: at a highly degenerate level, where
@@ -400,7 +394,7 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
         # Ritz value i is >= lambda_i and within ||R|| of a distinct eigenvalue (Kahan), so
         # `want` eigenvalues lie at or below bound = theta_max + ||R||, and exactly `want`
         # below a cut above it means none was skipped, as at any higher cut: where the count
-        # at this one is not trusted, one or two higher ones are tried before the dense count.
+        # at this one is not trusted, one or two higher ones are tried before the dense solve.
         # A re-solve whose bound lies below the cut counted before needs no count: exactly
         # `want` eigenvalues lie below that cut, so the `want` its Ritz values find there
         # are the lowest
@@ -411,11 +405,10 @@ def lanczos_lowest(h: SparseHermitian, cfg: SolverConfig) -> EigenResult:
                 count = _count_below(h, counted, max(hi - counted, counted - lo))
                 if count is not None:
                     break
-            else:
-                counted = cut
+            else:  # no count is trusted: the dense solve is complete by construction
                 try:
-                    count = _dense_count(h, cut)
-                except np.linalg.LinAlgError as exc:
+                    return dense_eigh(h, k)
+                except ValueError as exc:  # past _DENSE_MAX_N, or eigh's LinAlgError
                     raise NoConvergenceError(f"completeness not certified: {exc}") from None
             if count < want:
                 raise NoConvergenceError(f"inertia count {count} < {want} values")

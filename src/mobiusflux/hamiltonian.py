@@ -99,9 +99,6 @@ class SparseHermitian:
     def csr(self):
         return self._csr
 
-    def toarray(self) -> np.ndarray:
-        return self._csr.toarray()
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self._csr @ v
 

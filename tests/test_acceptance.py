@@ -87,9 +87,9 @@ def default_spectra():
     for f in f_values:
         h = assemble(lat, uniform_flux_field(lat, float(f)), hop)
         # criterion 9 reads eigenvalues only, so LAPACK computes no vectors
-        full.append(eigvalsh(h.toarray()))
-        even.append(eigvalsh(restrict(h, isos[EVEN]).toarray()))
-        odd.append(eigvalsh(restrict(h, isos[ODD]).toarray()))
+        full.append(eigvalsh(h.csr.toarray()))
+        even.append(eigvalsh(restrict(h, isos[EVEN]).csr.toarray()))
+        odd.append(eigvalsh(restrict(h, isos[ODD]).csr.toarray()))
     return f_values, np.array(full), np.array(even), np.array(odd)
 
 

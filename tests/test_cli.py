@@ -569,11 +569,12 @@ GOLDEN_RUN = ("import sys; sys.path.insert(0, sys.argv[1] + '/tools'); import ou
 def test_the_golden_digest_is_pinned_line_for_line(tmp_path):
     """The digest tool's golden subset prints ``tests/golden_digest.txt``, on one BLAS thread.
 
-    That is 498 commands' sha256 lines and the default acceptance CSV's
+    That is 501 commands' sha256 lines and the default acceptance CSV's
     (``sweep --ty 0.01 --solver dense``): every edge, refused input and
     exit path, every ``verify`` run, both factor routes of the Lanczos
-    solver and the 8 x 3 spectra, holonomies and plot sweeps; a moved line
-    names its command.  Recorded with numpy 2.4.6, scipy 1.17.1, numpy's
+    solver, the three Lanczos spectra whose band count is retried at a
+    higher cut, and the 8 x 3 spectra, holonomies and plot sweeps; a moved
+    line names its command.  Recorded with numpy 2.4.6, scipy 1.17.1, numpy's
     OpenBLAS reporting "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH
     NO_AFFINITY SkylakeX MAX_THREADS=64" from ``scipy_openblas_get_config64_`` and
     scipy's own reporting "OpenBLAS 0.3.30 DYNAMIC_ARCH NO_AFFINITY SkylakeX

@@ -42,7 +42,7 @@ def test_each_line_is_the_data_hash_the_dimension_the_cut_and_the_count(monkeypa
     eigensolver._layout.cache_clear()  # its layouts hold the block
     want = []
     for h in family:
-        values = np.linalg.eigvalsh(h.toarray())
+        values = np.linalg.eigvalsh(h.csr.toarray())
         cuts = tool.cuts(h)
         # 12, 6 and 7 eigenvalue cuts where n allows, and 4 random ones
         assert len(cuts) == min(h.n, 12) + min(h.n, 6) + min(h.n - 1, 7) + 4

@@ -142,7 +142,7 @@ def test_dense_eigh_is_scipys_eigh_on_a_copy_it_may_overwrite(h, k, route):
     first, again = (run() for _ in range(2))
     for arr, before in zip((h.csr.data, h.csr.indices, h.csr.indptr), stored):
         assert arr.tobytes() == before.tobytes()
-    values, vectors = eigh(h.toarray(), subset_by_index=[0, k - 1])
+    values, vectors = eigh(h.csr.toarray(), subset_by_index=[0, k - 1])
     for res in (first, again):
         assert res.values.dtype == values.dtype and res.values.tobytes() == values.tobytes()
         assert res.vectors.tobytes() == (vectors / np.linalg.norm(vectors, axis=0)).tobytes()
@@ -158,7 +158,7 @@ def test_dense_values_are_those_of_a_solve_without_vectors_bit_for_bit(h, k):
     from scipy.linalg import eigh
 
     k = {"n-1": h.n - 1, "n": h.n}.get(k, k)
-    values = eigh(h.toarray(), subset_by_index=[0, k - 1], driver="evr", eigvals_only=True)
+    values = eigh(h.csr.toarray(), subset_by_index=[0, k - 1], driver="evr", eigvals_only=True)
     got = dense_eigh(h, k).values
     if k < h.n:
         assert got.tobytes() == values.tobytes()
@@ -191,7 +191,7 @@ def test_dense_solve_on_acceptance_band():
     assert nodal_amplitude(half.vectors[:, 0], lat) <= 1e-8
     for f in (0.13, 0.37, 0.81):
         h = moebius_operator(48, 9, f, ty=0.01)
-        values, vectors = np.linalg.eigh(h.toarray())
+        values, vectors = np.linalg.eigh(h.csr.toarray())
         res = solve(h, cfg)
         assert_allclose(res.values, values[:6], rtol=0, atol=1e-12)
         assert abs(np.vdot(vectors[:, 0], res.vectors[:, 0])) == pytest.approx(1.0, abs=1e-10)
@@ -249,9 +249,9 @@ def sparse_count(h, sigma):
 
 
 def inertia_count(h, sigma):
-    """The solver's count: the sparse factor's where it is trusted, else the dense spectrum's."""
+    """The sparse factor's count where it is trusted, else the dense spectrum's."""
     count = sparse_count(h, sigma)
-    return eigensolver._dense_count(h, sigma) if count is None else count
+    return int(np.count_nonzero(dense_eigh(h).values < sigma)) if count is None else count
 
 
 def pencil_at_cos_phi_zero():
@@ -347,7 +347,7 @@ def near_zero_pivot_ring():
 
 def test_inertia_count_survives_a_near_zero_pivot(block_partition):
     h, sigma = near_zero_pivot_ring()
-    values = np.linalg.eigvalsh(h.toarray())
+    values = np.linalg.eigvalsh(h.csr.toarray())
     assert np.min(np.abs(values - sigma)) > 0.05
     assert inertia_count(h, sigma) == np.count_nonzero(values < sigma) == 3
 
@@ -362,10 +362,11 @@ def test_the_count_is_not_trusted_where_its_entries_outgrow_the_norm():
 
 
 def test_inertia_count_at_an_eigenvalue(block_partition):
-    # sigma = 3 makes the factor of 3 I - sigma I exactly singular
+    # sigma = 3 makes the factor of 3 I - sigma I exactly singular; a sound factor counts
     h = SparseHermitian(3 * sp.identity(5))
     assert inertia_count(h, 3.0) == 0
     assert inertia_count(h, 3.0 + 1e-9) == 5
+    assert sparse_count(h, 2.0) == 0
 
 
 @pytest.mark.parametrize("h", [
@@ -378,7 +379,7 @@ def test_inertia_count_at_an_eigenvalue(block_partition):
 def test_a_cut_on_a_diagonal_entry_is_counted_right_or_not_trusted(h, block_partition):
     # there the sparse difference H - cut I holds no entry in that diagonal slot: the count is
     # the dense one or None (untrusted, or a factor is exactly singular)
-    values = np.linalg.eigvalsh(h.toarray())
+    values = np.linalg.eigvalsh(h.csr.toarray())
     for cut in map(float, np.unique(h.csr.diagonal().real)):
         coo = (h.csr - cut * sp.identity(h.n, dtype=h.csr.dtype, format="csr")).tocoo()
         assert np.count_nonzero(coo.row == coo.col) < h.n
@@ -432,7 +433,7 @@ def band_counted(name):
 def test_a_trusted_band_count_is_never_wrong(name):
     h = band_counted(name)
     assert (h.csr.dtype == complex) == ("site" in name)
-    values = np.linalg.eigvalsh(h.toarray())
+    values = np.linalg.eigvalsh(h.csr.toarray())
     lo, hi = eigensolver._gershgorin(h)
 
     def count(cut):
@@ -500,8 +501,17 @@ def test_bunch_kaufman_takes_a_2x2_pivot_only_where_it_is_indefinite(block):
             == np.count_nonzero(lam < 0))
 
 
-def no_dense_count(h, sigma):
-    raise AssertionError("dense count")
+def no_dense_fallback(monkeypatch):
+    """Make lanczos_lowest's dense fallback fail the test; its Ritz step's dense solve for
+    m >= n - 1 pairs still runs."""
+    dense = eigensolver.dense_eigh
+
+    def dense_eigh_below_n_minus_1(h, k=None):
+        if k is not None and k < h.n - 1:
+            raise AssertionError("dense fallback")
+        return dense(h, k)
+
+    monkeypatch.setattr(eigensolver, "dense_eigh", dense_eigh_below_n_minus_1)
 
 
 @pytest.mark.parametrize("nx, ny, width", [
@@ -521,7 +531,7 @@ def test_the_count_is_the_bands_at_every_half_bandwidth(monkeypatch, nx, ny, wid
     # a whole solve: each count is the band's and trusted, and SuperLU factors only the
     # definite H - sigma I, below the spectrum, on a band wider than _MAX_BAND
     calls = record_factorizations(monkeypatch)
-    monkeypatch.setattr(eigensolver, "_dense_count", no_dense_count)
+    no_dense_fallback(monkeypatch)
     res = lanczos_lowest(h, SolverConfig(k=6, seed=1, method="lanczos"))
     factor, counts = calls[0], calls[1:]
     assert counts and all(cut > res.values[-1] for cut in counts)
@@ -530,13 +540,6 @@ def test_the_count_is_the_bands_at_every_half_bandwidth(monkeypatch, nx, ny, wid
         assert factor == "cholesky"
     else:
         assert factor < res.values[0]
-
-
-def test_inertia_count_dense_fallback_is_size_guarded(monkeypatch):
-    monkeypatch.setattr(eigensolver, "_DENSE_MAX_N", 4)
-    with pytest.raises(np.linalg.LinAlgError, match="exceeds"):
-        inertia_count(SparseHermitian(3 * sp.identity(5)), 3.0)  # singular factor
-    assert inertia_count(SparseHermitian(3 * sp.identity(5)), 2.0) == 0  # a sound factor counts
 
 
 def test_lanczos_reports_an_uncertifiable_count_as_no_convergence(monkeypatch):
@@ -648,38 +651,71 @@ def test_the_shift_invert_factor_is_banded_up_to_a_half_bandwidth_of_120(monkeyp
     assert calls.count("cholesky") == banded
 
 
-def first_count_untrusted(monkeypatch, h) -> tuple:
-    """Make the first inertia count return None; the retry step lanczos_lowest takes on h, and
-    the list each count's (cut, count) goes to."""
+def retry_step(h) -> float:
+    """The step lanczos_lowest takes on h from an untrusted count's cut to the next cut."""
+    lo, hi = eigensolver._gershgorin(h)
+    sigma = lo - eigensolver._SQRT_EPS * max(hi - lo, 1.0, 4.0 * eigensolver._SQRT_EPS * abs(lo))
+    return 100.0 * eigensolver._SQRT_EPS * (hi - sigma)
+
+
+def record_counts(monkeypatch, untrusted=0) -> list:
+    """The list each inertia count's (cut, count) goes to; the first `untrusted` counts return
+    None, the others are the band's."""
     count, calls = eigensolver._count_below, []
 
     def count_below(h, cut, norm):
-        calls.append((cut, None if not calls else count(h, cut, norm)))
+        calls.append((cut, None if len(calls) < untrusted else count(h, cut, norm)))
         return calls[-1][1]
 
     monkeypatch.setattr(eigensolver, "_count_below", count_below)
-    lo, hi = eigensolver._gershgorin(h)
-    sigma = lo - eigensolver._SQRT_EPS * max(hi - lo, 1.0, 4.0 * eigensolver._SQRT_EPS * abs(lo))
-    return 100.0 * eigensolver._SQRT_EPS * (hi - sigma), calls
+    return calls
 
 
 def test_an_untrusted_count_is_retried_at_a_higher_cut(monkeypatch):
     # the next cut, 100 sqrt(eps) (hi - sigma) higher, is counted on the band and trusted, so
-    # no dense eigvalsh runs at n = 1200
+    # no dense fallback runs at n = 1200
     h, exact = annulus_operator(48, 25, 0.3627)
-    retry, calls = first_count_untrusted(monkeypatch, h)
-    monkeypatch.setattr(eigensolver, "_dense_count", no_dense_count)
+    retry, calls = retry_step(h), record_counts(monkeypatch, untrusted=1)
+    no_dense_fallback(monkeypatch)
     res = lanczos_lowest(h, SolverConfig(k=6, seed=12345, method="lanczos"))
     assert_allclose(res.values, exact[:6], rtol=0, atol=1e-10)
     (cut, first), (retried, count) = calls
     assert first is None and retried == cut + retry and count == 6
 
 
+def test_a_count_on_an_eigenvalue_is_retried_at_a_higher_cut(monkeypatch):
+    # the golden digest's `spectrum --nx 6 --ny 5 --ty 1 --f 0 --solver lanczos --sectors full
+    # --k 4`, with nothing patched: its third cut, 3.0000000003, sits on the eigenvalue 3, and
+    # the band count there is not trusted; the next cut's is, and no dense fallback runs
+    h = sector_pencil(build_lattice(6, 5, MOEBIUS), "full", HoppingParams()).at(0.0)
+    retry, calls = retry_step(h), record_counts(monkeypatch)
+    no_dense_fallback(monkeypatch)
+    res = lanczos_lowest(h, SolverConfig(k=4, seed=12345, method="lanczos"))
+    assert_allclose(res.values, dense_eigh(h, 4).values, rtol=0, atol=1e-10)
+    assert [count for _, count in calls] == [5, 6, None, 10]
+    (cut, _), (retried, _) = calls[2:]
+    assert abs(cut - 3.0) < 1e-9 and retried == cut + retry
+
+
+@pytest.mark.parametrize("h", [
+    sector_pencil(build_lattice(12, 5, MOEBIUS), "full", HoppingParams()).at(0.3),  # real
+    moebius_operator(12, 5, 0.3),  # complex, in the site basis
+])
+def test_an_uncertifiable_count_returns_the_dense_solve(monkeypatch, h):
+    # no band count is trusted at any cut: the answer is the dense solve, bit for bit
+    want = dense_eigh(h, 4)
+    monkeypatch.setattr(eigensolver, "_count_below", lambda h, cut, norm: None)
+    res = lanczos_lowest(h, SolverConfig(k=4, seed=1, method="lanczos"))
+    for got, pinned in zip((res.values, res.vectors, res.residuals),
+                           (want.values, want.vectors, want.residuals)):
+        assert got.dtype == pinned.dtype and got.tobytes() == pinned.tobytes()
+
+
 def test_an_untrusted_factor_above_the_dense_limit_certifies_at_the_retried_cut(monkeypatch):
-    # the first count is untrusted, and no dense count may stand in
+    # the first count is untrusted, and no dense solve may stand in
     h = moebius_operator(12, 5, 0.3)
     exact = dense_eigh(h, 4).values
-    retry, calls = first_count_untrusted(monkeypatch, h)
+    retry, calls = retry_step(h), record_counts(monkeypatch, untrusted=1)
     monkeypatch.setattr(eigensolver, "_DENSE_MAX_N", 4)
     res = lanczos_lowest(h, SolverConfig(k=4, seed=1, method="lanczos"))
     assert_allclose(res.values, exact, rtol=0, atol=1e-10)
@@ -694,14 +730,16 @@ def test_an_untrusted_factor_above_the_dense_limit_certifies_at_the_retried_cut(
     (ANNULUS, 0.0, 2),
     (ANNULUS, 0.0, 7),
 ])
-def test_lanczos_matches_dense_at_the_auto_lanczos_size(topology, f, seed):
+def test_lanczos_matches_dense_at_the_auto_lanczos_size(monkeypatch, topology, f, seed):
     # 48 x 25 (n = 1200) is where solve(auto) goes to Lanczos; at the default
     # tol the residuals must meet the gate with no error, which pins ARPACK's
-    # tol to the shift-invert operator's norm
+    # tol to the shift-invert operator's norm.  No dense fallback may run: band counts
+    # gone untrusted would hide behind its slower, still right answer
     lat = build_lattice(48, 25, topology)
     h = assemble(lat, uniform_flux_field(lat, f), HoppingParams())
     # zero flux has real hops, so f = 0 keeps the real Krylov path covered
     assert (h.csr.dtype == np.float64) == (f == 0.0)
+    no_dense_fallback(monkeypatch)
     cfg = SolverConfig(k=6, seed=seed, method="lanczos")
     res = lanczos_lowest(h, cfg)
     assert_allclose(res.values, dense_eigh(h, 6).values, rtol=0, atol=1e-10)

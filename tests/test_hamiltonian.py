@@ -67,14 +67,14 @@ def test_ring_examples():
 def test_assembled_matrix_is_exactly_hermitian():
     lat = build_lattice(8, 5, MOEBIUS)
     h = assemble(lat, uniform_flux_field(lat, 0.37), HoppingParams())
-    dense = h.toarray()
+    dense = h.csr.toarray()
     assert np.array_equal(dense, dense.conj().T)
 
 
 def test_assemble_diagonal_uniform_at_walls():
     lat = build_lattice(5, 3, ANNULUS)
     hop = HoppingParams(tx=1.0, ty=0.7)
-    dense = assemble(lat, uniform_flux_field(lat, 0.1), hop).toarray()
+    dense = assemble(lat, uniform_flux_field(lat, 0.1), hop).csr.toarray()
     assert_allclose(np.diag(dense), 2 * hop.tx + 2 * hop.ty)
 
 
@@ -138,7 +138,7 @@ def reflection(lat):
 def test_reflection_commutes_with_assembled_operator():
     # exhaustive entrywise check on nx=4, ny=3
     lat = build_lattice(4, 3, MOEBIUS)
-    h = assemble(lat, uniform_flux_field(lat, 0.3), HoppingParams()).toarray()
+    h = assemble(lat, uniform_flux_field(lat, 0.3), HoppingParams()).csr.toarray()
     perm = reflection(lat)
     conjugated = h[np.ix_(perm, perm)]
     assert np.array_equal(conjugated, h)
@@ -420,7 +420,7 @@ def test_sparse_hermitian_stores_the_symmetrized_matrix_bit_for_bit(m):
     dense = np.asarray(dense, dtype=complex)
     want = (dense + dense.conj().T) * 0.5
     h = SparseHermitian(m)
-    got = h.toarray()
+    got = h.csr.toarray()
     assert got.dtype == (np.complex128 if np.any(want.imag) else np.float64)
     assert got.astype(complex).tobytes() == want.tobytes()
     csr = h.csr

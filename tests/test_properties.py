@@ -140,7 +140,7 @@ def test_x_next_is_the_plus_x_neighbor(lat):
 def test_assemble_entries_are_the_peierls_link_values(field, tx, ty, data):
     lat = field.lattice
     pot = data.draw(hnp.arrays(float, lat.n_sites, elements=st.floats(-5.0, 5.0)))
-    got = assemble(lat, field, HoppingParams(tx=tx, ty=ty), pot).toarray()
+    got = assemble(lat, field, HoppingParams(tx=tx, ty=ty), pot).csr.toarray()
     want = np.zeros((lat.n_sites, lat.n_sites), dtype=complex)
     for site in sites(lat):
         u = lat.site_id(site)
@@ -269,7 +269,7 @@ def test_sector_isometry_makes_uniform_flux_real_with_the_same_spectrum(lat, f, 
         # the sweep's pencil: the same real operator, exactly symmetric
         at_f = FluxPencil(iso, hop).at(f)
         assert at_f.csr.dtype == np.float64
-        assert np.array_equal(at_f.toarray(), at_f.toarray().T)
+        assert np.array_equal(at_f.csr.toarray(), at_f.csr.toarray().T)
         assert np.max(np.abs(dense_eigh(at_f).values - dense_eigh(hr).values)) <= 1e-12
         for in_basis, want, parts in zip((hr, restrict(moved, iso)), plain, parity_parts):
             got = dense_eigh(in_basis).values

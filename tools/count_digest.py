@@ -56,7 +56,7 @@ def cuts(h) -> list:
     - 1e-9, and 4 uniform points in its Gershgorin interval, seeded by n."""
     from mobiusflux.eigensolver import _gershgorin
 
-    values = np.linalg.eigvalsh(h.toarray())
+    values = np.linalg.eigvalsh(h.csr.toarray())
     points = np.random.default_rng([SEED, h.n]).uniform(*_gershgorin(h), 4)
     return list(map(float, [*(values[:12] + 1e-7), *values[:6], *(values[1:8] - 1e-9),
                             *points]))
